@@ -14,12 +14,22 @@ struct FramePlan::GpuState {
 
   // Streaming send buffers, one per reducer (§3.1.2 buffered sends).
   std::vector<KvBuffer> outbox;
+  /// Destinations: the reducers one fabric message from this mapper
+  /// carries parts for, ordered by their lowest reducer. One reducer
+  /// each under Global and for same-node reducers; one slot per remote
+  /// node under PerReducer (its reducers' parts coalesce).
+  std::vector<std::vector<int>> dests;
+  std::vector<int> dest_of;  // reducer -> its slot in dests
   std::unique_ptr<Combiner> combiner;  // optional mapper-side partial reduce
   /// Per-reducer count of this GPU's chunks whose footprint owner mask
   /// includes that reducer. Decremented as each chunk's partition
   /// completes; hitting zero finalizes the (mapper, reducer) pair
   /// (pair_final) — the per-pair refinement of the final flush.
   std::vector<int> contrib;
+  /// Pair (this mapper, r) counts toward r's final_pairs: it is final
+  /// AND none of its fragments wait in outbox[r]. A final pair whose
+  /// coalesced message has not flushed yet is "held" and not counted.
+  std::vector<std::uint8_t> counted;
   int pending_partitions = 0;  // partition tasks still queued on the CPU
   bool lane_busy = false;      // a stage+map quantum currently in flight
   bool issued_all = false;     // every chunk has entered the pipeline
@@ -30,15 +40,16 @@ struct FramePlan::ReducerState {
   std::unique_ptr<Reducer> reducer;
   KvBuffer inbox;
   SortedGroups groups;
-  /// Sends flushed toward this reducer whose payloads have not landed
+  /// Message parts flushed toward this reducer that have not landed
   /// yet (combine + fabric transit). With final_pairs == num GPUs, a
   /// zero here means the inbox is complete — the PerReducer readiness.
   std::uint64_t sends_pending = 0;
-  /// (mapper, reducer) pairs finalized toward this reducer: mappers
-  /// that have partitioned their last chunk whose footprint could
-  /// contribute here. Without footprints a mapper finalizes all its
-  /// pairs at its final flush, which makes this gate equivalent to the
-  /// old all-mappers routing_resolved_ gate.
+  /// (mapper, reducer) pairs finalized and flushed toward this reducer:
+  /// mappers that have partitioned their last chunk whose footprint
+  /// could contribute here and hold none of its fragments any more.
+  /// Without footprints a mapper finalizes all its pairs at its final
+  /// flush, which makes this gate equivalent to the old all-mappers
+  /// routing_resolved_ gate.
   int final_pairs = 0;
   bool ready = false;        // sort quantum issuable (mode-specific)
   double ready_s = 0.0;      // absolute engine time ready flipped
@@ -98,7 +109,19 @@ void FramePlan::start() {
     state->mapper = mapper_factory_(g, cluster_.gpu(g));
     VRMR_CHECK(state->mapper != nullptr);
     state->mapper->init(cluster_.gpu(g));
-    for (int r = 0; r < num_gpus; ++r) state->outbox.emplace_back(config_.value_size);
+    std::vector<int> node_slot(static_cast<std::size_t>(cluster_.num_nodes()), -1);
+    for (int r = 0; r < num_gpus; ++r) {
+      state->outbox.emplace_back(config_.value_size);
+      const int node = cluster_.node_of_gpu(r);
+      int& slot = node_slot[static_cast<std::size_t>(node)];
+      const bool coalesce = per_reducer_barriers() && node != cluster_.node_of_gpu(g);
+      if (!coalesce || slot < 0) {
+        slot = static_cast<int>(state->dests.size());
+        state->dests.emplace_back();
+      }
+      state->dests[static_cast<std::size_t>(slot)].push_back(r);
+      state->dest_of.push_back(slot);
+    }
     if (combiner_factory_) {
       state->combiner = combiner_factory_(g);
       VRMR_CHECK(state->combiner != nullptr);
@@ -175,6 +198,7 @@ void FramePlan::start() {
   for (int g = 0; g < num_gpus; ++g) {
     auto& gs = *gpus_[static_cast<std::size_t>(g)];
     gs.contrib.assign(static_cast<std::size_t>(num_gpus), 0);
+    gs.counted.assign(static_cast<std::size_t>(num_gpus), 0);
     for (const int ci : gs.chunk_indices) {
       const auto& mask = chunk_masks_[static_cast<std::size_t>(ci)];
       for (int r = 0; r < num_gpus; ++r) {
@@ -183,8 +207,10 @@ void FramePlan::start() {
     }
     for (int r = 0; r < num_gpus; ++r) {
       if (gs.contrib[static_cast<std::size_t>(r)] == 0) {
-        auto& rs = *reducers_[static_cast<std::size_t>(r)];
-        if (++rs.final_pairs == num_gpus) any_reducer_final_at_start = true;
+        count_if_flushed(g, r);
+        if (reducers_[static_cast<std::size_t>(r)]->final_pairs == num_gpus) {
+          any_reducer_final_at_start = true;
+        }
       } else {
         ++reducer_contributors_[static_cast<std::size_t>(r)];
       }
@@ -347,8 +373,13 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
     for (int r = 0; r < num_reducers; ++r) {
       if (!mask[static_cast<std::size_t>(r)]) continue;
       // Target first: a zero contribution count means the (target, r)
-      // pair was counted final — reopen it before the count goes up.
-      if (gt.contrib[static_cast<std::size_t>(r)]++ == 0) {
+      // pair went final. Final and flushed, it was counted — uncount it
+      // before the count goes up. Final but held in a coalesced outbox,
+      // it was never counted; reopening keeps its fragments queued for
+      // the slot's next flush.
+      if (gt.contrib[static_cast<std::size_t>(r)]++ == 0 &&
+          gt.counted[static_cast<std::size_t>(r)]) {
+        gt.counted[static_cast<std::size_t>(r)] = 0;
         --reducers_[static_cast<std::size_t>(r)]->final_pairs;
       }
       // Source: this chunk will never be partitioned by `gpu`.
@@ -569,12 +600,14 @@ void FramePlan::partition_and_send(int g, int chunk_index,
     gs.outbox[static_cast<std::size_t>(owner)].append(key, out->value(i));
   }
 
-  // Buffered streaming sends (§3.1.2): flush any destination buffer
-  // that reached the threshold.
-  for (int r = 0; r < num_reducers; ++r) {
-    if (gs.outbox[static_cast<std::size_t>(r)].bytes() >= config_.send_buffer_bytes) {
-      flush_outbox(g, r);
+  // Buffered streaming sends (§3.1.2): flush any destination whose
+  // buffered parts reached the threshold.
+  for (int d = 0; d < static_cast<int>(gs.dests.size()); ++d) {
+    std::uint64_t bytes = 0;
+    for (const int r : gs.dests[static_cast<std::size_t>(d)]) {
+      bytes += gs.outbox[static_cast<std::size_t>(r)].bytes();
     }
+    if (bytes >= config_.send_buffer_bytes) flush_outbox(g, d);
   }
 
   --partitions_in_flight_;
@@ -609,87 +642,112 @@ void FramePlan::partition_and_send(int g, int chunk_index,
 }
 
 void FramePlan::pair_final(int g, int r) {
-  auto& rs = *reducers_[static_cast<std::size_t>(r)];
-  ++rs.final_pairs;
   // Early flush only under PerReducer barriers: Global mode keeps the
   // paper's message schedule (threshold + final flush) event-for-event.
-  if (per_reducer_barriers()) flush_outbox(g, r);
+  // A coalesced remote-node slot flushes once its LAST pair is final;
+  // until then r's fragments are held and the pair does not count.
+  if (per_reducer_barriers()) {
+    auto& gs = *gpus_[static_cast<std::size_t>(g)];
+    const int d = gs.dest_of[static_cast<std::size_t>(r)];
+    const auto& slot = gs.dests[static_cast<std::size_t>(d)];
+    if (std::all_of(slot.begin(), slot.end(), [&gs](int rr) {
+          return gs.contrib[static_cast<std::size_t>(rr)] == 0;
+        })) {
+      flush_outbox(g, d);
+    }
+  }
+  count_if_flushed(g, r);
 }
 
-void FramePlan::flush_outbox(int g, int r) {
+void FramePlan::count_if_flushed(int g, int r) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
-  KvBuffer& box = gs.outbox[static_cast<std::size_t>(r)];
-  if (box.empty()) return;
-  auto payload = std::make_shared<KvBuffer>(std::move(box));
-  box = KvBuffer(config_.value_size);
+  const auto ri = static_cast<std::size_t>(r);
+  if (gs.counted[ri] || gs.contrib[ri] != 0 || !gs.outbox[ri].empty()) return;
+  gs.counted[ri] = 1;
+  ++reducers_[ri]->final_pairs;
+}
 
-  // Hold the routing barrier open for the whole flush (combine + send),
-  // and reducer r's inbox open for this payload specifically.
+void FramePlan::flush_outbox(int g, int d) {
+  auto& gs = *gpus_[static_cast<std::size_t>(g)];
+  const auto& slot = gs.dests[static_cast<std::size_t>(d)];
+  auto message = std::make_shared<Message>();
+  std::uint64_t pairs = 0;
+  for (const int r : slot) {
+    KvBuffer& box = gs.outbox[static_cast<std::size_t>(r)];
+    if (box.empty()) continue;
+    pairs += box.size();
+    message->push_back(Part{r, std::move(box)});
+    box = KvBuffer(config_.value_size);
+    // Reducer r's inbox stays open for this part specifically.
+    ++reducers_[static_cast<std::size_t>(r)]->sends_pending;
+  }
+  // Nothing of the slot's final pairs is held any more.
+  for (const int r : slot) count_if_flushed(g, r);
+  if (message->empty()) return;
+
+  // Hold the routing barrier open for the whole flush (combine + send).
   ++sends_in_flight_;
-  ++reducers_[static_cast<std::size_t>(r)]->sends_pending;
 
   std::uint64_t trace_id = 0;
   if (auto* tr = config_.trace.recorder) {
+    std::string to;  // the reducers this message carries parts for
+    for (const Part& part : *message) {
+      if (!to.empty()) to += ',';
+      to += std::to_string(part.reducer);
+    }
     trace_id = tr->next_async_id();
     tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "send",
                     "send",
                     {{"from", std::to_string(g)},
-                     {"to", std::to_string(r)},
-                     {"pairs", std::to_string(payload->size())},
+                     {"to", to},
+                     {"pairs", std::to_string(pairs)},
                      {"frame", std::to_string(config_.trace.frame_id)}});
   }
 
   if (gs.combiner != nullptr) {
-    // Mapper-side partial reduce: group this buffer by key and let the
-    // combiner collapse each group before it ships.
-    const std::uint64_t pairs_in = payload->size();
-    const SortedGroups groups = counting_sort(*payload, 0, config_.domain.num_keys);
-    auto combined = std::make_shared<KvBuffer>(config_.value_size);
-    for (std::size_t gi = 0; gi < groups.num_groups(); ++gi) {
-      const std::uint32_t lo = groups.group_offsets[gi];
-      const std::uint32_t hi = groups.group_offsets[gi + 1];
-      gs.combiner->combine(groups.group_keys[gi], groups.sorted.value(lo), hi - lo,
-                           *combined);
+    // Mapper-side partial reduce: group each part by key and let the
+    // combiner collapse each group before the message ships.
+    for (Part& part : *message) {
+      const SortedGroups groups = counting_sort(part.pairs, 0, config_.domain.num_keys);
+      KvBuffer combined(config_.value_size);
+      for (std::size_t gi = 0; gi < groups.num_groups(); ++gi) {
+        const std::uint32_t lo = groups.group_offsets[gi];
+        const std::uint32_t hi = groups.group_offsets[gi + 1];
+        gs.combiner->combine(groups.group_keys[gi], groups.sorted.value(lo), hi - lo,
+                             combined);
+      }
+      stats_.combine_output_pairs += combined.size();
+      part.pairs = std::move(combined);
     }
-    stats_.combine_input_pairs += pairs_in;
-    stats_.combine_output_pairs += combined->size();
+    stats_.combine_input_pairs += pairs;
 
     // The grouping + combine runs on the mapper node's CPU.
     const auto& hw = cluster_.config().hw;
     const double duration =
-        static_cast<double>(pairs_in) / hw.cpu.sort_rate_pairs_per_s +
-        static_cast<double>(pairs_in) / hw.cpu.reduce_rate_frags_per_s;
+        static_cast<double>(pairs) / hw.cpu.sort_rate_pairs_per_s +
+        static_cast<double>(pairs) / hw.cpu.reduce_rate_frags_per_s;
     stats_.cpu_busy_s += duration;
     const int node = cluster_.node_of_gpu(g);
     cluster_.cpu(node).acquire(duration,
-                               [this, g, r, combined, trace_id](sim::SimTime, sim::SimTime) {
-                                 send_payload(g, r, combined, trace_id);
+                               [this, g, message, trace_id](sim::SimTime, sim::SimTime) {
+                                 send_payload(g, message, trace_id);
                                });
     return;
   }
-  send_payload(g, r, payload, trace_id);
+  send_payload(g, message, trace_id);
 }
 
-void FramePlan::send_payload(int g, int r, std::shared_ptr<KvBuffer> payload,
+void FramePlan::send_payload(int g, std::shared_ptr<Message> message,
                              std::uint64_t send_trace_id) {
-  if (payload->empty()) {
-    // A combiner may legitimately collapse a buffer to nothing.
-    --sends_in_flight_;
-    --reducers_[static_cast<std::size_t>(r)]->sends_pending;
-    if (auto* tr = config_.trace.recorder) {
-      tr->async_end(cluster_.engine().now(), config_.trace.pid, send_trace_id,
-                    "send", "send");
-    }
-    // Barrier bookkeeping first: if this was the last send, the
-    // routing barrier stamps (and sweeps readiness, r included) before
-    // any zero-pair cascade this reducer's readiness could trigger.
-    maybe_finish_routing();
-    maybe_reducer_ready(r);
+  std::uint64_t bytes = 0;
+  for (const Part& part : *message) bytes += part.pairs.bytes();
+  if (bytes == 0) {
+    // A combiner may legitimately collapse every part to nothing.
+    deliver(*message, send_trace_id);
     return;
   }
   const int src_node = cluster_.node_of_gpu(g);
-  const int dst_node = cluster_.node_of_gpu(r);
-  const std::uint64_t bytes = payload->bytes();
+  const int dst_node = cluster_.node_of_gpu(message->front().reducer);
   stats_.bytes_net += bytes;
   ++stats_.net_messages;
   if (src_node != dst_node) {
@@ -700,28 +758,38 @@ void FramePlan::send_payload(int g, int r, std::shared_ptr<KvBuffer> payload,
                          static_cast<double>(bytes) /
                              cluster_.fabric().model().bandwidth_Bps;
   }
-  cluster_.fabric().send(src_node, dst_node, bytes, [this, r, payload, send_trace_id] {
-    reducers_[static_cast<std::size_t>(r)]->inbox.append_buffer(*payload);
-    --sends_in_flight_;
-    --reducers_[static_cast<std::size_t>(r)]->sends_pending;
-    if (auto* tr = config_.trace.recorder) {
-      tr->async_end(cluster_.engine().now(), config_.trace.pid, send_trace_id,
-                    "send", "send");
-    }
-    // Barrier bookkeeping first (see the empty-payload branch); the
-    // drain transition's sweep still marks this reducer ready before
-    // on_sorts_ready fires, preserving the ready-then-sorts_ready
-    // order on the final send.
-    maybe_finish_routing();
-    maybe_reducer_ready(r);
+  cluster_.fabric().send(src_node, dst_node, bytes, [this, message, send_trace_id] {
+    deliver(*message, send_trace_id);
   });
+}
+
+void FramePlan::deliver(const Message& message, std::uint64_t send_trace_id) {
+  // Split the message into its reducers' inboxes.
+  for (const Part& part : message) {
+    auto& rs = *reducers_[static_cast<std::size_t>(part.reducer)];
+    rs.inbox.append_buffer(part.pairs);
+    --rs.sends_pending;
+  }
+  --sends_in_flight_;
+  if (auto* tr = config_.trace.recorder) {
+    tr->async_end(cluster_.engine().now(), config_.trace.pid, send_trace_id, "send",
+                  "send");
+  }
+  // Barrier bookkeeping first: if this was the last send, the routing
+  // barrier stamps (and sweeps readiness, these reducers included)
+  // before any zero-pair cascade a reducer's readiness could trigger;
+  // the drain transition's sweep still marks the reducers ready before
+  // on_sorts_ready fires, preserving the ready-then-sorts_ready order
+  // on the final send.
+  maybe_finish_routing();
+  for (const Part& part : message) maybe_reducer_ready(part.reducer);
 }
 
 void FramePlan::maybe_final_flush(int g) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   if (gs.finished || !gs.issued_all || gs.pending_partitions != 0) return;
   gs.finished = true;
-  for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) flush_outbox(g, r);
+  for (int d = 0; d < static_cast<int>(gs.dests.size()); ++d) flush_outbox(g, d);
   --mappers_remaining_;
   maybe_finish_routing();
 }
@@ -1023,6 +1091,12 @@ double FramePlan::tile_finish_s(int reducer) const {
 
 int FramePlan::reducer_contributors(int reducer) const {
   return reducer_contributors_.at(static_cast<std::size_t>(reducer));
+}
+
+bool FramePlan::pair_held(int gpu, int reducer) const {
+  const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
+  const auto r = static_cast<std::size_t>(reducer);
+  return gs.contrib.at(r) == 0 && !gs.counted.at(r);
 }
 
 void FramePlan::finalize_stats() {

@@ -16,13 +16,24 @@
 //     partitioning and buffered sends continue asynchronously on the
 //     CPU/NIC inside the plan. This boundary is where a scheduler can
 //     hand the GPU to a *different* frame — brick-granular preemption.
+//   * sends              — partition output buffers per (mapper,
+//     reducer) and ships per (mapper, destination). Under Global a
+//     destination is one reducer: the paper's direct-send, one message
+//     per pair. Under PerReducer a mapper's parts for one REMOTE node
+//     coalesce into a single message (one per-message overhead on the
+//     sender's NIC instead of one per reducer) that delivery splits
+//     into that node's reducers' inboxes; same-node destinations stay
+//     one reducer each, since they pay no per-message overhead.
 //   * sort quantum       — one reducer's counting sort. Availability
 //     depends on JobConfig::barrier_mode: under Global it waits for
 //     the frame-wide routing barrier (all chunks issued, all
 //     partitions drained, all sends delivered); under PerReducer it
 //     becomes issuable the moment that reducer's OWN inbox is complete
 //     (every mapper finished partitioning — the expected inbound-send
-//     count is final — and every send destined to it has landed).
+//     count is final — and every message part destined to it has
+//     landed). A (mapper, reducer) pair counts toward that readiness
+//     only once its fragments left the mapper: a pair that is final
+//     but still held in a coalesced outbox does not count.
 //   * reduce quantum     — one reducer's compositing pass. Under
 //     Global it waits for every sort to complete (stage attribution
 //     matches the monolithic pipeline); under PerReducer it chains
@@ -31,10 +42,14 @@
 //     finished *tile*: the reducer's key range is fully composited and
 //     can ship to the client before the rest of the frame lands.
 //
-// Both modes compute identical pixels and identical dataflow counters;
-// PerReducer only reorders the schedule, which is what minimizes
+// Both modes compute identical pixels and identical data counters
+// (fragments, bytes, per-reducer pairs); PerReducer reorders the
+// schedule and merges remote messages, so it posts no more messages
+// and spends no more NIC time than Global. That is what minimizes
 // time-to-first-pixel (the first tile no longer waits for the slowest
-// reducer's inbox or the slowest sort).
+// reducer's inbox, the slowest sort, or a NIC serializing one overhead
+// per remote reducer). On a single node the two message schedules
+// coincide.
 //
 // The driver decides *when* each quantum is issued; the plan owns all
 // dataflow bookkeeping and fires hooks at the decision points
@@ -100,9 +115,12 @@ class FramePlan {
   ///     placement);
   ///   * under PerReducer barriers, once GPU g has partitioned the last
   ///     of its chunks whose footprint touches reducer r's key range,
-  ///     the (g, r) send buffer flushes early and counts as final — a
-  ///     reducer no longer waits for mappers that cannot contribute to
-  ///     it (per-(mapper, reducer) final-flush readiness).
+  ///     the (g, r) pair is final — a reducer no longer waits for
+  ///     mappers that cannot contribute to it (per-(mapper, reducer)
+  ///     final-flush readiness). A same-node pair flushes and counts
+  ///     at once; a remote pair shares its node's coalesced message,
+  ///     which flushes early when the last of that node's pairs is
+  ///     final (or its buffer fills) — the pair counts from then.
   /// Emitted keys are CHECKed (debug builds) against the footprint's
   /// owner set. Chunks without a footprint conservatively contribute to
   /// every reducer; Global mode only culls, never flushes early.
@@ -184,7 +202,10 @@ class FramePlan {
   /// Fail-stop recovery: move every not-yet-issued chunk of `gpu` onto
   /// `survivors` (round-robin), preserving all per-(mapper, reducer)
   /// dataflow bookkeeping — reducers stop waiting on the dead lane for
-  /// the moved work and start waiting on its survivors. An in-flight
+  /// the moved work and start waiting on its survivors (a moved chunk
+  /// reopens a survivor's final pair: a flushed pair stops counting
+  /// toward readiness, a held pair keeps its fragments queued for the
+  /// coalesced message's next flush). An in-flight
   /// quantum on `gpu` (if any) still completes there (fail-stop at the
   /// quantum boundary); once idle the dead mapper retires, flushing the
   /// fragments it already produced (host-side mapper state survives the
@@ -231,6 +252,15 @@ class FramePlan {
   /// should measure the first tile with contributors instead.
   int reducer_contributors(int reducer) const;
 
+  /// The (gpu, reducer) pair is final — gpu partitioned its last chunk
+  /// able to reach reducer — but some of its fragments still wait in
+  /// gpu's outbox, so the pair does not yet count toward reducer's
+  /// readiness. Under PerReducer barriers only a coalesced remote-node
+  /// slot holds a final pair (until the slot's last pair goes final or
+  /// its buffer fills); under Global buffered pairs wait for the
+  /// threshold or the mapper's final flush.
+  bool pair_held(int gpu, int reducer) const;
+
   /// Finalized statistics; valid once finished().
   const JobStats& stats() const;
 
@@ -253,16 +283,33 @@ class FramePlan {
   void run_map(int gpu, int chunk_index);
   void after_kernel(int gpu, int chunk_index, std::shared_ptr<KvBuffer> out);
   void lane_freed(int gpu);
+  /// One reducer's share of a fabric message.
+  struct Part {
+    int reducer = 0;
+    KvBuffer pairs;
+  };
+  /// One fabric message: parts for reducers that all live on one node
+  /// (exactly one part unless it is a coalesced remote-node message).
+  using Message = std::vector<Part>;
+
   void partition_and_send(int gpu, int chunk_index, std::shared_ptr<KvBuffer> out);
-  void flush_outbox(int gpu, int reducer);
-  void send_payload(int gpu, int reducer, std::shared_ptr<KvBuffer> payload,
+  /// Ship destination slot `dest`'s buffered parts as one message
+  /// (combining each part first when a combiner is set).
+  void flush_outbox(int gpu, int dest);
+  void send_payload(int gpu, std::shared_ptr<Message> message,
                     std::uint64_t send_trace_id);
+  /// A message landed: split it into its reducers' inboxes.
+  void deliver(const Message& message, std::uint64_t send_trace_id);
   void maybe_final_flush(int gpu);
   void maybe_finish_routing();
   /// The (gpu, reducer) pair went final: gpu partitioned the last chunk
-  /// that could contribute to reducer. Flushes the pair's outbox early
-  /// under PerReducer barriers (Global keeps the paper's schedule).
+  /// that could contribute to reducer. Under PerReducer barriers this
+  /// flushes the pair's destination early once every pair it serves is
+  /// final (Global keeps the paper's schedule).
   void pair_final(int gpu, int reducer);
+  /// Count a final pair toward its reducer's final_pairs once none of
+  /// its fragments are held in gpu's outbox (idempotent).
+  void count_if_flushed(int gpu, int reducer);
   void maybe_reducer_ready(int reducer);
   void mark_reducer_ready(int reducer);
   void sort_done(int reducer);

@@ -83,6 +83,21 @@ TEST(ThreadPool, ManySmallDispatches) {
   EXPECT_EQ(total.load(), 1600);
 }
 
+TEST(ThreadPool, BackToBackTinyDispatchesNeverOutliveTheirCall) {
+  // Each parallel_for keeps its completion mutex and condition variable
+  // on the caller's stack. Thousands of back-to-back tiny calls make
+  // the caller return (and reuse that stack) the instant the last chunk
+  // finishes, so a worker that still touched the finished call's
+  // locals would trip the sanitizers or abort here.
+  ThreadPool pool(4);
+  std::atomic<std::int64_t> total{0};
+  constexpr int kRounds = 5000;
+  for (int round = 0; round < kRounds; ++round) {
+    pool.parallel_for(0, 4, [&](std::int64_t i) { total += i; });
+  }
+  EXPECT_EQ(total.load(), std::int64_t{kRounds} * 6);
+}
+
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   ThreadPool* a = &ThreadPool::global();
   ThreadPool* b = &ThreadPool::global();
