@@ -69,7 +69,11 @@ volren::RenderOptions live_options() {
   options.image_height = bench::image_size();
   options.cast.decimation = bench::decimation_for(live_dims());
   options.brick_size = live_brick();
-  options.transfer = volren::TransferFunction::bone();
+  // fire has no transparent entry, so served frames skip no empty space
+  // and full-resolution steps keep their cost over the coarse levels;
+  // under bone the skull's air is skipped at every level and the LOD
+  // ladder flattens too far to separate the SLO outcomes.
+  options.transfer = volren::TransferFunction::fire();
   options.distance = 1.2f;
   options.elevation = 0.3f;
   return options;
@@ -91,6 +95,12 @@ service::ServiceConfig base_config() {
   service::ServiceConfig config;
   config.enable_brick_cache = false;  // stage-per-frame; see header
   config.max_degrade_lod = kMaxDegradeLod;
+  // Every fire view of the orbit emits a fragment per covered ray, and
+  // per-view service times swing by several percent around the orbit.
+  // The default 0.25 calibration lags that swing and admits a few
+  // level-1 previews just past the deadline; a faster calibrator
+  // tracks the current view.
+  config.cost_calibration_alpha = 0.6;
   return config;
 }
 

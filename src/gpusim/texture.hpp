@@ -54,18 +54,21 @@ class Texture3D {
     return data_[(static_cast<size_t>(z) * dims_.y + y) * dims_.x + x];
   }
 
+  /// Lowest texel of the 2x2x2 support sample(p) interpolates, before
+  /// clamp addressing: floor(p - 0.5) per axis.
+  static Int3 support_origin(Vec3 p) {
+    return {static_cast<int>(std::floor(p.x - 0.5f)),
+            static_cast<int>(std::floor(p.y - 0.5f)),
+            static_cast<int>(std::floor(p.z - 0.5f))};
+  }
+
   /// Trilinear fetch at unnormalized coordinates (CUDA linear-filter
   /// semantics: interpolates around p - 0.5) with clamp addressing.
   float sample(Vec3 p) const {
-    const float fx = p.x - 0.5f;
-    const float fy = p.y - 0.5f;
-    const float fz = p.z - 0.5f;
-    const int x0 = static_cast<int>(std::floor(fx));
-    const int y0 = static_cast<int>(std::floor(fy));
-    const int z0 = static_cast<int>(std::floor(fz));
-    const float tx = fx - static_cast<float>(x0);
-    const float ty = fy - static_cast<float>(y0);
-    const float tz = fz - static_cast<float>(z0);
+    const auto [x0, y0, z0] = support_origin(p);
+    const float tx = (p.x - 0.5f) - static_cast<float>(x0);
+    const float ty = (p.y - 0.5f) - static_cast<float>(y0);
+    const float tz = (p.z - 0.5f) - static_cast<float>(z0);
 
     const float c000 = fetch(x0, y0, z0);
     const float c100 = fetch(x0 + 1, y0, z0);
@@ -100,6 +103,9 @@ class Texture1D {
   std::uint64_t bytes() const { return data_.size() * sizeof(Vec4); }
 
   void upload(std::span<const Vec4> texels);
+
+  /// The uploaded table (what sample() interpolates).
+  std::span<const Vec4> texels() const { return data_; }
 
   /// Linear-filtered lookup at normalized coordinate t in [0, 1].
   Vec4 sample(float t) const {

@@ -1,8 +1,6 @@
 #include "lod/occupancy.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <deque>
 #include <limits>
 
 #include "util/check.hpp"
@@ -16,64 +14,6 @@ namespace {
 /// stride-1 trilinear support pair (k, k+1) then lies wholly inside
 /// cell floor(k / w).
 int cells_for(int n, int w) { return n >= 2 ? (n - 2) / w + 1 : 1; }
-
-/// True iff every baked-table entry Texture1D::sample can touch for
-/// t in [a, b] has alpha exactly 0. sample() computes x = clamp(t) *
-/// N - 0.5 and lerps entries floor(x) and floor(x) + 1, both clamped
-/// to [0, N-1] — so the touched index range is
-/// clamp(floor(a*N - 0.5)) .. clamp(floor(b*N - 0.5) + 1).
-bool tf_empty_interval(const std::vector<Vec4>& table, float a, float b) {
-  const int n = static_cast<int>(table.size());
-  const float xa = clampf(a, 0.0f, 1.0f) * static_cast<float>(n) - 0.5f;
-  const float xb = clampf(b, 0.0f, 1.0f) * static_cast<float>(n) - 0.5f;
-  const int lo = std::clamp(static_cast<int>(std::floor(xa)), 0, n - 1);
-  const int hi = std::clamp(static_cast<int>(std::floor(xb)) + 1, 0, n - 1);
-  for (int i = lo; i <= hi; ++i) {
-    if (table[static_cast<std::size_t>(i)].w != 0.0f) return false;
-  }
-  return true;
-}
-
-/// Chessboard (L-inf) distance to the nearest cell with empty[i] ==
-/// false — multi-source BFS over the 26-neighborhood, which computes
-/// exactly the Chebyshev metric. All-empty grids saturate at the max
-/// grid axis.
-std::vector<std::uint16_t> chebyshev_transform(Int3 cells,
-                                               const std::vector<char>& empty) {
-  const std::size_t n = empty.size();
-  const std::uint16_t saturate = static_cast<std::uint16_t>(
-      std::max({cells.x, cells.y, cells.z}));
-  std::vector<std::uint16_t> dist(n, saturate);
-  std::deque<Int3> frontier;
-  const auto at = [&](Int3 c) -> std::size_t {
-    return (static_cast<std::size_t>(c.z) * cells.y + c.y) * cells.x + c.x;
-  };
-  for (int z = 0; z < cells.z; ++z)
-    for (int y = 0; y < cells.y; ++y)
-      for (int x = 0; x < cells.x; ++x)
-        if (!empty[at({x, y, z})]) {
-          dist[at({x, y, z})] = 0;
-          frontier.push_back({x, y, z});
-        }
-  while (!frontier.empty()) {
-    const Int3 c = frontier.front();
-    frontier.pop_front();
-    const std::uint16_t next = static_cast<std::uint16_t>(dist[at(c)] + 1);
-    for (int dz = -1; dz <= 1; ++dz)
-      for (int dy = -1; dy <= 1; ++dy)
-        for (int dx = -1; dx <= 1; ++dx) {
-          const Int3 m{c.x + dx, c.y + dy, c.z + dz};
-          if (m.x < 0 || m.y < 0 || m.z < 0 || m.x >= cells.x ||
-              m.y >= cells.y || m.z >= cells.z)
-            continue;
-          if (dist[at(m)] > next) {
-            dist[at(m)] = next;
-            frontier.push_back(m);
-          }
-        }
-  }
-  return dist;
-}
 
 }  // namespace
 
@@ -139,19 +79,11 @@ TfClassification classify(const OccupancyIndex& occupancy,
   for (int id = 0; id < occupancy.num_bricks(); ++id) {
     const BrickOccupancy& occ = occupancy.brick(id);
     BrickClassification& cls = out.bricks[static_cast<std::size_t>(id)];
-    cls.empty_hull = tf_empty_interval(table, occ.min_value, occ.max_value);
-    const std::size_t num_cells = occ.cell_min.size();
-    std::vector<char> empty(num_cells, 0);
-    int empties = 0;
-    for (std::size_t c = 0; c < num_cells; ++c) {
-      empty[c] = tf_empty_interval(table, occ.cell_min[c], occ.cell_max[c]) ? 1 : 0;
-      empties += empty[c];
+    cls.empty_hull = volren::tf_empty_interval(table, occ.min_value, occ.max_value);
+    cls.empty_cells = true;
+    for (std::size_t c = 0; c < occ.cell_min.size() && cls.empty_cells; ++c) {
+      cls.empty_cells = volren::tf_empty_interval(table, occ.cell_min[c], occ.cell_max[c]);
     }
-    cls.empty_cells = empties == static_cast<int>(num_cells);
-    cls.empty_cell_fraction =
-        num_cells > 0 ? static_cast<float>(empties) / static_cast<float>(num_cells)
-                      : 0.0f;
-    cls.chebyshev = chebyshev_transform(occ.cells, empty);
     if (cls.empty_hull) ++out.bricks_empty_hull;
     if (cls.empty_cells) ++out.bricks_empty_cells;
   }

@@ -4,10 +4,10 @@
 //
 // OccupancyIndex scans every padded voxel of every brick (stride 1) and
 // records (a) the brick's [min, max] scalar range and (b) a coarse
-// cell thumbnail of per-cell [min, max] ranges — the same shape as the
-// hydrant renderer's `ThumbnailTexture<int> chebyshev` empty-space map
-// (SNIPPETS.md), except the distance transform here is computed lazily
-// per transfer function at classification time.
+// cell thumbnail of per-cell [min, max] ranges. Classification against
+// a transfer function decides whole-brick culling only; skipping empty
+// space *inside* a surviving brick is the map kernel's job, from the
+// texture it stages (RaycastSettings::skip_empty).
 //
 // Soundness (what lets plan_frame cull a classified-empty brick with
 // bit-identical output):
@@ -19,11 +19,11 @@
 //     stored grid too (their voxels are subsets).
 //   * A scalar interval [a, b] is "TF-empty" iff every baked-table
 //     entry Texture1D::sample can touch for t in [a, b] has alpha == 0
-//     — sample() lerps entries floor(t*N - 0.5) and +1 (clamped), and a
-//     lerp of exact zeros is exactly zero. cast_brick emits a fragment
-//     only when accumulated alpha > 0, so a brick whose every sample
-//     maps to alpha 0 contributes placeholders only: culling it never
-//     changes a pixel.
+//     (volren::tf_empty_interval, the rule the kernel's empty-space
+//     skipping shares). cast_brick emits a fragment only when
+//     accumulated alpha > 0, so a brick whose every sample maps to
+//     alpha 0 contributes placeholders only: culling it never changes
+//     a pixel.
 //   * The brick-interval test is valid at any decimation. The finer
 //     per-cell test is valid only at decimation == 1: cells cover their
 //     voxel ranges inclusively with one-voxel overlap, so any stride-1
@@ -90,13 +90,6 @@ struct BrickClassification {
   /// Every thumbnail cell TF-empty — the finer test, sound only at
   /// decimation == 1 (implied by empty_hull).
   bool empty_cells = false;
-  /// Share of thumbnail cells that are TF-empty (space-skipping
-  /// potential even when the brick as a whole survives).
-  float empty_cell_fraction = 0.0f;
-  /// Chebyshev (L-inf) cell distance to the nearest non-empty cell: 0
-  /// for non-empty cells, the hydrant-style safe skip radius for empty
-  /// ones (saturates at the grid's max axis when all cells are empty).
-  std::vector<std::uint16_t> chebyshev;
 };
 
 /// One (volume, layout, transfer function) classification.

@@ -32,6 +32,7 @@ struct FramePlan::GpuState {
   std::vector<std::uint8_t> counted;
   int pending_partitions = 0;  // partition tasks still queued on the CPU
   bool lane_busy = false;      // a stage+map quantum currently in flight
+  MapOutcome last_outcome;     // the in-flight quantum's kernel (trace args)
   bool issued_all = false;     // every chunk has entered the pipeline
   bool finished = false;       // final flush done, mapper retired
 };
@@ -521,6 +522,9 @@ void FramePlan::run_map(int g, int chunk_index) {
   pg.pairs += out->size();
   pg.kernel_s += duration;
   stats_.total_samples += outcome.samples;
+  stats_.samples_skipped += outcome.samples_skipped;
+  stats_.skip_leaps += outcome.skip_leaps;
+  gs.last_outcome = outcome;
   stats_.gpu_busy_s += duration;
 
   cluster_.gpu_stream(g).acquire(
@@ -563,7 +567,9 @@ void FramePlan::lane_freed(int g) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   gs.lane_busy = false;
   if (auto* tr = config_.trace.recorder) {
-    tr->end(cluster_.engine().now(), config_.trace.pid, g);  // closes "map"
+    tr->end(cluster_.engine().now(), config_.trace.pid, g,  // closes "map"
+            {{"samples_skipped", std::to_string(gs.last_outcome.samples_skipped)},
+             {"skip_leaps", std::to_string(gs.last_outcome.skip_leaps)}});
   }
   if (gs.cursor >= gs.chunk_indices.size()) {
     gs.issued_all = true;

@@ -22,6 +22,10 @@ namespace vrmr::mr {
 struct MapOutcome {
   /// Trilinear volume samples taken (drives simulated kernel time).
   std::uint64_t samples = 0;
+  /// Empty-space skipping: logical steps elided (not in `samples`), and
+  /// the runs they formed — each run is charged one sample in `samples`.
+  std::uint64_t samples_skipped = 0;
+  std::uint64_t skip_leaps = 0;
   /// Threads launched. When nonzero, the runtime verifies the
   /// every-thread-emits restriction: emitted pairs == threads.
   std::uint64_t threads = 0;

@@ -57,6 +57,11 @@ struct JobStats {
   std::uint64_t fragments = 0;     // non-placeholder pairs routed
   std::uint64_t placeholders = 0;
   std::uint64_t total_samples = 0; // volume samples charged to GPUs
+  // Empty-space skipping (MapOutcome): logical steps elided, and runs
+  // of them charged one sample each — total_samples without skipping
+  // would be total_samples - skip_leaps + samples_skipped.
+  std::uint64_t samples_skipped = 0;
+  std::uint64_t skip_leaps = 0;
   std::uint64_t combine_input_pairs = 0;   // pairs entering combiners
   std::uint64_t combine_output_pairs = 0;  // pairs surviving combiners
   // Residency-cache effect (JobConfig::staging_hook): chunks whose

@@ -37,8 +37,8 @@ void TraceRecorder::begin(double ts_s, int pid, int tid, std::string name,
                                std::move(cat), std::move(args)});
 }
 
-void TraceRecorder::end(double ts_s, int pid, int tid) {
-  events_.push_back(TraceEvent{'E', ts_s, pid, tid, 0, {}, {}, {}});
+void TraceRecorder::end(double ts_s, int pid, int tid, TraceArgs args) {
+  events_.push_back(TraceEvent{'E', ts_s, pid, tid, 0, {}, {}, std::move(args)});
 }
 
 void TraceRecorder::instant(double ts_s, int pid, int tid, std::string name,

@@ -54,7 +54,9 @@ class TraceRecorder {
  public:
   void begin(double ts_s, int pid, int tid, std::string name,
              std::string cat = {}, TraceArgs args = {});
-  void end(double ts_s, int pid, int tid);
+  /// `args` on an end event merge into the span's args in trace
+  /// viewers — for facts known only when the span closes.
+  void end(double ts_s, int pid, int tid, TraceArgs args = {});
   void instant(double ts_s, int pid, int tid, std::string name,
                std::string cat = {}, TraceArgs args = {});
   void async_begin(double ts_s, int pid, std::uint64_t id, std::string name,

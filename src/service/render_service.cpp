@@ -900,10 +900,13 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   // sort+reduce chain the moment its own inbox completes, so tiles
   // stream and lanes free while other lanes still map. Monolithic
   // keeps the request's own setting (the paper's schedule by default).
+  // Every served frame skips TF-empty space in the map kernel: same
+  // pixels as the request renders unserved, fewer charged samples.
   volren::RenderOptions options = active->pending.request.options;
   if (config_.pipeline == PipelineMode::Quantum) {
     options.barrier_mode = config_.barrier_mode;
   }
+  options.cast.skip_empty = true;
   // Adaptive quality: session quality floor, SLO-budget degradation and
   // occupancy classification — resolved before the trace arrow so the
   // served LOD is attributable from admission on.

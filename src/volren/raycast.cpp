@@ -1,12 +1,81 @@
 #include "volren/raycast.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
+#include <optional>
 
 #include "util/check.hpp"
 #include "volren/marching.hpp"
 
 namespace vrmr::volren {
+
+namespace {
+
+/// Per-support TF-emptiness of one staged brick texture. Entry
+/// (x0, y0, z0) covers the 2x2x2 texels Texture3D::sample interpolates
+/// for support origin (x0, y0, z0); it is set when tf_empty_interval
+/// holds over their [min, max]. Origins run -1 .. dims - 1 per axis:
+/// clamp addressing folds every origin outside that range onto its
+/// end (both texels of the pair clamp to the same edge texel).
+class EmptySupports {
+ public:
+  EmptySupports(const std::vector<float>& texels, Int3 dims, std::span<const Vec4> table)
+      : n_{dims.x + 1, dims.y + 1, dims.z + 1} {
+    // Separable 2-wide min/max, one axis at a time: after the pass over
+    // an axis of n texels, index i along it spans texels clamp(i - 1)
+    // and clamp(i).
+    std::vector<float> lo = texels;
+    std::vector<float> hi = texels;
+    const auto widen = [&lo, &hi](std::size_t outer, int n, std::size_t inner) {
+      std::vector<float> lo2(outer * static_cast<std::size_t>(n + 1) * inner);
+      std::vector<float> hi2(lo2.size());
+      for (std::size_t o = 0; o < outer; ++o) {
+        for (int i = 0; i <= n; ++i) {
+          const std::size_t a = (o * n + static_cast<std::size_t>(std::max(i - 1, 0))) * inner;
+          const std::size_t b = (o * n + static_cast<std::size_t>(std::min(i, n - 1))) * inner;
+          const std::size_t d = (o * (n + 1) + static_cast<std::size_t>(i)) * inner;
+          for (std::size_t r = 0; r < inner; ++r) {
+            lo2[d + r] = std::min(lo[a + r], lo[b + r]);
+            hi2[d + r] = std::max(hi[a + r], hi[b + r]);
+          }
+        }
+      }
+      lo.swap(lo2);
+      hi.swap(hi2);
+    };
+    const auto sz = [](int v) { return static_cast<std::size_t>(v); };
+    widen(sz(dims.y) * sz(dims.z), dims.x, 1);
+    widen(sz(dims.z), dims.y, sz(n_.x));
+    widen(1, dims.z, sz(n_.x) * sz(n_.y));
+
+    // Float lerps may land a few ulps outside their endpoints; widen
+    // each hull by that much so the test stays sound for every value
+    // the trilinear fetch can actually return.
+    constexpr float kUlps = 16.0f * std::numeric_limits<float>::epsilon();
+    empty_.resize(lo.size());
+    for (std::size_t i = 0; i < lo.size(); ++i) {
+      const float slack = kUlps * std::max(std::fabs(lo[i]), std::fabs(hi[i]));
+      empty_[i] = tf_empty_interval(table, lo[i] - slack, hi[i] + slack) ? 1 : 0;
+    }
+  }
+
+  /// Is the support Texture3D::sample(local) interpolates TF-empty?
+  bool empty_at(Vec3 local) const {
+    const Int3 o = gpusim::Texture3D::support_origin(local);
+    const int x = std::clamp(o.x, -1, n_.x - 2) + 1;
+    const int y = std::clamp(o.y, -1, n_.y - 2) + 1;
+    const int z = std::clamp(o.z, -1, n_.z - 2) + 1;
+    return empty_[(static_cast<std::size_t>(z) * n_.y + y) * n_.x + x] != 0;
+  }
+
+ private:
+  Int3 n_;  // support origins per axis (texture dims + 1)
+  std::vector<std::uint8_t> empty_;
+};
+
+}  // namespace
 
 BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
                            const BrickInfo& brick, const FrameSetup& frame,
@@ -25,6 +94,16 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
                          &stored);
   gpusim::Texture3D texture(device, stored, brick.device_bytes());
   texture.upload(voxels);
+
+  // Empty-space skipping works off the texture just staged, so it is
+  // exact at any decimation and LOD level. A table with no zero-alpha
+  // entry has no empty support: nothing to build.
+  std::optional<EmptySupports> empty_supports;
+  const std::span<const Vec4> table = transfer_tex.texels();
+  if (frame.cast.skip_empty &&
+      std::any_of(table.begin(), table.end(), [](const Vec4& e) { return e.w == 0.0f; })) {
+    empty_supports.emplace(voxels, stored, table);
+  }
 
   // 16×16 blocks over the projected sub-image (§3.2), padded to block
   // granularity like a CUDA grid.
@@ -55,56 +134,73 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   const int image_width = camera.width();
   const std::uint32_t brick_id = static_cast<std::uint32_t>(brick.id);
 
+  const auto to_local = [&](Vec3 p) {
+    // World -> global voxel coords -> brick-local stored-grid coords.
+    const Vec3 gv = (p / extent) * dims_f;
+    return Vec3{(gv.x - padded_origin_f.x - 0.5f) * inv_m + 0.5f,
+                (gv.y - padded_origin_f.y - 0.5f) * inv_m + 0.5f,
+                (gv.z - padded_origin_f.z - 0.5f) * inv_m + 0.5f};
+  };
+  const auto sample = [&](Vec3 p) { return texture.sample(to_local(p)); };
+  const auto transfer = [&](float s) { return transfer_tex.sample(s); };
+
   std::atomic<std::uint64_t> samples{0};
+  std::atomic<std::uint64_t> samples_skipped{0};
+  std::atomic<std::uint64_t> skip_leaps{0};
 
-  device.launch_2d(grid, block, [&](const gpusim::ThreadCtx& ctx) {
-    const int gx = ctx.global_x();
-    const int gy = ctx.global_y();
-    const size_t slot = static_cast<size_t>(gy) * row_threads + gx;
-    const int px = rect.x0 + gx;
-    const int py = rect.y0 + gy;
-    if (px >= rect.x1 || py >= rect.y1) return;  // block padding -> placeholder
+  // One kernel instantiation per skip predicate: with NoSkip it is the
+  // paper's kernel, with no per-step test left in it.
+  const auto launch = [&](const auto& skip) {
+    device.launch_2d(grid, block, [&](const gpusim::ThreadCtx& ctx) {
+      const int gx = ctx.global_x();
+      const int gy = ctx.global_y();
+      const size_t slot = static_cast<size_t>(gy) * row_threads + gx;
+      const int px = rect.x0 + gx;
+      const int py = rect.y0 + gy;
+      if (px >= rect.x1 || py >= rect.y1) return;  // block padding -> placeholder
 
-    const Ray ray = camera.pixel_ray(px, py);
+      const Ray ray = camera.pixel_ray(px, py);
 
-    float t_vol0 = 0.0f, t_vol1 = 0.0f;
-    if (!volume_box.intersect(ray, 0.0f, std::numeric_limits<float>::max(), &t_vol0,
-                              &t_vol1)) {
-      return;  // ray misses the volume entirely -> placeholder
-    }
-    float t_enter = 0.0f, t_exit = 0.0f;
-    if (!brick.world_box.intersect(ray, t_vol0, t_vol1, &t_enter, &t_exit)) {
-      return;  // misses this brick -> placeholder (§3.2 immediate discard)
-    }
+      float t_vol0 = 0.0f, t_vol1 = 0.0f;
+      if (!volume_box.intersect(ray, 0.0f, std::numeric_limits<float>::max(), &t_vol0,
+                                &t_vol1)) {
+        return;  // ray misses the volume entirely -> placeholder
+      }
+      float t_enter = 0.0f, t_exit = 0.0f;
+      if (!brick.world_box.intersect(ray, t_vol0, t_vol1, &t_enter, &t_exit)) {
+        return;  // misses this brick -> placeholder (§3.2 immediate discard)
+      }
 
-    const auto sample = [&](Vec3 p) {
-      // World -> global voxel coords -> brick-local stored-grid coords.
-      const Vec3 gv = (p / extent) * dims_f;
-      const Vec3 local{(gv.x - padded_origin_f.x - 0.5f) * inv_m + 0.5f,
-                       (gv.y - padded_origin_f.y - 0.5f) * inv_m + 0.5f,
-                       (gv.z - padded_origin_f.z - 0.5f) * inv_m + 0.5f};
-      return texture.sample(local);
-    };
-    const auto transfer = [&](float s) { return transfer_tex.sample(s); };
+      const MarchResult res = march_ray(ray, t_vol0, t_enter, t_exit, dt, decimation,
+                                        correction, ert, sample, transfer, skip);
+      samples.fetch_add(res.samples, std::memory_order_relaxed);
+      if (res.skip_leaps > 0) {
+        samples_skipped.fetch_add(res.samples_skipped, std::memory_order_relaxed);
+        skip_leaps.fetch_add(res.skip_leaps, std::memory_order_relaxed);
+      }
 
-    const MarchResult res = march_ray(ray, t_vol0, t_enter, t_exit, dt, decimation,
-                                      correction, ert, sample, transfer);
-    samples.fetch_add(res.samples, std::memory_order_relaxed);
-
-    if (res.color.a > 0.0f) {
-      out.keys[slot] =
-          static_cast<std::uint32_t>(py) * static_cast<std::uint32_t>(image_width) +
-          static_cast<std::uint32_t>(px);
-      RayFragment frag;
-      frag.set_color(res.color);
-      frag.depth = t_enter;
-      frag.brick = brick_id;
-      out.fragments[slot] = frag;
-    }
-    // else: zero contribution -> placeholder stays (§3.1.1)
-  });
+      if (res.color.a > 0.0f) {
+        out.keys[slot] =
+            static_cast<std::uint32_t>(py) * static_cast<std::uint32_t>(image_width) +
+            static_cast<std::uint32_t>(px);
+        RayFragment frag;
+        frag.set_color(res.color);
+        frag.depth = t_enter;
+        frag.brick = brick_id;
+        out.fragments[slot] = frag;
+      }
+      // else: zero contribution -> placeholder stays (§3.1.1)
+    });
+  };
+  if (empty_supports) {
+    launch([&](Vec3 p) { return empty_supports->empty_at(to_local(p)); });
+  } else {
+    launch(NoSkip{});
+  }
 
   out.samples = samples.load(std::memory_order_relaxed);
+  out.samples_skipped = samples_skipped.load(std::memory_order_relaxed);
+  out.skip_leaps = skip_leaps.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -144,6 +240,8 @@ mr::MapOutcome RayCastMapper::map(gpusim::Device& device, const mr::Chunk& chunk
 
   mr::MapOutcome outcome;
   outcome.samples = cast.samples;
+  outcome.samples_skipped = cast.samples_skipped;
+  outcome.skip_leaps = cast.skip_leaps;
   outcome.threads = cast.threads;
   return outcome;
 }

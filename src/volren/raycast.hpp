@@ -12,7 +12,12 @@
 //   * front-to-back compositing against a 1-D transfer-function
 //     texture with opacity correction;
 //   * every thread emits exactly one key-value pair — a RayFragment or
-//     a later-discarded placeholder (§3.1.1).
+//     a later-discarded placeholder (§3.1.1);
+//   * optional empty-space skipping (RaycastSettings::skip_empty, off
+//     on the paper path, on for served frames): steps whose trilinear
+//     support in the staged texture maps to alpha exactly 0 are elided,
+//     and each run of them is charged one sample (DESIGN.md §2) — the
+//     pixels are bit-identical to the non-skipping kernel.
 //
 // Sample-ownership rule: ray steps are a global grid anchored at the
 // ray's entry into the *volume* box (t_k = t_vol + (k + 0.5)·dt); a
@@ -57,6 +62,14 @@ struct RaycastSettings {
   /// the *base* volume's per-voxel-step alpha — must scale with it.
   /// 1 = base resolution.
   int lod_stride = 1;
+  /// Empty-space skipping: elide every step whose 2x2x2 trilinear
+  /// support in the staged brick texture is TF-empty (tf_empty_interval
+  /// over the support's [min, max]). Same pixels, fewer charged
+  /// samples. Off keeps the paper's fixed-increment kernel, which the
+  /// figure benches' §6.3 calibration anchor and the reference
+  /// renderer's sample-count equivalence rely on; the render service
+  /// turns it on for every frame it serves.
+  bool skip_empty = false;
 
   /// World-space step between consecutive logical samples for `volume`.
   float step_size(const Volume& volume) const {
@@ -145,6 +158,8 @@ struct BrickCastOutput {
   std::vector<std::uint32_t> keys;      // pixel index or kPlaceholderKey
   std::vector<RayFragment> fragments;   // valid where key != placeholder
   std::uint64_t samples = 0;            // logical samples charged
+  std::uint64_t samples_skipped = 0;    // logical steps elided (skip_empty)
+  std::uint64_t skip_leaps = 0;         // runs of elided steps, 1 sample each
   std::uint64_t threads = 0;
 };
 

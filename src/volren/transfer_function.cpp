@@ -1,6 +1,7 @@
 #include "volren/transfer_function.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 namespace vrmr::volren {
@@ -36,6 +37,18 @@ std::vector<Vec4> TransferFunction::bake(int entries) const {
     table[static_cast<size_t>(i)] = evaluate(s);
   }
   return table;
+}
+
+bool tf_empty_interval(std::span<const Vec4> table, float a, float b) {
+  const int n = static_cast<int>(table.size());
+  const float xa = clampf(a, 0.0f, 1.0f) * static_cast<float>(n) - 0.5f;
+  const float xb = clampf(b, 0.0f, 1.0f) * static_cast<float>(n) - 0.5f;
+  const int lo = std::clamp(static_cast<int>(std::floor(xa)), 0, n - 1);
+  const int hi = std::clamp(static_cast<int>(std::floor(xb)) + 1, 0, n - 1);
+  for (int i = lo; i <= hi; ++i) {
+    if (table[static_cast<std::size_t>(i)].w != 0.0f) return false;
+  }
+  return true;
 }
 
 std::uint64_t TransferFunction::signature() const {

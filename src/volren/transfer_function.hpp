@@ -61,4 +61,14 @@ class TransferFunction {
   std::vector<TransferPoint> points_;
 };
 
+/// The one TF-emptiness rule, shared by occupancy classification
+/// (lod::classify) and the map kernel's empty-space skipping: true iff
+/// every entry of the baked `table` that Texture1D::sample can touch
+/// for a scalar in [a, b] has alpha exactly 0. sample() computes x =
+/// clamp(t) * N - 0.5 and lerps entries floor(x) and floor(x) + 1,
+/// both clamped to [0, N-1] — so the touched range is
+/// clamp(floor(a*N - 0.5)) .. clamp(floor(b*N - 0.5) + 1), and a lerp
+/// of exact zeros is exactly zero.
+bool tf_empty_interval(std::span<const Vec4> table, float a, float b);
+
 }  // namespace vrmr::volren

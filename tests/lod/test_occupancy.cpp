@@ -1,8 +1,8 @@
 // Occupancy metadata + TF classification (src/lod/occupancy.hpp):
 // brick/cell interval coverage, the conservative baked-table emptiness
 // rule (checked against Texture1D::sample's exact lerp semantics), the
-// Chebyshev empty-space transform, the decimation-aware cullable() rule
-// and the per-(volume, layout, TF) classification memoization.
+// decimation-aware cullable() rule and the per-(volume, layout, TF)
+// classification memoization.
 
 #include "lod/occupancy.hpp"
 
@@ -145,66 +145,15 @@ TEST(Classification, EmptyHullIsSoundAgainstTheBakedTableLerp) {
   EXPECT_EQ(checked, 8);
 }
 
-TEST(Classification, ChebyshevIsTheChessboardDistanceToNonEmptyCells) {
-  // One brick (the whole volume) with a hot core: cells near the core
-  // are distance 0, farther empty cells count chessboard rings.
-  const volren::Volume volume =
-      volren::Volume::procedural("hotcore", {32, 32, 32}, [](Int3 p) {
-        const bool hot = p.x >= 12 && p.x <= 19 && p.y >= 12 && p.y <= 19 &&
-                         p.z >= 12 && p.z <= 19;
-        return hot ? 0.9f : 0.1f;
-      });
-  const volren::BrickLayout layout = layout_for(volume, 32);
-  const OccupancyIndex index(volume, layout, /*cell_voxels=*/4);
-  const TfClassification cls = classify(index, low_cut_tf());
-
-  ASSERT_EQ(index.num_bricks(), 1);
-  const BrickOccupancy& occ = index.brick(0);
-  const BrickClassification& brick = cls.bricks[0];
-  ASSERT_EQ(brick.chebyshev.size(),
-            static_cast<std::size_t>(occ.cells.volume()));
-  EXPECT_FALSE(brick.empty_cells);
-  EXPECT_GT(brick.empty_cell_fraction, 0.0f);
-  EXPECT_LT(brick.empty_cell_fraction, 1.0f);
-
-  // Brute-force reference: distance 0 marks the non-empty set; every
-  // other cell's value must equal its true L-inf distance to that set.
-  std::vector<Int3> sources;
-  for (int z = 0; z < occ.cells.z; ++z)
-    for (int y = 0; y < occ.cells.y; ++y)
-      for (int x = 0; x < occ.cells.x; ++x)
-        if (brick.chebyshev[occ.cell_index({x, y, z})] == 0)
-          sources.push_back({x, y, z});
-  ASSERT_FALSE(sources.empty());
-  int max_dist = 0;
-  for (int z = 0; z < occ.cells.z; ++z)
-    for (int y = 0; y < occ.cells.y; ++y)
-      for (int x = 0; x < occ.cells.x; ++x) {
-        int best = 1 << 20;
-        for (const Int3& s : sources) {
-          best = std::min(best, std::max({std::abs(x - s.x), std::abs(y - s.y),
-                                          std::abs(z - s.z)}));
-        }
-        EXPECT_EQ(brick.chebyshev[occ.cell_index({x, y, z})], best)
-            << "cell " << x << "," << y << "," << z;
-        max_dist = std::max(max_dist, best);
-      }
-  EXPECT_GT(max_dist, 0);  // the corner cells really are empty rings out
-}
-
-TEST(Classification, AllEmptyBrickSaturatesTheTransform) {
+TEST(Classification, AllEmptyBrickClassifiesEveryCellEmpty) {
   const volren::Volume volume =
       volren::Volume::procedural("flat", {16, 16, 16},
                                  [](Int3) { return 0.1f; });
   const volren::BrickLayout layout = layout_for(volume, 16);
   const OccupancyIndex index(volume, layout, /*cell_voxels=*/4);
   const TfClassification cls = classify(index, low_cut_tf());
-  const BrickOccupancy& occ = index.brick(0);
-  const std::uint16_t saturate = static_cast<std::uint16_t>(
-      std::max({occ.cells.x, occ.cells.y, occ.cells.z}));
-  for (const std::uint16_t d : cls.bricks[0].chebyshev) EXPECT_EQ(d, saturate);
+  EXPECT_TRUE(cls.bricks[0].empty_hull);
   EXPECT_TRUE(cls.bricks[0].empty_cells);
-  EXPECT_EQ(cls.bricks[0].empty_cell_fraction, 1.0f);
 }
 
 TEST(Classification, SubsampledScansNeverCull) {

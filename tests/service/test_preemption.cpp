@@ -373,7 +373,12 @@ TEST(Calibration, CostModelConvergesTowardObservedServiceTimes) {
   Harness h(2, config);
   Session s = h.service->open_session("steady");
   constexpr int kFrames = 8;
-  s.submit_orbit(volume, tiny_options(), kFrames, 0.0, 0.0);
+  // Served frames skip TF-empty space, so under bone each orbit view
+  // costs what its empty space leaves. fire has no zero-alpha entry:
+  // nothing is skipped and the views cost alike, as this test assumes.
+  volren::RenderOptions options = tiny_options();
+  options.transfer = volren::TransferFunction::fire();
+  s.submit_orbit(volume, options, kFrames, 0.0, 0.0);
   h.service->drain();
 
   const ServiceStats stats = h.service->stats();
@@ -398,7 +403,7 @@ TEST(Calibration, CostModelConvergesTowardObservedServiceTimes) {
   frozen.cost_calibration_alpha = 0.0;
   Harness h2(2, frozen);
   Session s2 = h2.service->open_session("frozen");
-  s2.submit_orbit(volume, tiny_options(), kFrames, 0.0, 0.0);
+  s2.submit_orbit(volume, options, kFrames, 0.0, 0.0);
   h2.service->drain();
   EXPECT_DOUBLE_EQ(h2.service->stats().sessions[0].cost_scale, 1.0);
 }

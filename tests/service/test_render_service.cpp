@@ -1,8 +1,8 @@
 // RenderService tests: scheduling-policy ordering (FIFO vs round-robin
 // vs SJF), priority-class admission, deterministic replay on the DES
 // clock, brick-cache effect on staging traffic and runtime, layout
-// memoization, volume (address, generation) registration, and the
-// serving telemetry.
+// memoization, volume (address, generation) registration, empty-space
+// skipping on served frames, and the serving telemetry.
 
 #include "service/render_service.hpp"
 
@@ -284,6 +284,37 @@ TEST(RenderService, CacheDoesNotChangeRenderedPixels) {
     const volren::ImageDiff diff =
         volren::compare_images(cold.frames[f].image, warm.frames[f].image);
     EXPECT_EQ(diff.max_abs, 0.0) << "frame " << f;
+  }
+}
+
+TEST(RenderService, ServedFramesSkipEmptySpaceWithUnchangedPixels) {
+  // Both pipelines serve with empty-space skipping on: fewer charged
+  // samples than the unserved (non-skipping) render of the same
+  // request, and the same pixels.
+  const volren::Volume volume = volren::datasets::skull({24, 24, 24});
+  volren::RenderOptions options = tiny_options();
+  options.transfer = volren::TransferFunction::bone();
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
+  const volren::RenderResult unserved = volren::render_mapreduce(cluster, volume, options);
+  EXPECT_EQ(unserved.stats.samples_skipped, 0u);
+
+  for (const PipelineMode pipeline : {PipelineMode::Quantum, PipelineMode::Monolithic}) {
+    ServiceConfig config;
+    config.pipeline = pipeline;
+    config.keep_images = true;
+    Harness h(2, config);
+    Session s = h.service->open_session("viewer");
+    s.submit(request_for(volume, 0.0, options));
+    h.service->drain();
+    const FrameRecord frame = h.service->stats().frames.at(0);
+    EXPECT_GT(frame.stats.samples_skipped, 0u) << to_string(pipeline);
+    EXPECT_EQ(frame.stats.total_samples, unserved.stats.total_samples -
+                                             frame.stats.samples_skipped +
+                                             frame.stats.skip_leaps)
+        << to_string(pipeline);
+    EXPECT_EQ(volren::compare_images(frame.image, unserved.image).max_abs, 0.0)
+        << to_string(pipeline);
   }
 }
 

@@ -113,6 +113,62 @@ TEST(MarchRay, EarlyRayTerminationStopsSampling) {
   EXPECT_GE(ert.color.a, 0.95f);
 }
 
+// Empty-space skipping along one ray through empty -> full -> empty
+// runs: x in [0.3, 0.6) is material, the rest air (alpha exactly 0).
+// The skip predicate flags exactly the air steps.
+TEST(MarchRay, SkippingElidesEmptyRunsBitIdentically) {
+  const auto sample = [](Vec3 p) { return p.x >= 0.3f && p.x < 0.6f ? 0.7f : 0.0f; };
+  const auto transfer = [](float s) { return Vec4{s, 0.5f * s, 0.2f, 0.3f * s}; };
+  const auto air = [&](Vec3 p) { return sample(p) == 0.0f; };
+  const Ray ray{{0, 0, 0}, {1, 0, 0}};
+  const float dt = 0.01f;
+  for (const int decimation : {1, 3}) {
+    const MarchResult off = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1.0f, 2.0f,
+                                      sample, transfer);
+    const MarchResult on = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1.0f, 2.0f,
+                                     sample, transfer, air);
+    EXPECT_EQ(on.color.r, off.color.r) << "m=" << decimation;
+    EXPECT_EQ(on.color.g, off.color.g) << "m=" << decimation;
+    EXPECT_EQ(on.color.b, off.color.b) << "m=" << decimation;
+    EXPECT_EQ(on.color.a, off.color.a) << "m=" << decimation;
+    EXPECT_GT(off.color.a, 0.0f);
+
+    // Count the functional steps the loop visits, by kind.
+    std::uint64_t full = 0, empty = 0;
+    for (int k = 0;; k += decimation) {
+      const float t = (static_cast<float>(k) + 0.5f) * dt;
+      if (!(t < 1.0f)) break;
+      (air(ray.at(t)) ? empty : full) += 1;
+    }
+    const std::uint64_t m = static_cast<std::uint64_t>(decimation);
+    EXPECT_EQ(off.samples, (full + empty) * m);
+    EXPECT_EQ(off.samples_skipped, 0u);
+    EXPECT_EQ(off.skip_leaps, 0u);
+    EXPECT_EQ(on.skip_leaps, 2u) << "m=" << decimation;  // leading and trailing air
+    EXPECT_EQ(on.samples_skipped, empty * m);
+    EXPECT_EQ(on.samples, full * m + on.skip_leaps);
+    EXPECT_EQ(on.samples, off.samples - on.samples_skipped + on.skip_leaps);
+  }
+}
+
+TEST(MarchRay, SkippingKeepsTheEarlyTerminationStep) {
+  // ERT fires inside the material; the trailing air is never reached,
+  // so skipping saves only the leading run.
+  const auto sample = [](Vec3 p) { return p.x >= 0.3f ? 0.9f : 0.0f; };
+  const auto transfer = [](float s) { return Vec4{s, s, s, 0.5f * s}; };
+  const auto air = [&](Vec3 p) { return sample(p) == 0.0f; };
+  const Ray ray{{0, 0, 0}, {1, 0, 0}};
+  const MarchResult off =
+      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1.0f, 0.95f, sample, transfer);
+  const MarchResult on =
+      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1.0f, 0.95f, sample, transfer, air);
+  ASSERT_TRUE(off.terminated_early);
+  EXPECT_TRUE(on.terminated_early);
+  EXPECT_EQ(on.color.a, off.color.a);
+  EXPECT_EQ(on.skip_leaps, 1u);
+  EXPECT_EQ(on.samples, off.samples - on.samples_skipped + 1);
+}
+
 TEST(MarchRay, AnchorOffsetShiftsGrid) {
   const Ray ray{{0, 0, 0}, {1, 0, 0}};
   // Same segment, different anchors: different sample grids, both
