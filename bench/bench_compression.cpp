@@ -159,7 +159,7 @@ ColdStart run_cold_start(const volren::Volume& volume, bool hydration,
   service::FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = gpus_per_shard;
-  config.enable_peer_hydration = hydration;
+  config.handoff.peer_hydration = hydration;
   config.service.compression = compress::Codec::Rle;
   service::ServiceFrontend frontend(config);
   if (obs::TraceRecorder* recorder = bench::trace_recorder()) {

@@ -72,7 +72,7 @@ FarmRun run_farm(const volren::Volume& volume, const fault::FaultPlan* plan,
   config.shards = 2;
   config.gpus_per_shard = 2;
   config.service.keep_images = true;
-  config.failover_prepush = prepush;
+  config.handoff.failover_prepush = prepush;
   service::ServiceFrontend frontend(config);
   if (attach_trace) {
     if (obs::TraceRecorder* recorder = bench::trace_recorder()) {

@@ -31,7 +31,13 @@ struct FramePlan::GpuState {
   /// coalesced message has not flushed yet is "held" and not counted.
   std::vector<std::uint8_t> counted;
   int pending_partitions = 0;  // partition tasks still queued on the CPU
-  bool lane_busy = false;      // a stage+map quantum currently in flight
+  bool lane_busy = false;      // a GPU part (or failure wedge) in flight
+  /// The chunk whose transfer is in flight (staged == false) or whose
+  /// bytes wait in host memory for the lane (staged == true); -1 when
+  /// none. Always chunk_indices[cursor - 1]: nothing else is taken for
+  /// the lane until its GPU part issues.
+  int staging = -1;
+  bool staged = false;
   MapOutcome last_outcome;     // the in-flight quantum's kernel (trace args)
   bool issued_all = false;     // every chunk has entered the pipeline
   bool finished = false;       // final flush done, mapper retired
@@ -260,36 +266,67 @@ void FramePlan::start() {
 
 int FramePlan::pending_map_quanta(int gpu) const {
   const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
-  return static_cast<int>(gs.chunk_indices.size() - gs.cursor);
+  return static_cast<int>(gs.chunk_indices.size() - gs.cursor) +
+         (gs.staging >= 0 ? 1 : 0);
 }
 
 bool FramePlan::lane_busy(int gpu) const {
   return gpus_.at(static_cast<std::size_t>(gpu))->lane_busy;
 }
 
+bool FramePlan::chunk_in_transit(int gpu) const {
+  const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
+  return gs.staging >= 0 && !gs.staged;
+}
+
+bool FramePlan::chunk_staged(int gpu) const {
+  return gpus_.at(static_cast<std::size_t>(gpu))->staged;
+}
+
+bool FramePlan::map_quantum_issuable(int gpu) const {
+  const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
+  if (gs.lane_busy) return false;
+  return gs.staged || (gs.staging < 0 && gs.cursor < gs.chunk_indices.size());
+}
+
 void FramePlan::issue_map_quantum(int gpu) {
   VRMR_CHECK_MSG(started_, "issue before start()");
   auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
+  VRMR_CHECK_MSG(!gs.lane_busy, "gpu " << gpu << " lane already busy");
+  if (gs.staged) {
+    // The landed chunk's GPU part: H2D onward.
+    const int ci = gs.staging;
+    gs.staging = -1;
+    gs.staged = false;
+    occupy_lane(gpu, ci);
+    after_disk(gpu, ci);
+    return;
+  }
+  VRMR_CHECK_MSG(gs.staging < 0,
+                 "gpu " << gpu << " has a transfer in flight; issue once it lands");
   VRMR_CHECK_MSG(gs.cursor < gs.chunk_indices.size(),
                  "no pending map quanta on gpu " << gpu);
-  VRMR_CHECK_MSG(!gs.lane_busy, "gpu " << gpu << " lane already busy");
-  gs.lane_busy = true;
   const int ci = gs.chunk_indices[gs.cursor++];
   const int attempt = ++chunk_attempts_[static_cast<std::size_t>(ci)];
-  if (auto* tr = config_.trace.recorder) {
-    tr->begin(cluster_.engine().now(), config_.trace.pid, gpu, "map", "map",
-              {{"chunk", chunks_[static_cast<std::size_t>(ci)]->label()},
-               {"session", std::to_string(config_.trace.session)},
-               {"frame", std::to_string(config_.trace.frame_id)}});
-  }
   if (config_.fault_hook) {
     const QuantumFault fault = config_.fault_hook(gpu, ci, attempt);
     if (fault.fail) {
+      occupy_lane(gpu, ci);
       fail_quantum(gpu, ci, fault.detect_s, fault.kind);
       return;
     }
   }
   begin_staging(gpu, ci);
+}
+
+void FramePlan::occupy_lane(int gpu, int chunk_index) {
+  gpus_[static_cast<std::size_t>(gpu)]->lane_busy = true;
+  if (auto* tr = config_.trace.recorder) {
+    tr->begin(cluster_.engine().now(), config_.trace.pid, gpu, "map", "map",
+              {{"chunk", chunks_[static_cast<std::size_t>(chunk_index)]->label()},
+               {"session", std::to_string(config_.trace.session)},
+               {"frame", std::to_string(config_.trace.frame_id)}});
+  }
 }
 
 void FramePlan::fail_quantum(int gpu, int chunk_index, double detect_s,
@@ -322,7 +359,7 @@ void FramePlan::fail_quantum(int gpu, int chunk_index, double detect_s,
                          chunk_attempts_[static_cast<std::size_t>(chunk_index)]);
     }
     if (lane_free_cb_) lane_free_cb_(gpu);
-    if (greedy_ && !gs.lane_busy && gs.cursor < gs.chunk_indices.size()) {
+    if (greedy_ && map_quantum_issuable(gpu)) {
       issue_map_quantum(gpu);  // immediate same-lane retry
     }
   };
@@ -342,6 +379,15 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
   for (const int s : survivors) {
     VRMR_CHECK_MSG(s >= 0 && s < static_cast<int>(gpus_.size()) && s != gpu,
                    "bad survivor lane " << s);
+  }
+  // A landed chunk waiting for the dead lane moves like an unissued one
+  // (the survivor stages it afresh). A transfer still in flight stays:
+  // it lands through on_chunk_staged, and the driver redistributes the
+  // lane again then.
+  if (gs.staged) {
+    gs.staging = -1;
+    gs.staged = false;
+    --gs.cursor;
   }
   if (gs.cursor >= gs.chunk_indices.size()) return;  // nothing pending
 
@@ -393,7 +439,7 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
   // An idle dead lane retires its mapper now (flushing fragments its
   // completed quanta already produced); a busy one retires via
   // lane_freed when the in-flight quantum lands.
-  if (!gs.lane_busy && gs.cursor >= gs.chunk_indices.size()) {
+  if (!gs.lane_busy && gs.staging < 0 && gs.cursor >= gs.chunk_indices.size()) {
     gs.issued_all = true;
     maybe_final_flush(gpu);
   }
@@ -401,7 +447,7 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
   if (greedy_) {
     for (const int s : survivors) {
       cluster_.engine().schedule_after(0.0, [this, s] {
-        if (!lane_busy(s) && pending_map_quanta(s) > 0) issue_map_quantum(s);
+        if (map_quantum_issuable(s)) issue_map_quantum(s);
       });
     }
   }
@@ -419,19 +465,24 @@ void FramePlan::begin_staging(int g, int chunk_index) {
     stats_.chunks_resident += 1;
     stats_.bytes_h2d_saved += chunk.stored_bytes();
     if (config_.include_disk_io) stats_.bytes_disk_saved += chunk.disk_bytes();
+    occupy_lane(g, chunk_index);
     after_h2d(g, chunk_index);
     return;
   }
+  // A miss moves the bytes into host memory first, without the lane.
+  auto* tr = config_.trace.recorder;
+  const std::uint64_t trace_id = tr != nullptr ? tr->next_async_id() : 0;
+  auto landed = [this, g, chunk_index, trace_id] {
+    transfer_landed(g, chunk_index, trace_id);
+  };
   // Peer hydration: a miss may be served from a sibling shard's warm
   // cache instead of disk — the hook owns the (simulated) fabric
-  // transfer and resumes the plan at the H2D copy when the compressed
-  // payload lands in host memory.
-  if (config_.fetch_hook &&
-      config_.fetch_hook(g, chunk,
-                         [this, g, chunk_index] { after_disk(g, chunk_index); })) {
+  // transfer and lands the compressed payload in host memory.
+  if (config_.fetch_hook && config_.fetch_hook(g, chunk, landed)) {
     stats_.chunks_hydrated += 1;
     stats_.bytes_hydrated += chunk.stored_bytes();
     if (config_.include_disk_io) stats_.bytes_disk_saved += chunk.disk_bytes();
+    start_transfer(g, chunk_index, "peer", chunk.stored_bytes(), trace_id);
     return;
   }
   if (config_.include_disk_io) {
@@ -439,10 +490,46 @@ void FramePlan::begin_staging(int g, int chunk_index) {
     stats_.bytes_disk += bytes;
     io::VirtualDisk& disk = cluster_.disk(cluster_.node_of_gpu(g));
     stats_.disk_busy_s += disk.model().read_time(bytes);
-    disk.read(bytes, [this, g, chunk_index] { after_disk(g, chunk_index); });
-  } else {
-    after_disk(g, chunk_index);
+    start_transfer(g, chunk_index, "disk", bytes, trace_id);
+    disk.read(bytes, std::move(landed));
+    return;
   }
+  // In-core: the bytes are already in host memory.
+  occupy_lane(g, chunk_index);
+  after_disk(g, chunk_index);
+}
+
+void FramePlan::start_transfer(int g, int chunk_index, const char* source,
+                               std::uint64_t bytes, std::uint64_t trace_id) {
+  auto& gs = *gpus_[static_cast<std::size_t>(g)];
+  gs.staging = chunk_index;
+  if (auto* tr = config_.trace.recorder) {
+    tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "stage",
+                    "stage",
+                    {{"chunk", chunks_[static_cast<std::size_t>(chunk_index)]->label()},
+                     {"bytes", std::to_string(bytes)},
+                     {"source", source},
+                     {"gpu", std::to_string(g)},
+                     {"frame", std::to_string(config_.trace.frame_id)}});
+  }
+}
+
+void FramePlan::transfer_landed(int g, int chunk_index, std::uint64_t trace_id) {
+  auto& gs = *gpus_[static_cast<std::size_t>(g)];
+  // A FetchHook must land from a later DES callback, never inside its
+  // own call (the transfer is recorded only after the hook returns).
+  VRMR_CHECK_MSG(gs.staging == chunk_index && !gs.staged,
+                 "chunk " << chunk_index << " landed for gpu " << g
+                          << " without a transfer in flight");
+  gs.staged = true;
+  if (auto* tr = config_.trace.recorder) {
+    tr->async_end(cluster_.engine().now(), config_.trace.pid, trace_id, "stage",
+                  "stage");
+  }
+  if (chunk_staged_cb_) chunk_staged_cb_(g);
+  // Greedy: the GPU part issues inside the landing event, exactly when
+  // the monolithic job's H2D followed its disk read.
+  if (greedy_ && map_quantum_issuable(g)) issue_map_quantum(g);
 }
 
 void FramePlan::after_disk(int g, int chunk_index) {
@@ -571,14 +658,12 @@ void FramePlan::lane_freed(int g) {
             {{"samples_skipped", std::to_string(gs.last_outcome.samples_skipped)},
              {"skip_leaps", std::to_string(gs.last_outcome.skip_leaps)}});
   }
-  if (gs.cursor >= gs.chunk_indices.size()) {
+  if (gs.staging < 0 && gs.cursor >= gs.chunk_indices.size()) {
     gs.issued_all = true;
     maybe_final_flush(g);
   }
   if (lane_free_cb_) lane_free_cb_(g);
-  if (greedy_ && !gs.lane_busy && gs.cursor < gs.chunk_indices.size()) {
-    issue_map_quantum(g);
-  }
+  if (greedy_ && map_quantum_issuable(g)) issue_map_quantum(g);
 }
 
 void FramePlan::partition_and_send(int g, int chunk_index,
@@ -1136,7 +1221,7 @@ JobStats FramePlan::run_to_completion() {
   auto& engine = cluster_.engine();
   for (int g = 0; g < static_cast<int>(gpus_.size()); ++g) {
     engine.schedule_after(0.0, [this, g] {
-      if (!lane_busy(g) && pending_map_quanta(g) > 0) issue_map_quantum(g);
+      if (map_quantum_issuable(g)) issue_map_quantum(g);
     });
   }
   engine.run();

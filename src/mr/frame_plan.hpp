@@ -10,12 +10,20 @@
 // finished tiles, or prefetching during a frame's reduce tail — so the
 // pipeline now lives here, cut at its natural seams:
 //
-//   * stage+map quantum  — one chunk on one GPU: (disk) -> H2D -> map
-//     kernel -> D2H. The quantum ends when the D2H completes and the
-//     GPU stream is free again (the paper's overlap point, §3.1.2);
-//     partitioning and buffered sends continue asynchronously on the
-//     CPU/NIC inside the plan. This boundary is where a scheduler can
-//     hand the GPU to a *different* frame — brick-granular preemption.
+//   * transfer           — a staging miss first moves the chunk's bytes
+//     into host memory: the disk read (JobConfig::include_disk_io) or a
+//     FetchHook fetch. It does not hold the GPU lane. The landed chunk
+//     waits in host memory until the driver issues its GPU part; at
+//     most one chunk per lane is in transit or waiting, so a plan
+//     buffers at most one chunk per lane (DESIGN.md §7). Cache hits and
+//     in-core chunks have no transfer: their issue starts the GPU part.
+//   * stage+map quantum  — one chunk's GPU part on one GPU: H2D ->
+//     (decompress) -> map kernel -> D2H. The quantum ends when the D2H
+//     completes and the GPU stream is free again (the paper's overlap
+//     point, §3.1.2); partitioning and buffered sends continue
+//     asynchronously on the CPU/NIC inside the plan. This boundary is
+//     where a scheduler can hand the GPU to a *different* frame —
+//     brick-granular preemption.
 //   * sends              — partition output buffers per (mapper,
 //     reducer) and ships per (mapper, destination). Under Global a
 //     destination is one reducer: the paper's direct-send, one message
@@ -53,9 +61,10 @@
 //
 // The driver decides *when* each quantum is issued; the plan owns all
 // dataflow bookkeeping and fires hooks at the decision points
-// (lane freed, sorts ready, reduces ready, tile done, finished).
-// `run_to_completion()` is the greedy driver that reproduces the
-// original monolithic job event-for-event — mr::Job and the one-shot
+// (chunk staged, lane freed, sorts ready, reduces ready, tile done,
+// finished). `run_to_completion()` is the greedy driver that reproduces
+// the original monolithic job event-for-event (it issues each landed
+// chunk's GPU part inside the landing event) — mr::Job and the one-shot
 // renderer facade are thin wrappers over it.
 //
 // Everything runs on the cluster's DES engine; with a deterministic
@@ -132,6 +141,12 @@ class FramePlan {
   /// preemption point: the driver may issue this plan's next quantum,
   /// another plan's, or leave the lane idle.
   void on_lane_free(std::function<void(int gpu)> cb) { lane_free_cb_ = std::move(cb); }
+  /// A chunk's transfer for lane `gpu` landed: its bytes wait in host
+  /// memory and its GPU part is issuable (map_quantum_issuable). Fires
+  /// from the landing event; the lane may be busy with other work.
+  void on_chunk_staged(std::function<void(int gpu)> cb) {
+    chunk_staged_cb_ = std::move(cb);
+  }
   /// Reducer `reducer`'s sort quantum became issuable. Under PerReducer
   /// barriers this fires the moment that reducer's inbox completes
   /// (inbox-completion order); under Global barriers it fires for every
@@ -191,27 +206,46 @@ class FramePlan {
   void set_eager_barriers(bool eager) { eager_barriers_ = eager; }
 
   // --- stage+map quanta ----------------------------------------------------
-  /// Chunks dealt to `gpu` not yet issued.
+  /// Chunks dealt to `gpu` whose GPU part has not been issued yet:
+  /// unissued chunks plus the one in transit or waiting in host memory.
   int pending_map_quanta(int gpu) const;
-  /// A stage+map quantum of THIS plan currently occupies `gpu`.
+  /// A stage+map quantum of THIS plan currently occupies `gpu` (its GPU
+  /// part, or a failed attempt's detection wedge). A transfer does not.
   bool lane_busy(int gpu) const;
-  /// Issue the next chunk on `gpu`: (disk) -> H2D -> kernel -> D2H.
-  /// Requires pending_map_quanta(gpu) > 0 and !lane_busy(gpu).
+  /// A chunk's bytes are moving into host memory for `gpu`.
+  bool chunk_in_transit(int gpu) const;
+  /// A landed chunk waits in host memory for `gpu`'s lane.
+  bool chunk_staged(int gpu) const;
+  /// issue_map_quantum(gpu) may be called now: the lane is not busy with
+  /// this plan's work, and either a landed chunk waits or an unissued
+  /// chunk exists and no transfer of this plan is in flight for `gpu`.
+  bool map_quantum_issuable(int gpu) const;
+  /// Issue on `gpu`. A landed chunk waiting for the lane runs its GPU
+  /// part: H2D -> (decompress) -> kernel -> D2H. Otherwise the next
+  /// chunk is taken: the fault hook may fail the attempt (the lane is
+  /// wedged for the detection timeout); a cache hit or an in-core chunk
+  /// runs its GPU part at once; a miss with a disk read or a fetch
+  /// starts the transfer and leaves the lane free (lane_busy stays
+  /// false; on_chunk_staged fires when the bytes land). Requires
+  /// map_quantum_issuable(gpu).
   void issue_map_quantum(int gpu);
 
-  /// Fail-stop recovery: move every not-yet-issued chunk of `gpu` onto
-  /// `survivors` (round-robin), preserving all per-(mapper, reducer)
-  /// dataflow bookkeeping — reducers stop waiting on the dead lane for
-  /// the moved work and start waiting on its survivors (a moved chunk
-  /// reopens a survivor's final pair: a flushed pair stops counting
-  /// toward readiness, a held pair keeps its fragments queued for the
-  /// coalesced message's next flush). An in-flight
-  /// quantum on `gpu` (if any) still completes there (fail-stop at the
-  /// quantum boundary); once idle the dead mapper retires, flushing the
-  /// fragments it already produced (host-side mapper state survives the
-  /// GPU's death — see src/fault/README.md). Pixels are placement-
-  /// independent, so the redistributed frame composites bit-identically.
-  /// Callable any time between start() and the routing barrier.
+  /// Fail-stop recovery: move every chunk of `gpu` whose GPU part has
+  /// not been issued onto `survivors` (round-robin), preserving all
+  /// per-(mapper, reducer) dataflow bookkeeping — reducers stop waiting
+  /// on the dead lane for the moved work and start waiting on its
+  /// survivors (a moved chunk reopens a survivor's final pair: a
+  /// flushed pair stops counting toward readiness, a held pair keeps
+  /// its fragments queued for the coalesced message's next flush). A
+  /// chunk in transit or waiting in host memory for `gpu` moves too:
+  /// its transfer is abandoned (the landing is ignored) and the
+  /// survivor stages it afresh. An in-flight GPU part on `gpu` (if any)
+  /// still completes there (fail-stop at the quantum boundary); once
+  /// idle the dead mapper retires, flushing the fragments it already
+  /// produced (host-side mapper state survives the GPU's death — see
+  /// src/fault/README.md). Pixels are placement-independent, so the
+  /// redistributed frame composites bit-identically. Callable any time
+  /// between start() and the routing barrier.
   void redistribute_lane(int gpu, const std::vector<int>& survivors);
 
   // --- sort quanta ---------------------------------------------------------
@@ -274,7 +308,17 @@ class FramePlan {
   struct GpuState;
   struct ReducerState;
 
+  /// Mark `gpu`'s lane busy and open its "map" span for `chunk_index`.
+  void occupy_lane(int gpu, int chunk_index);
+  /// A taken chunk: cache hit -> GPU part; miss -> transfer (fetch hook
+  /// or disk read), or straight to the GPU part when in-core.
   void begin_staging(int gpu, int chunk_index);
+  /// Record `chunk_index` as `gpu`'s transfer in flight and open its
+  /// async "stage" span (source "disk" or "peer").
+  void start_transfer(int gpu, int chunk_index, const char* source,
+                      std::uint64_t bytes, std::uint64_t trace_id);
+  /// The transfer landed in host memory: the chunk waits for the lane.
+  void transfer_landed(int gpu, int chunk_index, std::uint64_t trace_id);
   /// Wedge `gpu`'s stream for detect_s, then restore the chunk, free
   /// the lane, and fire on_quantum_failed (the injected-failure path).
   void fail_quantum(int gpu, int chunk_index, double detect_s, const char* kind);
@@ -342,6 +386,7 @@ class FramePlan {
   std::unique_ptr<Partitioner> partitioner_;
 
   std::function<void(int)> lane_free_cb_;
+  std::function<void(int)> chunk_staged_cb_;
   std::function<void(int)> reducer_ready_cb_;
   std::function<void(int)> sort_done_cb_;
   std::function<void()> sorts_ready_cb_;

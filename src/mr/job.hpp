@@ -5,9 +5,15 @@
 // One Job renders one frame (or runs one generic MapReduce pass) on a
 // simulated cluster. The dataflow per GPU process g follows Figure 1:
 //
-//   chunks --> [disk] --> H2D --> Map kernel --> D2H --> Partition
+//   chunks --> [disk] --> host memory --> H2D --> Map kernel --> D2H
+//          --> Partition
 //        (per-chunk, streamed; the next chunk's staging overlaps the
-//         previous chunk's partition/sends)
+//         previous chunk's partition/sends). The disk read (or a
+//         FetchHook fetch) ends at the host-memory boundary and holds
+//         no GPU lane; the lane is held from H2D to D2H. The greedy
+//         driver issues H2D the moment the read lands, which is the
+//         paper's schedule; a serving driver runs other frames' GPU
+//         work on the lane while the read is in flight (FramePlan).
 //   Partition --> async network sends to reducer processes
 //   barrier: all mappers finished AND all pairs delivered
 //   Sort (counting sort, CPU or GPU)  --> barrier
@@ -64,9 +70,10 @@ using StagingHook = std::function<bool(int gpu, const Chunk& chunk)>;
 /// Remote-fetch hook consulted on a staging MISS before the disk read.
 /// Return true to take ownership of delivering `chunk`'s payload into
 /// host memory on GPU `gpu`'s node — the hook must then invoke `done`
-/// exactly once (from a DES callback at the simulated delivery time),
-/// after which the plan proceeds with the normal H2D copy. Return false
-/// to decline: the plan falls back to the disk path. This is how a
+/// exactly once (from a DES callback at the simulated delivery time,
+/// never from inside the hook call), after which the chunk waits in
+/// host memory for its lane and then takes the normal H2D copy. Return
+/// false to decline: the plan falls back to the disk path. This is how a
 /// serving tier hydrates a cold shard from a sibling's warm cache over
 /// the fabric instead of re-reading disk (src/service/frontend.hpp).
 using FetchHook =
@@ -142,7 +149,8 @@ struct JobConfig {
 
   /// Charge disk reads for chunk staging (out-of-core mode). The
   /// paper's §6.3 speed-of-light analysis assumes data resident in CPU
-  /// memory, so this defaults off.
+  /// memory, so this defaults off. A read is a transfer into host
+  /// memory: it holds the node's disk, not the GPU lane.
   bool include_disk_io = false;
 
   /// Streaming send threshold per (mapper, destination): "Once enough

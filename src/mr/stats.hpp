@@ -83,7 +83,9 @@ struct JobStats {
   double decompress_s_total = 0.0;
   std::uint64_t bytes_logical_staged = 0;
   // Peer hydration (JobConfig::fetch_hook): staging misses served by
-  // the hook instead of disk, and the stored bytes it delivered.
+  // the hook instead of disk, and the stored bytes it delivered (the
+  // render service's hook serves a sibling shard's cache, or another
+  // frame's read of the same brick for the same GPU).
   std::uint64_t chunks_hydrated = 0;
   std::uint64_t bytes_hydrated = 0;
   /// Injected map-quantum failures (JobConfig::fault_hook): each one

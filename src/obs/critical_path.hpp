@@ -11,7 +11,8 @@
 // (the reducer whose tile finished last — every other chain ended
 // earlier, so r*'s chain is what the frame's latency consists of):
 //
-//   t0 arrival   -> QueueWait -> t1 first quantum issued
+//   t0 arrival   -> QueueWait -> t1 first map quantum issued (or its
+//                                  disk read / fetch started)
 //   t1           -> StageMap  -> t2 last map quantum done (disk/H2D/kernel/D2H)
 //   t2           -> Send      -> t3 r*'s inbox complete (barrier reached)
 //   t3           -> SortWait  -> t4 r*'s sort quantum issued

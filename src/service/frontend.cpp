@@ -44,14 +44,6 @@ int default_placement(const PlacementQuery& query) {
 
 ServiceFrontend::ServiceFrontend(FrontendConfig config)
     : config_(std::move(config)) {
-  // Fold the deprecated aliases into their sub-configs (kept one
-  // release): when set, the alias wins over the sub-config field.
-  if (config_.enable_peer_hydration.has_value())
-    config_.handoff.peer_hydration = *config_.enable_peer_hydration;
-  if (config_.hydration_fabric.has_value())
-    config_.handoff.fabric = *config_.hydration_fabric;
-  if (config_.failover_prepush.has_value())
-    config_.handoff.failover_prepush = *config_.failover_prepush;
   VRMR_CHECK_MSG(config_.shards >= 1, "frontend needs at least one shard");
   VRMR_CHECK_MSG(config_.gpus_per_shard >= 1,
                  "frontend shards need at least one GPU");

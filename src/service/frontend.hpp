@@ -229,14 +229,6 @@ struct FrontendConfig {
   /// migration targets (failover keeps its documented
   /// least-outstanding-cost survivor pick).
   PlacementPolicy placement;
-
-  // --- deprecated aliases (one release) -----------------------------------
-  /// DEPRECATED: use handoff.peer_hydration. When set, overrides it.
-  std::optional<bool> enable_peer_hydration;
-  /// DEPRECATED: use handoff.fabric. When set, overrides it.
-  std::optional<net::FabricModel> hydration_fabric;
-  /// DEPRECATED: use handoff.failover_prepush. When set, overrides it.
-  std::optional<bool> failover_prepush;
 };
 
 struct ShardStats {
@@ -349,7 +341,6 @@ class ServiceFrontend final : public SessionBackend {
   /// crashed): placement and migration will not target it.
   bool shard_accepting(int index) const;
   bool shard_retired(int index) const;
-  /// The config AFTER deprecated aliases folded into their sub-configs.
   const FrontendConfig& config() const { return config_; }
 
   // --- control plane ------------------------------------------------------

@@ -498,15 +498,15 @@ void RenderService::check_serve_dims(const Pending& head) const {
                                "volume's shape");
 }
 
-mr::StagingHook RenderService::make_staging_hook(const Pending& pending) {
+mr::StagingHook RenderService::make_staging_hook(ActiveFrame& active) {
   if (!cache_) return mr::StagingHook{};
   // Re-resolve the registration at serve time: an invalidation between
   // submit and serve re-keys the address (and re-checks dims).
-  const std::uint64_t vid = register_volume(pending.request.volume).id;
-  const std::uint64_t lid = pending.layout_sig;
-  // `this` is safe to capture: the hook lives inside a plan the service
-  // owns, and the service outlives every active frame.
-  return [this, vid, lid](int gpu, const mr::Chunk& chunk) {
+  const std::uint64_t vid = register_volume(active.pending.request.volume).id;
+  const std::uint64_t lid = active.pending.layout_sig;
+  // `this` and the frame are safe to capture: the hook lives inside the
+  // frame's plan, and the service outlives every active frame.
+  return [this, raw = &active, vid, lid](int gpu, const mr::Chunk& chunk) {
     const auto* brick = dynamic_cast<const volren::BrickChunk*>(&chunk);
     if (brick == nullptr) return false;  // non-brick chunks are never cached
     // LOD chunks carry their level layout's signature so coarse
@@ -515,22 +515,42 @@ mr::StagingHook RenderService::make_staging_hook(const Pending& pending) {
     // frame layout signature.
     const std::uint64_t sig =
         brick->cache_signature() != 0 ? brick->cache_signature() : lid;
+    const BrickKey key{vid, brick->info().id, sig};
     BrickCache::LookupOutcome outcome;
     // The cache budgets what VRAM holds: the stored (compressed)
     // payload. The logical size rides along for the residency-
     // multiplier counters (logical == stored when uncompressed).
-    const bool hit = cache_->lookup_or_admit(
-        gpu, BrickKey{vid, brick->info().id, sig}, chunk.stored_bytes(), &outcome,
-        chunk.device_bytes());
+    const bool hit = cache_->lookup_or_admit(gpu, key, chunk.stored_bytes(),
+                                             &outcome, chunk.device_bytes());
+    // Admitted at its miss, a brick is not on the GPU until that
+    // frame's H2D lands: while another frame still stages it for this
+    // lane, this frame must stage it too.
+    const bool in_transit = hit && frame_staging(gpu, key, raw) != nullptr;
+    raw->lane_key[static_cast<std::size_t>(gpu)] = key;
     if (trace_ != nullptr) {
       obs::TraceArgs args{{"brick", std::to_string(brick->info().id)}};
       if (outcome.ghost_b1) args.emplace_back("ghost", "b1");
       if (outcome.ghost_b2) args.emplace_back("ghost", "b2");
+      if (in_transit) args.emplace_back("in_transit", "1");
       trace_->instant(cluster_.engine().now(), trace_pid_, gpu,
                       hit ? "cache_hit" : "cache_miss", "cache", std::move(args));
     }
-    return hit;
+    return hit && !in_transit;
   };
+}
+
+RenderService::ActiveFrame* RenderService::frame_staging(int gpu, const BrickKey& key,
+                                                         const ActiveFrame* self) {
+  const auto g = static_cast<std::size_t>(gpu);
+  for (const auto& active : active_) {
+    if (active.get() == self || active->done) continue;
+    const mr::FramePlan& plan = active->frame->plan();
+    if ((plan.chunk_in_transit(gpu) || plan.chunk_staged(gpu)) &&
+        active->lane_key[g] == key) {
+      return active.get();
+    }
+  }
+  return nullptr;
 }
 
 void RenderService::open_window(double arrival_s) {
@@ -711,23 +731,35 @@ void RenderService::apply_compression(ActiveFrame& active,
   }
 }
 
-mr::FetchHook RenderService::make_fetch_hook(const Pending& pending) {
-  if (!hydration_) return mr::FetchHook{};
-  const std::uint64_t vid = register_volume(pending.request.volume).id;
-  const std::uint64_t lid = pending.layout_sig;
+mr::FetchHook RenderService::make_fetch_hook(ActiveFrame& active) {
+  if (!cache_ && !hydration_) return mr::FetchHook{};
+  const std::uint64_t vid = register_volume(active.pending.request.volume).id;
+  const std::uint64_t lid = active.pending.layout_sig;
   // The BASE volume pointer, even for LOD chunks (a level chunk's own
   // volume() is the shard-local pyramid level): peers key coarse
   // payloads under (their base registration, level signature) exactly
   // like our own staging hook does.
-  const volren::Volume* volume = pending.request.volume;
-  return [this, vid, lid, volume](int gpu, const mr::Chunk& chunk,
-                                  std::function<void()> done) {
+  const volren::Volume* volume = active.pending.request.volume;
+  return [this, raw = &active, vid, lid, volume](int gpu, const mr::Chunk& chunk,
+                                                 std::function<void()> done) {
     const auto* brick = dynamic_cast<const volren::BrickChunk*>(&chunk);
     if (brick == nullptr) return false;  // non-brick chunks: disk path
     const std::uint64_t sig =
         brick->cache_signature() != 0 ? brick->cache_signature() : lid;
-    return hydration_(gpu, volume, BrickKey{vid, brick->info().id, sig},
-                      chunk.stored_bytes(), std::move(done));
+    const BrickKey key{vid, brick->info().id, sig};
+    // Another frame is already moving this brick into host memory for
+    // this lane: take its bytes when they land (the H2D stays ours).
+    if (ActiveFrame* reader = frame_staging(gpu, key, raw)) {
+      if (reader->frame->plan().chunk_staged(gpu)) {
+        cluster_.engine().schedule_after(0.0, std::move(done));
+      } else {
+        reader->landing_waiters[static_cast<std::size_t>(gpu)].push_back(
+            std::move(done));
+      }
+      return true;
+    }
+    return hydration_ &&
+           hydration_(gpu, volume, key, chunk.stored_bytes(), std::move(done));
   };
 }
 
@@ -868,6 +900,9 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
       session.delegate >= 0 ? session.delegate : session_index;
   active->priority = session.profile.priority;
   active->pending = std::move(session.queue.front());
+  const auto gpus = static_cast<std::size_t>(cluster_.total_gpus());
+  active->lane_key.resize(gpus);
+  active->landing_waiters.resize(gpus);
   session.queue.pop_front();
   session.last_served_seq = ++serve_seq_;
   // Any batch admission restarts the aging period (the aged-head
@@ -917,7 +952,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   // is independent of compression — uncompressed payloads hydrate too
   // (stored == logical).
   apply_compression(*active, &aq);
-  aq.fetch_hook = make_fetch_hook(active->pending);
+  aq.fetch_hook = make_fetch_hook(*active);
   aq.fault_hook = make_fault_hook();
   if (trace_ != nullptr) {
     const double now = cluster_.engine().now();
@@ -946,7 +981,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
                         "frame", "frame", attribution);
   }
   active->frame = volren::plan_frame(cluster_, *active->pending.request.volume,
-                                     options, make_staging_hook(active->pending),
+                                     options, make_staging_hook(*active),
                                      *active->pending.layout, aq);
   return active;
 }
@@ -1039,6 +1074,18 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
     // A freed lane changes only lane state, never admissibility — the
     // class slots and arrival set are untouched, so skip re-running
     // the admission policy (under SJF that is a full cost-model pass).
+    if (draining_) pump(/*try_admission=*/false);
+  });
+  // A brick's bytes landed in host memory: its GPU part now wants the
+  // lane, and other frames' fetches of the same brick can proceed.
+  plan.on_chunk_staged([this, raw](int gpu) {
+    auto& waiters = raw->landing_waiters[static_cast<std::size_t>(gpu)];
+    for (auto& done : std::exchange(waiters, {})) done();
+    // The lane died while the transfer was in flight: the landed chunk
+    // moves to the survivors like any other unissued one.
+    if (lane_dead(gpu) && !crashed_) {
+      raw->frame->plan().redistribute_lane(gpu, surviving_lanes(gpu));
+    }
     if (draining_) pump(/*try_admission=*/false);
   });
   // Sort and reduce quanta self-issue at their barriers: they are
@@ -1238,33 +1285,32 @@ void RenderService::pump(bool try_admission) {
     if (lane_held(g, pump_now)) continue;
     // Interactive quanta first: a preempting frame takes every lane as
     // it frees; the batch frame resumes when no interactive work wants
-    // the lane.
-    ActiveFrame* chosen = nullptr;
+    // the lane. An issue that only starts a brick's transfer (a staging
+    // miss reading disk or a peer) leaves the lane free: the next
+    // candidate may take it while the bytes move.
+    auto& busy = lane_busy_[static_cast<std::size_t>(g)];
     for (const Priority cls : {Priority::Interactive, Priority::Batch}) {
       for (const auto& active : active_) {
+        if (busy) break;
         if (active->done || active->priority != cls) continue;
-        if (active->frame->plan().pending_map_quanta(g) > 0) {
-          chosen = active.get();
-          break;
+        mr::FramePlan& plan = active->frame->plan();
+        if (!plan.map_quantum_issuable(g)) continue;
+        if (!active->render_started) {
+          active->render_started = true;
+          active->record.start_s = cluster_.engine().now();
+          // Zero-delta sample across any idle gap (see serve_one).
+          sample_gpu_busy();
+        }
+        plan.issue_map_quantum(g);
+        if (plan.lane_busy(g)) {
+          busy = 1;
+          window_at(cluster_.engine().now()).quanta_issued += 1;
         }
       }
-      if (chosen != nullptr) break;
-    }
-    if (chosen != nullptr) {
-      lane_busy_[static_cast<std::size_t>(g)] = 1;
-      if (!chosen->render_started) {
-        chosen->render_started = true;
-        chosen->record.start_s = cluster_.engine().now();
-        // Zero-delta sample across any idle gap (see serve_one).
-        sample_gpu_busy();
-      }
-      window_at(cluster_.engine().now()).quanta_issued += 1;
-      chosen->frame->plan().issue_map_quantum(g);
-      continue;
     }
     // Overlap window: a lane no frame wants right now (typically the
     // current frame's sort/reduce tail) prefetches predicted bricks.
-    (void)try_prefetch(g);
+    if (!busy) (void)try_prefetch(g);
   }
 
   // Arm a wake-up at the earliest FUTURE head arrival so preemptive

@@ -18,7 +18,10 @@
 //     admitted immediately and takes every lane as it frees — the
 //     batch frame is preempted at the next brick boundary and resumes
 //     when the interactive frame completes, so interactive queue wait
-//     is bounded by one brick quantum instead of one whole batch frame;
+//     is bounded by one brick's GPU work instead of one whole batch
+//     frame (a brick's disk read or peer fetch never holds a lane:
+//     the issue starts it and the lane stays free for the next
+//     candidate until the bytes land);
 //   * finished tiles stream to the session's on_tile callback at each
 //     reducer's completion time (partial-frame delivery), all before
 //     the frame's own on_frame callback;
@@ -227,7 +230,9 @@ struct ServiceWindow {
   double start_s = 0.0;
   double window_s = 0.0;
   int frames_finished = 0;
-  /// Stage+map quanta the scheduler issued (Quantum pipeline).
+  /// Stage+map quanta the scheduler issued (Quantum pipeline): one per
+  /// chunk attempt that took a lane — a GPU part or a failed attempt's
+  /// wedge. Starting a brick's disk read or peer fetch is not a quantum.
   std::uint64_t quanta_issued = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t tiles = 0;
@@ -611,6 +616,11 @@ class RenderService final : public SessionBackend {
     bool degraded = false;
     bool render_started = false;  // first quantum issued (start_s set)
     bool done = false;            // finished; reaped on the next event
+    /// Per GPU lane: the brick this frame last looked up there — the one
+    /// in transit while the plan reports a transfer for the lane — and
+    /// other frames' fetches of it waiting for its bytes to land.
+    std::vector<BrickKey> lane_key;
+    std::vector<std::vector<std::function<void()>>> landing_waiters;
   };
 
   /// Session index of the next frame to admit (-1 = none arrived).
@@ -636,7 +646,15 @@ class RenderService final : public SessionBackend {
   /// Register (or re-find) the volume under the current generation;
   /// CHECKs that registered voxel dims still match the volume's.
   const VolumeRegistration& register_volume(const volren::Volume* volume);
-  mr::StagingHook make_staging_hook(const Pending& pending);
+  /// The frame's cache lookup. A brick is resident for another frame
+  /// only once its H2D has landed: a hit on a brick some other active
+  /// frame is still moving into host memory for `gpu` (or holds there,
+  /// waiting for the lane) reports a miss, and the fetch hook waits for
+  /// those bytes instead of reading them again.
+  mr::StagingHook make_staging_hook(ActiveFrame& active);
+  /// The other active frame whose transfer for `gpu` carries `key` (in
+  /// flight or landed, GPU part not yet issued); nullptr when none.
+  ActiveFrame* frame_staging(int gpu, const BrickKey& key, const ActiveFrame* self);
   /// Serve-time guard: the memoized layout must still describe the
   /// volume (a queued frame cannot outlive its volume's shape).
   void check_serve_dims(const Pending& head) const;
@@ -690,8 +708,10 @@ class RenderService final : public SessionBackend {
   /// Runs after apply_adaptive_quality so level plans exist exactly
   /// when a pyramid may serve coarse chunks this admission.
   void apply_compression(ActiveFrame& active, volren::AdaptiveQuality* aq);
-  /// Adapt the installed HydrationSource to the frame's cache keys.
-  mr::FetchHook make_fetch_hook(const Pending& pending);
+  /// The frame's staging-miss fetch: wait for another frame's transfer
+  /// of the same brick for the same GPU (frame_staging), else ask the
+  /// installed HydrationSource under the frame's cache keys.
+  mr::FetchHook make_fetch_hook(ActiveFrame& active);
   /// SLO controller + per-request quality knobs: resolves the LOD this
   /// admission serves at, fills `aq` (and the keep-alive refs on
   /// `active`), flags degradation. Mutates `options` (max_lod/quality).
@@ -733,7 +753,8 @@ class RenderService final : public SessionBackend {
   void drain_quantum();
   /// The scheduler heartbeat: reap finished frames, admit what the
   /// policy allows, fill free lanes (interactive quanta first, then
-  /// batch, then prefetch), and arm the next arrival wake-up.
+  /// batch, then prefetch; an issue that only starts a transfer leaves
+  /// the lane to the next candidate), and arm the next arrival wake-up.
   /// `try_admission` is false for events that only change lane state
   /// (lane freed, prefetch landed): admissibility moves only at
   /// arrival wakes, frame completions and mid-drain submits, each of
@@ -800,7 +821,7 @@ class RenderService final : public SessionBackend {
 
   // Quantum-scheduler state.
   std::vector<std::unique_ptr<ActiveFrame>> active_;  // <=1 per priority class
-  std::vector<std::uint8_t> lane_busy_;  // quantum or prefetch in flight
+  std::vector<std::uint8_t> lane_busy_;  // GPU part, wedge or prefetch in flight
   double drain_floor_s_ = 0.0;   // arrival clamp for the current drain
   /// Admission gate for drain_until(): no frame is admitted (and no
   /// arrival wake armed) at/after this clock value. +inf for a full

@@ -145,7 +145,7 @@ TEST(CompressionService, PeerHydrationServesColdShardFromWarmSibling) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   config.service.compression = compress::Codec::Rle;
   ServiceFrontend frontend(config);
 
@@ -189,7 +189,7 @@ TEST(CompressionService, PeerHydrationFallsBackToDiskWhenNoSiblingIsWarm) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   ServiceFrontend frontend(config);
   SessionProfile profile;
   profile.name = "cold";

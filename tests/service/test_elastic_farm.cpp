@@ -420,27 +420,6 @@ TEST(ElasticFarm, AddShardJoinsAtFarmTimeAndWindowsTrackCapacity) {
   }
 }
 
-TEST(ElasticFarm, DeprecatedConfigAliasesFoldIntoHandoff) {
-  FrontendConfig config = two_shard_config();
-  config.handoff.peer_hydration = false;  // alias must override this
-  config.handoff.failover_prepush = true;
-  config.enable_peer_hydration = true;
-  config.failover_prepush = false;
-  net::FabricModel slow;
-  slow.latency_s = 123e-6;
-  config.hydration_fabric = slow;
-  ServiceFrontend frontend(std::move(config));
-  const FrontendConfig& resolved = frontend.config();
-  EXPECT_TRUE(resolved.handoff.peer_hydration);
-  EXPECT_FALSE(resolved.handoff.failover_prepush);
-  EXPECT_DOUBLE_EQ(resolved.handoff.fabric.latency_s, 123e-6);
-  // Unset aliases leave the sub-config alone.
-  FrontendConfig plain = two_shard_config();
-  plain.handoff.peer_hydration = true;
-  ServiceFrontend frontend2(std::move(plain));
-  EXPECT_TRUE(frontend2.config().handoff.peer_hydration);
-}
-
 TEST(ElasticFarm, CustomPlacementPolicyOverridesDefault) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   FrontendConfig config = two_shard_config();

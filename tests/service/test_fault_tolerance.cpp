@@ -368,7 +368,7 @@ TEST(FaultTolerance, HydrationSurvivesInjectedFabricDrop) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.enable_peer_hydration = true;
+  config.handoff.peer_hydration = true;
   ServiceFrontend frontend(config);
   // Drop the first message INTO shard 1 — the hydration payload. The
   // reliable send must retransmit; without it the render plan would
