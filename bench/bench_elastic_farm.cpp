@@ -166,7 +166,6 @@ FarmRun run_autoscale(const volren::Volume& volume, double period_s,
   config.rebalance.skew_ratio = 1.5;
   config.rebalance.max_moves_per_pass = 2;
   config.autoscale.enabled = true;
-  config.autoscale.min_shards = 1;
   config.autoscale.max_shards = 2;
   config.autoscale.scale_up_backlog_s = period_s * 0.5;
   config.autoscale.scale_down_backlog_s = 1e-9;

@@ -47,16 +47,6 @@ ServiceFrontend::ServiceFrontend(FrontendConfig config)
   VRMR_CHECK_MSG(config_.shards >= 1, "frontend needs at least one shard");
   VRMR_CHECK_MSG(config_.gpus_per_shard >= 1,
                  "frontend shards need at least one GPU");
-  VRMR_CHECK_MSG(config_.cache_policy_per_shard.empty() ||
-                     static_cast<int>(config_.cache_policy_per_shard.size()) ==
-                         config_.shards,
-                 "cache_policy_per_shard must be empty or name one policy "
-                 "per shard ("
-                     << config_.shards << "), got "
-                     << config_.cache_policy_per_shard.size());
-  VRMR_CHECK_MSG(config_.autoscale.min_shards >= 1,
-                 "autoscale.min_shards must be >= 1, got "
-                     << config_.autoscale.min_shards);
   VRMR_CHECK_MSG(config_.autoscale.max_shards >= 0,
                  "autoscale.max_shards must be >= 0, got "
                      << config_.autoscale.max_shards);
@@ -75,15 +65,9 @@ ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
   shard.engine = std::make_unique<sim::Engine>();
   shard.cluster = std::make_unique<cluster::Cluster>(
       *shard.engine,
-      cluster::ClusterConfig::with_total_gpus(
-          config_.gpus_per_shard, config_.hw, config_.max_gpus_per_node));
-  ServiceConfig service_config = config_.service;
-  if (index < static_cast<int>(config_.cache_policy_per_shard.size())) {
-    service_config.cache_policy =
-        config_.cache_policy_per_shard[static_cast<std::size_t>(index)];
-  }
-  shard.service =
-      std::make_unique<RenderService>(*shard.cluster, service_config);
+      cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard,
+                                              config_.hw));
+  shard.service = std::make_unique<RenderService>(*shard.cluster, config_.service);
   if (max_farm_shards_ > 1) {
     // One fabric per shard, on that shard's engine, with one "node" per
     // farm SLOT (max_farm_shards_, so shards added later join the same
@@ -91,7 +75,7 @@ ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
     // timeline (see the Shard::fabric comment). The fabric exists even
     // when hydration is off — migration and failover pushes ride it.
     shard.fabric = std::make_unique<net::Fabric>(
-        *shard.engine, config_.handoff.fabric, max_farm_shards_);
+        *shard.engine, net::FabricModel{}, max_farm_shards_);
     if (config_.handoff.peer_hydration) {
       shard.service->set_hydration_source(
           [this, index](int gpu, const volren::Volume* volume,
@@ -172,9 +156,6 @@ int ServiceFrontend::resolve_placement(const SessionProfile& profile,
                                        const volren::Volume* volume,
                                        int exclude_shard) const {
   PlacementQuery query;
-  query.profile = &profile;
-  query.volume = volume;
-  query.current_shard = exclude_shard;
   query.shards.reserve(shards_.size());
   for (int s = 0; s < num_shards(); ++s) {
     const Shard& shard = shards_[static_cast<std::size_t>(s)];
@@ -188,9 +169,9 @@ int ServiceFrontend::resolve_placement(const SessionProfile& profile,
     signal.outstanding_cost_s = shard.service->outstanding_cost_s();
     query.shards.push_back(signal);
   }
-  // A pin naming a dead or non-accepting shard cannot be honored; the
-  // policy re-places over the survivors rather than queueing frames a
-  // shard will never serve.
+  // A pin naming a dead or non-accepting shard cannot be honored;
+  // placement re-places over the survivors rather than queueing frames
+  // a shard will never serve.
   if (profile.pin_shard.has_value()) {
     const int pin = *profile.pin_shard;
     if (pin >= 0 && pin < num_shards()) {
@@ -199,17 +180,9 @@ int ServiceFrontend::resolve_placement(const SessionProfile& profile,
       if (signal.alive && signal.accepting) query.pinned = pin;
     }
   }
-  const int chosen = config_.placement ? config_.placement(query)
-                                       : default_placement(query);
-  VRMR_CHECK_MSG(chosen >= 0 && chosen < num_shards(),
-                 "no accepting shard to place on (placement policy returned "
-                     << chosen << " for session '" << profile.name << "')");
-  const PlacementSignal& signal =
-      query.shards[static_cast<std::size_t>(chosen)];
-  VRMR_CHECK_MSG(signal.alive && signal.accepting,
-                 "placement policy chose shard "
-                     << chosen << " for session '" << profile.name
-                     << "', which is not accepting");
+  const int chosen = default_placement(query);
+  VRMR_CHECK_MSG(chosen >= 0, "no accepting shard to place session '"
+                                  << profile.name << "' on");
   return chosen;
 }
 
@@ -496,12 +469,8 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     Shard& dest = shards_[static_cast<std::size_t>(move.target)];
     SessionProfile profile = state.profile;
     profile.pin_shard.reset();  // the placement decision was already made
-    if (!crash) {
-      // A voluntary move supersedes any pre-placement pin, and stamps
-      // the hysteresis clock the rebalancer consults.
-      state.profile.pin_shard.reset();
-      state.last_migrated_s = plan.decision_s;
-    }
+    // A voluntary move supersedes any pre-placement pin.
+    if (!crash) state.profile.pin_shard.reset();
     // The previous epoch's session stays open on the source (its
     // in-flight frame and queued refinements deliver there through the
     // callback copies); session_stats merges its history.
@@ -762,7 +731,7 @@ void ServiceFrontend::drain_shard(int index) {
   int migrated = 0;
   for (int session = 0; session < num_sessions(); ++session) {
     if (sessions_[static_cast<std::size_t>(session)]->shard != index) continue;
-    // One plan per session: each consults the placement policy against
+    // One plan per session: each consults placement against
     // post-previous-move signals, so a big drain spreads over the farm.
     execute_migration(plan_voluntary(session, -1, decision_s));
     ++migrated;
@@ -809,26 +778,14 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     }
     if (hot < 0 || cold < 0 || hot == cold) break;
     const double gap = hot_cost - cold_cost;
-    // Both skew gates must hold: relative ratio (scale-free) and the
-    // absolute floor (a 2:1 skew over microseconds is not worth a
-    // handoff); a uniformly loaded or uniformly idle farm never churns.
-    if (hot_cost <= 0.0 || gap < rb.min_imbalance_s) break;
+    // The relative skew gate is scale-free: a uniformly loaded or
+    // uniformly idle farm never churns.
+    if (hot_cost <= 0.0) break;
     if (hot_cost <= rb.skew_ratio * std::max(cold_cost, 1e-12)) break;
-    if (rb.sustained_utilization > 0.0) {
-      const double span = rb.sustain_s > 0.0      ? rb.sustain_s
-                          : rb.period_s > 0.0     ? rb.period_s
-                                                  : config_.service.stats_window_s;
-      if (span > 0.0) {
-        const double busy = trailing_busy_s(hot, now_s, span);
-        const double util =
-            busy / (span * static_cast<double>(config_.gpus_per_shard));
-        if (util < rb.sustained_utilization) break;  // a blip, not a trend
-      }
-    }
     // Candidate: the hot shard's session whose move best balances the
-    // pair — minimize |gap - 2*cost| — skipping sessions inside the
-    // hysteresis window and ones whose move would only swap the skew
-    // (cost >= gap). Ties to the lowest session index (determinism).
+    // pair — minimize |gap - 2*cost| — skipping ones whose move would
+    // only swap the skew (cost >= gap). Ties to the lowest session
+    // index (determinism).
     const Shard& hot_shard = shards_[static_cast<std::size_t>(hot)];
     int best_session = -1;
     double best_score = kInf;
@@ -836,7 +793,6 @@ int ServiceFrontend::rebalance_pass(double now_s) {
       const FrontendSession& state =
           *sessions_[static_cast<std::size_t>(session)];
       if (state.shard != hot) continue;
-      if (now_s - state.last_migrated_s < rb.hysteresis_s) continue;
       const double cost =
           hot_shard.service->outstanding_cost_for_session(state.inner.index_);
       if (cost <= 0.0 || cost >= gap) continue;
@@ -847,8 +803,8 @@ int ServiceFrontend::rebalance_pass(double now_s) {
       }
     }
     if (best_session < 0) break;
-    // Target through the placement policy (warm affinity may beat the
-    // literal coldest shard) — the hot source is excluded in the query.
+    // Target through placement (warm affinity may beat the literal
+    // coldest shard) — the hot source is excluded in the query.
     execute_migration(plan_voluntary(best_session, -1, now_s));
     ++rebalance_migrations_;
     ++moved;
@@ -856,10 +812,9 @@ int ServiceFrontend::rebalance_pass(double now_s) {
   return moved;
 }
 
-void ServiceFrontend::autoscale_pass(double now_s) {
+void ServiceFrontend::autoscale_pass() {
   const AutoscaleConfig& as = config_.autoscale;
   if (!as.enabled) return;
-  if (now_s - last_scale_s_ < as.cooldown_s) return;
   int active = 0;
   double backlog = 0.0;
   for (int s = 0; s < num_shards(); ++s) {
@@ -872,11 +827,9 @@ void ServiceFrontend::autoscale_pass(double now_s) {
   const double per_shard = backlog / static_cast<double>(active);
   if (per_shard > as.scale_up_backlog_s && num_shards() < max_farm_shards_) {
     add_shard();
-    last_scale_s_ = now_s;
     return;
   }
-  if (per_shard <= as.scale_down_backlog_s &&
-      active > std::max(1, as.min_shards)) {
+  if (per_shard <= as.scale_down_backlog_s && active > 1) {
     // Retire the least-loaded accepting shard; ties to the HIGHEST
     // index (newest-first elasticity — added shards leave first).
     int victim = -1;
@@ -891,10 +844,7 @@ void ServiceFrontend::autoscale_pass(double now_s) {
         victim_cost = cost;
       }
     }
-    if (victim >= 0) {
-      drain_shard(victim);
-      last_scale_s_ = now_s;
-    }
+    if (victim >= 0) drain_shard(victim);
   }
 }
 
@@ -903,23 +853,6 @@ double ServiceFrontend::farm_now() const {
   for (const Shard& shard : shards_)
     now = std::max(now, shard.engine->now());
   return now;
-}
-
-double ServiceFrontend::trailing_busy_s(int index, double now_s,
-                                        double span_s) const {
-  const double width = config_.service.stats_window_s;
-  if (width <= 0.0 || span_s <= 0.0) return 0.0;
-  const Shard& shard = shards_[static_cast<std::size_t>(index)];
-  const double lo = now_s - span_s;
-  double busy = 0.0;
-  for (const auto& [bin, window] : shard.service->window_bins()) {
-    const double bin_lo = static_cast<double>(bin) * width;
-    const double overlap =
-        std::min(bin_lo + width, now_s) - std::max(bin_lo, lo);
-    if (overlap <= 0.0) continue;
-    busy += window.gpu_busy_s * (overlap / width);  // pro-rate partial bins
-  }
-  return busy;
 }
 
 int ServiceFrontend::accepting_shards() const {
@@ -978,7 +911,7 @@ void ServiceFrontend::drain() {
       sweep();
       if (!control) return;
       const double now = farm_now();
-      autoscale_pass(now);  // capacity first; the rebalancer fills it
+      autoscale_pass();  // capacity first; the rebalancer fills it
       const int moves = rebalance_pass(now);
       if (moves == 0 && total_queued() == 0) return;
     }
@@ -1016,7 +949,7 @@ void ServiceFrontend::drain() {
           served = true;
       }
     }
-    autoscale_pass(horizon);  // capacity first; the rebalancer fills it
+    autoscale_pass();  // capacity first; the rebalancer fills it
     const int moves = rebalance_pass(horizon);
     int queued = 0;
     double min_arrival = kInf;

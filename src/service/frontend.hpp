@@ -9,7 +9,7 @@
 // a sharded deployment from a single backend.
 //
 // Placement happens lazily on the session's FIRST submit (only then is
-// the volume known), through a pluggable PlacementPolicy. The default:
+// the volume known), through default_placement:
 //
 //   1. pin — a SessionProfile::pin_shard naming a live, accepting
 //      shard is honored;
@@ -19,6 +19,11 @@
 //      queued frames sum to the smallest predicted cost
 //      (RenderService::outstanding_cost_s) wins; ties go to the lowest
 //      shard index.
+//
+// A voluntary move without an explicit target (migrate_session(s), the
+// rebalancer, drain_shard) applies the same rule over the other
+// accepting shards; crash failover picks the least-loaded survivor.
+// Every shard-to-shard transfer rides the default net::FabricModel.
 //
 // A session's placement is no longer forever: the frontend's CONTROL
 // PLANE moves placed sessions at frame boundaries through one shared
@@ -70,9 +75,6 @@ struct HandoffConfig {
   /// (RenderOptions::include_disk_io); for in-core frames it only
   /// inserts a fabric hop before the H2D copy.
   bool peer_hydration = false;
-  /// Interconnect model for every shard-to-shard transfer (each shard
-  /// is one "node" on a per-shard fabric instance).
-  net::FabricModel fabric;
   /// Warm handoff on CRASH failover: pre-push the dead shard's
   /// resident bricks for the orphaned volumes to the failover target
   /// (send_reliable, so injected drops retransmit) and floor the
@@ -102,31 +104,18 @@ struct RebalanceConfig {
   /// drained it); set a period comparable to service.stats_window_s
   /// for steady-state behaviour.
   double period_s = 0.0;
-  /// Trigger: hottest outstanding cost > skew_ratio x coldest (and the
-  /// absolute gap >= min_imbalance_s). Both must hold, so a uniformly
-  /// loaded or uniformly idle farm never churns.
+  /// Trigger: hottest outstanding cost > skew_ratio x coldest, so a
+  /// uniformly loaded or uniformly idle farm never churns.
   double skew_ratio = 2.0;
-  double min_imbalance_s = 0.0;
-  /// Sustained-skew guard over FrontendStats::windows: when > 0, the
-  /// hot shard must also show at least this trailing-window GPU
-  /// utilization (busy / (sustain_s x gpus)) — a cold-start blip with
-  /// no serving history does not count as sustained. 0 disables.
-  double sustained_utilization = 0.0;
-  /// Trailing span for the sustained check; 0 means one period_s.
-  double sustain_s = 0.0;
-  /// Hysteresis against ping-ponging: a session migrated at farm time
-  /// t is not migrated again before t + hysteresis_s.
-  double hysteresis_s = 0.0;
   /// At most this many session moves per control pass.
   int max_moves_per_pass = 1;
 };
 
 /// Elastic shard count: add_shard() / drain_shard() driven by the
 /// aggregate backlog, at the same cadence as RebalanceConfig::period_s.
+/// Scale-down never drains the last accepting shard.
 struct AutoscaleConfig {
   bool enabled = false;
-  /// The farm never drains below this many accepting shards.
-  int min_shards = 1;
   /// Farm capacity: the fabric is wired for max(shards, max_shards)
   /// nodes at construction, so shards added later join the existing
   /// interconnect. add_shard() beyond this is an error. 0 means the
@@ -138,8 +127,6 @@ struct AutoscaleConfig {
   /// Scale down (drain the least-loaded shard) when mean backlog per
   /// accepting shard falls to/below this.
   double scale_down_backlog_s = 0.01;
-  /// Minimum farm time between scale operations.
-  double cooldown_s = 0.0;
 };
 
 /// Per-shard signals assembled by the frontend for a placement
@@ -153,26 +140,16 @@ struct PlacementSignal {
 };
 
 struct PlacementQuery {
-  const SessionProfile* profile = nullptr;
-  /// The volume of the placing submit (or of a migrating session's
-  /// first moved frame); null when no volume is known.
-  const volren::Volume* volume = nullptr;
   /// SessionProfile::pin_shard passthrough (unset when the pin names a
-  /// shard that is dead or not accepting — the policy must re-place).
+  /// shard that is dead or not accepting — placement must re-place).
   std::optional<int> pinned;
-  /// The shard the session currently lives on (already excluded from
-  /// the candidate signals), or -1 for a first placement.
-  int current_shard = -1;
+  /// A migration's source shard is reported as not accepting.
   std::vector<PlacementSignal> shards;
 };
 
-/// Returns the chosen shard index. Must pick an alive, accepting
-/// candidate from `query.shards`; the frontend CHECK-fails otherwise.
-using PlacementPolicy = std::function<int(const PlacementQuery&)>;
-
-/// The default policy: pin, then brick affinity, then least
-/// outstanding cost, ties to the lowest index (see the header
-/// comment). Custom policies can call this as their fallback.
+/// The placement rule: pin, then brick affinity, then least outstanding
+/// cost, ties to the lowest index (see the header comment). Returns the
+/// chosen shard index, or -1 when no candidate is alive and accepting.
 int default_placement(const PlacementQuery& query);
 
 /// One computed relocation, shared by every control-plane trigger:
@@ -207,28 +184,17 @@ struct FrontendConfig {
   int gpus_per_shard = 4;
   /// Hardware model + node packing for every shard's cluster.
   cluster::HardwareModel hw = cluster::HardwareModel::ncsa_accelerator_cluster();
-  int max_gpus_per_node = 4;
   /// Per-shard RenderService configuration (policy, cache, ...).
   /// Adaptive quality flows through unchanged: each shard runs its own
   /// SLO controller (service.interactive_slo_s / max_degrade_lod) and
   /// per-session quality floors (SessionProfile::quality) ride the
   /// profile to whichever shard placement picks.
   ServiceConfig service;
-  /// Optional per-shard brick-cache policy override: when non-empty it
-  /// must name one policy per INITIAL shard; shards added by the
-  /// autoscaler use service.cache_policy. Empty (default): every shard
-  /// uses service.cache_policy.
-  std::vector<CachePolicy> cache_policy_per_shard;
 
   // --- control plane ------------------------------------------------------
   HandoffConfig handoff;
   RebalanceConfig rebalance;
   AutoscaleConfig autoscale;
-  /// Placement hook; null runs default_placement. The policy sees
-  /// every placement-shaped decision: first placement and voluntary
-  /// migration targets (failover keeps its documented
-  /// least-outstanding-cost survivor pick).
-  PlacementPolicy placement;
 };
 
 struct ShardStats {
@@ -346,7 +312,7 @@ class ServiceFrontend final : public SessionBackend {
   // --- control plane ------------------------------------------------------
   /// Voluntarily migrate a placed session at a frame boundary: its
   /// queued frames are extracted live (no crash snapshot), the session
-  /// re-opens on `target_shard` (-1 lets the placement policy choose
+  /// re-opens on `target_shard` (-1 lets default_placement choose
   /// among the other accepting shards), retained client callbacks are
   /// re-installed, the source cache's warm bricks for the moved
   /// frames' volumes are pre-pushed (HandoffConfig::migration_prepush)
@@ -365,7 +331,7 @@ class ServiceFrontend final : public SessionBackend {
   int add_shard();
 
   /// Shrink the farm: stop placing onto `index`, migrate every placed
-  /// session off it (placement policy picks each target), serve any
+  /// session off it (default_placement picks each target), serve any
   /// remaining internal work, then retire the shard — it serves
   /// nothing afterwards and its windows capacity contribution ends at
   /// the retirement time. Its serving history stays in stats(). Emits
@@ -390,7 +356,7 @@ class ServiceFrontend final : public SessionBackend {
   /// meets a crashed shard; idempotent.
   void failover(int crashed_shard);
   /// Pin an UNPLACED session to a shard ahead of its first submit
-  /// (sets SessionProfile::pin_shard; the placement policy honors it).
+  /// (sets SessionProfile::pin_shard; default_placement honors it).
   /// Range-validated; idempotent — re-pinning to the same shard (or
   /// pinning a session already placed there) is a no-op, while moving
   /// an already-placed session is an error: use migrate_session().
@@ -444,22 +410,19 @@ class ServiceFrontend final : public SessionBackend {
     /// Earlier placements' inner sessions (failover and voluntary
     /// moves): session_stats merges their served history.
     std::vector<Session> past_inner;
-    /// Farm time of the last migration (rebalancer hysteresis).
-    double last_migrated_s = -std::numeric_limits<double>::infinity();
   };
 
   /// Build one shard (used by the constructor and add_shard).
   Shard make_shard(int index);
-  /// Run the placement policy over the current farm signals and
-  /// validate its answer. `exclude_shard` (a migration's source) is
-  /// reported as non-accepting in the query.
+  /// Run default_placement over the current farm signals. `exclude_shard`
+  /// (a migration's source) is reported as non-accepting in the query.
   int resolve_placement(const SessionProfile& profile,
                         const volren::Volume* volume, int exclude_shard) const;
   /// Failover's documented survivor pick: least outstanding cost among
   /// alive accepting shards, ties to the lowest index.
   int least_loaded_target(int exclude_shard) const;
   /// Compute a voluntary plan for one session: extract its live queue
-  /// from the source shard and pick the target (policy when < 0).
+  /// from the source shard and pick the target (placement when < 0).
   MigrationPlan plan_voluntary(int session, int target_shard,
                                double decision_s);
   /// The shared repoint-plus-handoff core (see MigrationPlan).
@@ -467,11 +430,9 @@ class ServiceFrontend final : public SessionBackend {
   /// Steady-state control passes, run at horizon frame boundaries.
   /// rebalance_pass returns the number of sessions it moved.
   int rebalance_pass(double now_s);
-  void autoscale_pass(double now_s);
+  void autoscale_pass();
   /// Max simulated time over live shards — the farm clock.
   double farm_now() const;
-  /// GPU-busy seconds shard `index` logged in [now - span, now).
-  double trailing_busy_s(int index, double now_s, double span_s) const;
   int accepting_shards() const;
   /// The HydrationSource installed on every shard: probe siblings for a
   /// warm copy of (volume -> their id, key.brick_id, key.layout_id) and
@@ -506,7 +467,6 @@ class ServiceFrontend final : public SessionBackend {
   std::uint64_t rebalance_migrations_ = 0;
   std::uint64_t shards_added_ = 0;
   std::uint64_t shards_drained_ = 0;
-  double last_scale_s_ = -std::numeric_limits<double>::infinity();
 };
 
 }  // namespace vrmr::service

@@ -19,6 +19,20 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// VRAM held back from the cache budget for the working frame (brick
+/// being staged, kernel output slots, transfer texture).
+constexpr std::uint64_t kCacheReserveBytes = 512ull << 20;
+/// Occupancy scan budget: volumes above this voxel count get a
+/// subsampled, non-exact scan — metadata only, never culled from.
+constexpr std::int64_t kOccupancyMaxVoxels = std::int64_t{1} << 24;
+/// Base lane hold-down after a failed map quantum: the chunk's retry
+/// may issue on the detecting lane no sooner than this x 2^(attempt-1)
+/// of simulated time (other lanes are unaffected).
+constexpr double kRetryBackoffS = 200e-6;
+/// Failure-detection timeout for injected faults whose event carries no
+/// param_s: how long a lane is wedged before the failure is observed.
+constexpr double kFaultDetectS = 1e-3;
+
 /// Serve-order tie-break: smaller key wins, then smaller frame_id —
 /// global submission order, never session open order.
 struct PickKey {
@@ -102,7 +116,7 @@ RenderService::RenderService(cluster::Cluster& cluster, ServiceConfig config)
         config_.cache_capacity_override > 0
             ? config_.cache_capacity_override
             : BrickCache::capacity_for(cluster_.config().hw.gpu,
-                                       config_.cache_reserve_bytes);
+                                       kCacheReserveBytes);
     cache_.emplace(cluster_.total_gpus(), capacity, config_.cache_policy);
   }
   lane_busy_.assign(static_cast<std::size_t>(cluster_.total_gpus()), 0);
@@ -197,7 +211,7 @@ std::uint64_t RenderService::session_submit(int session, RenderRequest request) 
   // every GPU lane is idle and nothing would call pump() until that
   // frame finishes. Hand the scheduler a fresh event at the current
   // clock; pump() is idempotent, so bursts of submissions are fine.
-  if (draining_ && config_.pipeline == PipelineMode::Quantum) {
+  if (draining_) {
     cluster_.engine().schedule_after(0.0, [this] {
       if (draining_) pump();
     });
@@ -368,13 +382,6 @@ int RenderService::pick_next(double now, double* predicted_cost_s,
     }
   }
   return best;
-}
-
-void RenderService::advance_clock_to(double t) {
-  auto& engine = cluster_.engine();
-  if (t <= engine.now()) return;
-  engine.schedule_at(t, [] {});
-  engine.run();
 }
 
 double RenderService::estimate_cost_s(const Pending& pending, int lod) const {
@@ -676,7 +683,7 @@ RenderService::QualityState& RenderService::quality_state(const Pending& pending
   }
   if (config_.enable_occupancy_culling && qs.occupancy == nullptr) {
     const std::int64_t voxels = pending.request.volume->voxel_count();
-    const int scan_stride = voxels > config_.occupancy_max_voxels ? 4 : 1;
+    const int scan_stride = voxels > kOccupancyMaxVoxels ? 4 : 1;
     qs.occupancy = std::make_shared<const lod::OccupancyIndex>(
         *pending.request.volume, *pending.layout, /*cell_voxels=*/8, scan_stride);
   }
@@ -767,17 +774,15 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
                                            const SessionState& session,
                                            volren::RenderOptions& options,
                                            volren::AdaptiveQuality* aq) {
-  if (!config_.enable_lod && !config_.enable_occupancy_culling) return;
   // The session's quality floor composes with the request's own knob.
   if (session.profile.quality < options.quality)
     options.quality = session.profile.quality;
 
-  const bool wants_lod =
-      config_.enable_lod && (options.max_lod > 0 || options.quality < 1.0f);
+  const bool wants_lod = options.max_lod > 0 || options.quality < 1.0f;
   // The SLO controller degrades only client Interactive frames: a
   // refinement re-degrading would loop forever, and Batch work has no
   // deadline to protect.
-  const bool slo_armed = config_.enable_lod && config_.interactive_slo_s > 0.0 &&
+  const bool slo_armed = config_.interactive_slo_s > 0.0 &&
                          active.priority == Priority::Interactive &&
                          !active.pending.is_refinement;
   if (!wants_lod && !slo_armed && !config_.enable_occupancy_culling) return;
@@ -785,7 +790,7 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
   const std::uint64_t vid = register_volume(active.pending.request.volume).id;
   QualityState& qs = quality_state(active.pending, vid);
 
-  if (config_.enable_lod && (wants_lod || slo_armed)) {
+  if (wants_lod || slo_armed) {
     active.pyramid = qs.pyramid;
     aq->pyramid = qs.pyramid.get();
     int level = qs.pyramid->clamp(options.max_lod);
@@ -881,7 +886,7 @@ void RenderService::maybe_enqueue_refinement(ActiveFrame& active) {
       std::move(refine));
   // Mid-drain enqueue needs a scheduler event exactly like a mid-drain
   // client submit (see session_submit).
-  if (draining_ && config_.pipeline == PipelineMode::Quantum) {
+  if (draining_) {
     cluster_.engine().schedule_after(0.0, [this] {
       if (draining_) pump();
     });
@@ -930,11 +935,11 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   // it; other policies never run the model.
   if (predicted_cost_s >= 0.0) record.predicted_cost_s = predicted_cost_s;
 
-  // The quantum scheduler owns barrier enforcement: per-reducer
-  // readiness (ServiceConfig::barrier_mode default) lets each tile's
-  // sort+reduce chain the moment its own inbox completes, so tiles
-  // stream and lanes free while other lanes still map. Monolithic
-  // keeps the request's own setting (the paper's schedule by default).
+  // The Quantum rule owns barrier enforcement: per-reducer readiness
+  // (ServiceConfig::barrier_mode default) lets each tile's sort+reduce
+  // chain the moment its own inbox completes, so tiles stream and lanes
+  // free while other lanes still map. Monolithic keeps the request's
+  // own setting (the paper's schedule by default).
   // Every served frame skips TF-empty space in the map kernel: same
   // pixels as the request renders unserved, fewer charged samples.
   volren::RenderOptions options = active->pending.request.options;
@@ -986,80 +991,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   return active;
 }
 
-// --- monolithic pipeline -----------------------------------------------------
-
-void RenderService::serve_one(int session_index, double arrival_floor_s,
-                              double predicted_cost_s) {
-  auto active =
-      make_active_frame(session_index, arrival_floor_s, predicted_cost_s);
-  auto& engine = cluster_.engine();
-  FrameRecord& record = active->record;
-  record.start_s = engine.now();
-  // Zero-delta sample: closes any idle gap since the last completion
-  // so the frame's busy is not smeared back across it.
-  sample_gpu_busy();
-  ActiveFrame* raw = active.get();
-  // Tiles stream at their true completion times even in the monolithic
-  // schedule — only preemption and prefetch are quantum-pipeline-only.
-  active->frame->plan().on_tile_done([this, raw](int r) { deliver_tile(*raw, r); });
-  active->frame->plan().run_to_completion();
-
-  volren::RenderResult result = active->frame->finish();
-  // The plan itself counts skipped stagings, so hit accounting is
-  // uniform whether or not a cache is wired in. Culled chunks (empty
-  // screen footprint or occupancy-empty) were never demanded from the
-  // cache, so they are neither hits nor misses.
-  record.cache_hits = result.stats.chunks_resident;
-  record.cache_misses = static_cast<std::uint64_t>(result.stats.num_chunks) -
-                        record.cache_hits - result.stats.chunks_culled;
-  record.finish_s = engine.now();
-  record.stats = std::move(result.stats);
-  // The footprint path may have dropped deeper than the admission-time
-  // floor (quality < 1); the record reports the deepest level served.
-  record.lod = std::max(record.lod, active->frame->max_level());
-  bricks_occupancy_culled_ +=
-      static_cast<std::uint64_t>(active->frame->occupancy_culled());
-  if (active->pending.is_refinement) ++refinements_served_;
-  if (config_.keep_images) record.image = std::move(result.image);
-  window_at(record.finish_s).frames_finished += 1;
-  sample_gpu_busy();
-  observe_completion(*active);
-
-  VRMR_DEBUG("service") << "session " << session_index << " frame "
-                        << record.frame_id << " latency=" << record.latency_s()
-                        << "s (wait=" << record.queue_wait_s()
-                        << "s) hits=" << record.cache_hits << "/"
-                        << (record.cache_hits + record.cache_misses);
-
-  calibrate(session_index, record, active->pending.submit_cost_s);
-  completed_.push_back(std::move(record));
-  deliver_frame(active->client_session, completed_.back());
-  // Strictly after the preview's delivery: the refinement's own
-  // on_frame can then never precede it (src/service/README.md).
-  maybe_enqueue_refinement(*active);
-}
-
-void RenderService::drain_monolithic(double arrival_floor_s) {
-  while (true) {
-    // Horizon stop (drain_until): frames are served whole here, so the
-    // check between serves IS the frame boundary.
-    if (cluster_.engine().now() >= admission_horizon_s_) break;
-    const double earliest = earliest_head_arrival();
-    if (earliest == kInf) break;  // every queue drained
-    if (earliest >= admission_horizon_s_) break;  // next work is next round's
-    double predicted_cost_s = -1.0;
-    const int pick =
-        pick_next(cluster_.engine().now(), &predicted_cost_s, false);
-    if (pick < 0) {
-      // Nothing has arrived yet: idle the cluster until the next frame.
-      advance_clock_to(earliest);
-      continue;
-    }
-    serve_one(pick, arrival_floor_s, predicted_cost_s);
-  }
-}
-
-// --- quantum pipeline --------------------------------------------------------
+// --- scheduler ---------------------------------------------------------------
 
 void RenderService::admit(int session_index, double predicted_cost_s) {
   // record.start_s is NOT stamped here but when the first quantum is
@@ -1135,12 +1067,15 @@ void RenderService::try_admit() {
     if (!interactive_active && !batch_active) {
       // Idle cluster: any class may be admitted (priority filter inside).
       pick = pick_next(now, &predicted_cost_s, false);
-    } else if (!interactive_active) {
+    } else if (!interactive_active &&
+               config_.pipeline == PipelineMode::Quantum) {
       // A batch frame is rendering: an arrived Interactive frame
       // preempts it at the next brick boundary.
       pick = pick_next(now, &predicted_cost_s, true);
     } else {
-      break;  // an interactive frame is already in flight
+      // An interactive frame is already in flight, or (Monolithic) the
+      // running frame keeps the cluster until it completes.
+      break;
     }
     if (pick < 0) break;
     if (batch_active) {
@@ -1156,7 +1091,8 @@ void RenderService::try_admit() {
 }
 
 bool RenderService::try_prefetch(int gpu) {
-  if (!cache_ || !config_.enable_prefetch) return false;
+  // The paper's schedule stages nothing speculatively.
+  if (!cache_ || config_.pipeline == PipelineMode::Monolithic) return false;
   bool any_active = false;
   for (const auto& active : active_) {
     if (!active->done) {
@@ -1298,7 +1234,8 @@ void RenderService::pump(bool try_admission) {
         if (!active->render_started) {
           active->render_started = true;
           active->record.start_s = cluster_.engine().now();
-          // Zero-delta sample across any idle gap (see serve_one).
+          // Zero-delta sample: closes any idle gap since the last
+          // completion so the frame's busy is not smeared back across it.
           sample_gpu_busy();
         }
         plan.issue_map_quantum(g);
@@ -1445,9 +1382,6 @@ void RenderService::install_fault_plan(const fault::FaultPlan& plan, int shard) 
 
 void RenderService::inject_fault(const fault::FaultEvent& event) {
   using fault::FaultKind;
-  VRMR_CHECK_MSG(config_.pipeline == PipelineMode::Quantum,
-                 "fault injection requires the Quantum pipeline (recovery is "
-                 "quantum-granular)");
   auto& engine = cluster_.engine();
   // Events stamped in the past land now (a plan may be installed after
   // the timeline advanced).
@@ -1460,8 +1394,7 @@ void RenderService::inject_fault(const fault::FaultEvent& event) {
       DiskFault fault;
       fault.time_s = event.time_s;
       fault.gpu = event.target;
-      fault.detect_s =
-          event.param_s > 0.0 ? event.param_s : config_.fault_detect_s;
+      fault.detect_s = event.param_s > 0.0 ? event.param_s : kFaultDetectS;
       disk_faults_.push_back(fault);
       break;
     }
@@ -1469,8 +1402,7 @@ void RenderService::inject_fault(const fault::FaultEvent& event) {
       VRMR_CHECK_MSG(event.target >= 0 && event.target < cluster_.total_gpus(),
                      "stall target lane " << event.target << " out of range");
       const int gpu = event.target;
-      const double hold =
-          event.param_s > 0.0 ? event.param_s : config_.fault_detect_s;
+      const double hold = event.param_s > 0.0 ? event.param_s : kFaultDetectS;
       engine.schedule_at(at, [this, gpu, hold] {
         if (crashed_) return;
         ++faults_injected_;
@@ -1537,17 +1469,14 @@ void RenderService::quantum_failed(int gpu, int chunk_index, int attempt) {
   // Exponential lane backoff: the chunk retries on this lane no sooner
   // than base x 2^(attempt-1); the wake re-pumps when the hold expires
   // (the plan's lane_free fires first but finds the lane held).
-  double backoff_s = 0.0;
-  if (config_.retry_backoff_s > 0.0) {
-    backoff_s =
-        config_.retry_backoff_s *
-        static_cast<double>(std::uint64_t{1} << std::min(attempt - 1, 16));
-    auto& held_until = lane_retry_at_[static_cast<std::size_t>(gpu)];
-    held_until = std::max(held_until, now + backoff_s);
-    cluster_.engine().schedule_at(held_until, [this] {
-      if (draining_ && !crashed_) pump(/*try_admission=*/false);
-    });
-  }
+  const double backoff_s =
+      kRetryBackoffS *
+      static_cast<double>(std::uint64_t{1} << std::min(attempt - 1, 16));
+  auto& held_until = lane_retry_at_[static_cast<std::size_t>(gpu)];
+  held_until = std::max(held_until, now + backoff_s);
+  cluster_.engine().schedule_at(held_until, [this] {
+    if (draining_ && !crashed_) pump(/*try_admission=*/false);
+  });
   if (trace_ != nullptr) {
     trace_->instant(now, trace_pid_, obs::kServiceTid, "retry.quantum", "fault",
                     {{"gpu", std::to_string(gpu)},
@@ -1746,11 +1675,7 @@ bool RenderService::drain_to(double horizon_s) {
   // Serving floor: arrivals backdated before the clock at drain start
   // (reused timeline) are treated as arriving now.
   drain_floor_s_ = cluster_.engine().now();
-  if (config_.pipeline == PipelineMode::Monolithic) {
-    drain_monolithic(drain_floor_s_);
-  } else {
-    drain_quantum();
-  }
+  drain_quantum();
   return !crashed_ && queued_frames() == 0;
 }
 

@@ -31,9 +31,11 @@
 //     instead of paying the staging miss.
 //
 // PipelineMode::Monolithic reproduces the paper's whole-frame schedule
-// (one run-to-completion job at a time); tile callbacks still fire at
-// the true reducer completion times — only preemption and prefetch are
-// disabled. bench_preemption_latency quantifies the difference.
+// through the same scheduler: a frame is admitted only when no frame is
+// in flight, so it runs alone to completion with its request's own
+// barrier mode, and idle lanes never prefetch. Tiles still stream at
+// the true reducer completion times and faults recover as under
+// Quantum. bench_preemption_latency quantifies the difference.
 //
 // Scheduling picks *which queued frame is admitted next*:
 //
@@ -103,9 +105,10 @@ const char* to_string(PipelineMode mode);
 struct ServiceConfig {
   SchedulingPolicy policy = SchedulingPolicy::Fifo;
 
-  /// Quantum (default): brick-granular scheduling with preemption and
-  /// prefetch. Monolithic: the paper's indivisible one-job-per-frame
-  /// execution (tile streaming still active).
+  /// Admission rule. Quantum (default): brick-granular scheduling with
+  /// preemption and prefetch. Monolithic: the paper's indivisible
+  /// one-job-per-frame schedule — a frame is admitted only when none is
+  /// in flight, and nothing is prefetched (tile streaming still active).
   PipelineMode pipeline = PipelineMode::Quantum;
 
   /// Barrier enforcement for frames served under the Quantum pipeline
@@ -150,14 +153,6 @@ struct ServiceConfig {
   /// twice-touched working set (bench_cache_policies gates the win).
   CachePolicy cache_policy = CachePolicy::Lru;
 
-  /// Stage predicted next bricks of orbit-hinted sessions on lanes the
-  /// current frame leaves idle (Quantum pipeline with cache only).
-  bool enable_prefetch = true;
-
-  /// VRAM held back from the cache budget for the working frame
-  /// (brick being staged, kernel output slots, transfer texture).
-  std::uint64_t cache_reserve_bytes = 512ull << 20;
-
   /// Non-zero overrides the DeviceProps-derived cache budget (tests).
   std::uint64_t cache_capacity_override = 0;
 
@@ -182,21 +177,16 @@ struct ServiceConfig {
   /// 0 disables degradation entirely (the pre-SLO behaviour).
   double interactive_slo_s = 0.0;
   /// Deepest pyramid level the SLO controller may degrade to (further
-  /// clamped by the pyramid's actual depth).
+  /// clamped by the pyramid's actual depth). Per-volume LOD pyramids
+  /// are built on demand: only frames that ask for reduced quality (the
+  /// SLO controller, max_lod or quality < 1) ever need one.
   int max_degrade_lod = 2;
-  /// Build per-volume LOD pyramids on demand (the SLO controller and
-  /// requests with max_lod/quality set need one). No effect on frames
-  /// that never ask for reduced quality.
-  bool enable_lod = true;
   /// Scan per-brick occupancy (min/max + cell thumbnail) and cull
   /// bricks the session's transfer function maps fully transparent
   /// before any staging. Output is bit-identical (lod/occupancy.hpp);
   /// off by default because culled bricks change cache/staging
   /// telemetry that replay baselines compare against.
   bool enable_occupancy_culling = false;
-  /// Occupancy scan budget: volumes above this voxel count get a
-  /// subsampled, non-exact scan — metadata only, never culled from.
-  std::int64_t occupancy_max_voxels = std::int64_t{1} << 24;
 
   // --- brick compression (src/compress) ------------------------------------
   /// Codec for every byte-moving path: None (default) stages raw
@@ -209,18 +199,6 @@ struct ServiceConfig {
   /// are lossless (rle) or modeled-size-only (zfp-style); see
   /// src/compress/README.md.
   compress::Codec compression = compress::Codec::None;
-
-  // --- fault tolerance (src/fault) -----------------------------------------
-  /// Base lane hold-down after a failed map quantum: the lane that
-  /// detected the failure is kept out of the scheduler's fill pass for
-  /// retry_backoff_s x 2^(attempt-1) of simulated time before the
-  /// chunk's retry can issue there (exponential backoff; other lanes
-  /// are unaffected). 0 retries immediately at the next pump.
-  double retry_backoff_s = 200e-6;
-  /// Default failure-detection timeout for injected faults whose event
-  /// carries no param_s: how long a lane is wedged before the failure
-  /// is observed (a stuck read, a missed completion).
-  double fault_detect_s = 1e-3;
 };
 
 /// One bin of the windowed service counters: activity inside
@@ -230,9 +208,9 @@ struct ServiceWindow {
   double start_s = 0.0;
   double window_s = 0.0;
   int frames_finished = 0;
-  /// Stage+map quanta the scheduler issued (Quantum pipeline): one per
-  /// chunk attempt that took a lane — a GPU part or a failed attempt's
-  /// wedge. Starting a brick's disk read or peer fetch is not a quantum.
+  /// Stage+map quanta the scheduler issued: one per chunk attempt that
+  /// took a lane — a GPU part or a failed attempt's wedge. Starting a
+  /// brick's disk read or peer fetch is not a quantum.
   std::uint64_t quanta_issued = 0;
   std::uint64_t preemptions = 0;
   std::uint64_t tiles = 0;
@@ -430,10 +408,10 @@ class RenderService final : public SessionBackend {
   /// kind:
   ///   DiskReadError — the next map quantum issued at/after time_s on
   ///     GPU `target` (-1 = any lane) fails after its detection timeout
-  ///     (param_s, default ServiceConfig::fault_detect_s); the chunk is
-  ///     restored and retried under exponential lane backoff.
+  ///     (param_s, default 1 ms); the chunk is restored and retried
+  ///     under exponential lane backoff (200 us x 2^(attempt-1)).
   ///   LaneStall     — GPU `target`'s stream is held busy for param_s
-  ///     (in-flight work completes late; nothing is lost).
+  ///     (default 1 ms; in-flight work completes late; nothing is lost).
   ///   LaneDeath     — GPU `target` fail-stops at time_s: it is
   ///     blacklisted for the service's lifetime, every active frame's
   ///     queued quanta on it redistribute to surviving lanes, and later
@@ -512,13 +490,6 @@ class RenderService final : public SessionBackend {
   /// every queue is empty. The frontend's horizon-round drain uses it
   /// to jump a control horizon over an idle gap.
   double next_arrival_s() const { return earliest_head_arrival(); }
-  /// Zero-copy view of the windowed bins (stats_window_s > 0), keyed
-  /// by bin index, utilization NOT filled in — the frontend's
-  /// rebalancer reads trailing busy from here without paying stats()'s
-  /// frame-history copy.
-  const std::map<std::int64_t, ServiceWindow>& window_bins() const {
-    return windows_;
-  }
   /// True when the volume is registered and has at least one brick
   /// resident on some GPU (the frontend's brick-affinity signal).
   bool volume_warm(const volren::Volume* volume) const;
@@ -634,7 +605,6 @@ class RenderService final : public SessionBackend {
   int pick_next(double now, double* predicted_cost_s,
                 bool interactive_only) const;
   double earliest_head_arrival() const;  // +inf when all queues empty
-  void advance_clock_to(double t);
   /// A-priori cost model (unscaled); scaled_cost applies the session's
   /// online calibration. `lod` > 0 estimates serving the frame from
   /// that pyramid level: samples shrink ~2^lod (longer steps), staged
@@ -659,18 +629,18 @@ class RenderService final : public SessionBackend {
   /// volume (a queued frame cannot outlive its volume's shape).
   void check_serve_dims(const Pending& head) const;
   void open_window(double arrival_s);
-  /// Shared admission bookkeeping for both pipelines: dims guard, pop
-  /// the session head, stamp the record (arrival clamp, serving
-  /// window, predicted cost) and build the PlannedFrame. The caller
-  /// wires execution hooks and decides when start_s is stamped.
+  /// Admission bookkeeping: dims guard, pop the session head, stamp the
+  /// record (arrival clamp, serving window, predicted cost) and build
+  /// the PlannedFrame. admit() wires the execution hooks; start_s is
+  /// stamped when the first quantum issues.
   std::unique_ptr<ActiveFrame> make_active_frame(int session_index,
                                                  double arrival_floor_s,
                                                  double predicted_cost_s);
   /// EWMA update from a completed frame's observed service time.
   void calibrate(int session_index, const FrameRecord& record, double raw_cost_s);
-  /// Completion-time observability shared by both pipelines: critical
-  /// path from the finished plan, per-class latency histograms, and the
-  /// frame's async trace span end. Requires record stamps to be final.
+  /// Completion-time observability: critical path from the finished
+  /// plan, per-class latency histograms, and the frame's async trace
+  /// span end. Requires record stamps to be final.
   void observe_completion(ActiveFrame& active);
   /// Async-span id of a frame's end-to-end trace arrow: stable across
   /// shards because the shard index (pid) is baked in.
@@ -744,23 +714,23 @@ class RenderService final : public SessionBackend {
   /// when the queue fully drained.
   bool drain_to(double horizon_s);
 
-  // --- monolithic pipeline ------------------------------------------------
-  void drain_monolithic(double arrival_floor_s);
-  void serve_one(int session_index, double arrival_floor_s,
-                 double predicted_cost_s);
-
-  // --- quantum pipeline ---------------------------------------------------
+  // --- scheduler -----------------------------------------------------------
   void drain_quantum();
   /// The scheduler heartbeat: reap finished frames, admit what the
-  /// policy allows, fill free lanes (interactive quanta first, then
-  /// batch, then prefetch; an issue that only starts a transfer leaves
-  /// the lane to the next candidate), and arm the next arrival wake-up.
+  /// admission rule allows, fill free lanes (interactive quanta first,
+  /// then batch, then prefetch; an issue that only starts a transfer
+  /// leaves the lane to the next candidate), and arm the next arrival
+  /// wake-up.
   /// `try_admission` is false for events that only change lane state
   /// (lane freed, prefetch landed): admissibility moves only at
   /// arrival wakes, frame completions and mid-drain submits, each of
   /// which pumps with admission on — skipping the policy pass (a full
   /// cost-model evaluation under SJF) on every brick boundary.
   void pump(bool try_admission = true);
+  /// Admit per the pipeline's rule. Quantum: one frame per priority
+  /// class, and an arrived Interactive frame is admitted beside a
+  /// rendering Batch frame (brick-boundary preemption). Monolithic: a
+  /// frame only when none is in flight.
   void try_admit();
   void admit(int session_index, double predicted_cost_s);
   bool try_prefetch(int gpu);
@@ -819,7 +789,7 @@ class RenderService final : public SessionBackend {
   double gpu_busy_at_window_open_ = 0.0;
   bool draining_ = false;  // reentrancy guard (drain() from a callback)
 
-  // Quantum-scheduler state.
+  // Scheduler state.
   std::vector<std::unique_ptr<ActiveFrame>> active_;  // <=1 per priority class
   std::vector<std::uint8_t> lane_busy_;  // GPU part, wedge or prefetch in flight
   double drain_floor_s_ = 0.0;   // arrival clamp for the current drain

@@ -211,13 +211,10 @@ TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {
     profile.name = std::move(name);
     return profile;
   };
-  auto serve_one = [&](volren::RenderOptions opt, SessionProfile profile,
-                       bool enable_lod) {
+  auto serve_one = [&](volren::RenderOptions opt, SessionProfile profile) {
     sim::Engine engine;
     cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
-    ServiceConfig config;
-    config.enable_lod = enable_lod;
-    RenderService service(cluster, config);
+    RenderService service(cluster);
     Session s = service.open_session(std::move(profile));
     RenderRequest request;
     request.volume = &volume;
@@ -231,9 +228,7 @@ TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {
   // says so.
   volren::RenderOptions coarse = options;
   coarse.max_lod = 1;
-  EXPECT_EQ(serve_one(coarse, profile_named("r"), true).lod, 1);
-  // ...unless LOD is disabled service-wide.
-  EXPECT_EQ(serve_one(coarse, profile_named("r"), false).lod, 0);
+  EXPECT_EQ(serve_one(coarse, profile_named("r")).lod, 1);
 
   // SessionProfile::quality min-composes with the request: a far-away
   // view under an aggressive session floor renders its small-footprint
@@ -242,9 +237,9 @@ TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {
   far.distance = 8.0f;
   SessionProfile cheap = profile_named("cheap");
   cheap.quality = 0.02f;
-  EXPECT_GT(serve_one(far, cheap, true).lod, 0);
+  EXPECT_GT(serve_one(far, cheap).lod, 0);
   // The same request on a full-quality session stays at level 0.
-  EXPECT_EQ(serve_one(far, profile_named("full"), true).lod, 0);
+  EXPECT_EQ(serve_one(far, profile_named("full")).lod, 0);
 }
 
 TEST(AdaptiveQuality, SloDegradesPreviewsAndRefinesThemInOrder) {

@@ -5,14 +5,12 @@
 // speculative-prefetch accounting (T1 landing, demand re-arming, no
 // ghost pollution), invalidate_volume purging ghost entries, telemetry
 // reconciliation across lists, and the CachePolicy plumbing through
-// ServiceConfig / per-shard ServiceFrontend.
+// ServiceConfig.
 
 #include <gtest/gtest.h>
 
 #include "service/brick_cache.hpp"
-#include "service/frontend.hpp"
 #include "service/render_service.hpp"
-#include "util/check.hpp"
 #include "volren/datasets.hpp"
 
 namespace vrmr::service {
@@ -273,26 +271,6 @@ TEST(CachePolicyPlumbing, ServiceConfigSelectsThePolicy) {
   RenderService service(cluster, config);
   ASSERT_NE(service.cache(), nullptr);
   EXPECT_EQ(service.cache()->policy(), CachePolicy::Arc);
-}
-
-TEST(CachePolicyPlumbing, FrontendAppliesPerShardOverrides) {
-  FrontendConfig config;
-  config.shards = 2;
-  config.gpus_per_shard = 2;
-  config.service.cache_policy = CachePolicy::Lru;
-  config.cache_policy_per_shard = {CachePolicy::Lru, CachePolicy::Arc};
-  ServiceFrontend frontend(config);
-  ASSERT_NE(frontend.shard(0).cache(), nullptr);
-  ASSERT_NE(frontend.shard(1).cache(), nullptr);
-  EXPECT_EQ(frontend.shard(0).cache()->policy(), CachePolicy::Lru);
-  EXPECT_EQ(frontend.shard(1).cache()->policy(), CachePolicy::Arc);
-}
-
-TEST(CachePolicyPlumbing, FrontendRejectsMisSizedOverrideList) {
-  FrontendConfig config;
-  config.shards = 2;
-  config.cache_policy_per_shard = {CachePolicy::Arc};
-  EXPECT_THROW(ServiceFrontend frontend(config), vrmr::CheckError);
 }
 
 // Service-level scan resistance: the bench's adversarial scenario in

@@ -281,45 +281,22 @@ TEST(ElasticFarm, RebalancerMovesLoadOffHotShardPixelsIdentical) {
   }
 }
 
-TEST(ElasticFarm, RebalancerHonorsHysteresisAndSkewGates) {
+TEST(ElasticFarm, RebalancerHonorsSkewGate) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
   // A balanced farm (one session per shard) must never churn, whatever
   // the cadence.
-  {
-    FrontendConfig config = two_shard_config();
-    config.rebalance.enabled = true;
-    config.rebalance.period_s = 2e-4;
-    ServiceFrontend frontend(config);
-    Session a = frontend.open_session("a");
-    Session b = frontend.open_session("b");
-    frontend.pin_shard(a, 0);
-    frontend.pin_shard(b, 1);
-    a.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
-    b.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
-    frontend.drain();
-    EXPECT_EQ(frontend.stats().rebalance_migrations, 0u);
-  }
-  // Hysteresis: with an infinite hold-down each session moves at most
-  // once, no matter how many skewed control passes run.
-  {
-    FrontendConfig config = two_shard_config();
-    config.rebalance.enabled = true;
-    config.rebalance.period_s = 2e-4;
-    config.rebalance.hysteresis_s = 1e9;
-    ServiceFrontend frontend(config);
-    std::vector<Session> sessions;
-    for (int i = 0; i < 3; ++i) {
-      Session s = frontend.open_session("h-" + std::to_string(i));
-      frontend.pin_shard(s, 0);
-      s.submit_orbit(volume, tiny_options(), 4, 0.0, 0.0);
-      sessions.push_back(s);
-    }
-    frontend.drain();
-    EXPECT_LE(frontend.stats().rebalance_migrations, 3u);
-    int total = 0;
-    for (Session& s : sessions) total += s.stats().frames;
-    EXPECT_EQ(total, 12);
-  }
+  FrontendConfig config = two_shard_config();
+  config.rebalance.enabled = true;
+  config.rebalance.period_s = 2e-4;
+  ServiceFrontend frontend(config);
+  Session a = frontend.open_session("a");
+  Session b = frontend.open_session("b");
+  frontend.pin_shard(a, 0);
+  frontend.pin_shard(b, 1);
+  a.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
+  b.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
+  frontend.drain();
+  EXPECT_EQ(frontend.stats().rebalance_migrations, 0u);
 }
 
 TEST(ElasticFarm, AutoscaleGrowsUnderBacklogAndShrinksWhenIdle) {
@@ -332,7 +309,6 @@ TEST(ElasticFarm, AutoscaleGrowsUnderBacklogAndShrinksWhenIdle) {
   config.rebalance.period_s = 2e-4;
   config.rebalance.skew_ratio = 1.5;
   config.autoscale.enabled = true;
-  config.autoscale.min_shards = 1;
   config.autoscale.max_shards = 2;
   config.autoscale.scale_up_backlog_s = 1e-4;
   config.autoscale.scale_down_backlog_s = 1e-6;
@@ -355,7 +331,8 @@ TEST(ElasticFarm, AutoscaleGrowsUnderBacklogAndShrinksWhenIdle) {
   EXPECT_GE(stats.shards_added, 1u);
   EXPECT_GT(stats.shards[1].service.frames_total, 0);  // it pulled weight
   // The burst over, the farm shrank back: the added shard drained and
-  // retired (newest-first victim pick), leaving min_shards serving.
+  // retired (newest-first victim pick), leaving the last accepting
+  // shard serving.
   EXPECT_GE(stats.shards_drained, 1u);
   EXPECT_TRUE(frontend.shard_retired(1));
   EXPECT_FALSE(frontend.shard_retired(0));
@@ -420,37 +397,38 @@ TEST(ElasticFarm, AddShardJoinsAtFarmTimeAndWindowsTrackCapacity) {
   }
 }
 
-TEST(ElasticFarm, CustomPlacementPolicyOverridesDefault) {
+TEST(ElasticFarm, MigrateWithoutTargetFollowsPlacementOverOtherShards) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   FrontendConfig config = two_shard_config();
-  int queries_seen = 0;
-  config.placement = [&queries_seen](const PlacementQuery& query) {
-    ++queries_seen;
-    // Highest accepting index — the opposite of the default's
-    // lowest-index tie-break (and deliberately ignoring the pin).
-    int best = -1;
-    for (const PlacementSignal& signal : query.shards) {
-      if (signal.alive && signal.accepting) best = signal.shard;
-    }
-    return best;
-  };
+  config.shards = 3;
   ServiceFrontend frontend(config);
-  Session s = frontend.open_session("custom");
-  frontend.pin_shard(s, 0);  // the policy sees the pin and may ignore it
-  s.submit(request_for(volume, 0.0));
-  EXPECT_EQ(frontend.shard_of(s), 1);
-  EXPECT_EQ(queries_seen, 1);
-  frontend.drain();
-  EXPECT_EQ(s.stats().frames, 1);
 
-  // The same hook steers voluntary migration targets.
-  Session t = frontend.open_session("custom2");
-  t.submit(request_for(volume, 0.0));
-  EXPECT_EQ(frontend.shard_of(t), 1);
-  frontend.migrate_session(t);  // policy choice among the OTHER shards
-  EXPECT_EQ(frontend.shard_of(t), 0);
+  // Warm the volume on shard 2, then leave another session's frames
+  // queued there: shard 2 is warm but loaded, shard 1 idle and cold.
+  Session warmer = frontend.open_session("warmer");
+  frontend.pin_shard(warmer, 2);
+  warmer.submit(request_for(volume, 0.0));
   frontend.drain();
-  EXPECT_EQ(t.stats().frames, 1);
+  Session backlog = frontend.open_session("backlog");
+  frontend.pin_shard(backlog, 2);
+  backlog.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
+
+  Session mover = frontend.open_session("mover");
+  frontend.pin_shard(mover, 0);
+  int delivered = 0;
+  mover.on_frame([&delivered](const FrameRecord&) { ++delivered; });
+  mover.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
+  ASSERT_GT(frontend.shard(2).outstanding_cost_s(), 0.0);
+  ASSERT_EQ(frontend.shard(1).outstanding_cost_s(), 0.0);
+
+  // No target: the placement rule picks among the other shards, and
+  // brick affinity outranks the idle shard's lower cost.
+  frontend.migrate_session(mover);
+  EXPECT_EQ(frontend.shard_of(mover), 2);
+  frontend.drain();
+  EXPECT_EQ(delivered, 3);
+  EXPECT_EQ(mover.stats().frames, 3);
+  EXPECT_EQ(frontend.stats().shards[1].service.frames_total, 0);
 }
 
 TEST(ElasticFarm, DefaultPlacementPrefersPinThenWarmThenLeastCost) {

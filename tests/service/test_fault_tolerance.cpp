@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -101,11 +102,9 @@ TEST(FaultTolerance, DiskReadErrorRetriesAndMatchesCleanPixels) {
 
 TEST(FaultTolerance, RepeatedDiskErrorsBackOffExponentially) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
-  ServiceConfig config = image_keeping_config();
-  config.retry_backoff_s = 1e-3;
-  Harness h(2, config);
+  Harness h(2, image_keeping_config());
   // Three consecutive failures of the same lane's quanta: each retry
-  // waits retry_backoff_s x 2^(attempt-1) before the lane refills.
+  // waits 200 us x 2^(attempt-1) before the lane refills.
   for (int i = 0; i < 3; ++i) {
     fault::FaultEvent fault;
     fault.kind = fault::FaultKind::DiskReadError;
@@ -184,6 +183,87 @@ TEST(FaultTolerance, LaneDeathBeforeAdmissionServesOnSurvivors) {
   EXPECT_EQ(stats.frames_total, 2);
   EXPECT_EQ(h.service->dead_lanes(), 1);
   expect_identical_images(stats.frames, clean_run(volume, 2));
+}
+
+TEST(FaultTolerance, MonolithicAdmissionRecoversFaultsWithoutPreemption) {
+  // The paper's schedule is an admission rule of the one scheduler, so
+  // its faults recover exactly like the Quantum rule's while each frame
+  // still runs alone to completion.
+  const volren::Volume batch_volume = volren::datasets::supernova({24, 24, 24});
+  const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
+  auto run = [&](PipelineMode mode, bool faulted, int* delivered) {
+    ServiceConfig config = image_keeping_config();
+    config.pipeline = mode;
+    Harness h(2, config);
+    if (faulted) {
+      fault::FaultEvent disk;
+      disk.kind = fault::FaultKind::DiskReadError;
+      disk.time_s = 0.0;
+      h.service->inject_fault(disk);
+      fault::FaultEvent stall;
+      stall.kind = fault::FaultKind::LaneStall;
+      stall.time_s = 0.002;
+      stall.target = 1;
+      stall.param_s = 0.003;
+      h.service->inject_fault(stall);
+    }
+    // Both sessions carry orbit hints: only the admission rule keeps
+    // the prefetcher idle.
+    SessionProfile batch_profile;
+    batch_profile.name = "batch";
+    batch_profile.orbit = OrbitHint{3, 0.0};
+    SessionProfile live_profile;
+    live_profile.name = "live";
+    live_profile.priority = Priority::Interactive;
+    live_profile.orbit = OrbitHint{3, 0.001};
+    Session batch = h.service->open_session(batch_profile);
+    Session live = h.service->open_session(live_profile);
+    const auto count = [delivered](const FrameRecord&) { ++*delivered; };
+    batch.on_frame(count);
+    live.on_frame(count);
+    batch.submit_orbit(batch_volume, tiny_options(), 3, 0.0, 0.0);
+    live.submit_orbit(live_volume, tiny_options(), 3, 0.0005, 0.001);
+    h.service->drain();
+    return h.service->stats();
+  };
+  const auto by = [](std::vector<FrameRecord> frames, auto key) {
+    std::sort(frames.begin(), frames.end(),
+              [key](const FrameRecord& a, const FrameRecord& b) {
+                return key(a) < key(b);
+              });
+    return frames;
+  };
+  const auto frame_id = [](const FrameRecord& f) { return f.frame_id; };
+
+  int clean_delivered = 0;
+  int delivered = 0;
+  const ServiceStats clean = run(PipelineMode::Monolithic, false, &clean_delivered);
+  const ServiceStats stats = run(PipelineMode::Monolithic, true, &delivered);
+  EXPECT_EQ(clean_delivered, 6);
+  EXPECT_EQ(delivered, 6);
+  EXPECT_EQ(stats.frames_total, 6);
+  EXPECT_GE(stats.quanta_retried, 1u);
+  EXPECT_EQ(stats.lane_stalls, 1u);
+  // Faults change the completion order, never the pixels.
+  expect_identical_images(by(stats.frames, frame_id), by(clean.frames, frame_id));
+  // The paper's schedule: no preemption, no speculation, and frames
+  // that never overlap.
+  EXPECT_EQ(stats.preemptions, 0u);
+  EXPECT_EQ(stats.bricks_prefetched, 0u);
+  const std::vector<FrameRecord> started =
+      by(stats.frames, [](const FrameRecord& f) { return f.start_s; });
+  for (std::size_t i = 1; i < started.size(); ++i) {
+    EXPECT_GE(started[i].start_s, started[i - 1].finish_s)
+        << "frame " << started[i].frame_id << " overlaps frame "
+        << started[i - 1].frame_id;
+  }
+  // The same workload under the Quantum rule does preempt and prefetch,
+  // so the zeros above are the admission rule's doing.
+  int quantum_delivered = 0;
+  const ServiceStats quantum = run(PipelineMode::Quantum, true, &quantum_delivered);
+  EXPECT_EQ(quantum_delivered, 6);
+  EXPECT_GT(quantum.preemptions, 0u);
+  EXPECT_GT(quantum.bricks_prefetched, 0u);
 }
 
 TEST(FaultTolerance, ShardCrashSnapshotsUndeliveredWork) {

@@ -281,15 +281,15 @@ TEST(Prefetch, OrbitPredictedBricksHitOnTheNextFrame) {
   // whose working set evicts A's bricks every other frame. With the
   // overlap-window prefetcher, A's bricks are restaged on lanes B
   // leaves idle during its own frame, so A's later frames hit; without
-  // it, every A frame after the first restages cold.
+  // the hint (the prefetcher only speculates for hinted sessions),
+  // every A frame after the first restages cold.
   const volren::Volume a_volume = volren::datasets::skull({24, 24, 24});
   const volren::Volume b_volume = volren::datasets::supernova({48, 48, 48});
   constexpr int kFramesEach = 4;
 
-  auto run = [&](bool prefetch) {
+  auto run = [&](bool hinted) {
     ServiceConfig config;
     config.policy = SchedulingPolicy::RoundRobin;
-    config.enable_prefetch = prefetch;
     // Budget fits either working set alone but not both: B's staging
     // evicts A, and vice versa.
     const auto a_layout = volren::choose_layout(a_volume, tiny_options(), 2);
@@ -305,7 +305,7 @@ TEST(Prefetch, OrbitPredictedBricksHitOnTheNextFrame) {
     SessionProfile orbiter;
     orbiter.name = "a";
     orbiter.priority = Priority::Batch;
-    orbiter.orbit = OrbitHint{kFramesEach, 0.0};
+    if (hinted) orbiter.orbit = OrbitHint{kFramesEach, 0.0};
     Session a = h.service->open_session(orbiter);
     Session b = h.service->open_session("b", Priority::Batch);
     a.submit_orbit(a_volume, tiny_options(), kFramesEach, 0.0, 0.0);
