@@ -61,7 +61,6 @@ int live_brick() { return bench::fast_mode() ? 16 : 32; }
 int live_frames() { return bench::fast_mode() ? 12 : 16; }
 int warmup_frames() { return 3; }
 int scan_frames() { return bench::fast_mode() ? 6 : 8; }
-constexpr int kMaxDegradeLod = 2;
 
 volren::RenderOptions live_options() {
   volren::RenderOptions options;
@@ -94,7 +93,6 @@ volren::RenderOptions scan_options(int gpus) {
 service::ServiceConfig base_config() {
   service::ServiceConfig config;
   config.enable_brick_cache = false;  // stage-per-frame; see header
-  config.max_degrade_lod = kMaxDegradeLod;
   // Every fire view of the orbit emits a fragment per covered ray, and
   // per-view service times swing by several percent around the orbit.
   // The default 0.25 calibration lags that swing and admits a few
@@ -228,10 +226,10 @@ int main() {
   // served latencies (geometric mean), so "full blows it, coarse
   // meets it" is a property of the controller, not of a constant.
   const double full_s = probe_latency_s(live_volume, 0, gpus);
-  const double coarse_s = probe_latency_s(live_volume, kMaxDegradeLod, gpus);
+  const double coarse_s = probe_latency_s(live_volume, service::kMaxDegradeLod, gpus);
   VRMR_CHECK_MSG(full_s > 1.5 * coarse_s,
                  "degradation ladder too flat to separate SLO outcomes (L0="
-                     << full_s << "s, L" << kMaxDegradeLod << "=" << coarse_s
+                     << full_s << "s, L" << service::kMaxDegradeLod << "=" << coarse_s
                      << "s)");
   const double slo_s = std::sqrt(full_s * coarse_s);
   const double warmup_spacing_s = 3.0 * full_s;
@@ -271,7 +269,7 @@ int main() {
   }
   std::cout << table.to_string() << "\n"
             << "probed latencies: L0 " << Table::num(full_s, 5) << "s, L"
-            << kMaxDegradeLod << " " << Table::num(coarse_s, 5)
+            << service::kMaxDegradeLod << " " << Table::num(coarse_s, 5)
             << "s; slo (geomean) " << Table::num(slo_s, 5) << "s\n"
             << "interactive p95 ratio (off/on): " << Table::num(p95_ratio, 2)
             << "x; preview staging ratio (on/off): "

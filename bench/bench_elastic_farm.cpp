@@ -167,8 +167,6 @@ FarmRun run_autoscale(const volren::Volume& volume, double period_s,
   config.rebalance.max_moves_per_pass = 2;
   config.autoscale.enabled = true;
   config.autoscale.max_shards = 2;
-  config.autoscale.scale_up_backlog_s = period_s * 0.5;
-  config.autoscale.scale_down_backlog_s = 1e-9;
   service::ServiceFrontend frontend(config);
   obs::TraceRecorder* recorder =
       trace_pid_base >= 0 ? bench::trace_recorder() : nullptr;

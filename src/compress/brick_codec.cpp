@@ -134,24 +134,48 @@ int ZfpStyleCodec::bits_for_width(double width) {
   return std::clamp(bits, 1, 32);
 }
 
-std::uint64_t ZfpStyleCodec::modeled_bytes(const lod::BrickOccupancy& occupancy,
-                                           Int3 padded_dims, int cell_voxels) {
-  const std::uint64_t logical =
-      static_cast<std::uint64_t>(padded_dims.volume()) * sizeof(float);
+std::uint64_t ZfpStyleCodec::stored_bytes(const std::vector<float>& voxels,
+                                          Int3 dims) const {
+  VRMR_CHECK_MSG(static_cast<std::int64_t>(voxels.size()) == dims.volume(),
+                 "payload of " << voxels.size() << " voxels does not match dims "
+                               << dims);
+  // Per-cell [min, max] over disjoint cells of kCellVoxels per side
+  // (x-fastest voxels and cells).
+  const Int3 cells{(dims.x + kCellVoxels - 1) / kCellVoxels,
+                   (dims.y + kCellVoxels - 1) / kCellVoxels,
+                   (dims.z + kCellVoxels - 1) / kCellVoxels};
+  const auto cell_index = [&cells](int cx, int cy, int cz) {
+    return (static_cast<std::size_t>(cz) * cells.y + cy) * cells.x + cx;
+  };
+  const std::size_t num_cells = static_cast<std::size_t>(cells.volume());
+  std::vector<float> cell_min(num_cells, std::numeric_limits<float>::max());
+  std::vector<float> cell_max(num_cells, std::numeric_limits<float>::lowest());
+  for (int z = 0; z < dims.z; ++z) {
+    for (int y = 0; y < dims.y; ++y) {
+      for (int x = 0; x < dims.x; ++x) {
+        const float v =
+            voxels[(static_cast<std::size_t>(z) * dims.y + y) * dims.x + x];
+        const std::size_t c =
+            cell_index(x / kCellVoxels, y / kCellVoxels, z / kCellVoxels);
+        cell_min[c] = std::min(cell_min[c], v);
+        cell_max[c] = std::max(cell_max[c], v);
+      }
+    }
+  }
+
   std::uint64_t stored = 0;
-  const Int3 cells = occupancy.cells;
   for (int cz = 0; cz < cells.z; ++cz) {
     for (int cy = 0; cy < cells.y; ++cy) {
       for (int cx = 0; cx < cells.x; ++cx) {
-        const std::size_t c = occupancy.cell_index(Int3{cx, cy, cz});
-        const double width = static_cast<double>(occupancy.cell_max[c]) -
-                             static_cast<double>(occupancy.cell_min[c]);
+        const std::size_t c = cell_index(cx, cy, cz);
+        const double width = static_cast<double>(cell_max[c]) -
+                             static_cast<double>(cell_min[c]);
         const std::int64_t nx =
-            std::min((cx + 1) * cell_voxels, padded_dims.x) - cx * cell_voxels;
+            std::min((cx + 1) * kCellVoxels, dims.x) - cx * kCellVoxels;
         const std::int64_t ny =
-            std::min((cy + 1) * cell_voxels, padded_dims.y) - cy * cell_voxels;
+            std::min((cy + 1) * kCellVoxels, dims.y) - cy * kCellVoxels;
         const std::int64_t nz =
-            std::min((cz + 1) * cell_voxels, padded_dims.z) - cz * cell_voxels;
+            std::min((cz + 1) * kCellVoxels, dims.z) - cz * kCellVoxels;
         const std::uint64_t n = static_cast<std::uint64_t>(nx * ny * nz);
         const std::uint64_t bits =
             n * static_cast<std::uint64_t>(bits_for_width(width));
@@ -162,36 +186,9 @@ std::uint64_t ZfpStyleCodec::modeled_bytes(const lod::BrickOccupancy& occupancy,
   // A full-range (noise) brick models past raw size once headers are
   // counted; stored bytes must never exceed logical bytes or byte
   // budgets computed on logical sizes would underflow.
+  const std::uint64_t logical =
+      static_cast<std::uint64_t>(dims.volume()) * sizeof(float);
   return std::min(stored, logical);
-}
-
-std::uint64_t ZfpStyleCodec::stored_bytes(const std::vector<float>& voxels,
-                                          Int3 dims) const {
-  VRMR_CHECK_MSG(static_cast<std::int64_t>(voxels.size()) == dims.volume(),
-                 "payload of " << voxels.size() << " voxels does not match dims "
-                               << dims);
-  // Build the same cell thumbnail lod::OccupancyIndex would (x-fastest
-  // voxels, cells of kCellVoxels per side) and feed the size model.
-  lod::BrickOccupancy occ;
-  occ.cells = Int3{(dims.x + kCellVoxels - 1) / kCellVoxels,
-                   (dims.y + kCellVoxels - 1) / kCellVoxels,
-                   (dims.z + kCellVoxels - 1) / kCellVoxels};
-  const std::size_t num_cells = static_cast<std::size_t>(occ.cells.volume());
-  occ.cell_min.assign(num_cells, std::numeric_limits<float>::max());
-  occ.cell_max.assign(num_cells, std::numeric_limits<float>::lowest());
-  for (int z = 0; z < dims.z; ++z) {
-    for (int y = 0; y < dims.y; ++y) {
-      for (int x = 0; x < dims.x; ++x) {
-        const float v =
-            voxels[(static_cast<std::size_t>(z) * dims.y + y) * dims.x + x];
-        const std::size_t c = occ.cell_index(
-            Int3{x / kCellVoxels, y / kCellVoxels, z / kCellVoxels});
-        occ.cell_min[c] = std::min(occ.cell_min[c], v);
-        occ.cell_max[c] = std::max(occ.cell_max[c], v);
-      }
-    }
-  }
-  return modeled_bytes(occ, dims, kCellVoxels);
 }
 
 // --- factory + plan ----------------------------------------------------------
@@ -207,26 +204,17 @@ std::unique_ptr<BrickCodec> make_codec(Codec codec) {
 
 CompressionPlan analyze(const volren::Volume& volume,
                         const volren::BrickLayout& layout,
-                        const BrickCodec& codec,
-                        const lod::OccupancyIndex* occupancy) {
+                        const BrickCodec& codec) {
   CompressionPlan plan;
   plan.codec = codec.id();
   plan.cost = codec.cost();
   plan.bricks.reserve(static_cast<std::size_t>(layout.num_bricks()));
-  const bool thumbnails_usable =
-      codec.id() == Codec::ZfpStyle && occupancy != nullptr &&
-      occupancy->num_bricks() == layout.num_bricks();
   for (const volren::BrickInfo& info : layout.bricks()) {
     BrickCompression bc;
     bc.logical_bytes = info.device_bytes();
-    if (thumbnails_usable) {
-      bc.stored_bytes = ZfpStyleCodec::modeled_bytes(
-          occupancy->brick(info.id), info.padded_dims, occupancy->cell_voxels());
-    } else {
-      const std::vector<float> voxels =
-          volume.materialize(info.padded_origin, info.padded_dims);
-      bc.stored_bytes = codec.stored_bytes(voxels, info.padded_dims);
-    }
+    const std::vector<float> voxels =
+        volume.materialize(info.padded_origin, info.padded_dims);
+    bc.stored_bytes = codec.stored_bytes(voxels, info.padded_dims);
     bc.stored_bytes = std::min(bc.stored_bytes, bc.logical_bytes);
     // Quanta are charged against logical bytes: the expand pass touches
     // every decompressed voxel however small the stream was.

@@ -16,14 +16,13 @@
 //                   means raw), so stored bytes never exceed logical
 //                   bytes.
 //   ZfpStyleCodec — zfp-style fixed-rate block coding, *modeled*: the
-//                   per-brick ratio derives from the occupancy cell
-//                   thumbnail intervals lod::OccupancyIndex already
-//                   exports (bits/voxel from each cell's [min, max]
-//                   width — sparse supernova bricks compress hard,
-//                   full-range noise approaches 1.0x and clamps at
-//                   logical). encode/decode pass the raw floats
-//                   through; only the stored-size and time models
-//                   differ from RLE.
+//                   per-brick ratio derives from the payload's
+//                   per-cell value intervals (bits/voxel from each
+//                   8^3 cell's [min, max] width — sparse supernova
+//                   bricks compress hard, full-range noise approaches
+//                   1.0x and clamps at logical). encode/decode pass the
+//                   raw floats through; only the stored-size and time
+//                   models differ from RLE.
 //
 // Each codec carries a CodecCostModel (compress/decompress seconds per
 // LOGICAL byte on a GPU lane); mr::FramePlan charges the decompress
@@ -37,7 +36,6 @@
 #include <memory>
 #include <vector>
 
-#include "lod/occupancy.hpp"
 #include "volren/bricking.hpp"
 #include "volren/volume.hpp"
 
@@ -106,7 +104,7 @@ class RleCodec final : public BrickCodec {
 /// zfp-style fixed-rate block codec, size-modeled from cell intervals.
 class ZfpStyleCodec final : public BrickCodec {
  public:
-  /// Thumbnail cell edge used when no occupancy index supplies one.
+  /// Cell edge of the size model (voxels per side).
   static constexpr int kCellVoxels = 8;
 
   Codec id() const override { return Codec::ZfpStyle; }
@@ -119,15 +117,12 @@ class ZfpStyleCodec final : public BrickCodec {
       const std::vector<float>& voxels) const override;
   std::vector<float> decode(const std::vector<std::uint8_t>& stream,
                             std::size_t voxel_count) const override;
+  /// The one zfp-style size model: the payload splits into disjoint
+  /// cells of kCellVoxels per side; each cell stores bits_for_width of
+  /// its [min, max] width per voxel plus an 8-byte header, and the
+  /// total clamps to logical size.
   std::uint64_t stored_bytes(const std::vector<float>& voxels,
                              Int3 dims) const override;
-
-  /// Modeled stored bytes straight from an occupancy thumbnail (no
-  /// payload materialization): per-cell bits/voxel from the cell's
-  /// [min, max] width, plus an 8-byte per-cell header, clamped to
-  /// logical size.
-  static std::uint64_t modeled_bytes(const lod::BrickOccupancy& occupancy,
-                                     Int3 padded_dims, int cell_voxels);
 
   /// Fixed-rate bits per voxel for a cell whose values span `width`
   /// (values are normalized to [0, 1]): 32 + log2(width) rounded up,
@@ -166,13 +161,10 @@ struct CompressionPlan {
   }
 };
 
-/// Analyze every brick of (volume, layout) under `codec`. When an
-/// occupancy index for the same layout is supplied, the zfp-style size
-/// model reads its thumbnail intervals instead of re-scanning voxels
-/// (RLE always materializes: its size is the real encoded stream).
+/// Analyze every brick of (volume, layout) under `codec`: materialize
+/// each padded brick and ask the codec for its stored size.
 CompressionPlan analyze(const volren::Volume& volume,
                         const volren::BrickLayout& layout,
-                        const BrickCodec& codec,
-                        const lod::OccupancyIndex* occupancy = nullptr);
+                        const BrickCodec& codec);
 
 }  // namespace vrmr::compress

@@ -56,8 +56,7 @@ LodPyramid::LodPyramid(const volren::Volume& base,
     const int stride = lvl.stride;
     const volren::Volume* base_volume = base_;
     // Decimation-style subsampling: level voxel p is base voxel
-    // p * stride. Values are a subset of the base brick region's, so
-    // the base occupancy intervals stay conservative for every level.
+    // p * stride.
     lvl.volume = std::make_shared<const volren::Volume>(volren::Volume::procedural(
         base.name() + "@L" + std::to_string(lvl.level), dims,
         [base_volume, stride](Int3 p) {

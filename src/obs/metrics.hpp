@@ -9,7 +9,7 @@
 // bound is what tests/obs/test_metrics.cpp pins down. Memory is O(log
 // of the dynamic range) — a handful of buckets per decade — which is
 // why the serving layer can keep per-priority-class latency histograms
-// alive for the whole run (ROADMAP item 5: per-class SLO measurement).
+// alive for the whole run (per-class SLO measurement).
 
 #include <cstdint>
 #include <map>

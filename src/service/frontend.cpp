@@ -65,8 +65,7 @@ ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
   shard.engine = std::make_unique<sim::Engine>();
   shard.cluster = std::make_unique<cluster::Cluster>(
       *shard.engine,
-      cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard,
-                                              config_.hw));
+      cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard));
   shard.service = std::make_unique<RenderService>(*shard.cluster, config_.service);
   if (max_farm_shards_ > 1) {
     // One fabric per shard, on that shard's engine, with one "node" per
@@ -813,8 +812,7 @@ int ServiceFrontend::rebalance_pass(double now_s) {
 }
 
 void ServiceFrontend::autoscale_pass() {
-  const AutoscaleConfig& as = config_.autoscale;
-  if (!as.enabled) return;
+  if (!config_.autoscale.enabled) return;
   int active = 0;
   double backlog = 0.0;
   for (int s = 0; s < num_shards(); ++s) {
@@ -825,11 +823,12 @@ void ServiceFrontend::autoscale_pass() {
   }
   if (active == 0) return;
   const double per_shard = backlog / static_cast<double>(active);
-  if (per_shard > as.scale_up_backlog_s && num_shards() < max_farm_shards_) {
+  if (per_shard > 0.5 * config_.rebalance.period_s &&
+      num_shards() < max_farm_shards_) {
     add_shard();
     return;
   }
-  if (per_shard <= as.scale_down_backlog_s && active > 1) {
+  if (per_shard <= 0.0 && active > 1) {
     // Retire the least-loaded accepting shard; ties to the HIGHEST
     // index (newest-first elasticity — added shards leave first).
     int victim = -1;

@@ -113,7 +113,11 @@ struct RebalanceConfig {
 
 /// Elastic shard count: add_shard() / drain_shard() driven by the
 /// aggregate backlog, at the same cadence as RebalanceConfig::period_s.
-/// Scale-down never drains the last accepting shard.
+/// The pass scales up when the mean outstanding cost per accepting
+/// shard exceeds half a period (each shard holds more than half a
+/// control period of queued work), and scales down — draining the
+/// least-loaded shard — when that cost is 0. Scale-down never drains
+/// the last accepting shard.
 struct AutoscaleConfig {
   bool enabled = false;
   /// Farm capacity: the fabric is wired for max(shards, max_shards)
@@ -121,12 +125,6 @@ struct AutoscaleConfig {
   /// interconnect. add_shard() beyond this is an error. 0 means the
   /// initial shard count (no growth capacity).
   int max_shards = 0;
-  /// Scale up when mean outstanding cost per accepting shard exceeds
-  /// this many (simulated) seconds of backlog.
-  double scale_up_backlog_s = 0.5;
-  /// Scale down (drain the least-loaded shard) when mean backlog per
-  /// accepting shard falls to/below this.
-  double scale_down_backlog_s = 0.01;
 };
 
 /// Per-shard signals assembled by the frontend for a placement
@@ -181,12 +179,12 @@ struct MigrationPlan {
 
 struct FrontendConfig {
   int shards = 2;
+  /// Every shard's cluster is the default NCSA hardware model, packed
+  /// by ClusterConfig::with_total_gpus.
   int gpus_per_shard = 4;
-  /// Hardware model + node packing for every shard's cluster.
-  cluster::HardwareModel hw = cluster::HardwareModel::ncsa_accelerator_cluster();
   /// Per-shard RenderService configuration (policy, cache, ...).
   /// Adaptive quality flows through unchanged: each shard runs its own
-  /// SLO controller (service.interactive_slo_s / max_degrade_lod) and
+  /// SLO controller (service.interactive_slo_s, kMaxDegradeLod) and
   /// per-session quality floors (SessionProfile::quality) ride the
   /// profile to whichever shard placement picks.
   ServiceConfig service;

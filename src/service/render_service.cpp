@@ -22,9 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// VRAM held back from the cache budget for the working frame (brick
 /// being staged, kernel output slots, transfer texture).
 constexpr std::uint64_t kCacheReserveBytes = 512ull << 20;
-/// Occupancy scan budget: volumes above this voxel count get a
-/// subsampled, non-exact scan — metadata only, never culled from.
-constexpr std::int64_t kOccupancyMaxVoxels = std::int64_t{1} << 24;
 /// Base lane hold-down after a failed map quantum: the chunk's retry
 /// may issue on the detecting lane no sooner than this x 2^(attempt-1)
 /// of simulated time (other lanes are unaffected).
@@ -253,12 +250,11 @@ void RenderService::invalidate_volume(const volren::Volume* volume) {
   const std::uint64_t vid = it->second.id;
   if (cache_) cache_->invalidate_volume(vid);
   // Quality metadata is derived from the retired registration's voxels:
-  // drop pyramids/occupancy and every memoized TF classification so a
-  // re-registered volume rebuilds them from its new contents.
+  // drop pyramids and compression plans so a re-registered volume
+  // rebuilds them from its new contents.
   std::erase_if(quality_, [vid](const auto& entry) {
     return entry.first.first == vid;
   });
-  classifications_.invalidate_volume(vid);
   volumes_.erase(it);
 }
 
@@ -681,12 +677,6 @@ RenderService::QualityState& RenderService::quality_state(const Pending& pending
     qs.pyramid = std::make_shared<const lod::LodPyramid>(*pending.request.volume,
                                                          pending.layout);
   }
-  if (config_.enable_occupancy_culling && qs.occupancy == nullptr) {
-    const std::int64_t voxels = pending.request.volume->voxel_count();
-    const int scan_stride = voxels > kOccupancyMaxVoxels ? 4 : 1;
-    qs.occupancy = std::make_shared<const lod::OccupancyIndex>(
-        *pending.request.volume, *pending.layout, /*cell_voxels=*/8, scan_stride);
-  }
   return qs;
 }
 
@@ -698,12 +688,9 @@ const RenderService::QualityState* RenderService::compression_state(
   const auto codec = compress::make_codec(config_.compression);
   if (qs.compression == nullptr) {
     // One analysis per (volume, layout): every brick's stored size and
-    // (de)compress quanta, from the occupancy thumbnails when an exact
-    // scan exists (zfp-style sizes need only the cell intervals), else
-    // from the voxels themselves.
+    // (de)compress quanta, from the voxels themselves.
     qs.compression = std::make_shared<const compress::CompressionPlan>(
-        compress::analyze(*pending.request.volume, *pending.layout, *codec,
-                          qs.occupancy.get()));
+        compress::analyze(*pending.request.volume, *pending.layout, *codec));
   }
   if (qs.pyramid != nullptr && qs.level_compression.empty() &&
       qs.pyramid->num_levels() > 1) {
@@ -785,59 +772,49 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
   const bool slo_armed = config_.interactive_slo_s > 0.0 &&
                          active.priority == Priority::Interactive &&
                          !active.pending.is_refinement;
-  if (!wants_lod && !slo_armed && !config_.enable_occupancy_culling) return;
+  if (!wants_lod && !slo_armed) return;
 
   const std::uint64_t vid = register_volume(active.pending.request.volume).id;
   QualityState& qs = quality_state(active.pending, vid);
-
-  if (wants_lod || slo_armed) {
-    active.pyramid = qs.pyramid;
-    aq->pyramid = qs.pyramid.get();
-    int level = qs.pyramid->clamp(options.max_lod);
-    if (slo_armed) {
-      const double now = cluster_.engine().now();
-      // Budget left of the deadline after the time already spent
-      // queued. Walk coarser while the calibrated estimate still blows
-      // it; a budget nothing fits gets the coarsest allowed level
-      // (best effort).
-      const double budget =
-          config_.interactive_slo_s - (now - active.record.arrival_s);
-      const int deepest =
-          std::min(config_.max_degrade_lod, qs.pyramid->num_levels() - 1);
-      int chosen = level;
-      while (chosen < deepest &&
-             session.cost_scale * estimate_cost_s(active.pending, chosen) >
-                 budget) {
-        ++chosen;
-      }
-      if (chosen > level) {
-        active.degraded = true;
-        ++frames_degraded_;
-        // Re-anchor the calibration baseline to what will actually be
-        // served: completion compares observed time against
-        // submit_cost_s, and judging a coarse serve against the
-        // full-quality estimate would collapse cost_scale and make the
-        // controller oscillate between degrading and not.
-        active.pending.submit_cost_s = estimate_cost_s(active.pending, chosen);
-        if (trace_ != nullptr) {
-          trace_->instant(now, trace_pid_, obs::kServiceTid, "slo_degrade",
-                          "sched",
-                          {{"frame", std::to_string(active.pending.frame_id)},
-                           {"lod", std::to_string(chosen)},
-                           {"budget_s", std::to_string(budget)}});
-        }
-        level = chosen;
-      }
+  active.pyramid = qs.pyramid;
+  aq->pyramid = qs.pyramid.get();
+  int level = qs.pyramid->clamp(options.max_lod);
+  if (slo_armed) {
+    const double now = cluster_.engine().now();
+    // Budget left of the deadline after the time already spent queued.
+    // Walk coarser while the calibrated estimate still blows it; a
+    // budget nothing fits gets the coarsest allowed level (best
+    // effort).
+    const double budget =
+        config_.interactive_slo_s - (now - active.record.arrival_s);
+    const int deepest = std::min(kMaxDegradeLod, qs.pyramid->num_levels() - 1);
+    int chosen = level;
+    while (chosen < deepest &&
+           session.cost_scale * estimate_cost_s(active.pending, chosen) >
+               budget) {
+      ++chosen;
     }
-    options.max_lod = level;
-    active.record.lod = level;
+    if (chosen > level) {
+      active.degraded = true;
+      ++frames_degraded_;
+      // Re-anchor the calibration baseline to what will actually be
+      // served: completion compares observed time against
+      // submit_cost_s, and judging a coarse serve against the
+      // full-quality estimate would collapse cost_scale and make the
+      // controller oscillate between degrading and not.
+      active.pending.submit_cost_s = estimate_cost_s(active.pending, chosen);
+      if (trace_ != nullptr) {
+        trace_->instant(now, trace_pid_, obs::kServiceTid, "slo_degrade",
+                        "sched",
+                        {{"frame", std::to_string(active.pending.frame_id)},
+                         {"lod", std::to_string(chosen)},
+                         {"budget_s", std::to_string(budget)}});
+      }
+      level = chosen;
+    }
   }
-
-  if (config_.enable_occupancy_culling && qs.occupancy != nullptr) {
-    active.classification = classifications_.lookup_or_build(
-        vid, active.pending.layout_sig, *qs.occupancy, options.transfer);
-    aq->classification = active.classification.get();
-  }
+  options.max_lod = level;
+  active.record.lod = level;
 }
 
 void RenderService::maybe_enqueue_refinement(ActiveFrame& active) {
@@ -947,9 +924,9 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
     options.barrier_mode = config_.barrier_mode;
   }
   options.cast.skip_empty = true;
-  // Adaptive quality: session quality floor, SLO-budget degradation and
-  // occupancy classification — resolved before the trace arrow so the
-  // served LOD is attributable from admission on.
+  // Adaptive quality: session quality floor and SLO-budget degradation
+  // — resolved before the trace arrow so the served LOD is attributable
+  // from admission on.
   volren::AdaptiveQuality aq;
   apply_adaptive_quality(*active, session, options, &aq);
   // After the quality pass: level plans must exist exactly when a
@@ -1291,8 +1268,6 @@ void RenderService::frame_finished(ActiveFrame* active) {
   // The footprint path may have dropped deeper than the admission-time
   // floor (quality < 1); the record reports the deepest level served.
   record.lod = std::max(record.lod, active->frame->max_level());
-  bricks_occupancy_culled_ +=
-      static_cast<std::uint64_t>(active->frame->occupancy_culled());
   if (active->pending.is_refinement) ++refinements_served_;
   if (config_.keep_images) record.image = std::move(result.image);
   window_at(record.finish_s).frames_finished += 1;
@@ -1724,8 +1699,6 @@ ServiceStats RenderService::stats() const {
   out.frames_degraded = frames_degraded_;
   out.refinements_enqueued = refinements_enqueued_;
   out.refinements_served = refinements_served_;
-  out.bricks_occupancy_culled = bricks_occupancy_culled_;
-  out.classifications_built = classifications_.classifications_built();
   out.faults_injected = faults_injected_;
   out.quanta_retried = quanta_retried_;
   out.lane_stalls = lane_stalls_;

@@ -83,7 +83,6 @@
 #include "cluster/cluster.hpp"
 #include "compress/brick_codec.hpp"
 #include "fault/fault_plan.hpp"
-#include "lod/occupancy.hpp"
 #include "lod/pyramid.hpp"
 #include "mr/stats.hpp"
 #include "obs/metrics.hpp"
@@ -101,6 +100,12 @@ enum class PipelineMode { Monolithic, Quantum };
 
 const char* to_string(SchedulingPolicy policy);
 const char* to_string(PipelineMode mode);
+
+/// Deepest pyramid level the SLO controller may degrade to (further
+/// clamped by the pyramid's actual depth). Per-volume LOD pyramids are
+/// built on demand: only frames that ask for reduced quality (the SLO
+/// controller, max_lod or quality < 1) ever need one.
+inline constexpr int kMaxDegradeLod = 2;
 
 struct ServiceConfig {
   SchedulingPolicy policy = SchedulingPolicy::Fifo;
@@ -174,19 +179,9 @@ struct ServiceConfig {
   /// the preview's completion on an internal Batch-priority session —
   /// delivered through the client's normal on_tile/on_frame callbacks
   /// with FrameRecord::refines_frame_id linking back to the preview.
-  /// 0 disables degradation entirely (the pre-SLO behaviour).
+  /// 0 disables degradation entirely (the pre-SLO behaviour). The
+  /// controller degrades at most to kMaxDegradeLod.
   double interactive_slo_s = 0.0;
-  /// Deepest pyramid level the SLO controller may degrade to (further
-  /// clamped by the pyramid's actual depth). Per-volume LOD pyramids
-  /// are built on demand: only frames that ask for reduced quality (the
-  /// SLO controller, max_lod or quality < 1) ever need one.
-  int max_degrade_lod = 2;
-  /// Scan per-brick occupancy (min/max + cell thumbnail) and cull
-  /// bricks the session's transfer function maps fully transparent
-  /// before any staging. Output is bit-identical (lod/occupancy.hpp);
-  /// off by default because culled bricks change cache/staging
-  /// telemetry that replay baselines compare against.
-  bool enable_occupancy_culling = false;
 
   // --- brick compression (src/compress) ------------------------------------
   /// Codec for every byte-moving path: None (default) stages raw
@@ -265,15 +260,11 @@ struct ServiceStats {
   std::uint64_t bricks_prefetched = 0;
   std::uint64_t bytes_prefetched = 0;
   /// Adaptive quality: interactive frames the SLO controller admitted
-  /// below full resolution, refinement frames enqueued/served for them,
-  /// bricks dropped by occupancy classification before staging, and
-  /// distinct TF classifications actually computed (the memoization
-  /// probe — one per (volume, layout, TF), never per frame).
+  /// below full resolution, and refinement frames enqueued/served for
+  /// them.
   std::uint64_t frames_degraded = 0;
   std::uint64_t refinements_enqueued = 0;
   std::uint64_t refinements_served = 0;
-  std::uint64_t bricks_occupancy_culled = 0;
-  std::uint64_t classifications_built = 0;
   /// Compressed serving (ServiceConfig::compression != None): decompress
   /// quanta charged before map kernels, their GPU seconds, and peer
   /// hydration — misses served from a sibling shard's cache instead of
@@ -579,7 +570,6 @@ class RenderService final : public SessionBackend {
     /// LOD chunks reference pyramid level volumes/layouts, and chunks
     /// read their stored sizes from the compression plans.
     std::shared_ptr<const lod::LodPyramid> pyramid;
-    std::shared_ptr<const lod::TfClassification> classification;
     std::shared_ptr<const compress::CompressionPlan> compression;
     std::vector<std::shared_ptr<const compress::CompressionPlan>> level_compression;
     /// SLO controller served this below the requested quality; a
@@ -656,7 +646,6 @@ class RenderService final : public SessionBackend {
   /// admission never builds the pyramid, and vice versa).
   struct QualityState {
     std::shared_ptr<const lod::LodPyramid> pyramid;
-    std::shared_ptr<const lod::OccupancyIndex> occupancy;
     /// Per-brick compression outcomes for the base layout under
     /// config_.compression (null until first compressed admission).
     std::shared_ptr<const compress::CompressionPlan> compression;
@@ -665,9 +654,7 @@ class RenderService final : public SessionBackend {
     std::vector<std::shared_ptr<const compress::CompressionPlan>> level_compression;
   };
   /// Find-or-build the quality state for a pending frame's (volume,
-  /// layout). Registers the volume; the occupancy index is scanned only
-  /// when enable_occupancy_culling is set (subsampled past the voxel
-  /// budget).
+  /// layout), with its pyramid.
   QualityState& quality_state(const Pending& pending, std::uint64_t vid);
   /// Find-or-build the memoized CompressionPlan(s) for the frame's
   /// (volume, layout) under config_.compression — the base plan always,
@@ -829,11 +816,9 @@ class RenderService final : public SessionBackend {
 
   // Adaptive-quality state and telemetry.
   std::map<std::pair<std::uint64_t, std::uint64_t>, QualityState> quality_;
-  lod::ClassificationCache classifications_;
   std::uint64_t frames_degraded_ = 0;
   std::uint64_t refinements_enqueued_ = 0;
   std::uint64_t refinements_served_ = 0;
-  std::uint64_t bricks_occupancy_culled_ = 0;
 
   // Peer hydration: frontend-installed miss interceptor (null = none).
   HydrationSource hydration_;

@@ -53,9 +53,10 @@ inline const char* to_string(Priority priority) {
 }
 
 /// Camera-trajectory hint: the session promises a turntable orbit of
-/// `frames_per_orbit` frames spaced `frame_interval_s` apart. Unused by
-/// scheduling today; declared here so prefetch (ROADMAP) can warm the
-/// next frame's bricks while the current frame reduces.
+/// `frames_per_orbit` frames spaced `frame_interval_s` apart. A hint's
+/// presence licenses prefetch: while a frame is in flight, idle lanes
+/// stage the bricks of hinted sessions' queued head frames
+/// (RenderService::try_prefetch). The two values are not read yet.
 struct OrbitHint {
   int frames_per_orbit = 0;
   double frame_interval_s = 0.0;

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "compress/brick_codec.hpp"
-#include "lod/occupancy.hpp"
 #include "lod/pyramid.hpp"
 #include "util/check.hpp"
 
@@ -133,21 +132,6 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
     if (pyramid != nullptr) {
       level = lod::select_level(*pyramid, info, projected_pixels, base_level,
                                 options.quality);
-    }
-
-    // Occupancy culling applies only to full-resolution bricks: a
-    // level-L ghost shell reaches 2^L base voxels past the core, beyond
-    // the padded region the occupancy scan bounds. cullable() already
-    // demands an exact scan and (for the fine per-cell test)
-    // decimation == 1 — see lod/occupancy.hpp for the soundness
-    // argument that makes this bit-identical.
-    if (level == 0 && aq.classification != nullptr &&
-        aq.classification->cullable(info.id, options.cast.decimation)) {
-      planned->plan_->add_chunk(std::make_unique<BrickChunk>(volume, info));
-      planned->plan_->set_chunk_footprint(chunk_index, 0, 0, 0, 0);  // empty: cull
-      ++planned->occupancy_culled_;
-      ++chunk_index;
-      continue;
     }
 
     // Pyramid levels share the base grid's brick ids, so a level plan

@@ -21,7 +21,6 @@
 
 namespace vrmr::lod {
 class LodPyramid;
-struct TfClassification;
 }  // namespace vrmr::lod
 
 namespace vrmr::compress {
@@ -145,7 +144,7 @@ RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
                               mr::StagingHook staging_hook,
                               const BrickLayout& layout);
 
-/// Optional adaptive-quality inputs for plan_frame. Both pointers are
+/// Optional adaptive-quality inputs for plan_frame. The pointers are
 /// borrowed for the duration of the call only (levels referenced by
 /// planned chunks must outlive the frame, which the pyramid's owner —
 /// the service's per-volume quality state — guarantees).
@@ -153,10 +152,6 @@ struct AdaptiveQuality {
   /// LOD pyramid for (volume, layout); nullptr = no LOD (all bricks at
   /// base resolution regardless of options.max_lod/quality).
   const lod::LodPyramid* pyramid = nullptr;
-  /// TF-emptiness classification for (volume, layout, options.transfer);
-  /// nullptr = no occupancy culling. Only bricks selected at level 0
-  /// are culled (coarse ghost shells reach beyond the scanned region).
-  const lod::TfClassification* classification = nullptr;
   /// Per-brick compression outcomes for the BASE layout
   /// (compress::analyze over (volume, layout)); nullptr = uncompressed
   /// planning. Every planned base-level BrickChunk gets its stored size
@@ -212,9 +207,6 @@ class PlannedFrame {
   /// plan().finished(); call once.
   RenderResult finish();
 
-  /// Bricks dropped by occupancy classification (TF-fully-transparent)
-  /// before any staging — on top of whatever screen_footprints culled.
-  int occupancy_culled() const { return occupancy_culled_; }
   /// Deepest pyramid level any planned chunk renders at (0 = the whole
   /// frame is full resolution).
   int max_level() const { return max_level_; }
@@ -233,7 +225,6 @@ class PlannedFrame {
   int width_ = 0, height_ = 0;
   int brick_size_ = 0, num_bricks_ = 0;
   std::uint64_t logical_voxels_ = 0;
-  int occupancy_culled_ = 0;
   int max_level_ = 0;
   bool finished_ = false;
 };
@@ -248,9 +239,8 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
                                          const BrickLayout& layout);
 
 /// As above with adaptive-quality inputs: per-brick pyramid level
-/// selection (options.max_lod / options.quality against aq.pyramid) and
-/// pre-staging occupancy culling (aq.classification). With a
-/// default-constructed AdaptiveQuality this is exactly the 5-arg
+/// selection (options.max_lod / options.quality against aq.pyramid).
+/// With a default-constructed AdaptiveQuality this is exactly the 5-arg
 /// overload — bit-identical planning.
 std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,
                                          const RenderOptions& options,

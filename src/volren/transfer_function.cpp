@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace vrmr::volren {
 
@@ -47,37 +46,6 @@ bool tf_empty_interval(std::span<const Vec4> table, float a, float b) {
   const int hi = std::clamp(static_cast<int>(std::floor(xb)) + 1, 0, n - 1);
   for (int i = lo; i <= hi; ++i) {
     if (table[static_cast<std::size_t>(i)].w != 0.0f) return false;
-  }
-  return true;
-}
-
-std::uint64_t TransferFunction::signature() const {
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](float f) {
-    std::uint32_t bits = 0;
-    std::memcpy(&bits, &f, sizeof(bits));
-    for (int byte = 0; byte < 4; ++byte) {
-      h ^= (bits >> (byte * 8)) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  };
-  for (const TransferPoint& p : points_) {
-    mix(p.scalar);
-    mix(p.rgba.x);
-    mix(p.rgba.y);
-    mix(p.rgba.z);
-    mix(p.rgba.w);
-  }
-  return h;
-}
-
-bool TransferFunction::operator==(const TransferFunction& other) const {
-  if (points_.size() != other.points_.size()) return false;
-  for (size_t i = 0; i < points_.size(); ++i) {
-    if (points_[i].scalar != other.points_[i].scalar) return false;
-    const Vec4& a = points_[i].rgba;
-    const Vec4& b = other.points_[i].rgba;
-    if (a.x != b.x || a.y != b.y || a.z != b.z || a.w != b.w) return false;
   }
   return true;
 }

@@ -7,7 +7,6 @@
 // (§3.2); the map kernel uploads the baked table into a Texture1D and
 // samples it per step.
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,15 +33,6 @@ class TransferFunction {
 
   const std::vector<TransferPoint>& points() const { return points_; }
 
-  /// Stable content hash over the control-point table (FNV-1a over the
-  /// raw float bits). Equal signatures <=> equal point tables for all
-  /// practical purposes; occupancy classifications and (eventually)
-  /// content-addressed tile caching key on it.
-  std::uint64_t signature() const;
-
-  /// Exact point-table equality (bitwise on the floats).
-  bool operator==(const TransferFunction& other) const;
-
   // --- presets ------------------------------------------------------------
 
   /// Opacity ramps linearly with scalar; grayscale color.
@@ -61,9 +51,8 @@ class TransferFunction {
   std::vector<TransferPoint> points_;
 };
 
-/// The one TF-emptiness rule, shared by occupancy classification
-/// (lod::classify) and the map kernel's empty-space skipping: true iff
-/// every entry of the baked `table` that Texture1D::sample can touch
+/// The TF-emptiness rule of the map kernel's empty-space skipping: true
+/// iff every entry of the baked `table` that Texture1D::sample can touch
 /// for a scalar in [a, b] has alpha exactly 0. sample() computes x =
 /// clamp(t) * N - 0.5 and lerps entries floor(x) and floor(x) + 1,
 /// both clamped to [0, N-1] — so the touched range is

@@ -1,8 +1,9 @@
 // Brick codec tests: RLE round-trips every seed scene's bricks
 // bit-exactly (NaN / -0.0 payloads included), the zfp-style size model
-// never exceeds logical bytes, and an adversarial noise volume — ratio
-// ~1.0 on both codecs — never models stored > logical (which would
-// underflow byte budgets computed on logical sizes).
+// never exceeds logical bytes and compresses the sparse supernova, and
+// an adversarial noise volume — ratio ~1.0 on both codecs — never
+// models stored > logical (which would underflow byte budgets computed
+// on logical sizes).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "compress/brick_codec.hpp"
-#include "lod/occupancy.hpp"
 #include "volren/datasets.hpp"
 #include "volren/renderer.hpp"
 #include "volren/volume.hpp"
@@ -130,6 +130,10 @@ TEST(BrickCodec, ZfpStyleSizesNeverExceedLogicalOnSeedScenes) {
       EXPECT_GT(bc.decompress_s, 0.0) << label;
     }
     EXPECT_GE(plan.ratio(), 1.0) << label;
+    // The supernova's sparse shock shell really compresses.
+    if (scene.dataset == "supernova") {
+      EXPECT_LT(plan.stored_total, plan.logical_total) << label;
+    }
     // zfp-style decode is a passthrough (the ratio is modeled).
     const volren::BrickInfo& info = layout.bricks().front();
     const std::vector<float> voxels =
@@ -138,37 +142,6 @@ TEST(BrickCodec, ZfpStyleSizesNeverExceedLogicalOnSeedScenes) {
         bit_identical(voxels, zfp.decode(zfp.encode(voxels), voxels.size())))
         << label;
   }
-}
-
-TEST(BrickCodec, ThumbnailIntervalsTrackTheMaterializedModel) {
-  // analyze() with an exact occupancy index reads the thumbnail
-  // intervals instead of re-scanning voxels. The thumbnail's cells
-  // overlap by one voxel (interpolant soundness), so its intervals are
-  // slightly wider than the codec's own disjoint-cell scan — the two
-  // models must stay close and honor the same clamp, not match to the
-  // byte.
-  const Scene scene{"supernova", {32, 32, 32}, 8, 16};
-  const volren::Volume volume =
-      volren::datasets::by_name(scene.dataset, scene.dims);
-  const volren::BrickLayout layout = layout_for(volume, scene);
-  const lod::OccupancyIndex occupancy(volume, layout,
-                                      ZfpStyleCodec::kCellVoxels);
-  ASSERT_TRUE(occupancy.exact());
-  const ZfpStyleCodec zfp;
-  const CompressionPlan scanned = analyze(volume, layout, zfp);
-  const CompressionPlan thumbed = analyze(volume, layout, zfp, &occupancy);
-  ASSERT_EQ(scanned.bricks.size(), thumbed.bricks.size());
-  for (std::size_t i = 0; i < scanned.bricks.size(); ++i) {
-    EXPECT_LE(thumbed.bricks[i].stored_bytes, thumbed.bricks[i].logical_bytes)
-        << "brick " << i;
-    const double a = static_cast<double>(scanned.bricks[i].stored_bytes);
-    const double b = static_cast<double>(thumbed.bricks[i].stored_bytes);
-    EXPECT_NEAR(a, b, 0.35 * std::max(a, b)) << "brick " << i;
-  }
-  // The sparse shock shell really compresses under both models.
-  EXPECT_LT(scanned.stored_total, scanned.logical_total);
-  EXPECT_LT(thumbed.stored_total, thumbed.logical_total);
-  EXPECT_GT(thumbed.ratio(), 1.0);
 }
 
 TEST(BrickCodec, NoiseVolumeNeverUnderflowsByteBudgets) {

@@ -1,8 +1,7 @@
 // Adaptive quality of service (src/lod + the service's SLO controller):
 // LOD-0 planning is bit-identical to the pyramid-free path across the
-// seed scenes and both barrier modes, occupancy culling drops provably
-// invisible bricks without changing a pixel, per-request/per-session
-// quality knobs thread through admission, and the SLO controller's
+// seed scenes and both barrier modes, per-request/per-session quality
+// knobs thread through admission, and the SLO controller's
 // degrade -> refine sequencing delivers previews before their
 // full-quality refinements with linked FrameRecords.
 
@@ -24,23 +23,6 @@
 
 namespace vrmr::service {
 namespace {
-
-/// Alpha zero on [0, 0.5]: values below the knee are provably invisible.
-volren::TransferFunction low_cut_tf() {
-  return volren::TransferFunction(
-      {{0.0f, Vec4{0, 0, 0, 0}},
-       {0.5f, Vec4{0, 0, 0, 0}},
-       {0.6f, Vec4{1, 1, 1, 0.4f}},
-       {1.0f, Vec4{1, 1, 1, 0.9f}}});
-}
-
-/// Two-zone field whose 8 low-corner bricks (16^3 bricking) are wholly
-/// below the TF knee — provably cullable.
-volren::Volume octant_volume() {
-  return volren::Volume::procedural("octant", {48, 48, 48}, [](Int3 p) {
-    return (p.x < 33 && p.y < 33 && p.z < 33) ? 0.1f : 0.8f;
-  });
-}
 
 struct Scene {
   std::string name;
@@ -106,7 +88,6 @@ TEST(AdaptiveQuality, LodZeroPlanningIsBitIdenticalToThePyramidFreePath) {
           frame = volren::plan_frame(cluster, scene.volume, scene.options,
                                      mr::StagingHook{}, layout, aq);
           EXPECT_EQ(frame->max_level(), 0);
-          EXPECT_EQ(frame->occupancy_culled(), 0);
         } else {
           frame = volren::plan_frame(cluster, scene.volume, scene.options,
                                      mr::StagingHook{}, layout);
@@ -155,48 +136,6 @@ TEST(AdaptiveQuality, CoarseLevelsReduceWorkWhenRequested) {
   EXPECT_LT(coarse.stats.total_samples, full.stats.total_samples);
   EXPECT_LT(coarse.stats.bytes_h2d, full.stats.bytes_h2d);
   EXPECT_LT(coarse.stats.runtime_s, full.stats.runtime_s);
-}
-
-TEST(AdaptiveQuality, OccupancyCullingIsBitIdenticalAndObservable) {
-  const volren::Volume volume = octant_volume();
-  volren::RenderOptions options;
-  options.image_width = 48;
-  options.image_height = 48;
-  options.brick_size = 16;  // 27 bricks; the 8 low-corner ones cullable
-  options.transfer = low_cut_tf();
-
-  auto run = [&](bool culling) {
-    sim::Engine engine;
-    cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
-    ServiceConfig config;
-    config.enable_occupancy_culling = culling;
-    config.keep_images = true;
-    RenderService service(cluster, config);
-    Session s = service.open_session("orbit");
-    s.submit_orbit(volume, options, 3, 0.0, 0.0);
-    service.drain();
-    return service.stats();
-  };
-
-  const ServiceStats off = run(false);
-  const ServiceStats on = run(true);
-  ASSERT_EQ(off.frames.size(), 3u);
-  ASSERT_EQ(on.frames.size(), 3u);
-  for (std::size_t f = 0; f < off.frames.size(); ++f) {
-    const volren::ImageDiff diff =
-        volren::compare_images(off.frames[f].image, on.frames[f].image);
-    EXPECT_EQ(diff.max_abs, 0.0) << "frame " << f;
-  }
-
-  // 8 bricks dropped before staging, every frame.
-  EXPECT_EQ(on.bricks_occupancy_culled, 3u * 8u);
-  EXPECT_EQ(off.bricks_occupancy_culled, 0u);
-  // The classification was computed once and memoized across frames.
-  EXPECT_EQ(on.classifications_built, 1u);
-  EXPECT_EQ(off.classifications_built, 0u);
-  // Culled bricks were never demanded from the cache.
-  EXPECT_LT(on.frames[0].cache_misses, off.frames[0].cache_misses);
-  EXPECT_LT(on.frames[0].stats.bytes_h2d, off.frames[0].stats.bytes_h2d);
 }
 
 TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {

@@ -310,8 +310,6 @@ TEST(ElasticFarm, AutoscaleGrowsUnderBacklogAndShrinksWhenIdle) {
   config.rebalance.skew_ratio = 1.5;
   config.autoscale.enabled = true;
   config.autoscale.max_shards = 2;
-  config.autoscale.scale_up_backlog_s = 1e-4;
-  config.autoscale.scale_down_backlog_s = 1e-6;
   ServiceFrontend frontend(config);
   EXPECT_EQ(frontend.num_shards(), 1);
 

@@ -1,9 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
+#include "gpusim/device.hpp"
+#include "gpusim/texture.hpp"
 #include "volren/transfer_function.hpp"
 
 namespace vrmr::volren {
 namespace {
+
+/// Alpha zero on [0, 0.5], ramping opaque above: of 256 baked texels,
+/// the 128 whose centers lie below 0.5 are exactly transparent.
+TransferFunction low_cut_tf() {
+  return TransferFunction({{0.0f, Vec4{0, 0, 0, 0}},
+                           {0.5f, Vec4{0, 0, 0, 0}},
+                           {0.6f, Vec4{1, 1, 1, 0.4f}},
+                           {1.0f, Vec4{1, 1, 1, 0.9f}}});
+}
+
+/// The baked table uploaded the way the map kernel uploads it, so the
+/// checks sample through Texture1D::sample itself.
+struct BakedTexture {
+  std::vector<Vec4> table = low_cut_tf().bake(256);
+  gpusim::Device device{0, gpusim::DeviceProps{.vram_bytes = 1 << 20}};
+  gpusim::Texture1D texture{device, 256};
+  BakedTexture() { texture.upload(table); }
+};
 
 TEST(TransferFunction, EvaluatesControlPointsExactly) {
   const TransferFunction tf({{0.0f, {0, 0, 0, 0}}, {0.5f, {1, 0, 0, 0.5f}},
@@ -80,6 +103,53 @@ TEST(TransferFunctionPresets, BoneMakesAirInvisible) {
   EXPECT_EQ(tf.evaluate(0.0f).w, 0.0f);
   EXPECT_EQ(tf.evaluate(0.05f).w, 0.0f);
   EXPECT_GT(tf.evaluate(0.7f).w, 0.3f);  // bone is dense
+}
+
+TEST(TfEmptyInterval, EmptyIntervalsSampleZeroAlphaUnderTheTextureLerp) {
+  // The rule empty-space skipping rests on: for an interval
+  // tf_empty_interval calls empty, EVERY scalar in it samples alpha
+  // exactly 0 under Texture1D's own lerp. Endpoints on a 1/512 grid
+  // land on texel centers and texel edges alike.
+  const BakedTexture baked;
+  int checked = 0;
+  for (int i = 0; i <= 512; ++i) {
+    for (int j = i; j <= 512; ++j) {
+      const float a = static_cast<float>(i) / 512.0f;
+      const float b = static_cast<float>(j) / 512.0f;
+      if (!tf_empty_interval(baked.table, a, b)) continue;
+      for (int k = 0; k <= 64; ++k) {
+        const float t = a + (b - a) * static_cast<float>(k) / 64.0f;
+        ASSERT_EQ(baked.texture.sample(t).w, 0.0f)
+            << "[" << a << ", " << b << "] t=" << t;
+      }
+      ++checked;
+    }
+  }
+  // Every interval inside [0, 127.5/256) is empty: 255 grid points.
+  EXPECT_EQ(checked, 255 * 256 / 2);
+}
+
+TEST(TfEmptyInterval, ReachingOneTexelPastTheZeroRunIsNotEmpty) {
+  const BakedTexture baked;
+  int zero_run = 0;  // texels [0, zero_run) have alpha exactly 0
+  while (baked.table[static_cast<std::size_t>(zero_run)].w == 0.0f) ++zero_run;
+  ASSERT_EQ(zero_run, 128);
+
+  // sample(t) lerps texels floor(x) and floor(x) + 1 at x = t*N - 0.5.
+  // Below the last zero texel's center both stay in the zero run; from
+  // that center on, the lerp's upper texel is the first nonzero one.
+  const float last_zero_center = (static_cast<float>(zero_run) - 0.5f) / 256.0f;
+  EXPECT_TRUE(tf_empty_interval(baked.table, 0.0f,
+                                std::nextafter(last_zero_center, 0.0f)));
+  EXPECT_FALSE(tf_empty_interval(baked.table, 0.0f, last_zero_center));
+
+  // Halfway to the next texel center the sample really is visible, so
+  // an interval reaching it, from anywhere in the run, is not empty.
+  const float past = static_cast<float>(zero_run) / 256.0f;
+  EXPECT_GT(baked.texture.sample(past).w, 0.0f);
+  EXPECT_FALSE(tf_empty_interval(baked.table, 0.0f, past));
+  EXPECT_FALSE(tf_empty_interval(baked.table, 0.25f, past));
+  EXPECT_FALSE(tf_empty_interval(baked.table, past, past));
 }
 
 }  // namespace
