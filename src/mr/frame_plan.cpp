@@ -4,42 +4,54 @@
 #include <array>
 
 #include "util/log.hpp"
+#include "util/vec.hpp"
 
 namespace vrmr::mr {
 
+namespace {
+
+/// cut_ray_bands: the map quanta the lane dealt the fewest chunks gets.
+constexpr int kMinQuantaPerLane = 4;
+
+}  // namespace
+
 struct FramePlan::GpuState {
   std::unique_ptr<Mapper> mapper;
-  std::vector<int> chunk_indices;
-  std::size_t cursor = 0;  // next chunk to issue
+  std::vector<int> quanta;  // dealt map quanta (indices into quanta_)
+  std::size_t cursor = 0;   // next quantum to issue
 
   // Streaming send buffers, one per reducer (§3.1.2 buffered sends).
   std::vector<KvBuffer> outbox;
-  /// Destinations: the reducers one fabric message from this mapper
-  /// carries parts for, ordered by their lowest reducer. One reducer
-  /// each under Global and for same-node reducers; one slot per remote
-  /// node under PerReducer (its reducers' parts coalesce).
-  std::vector<std::vector<int>> dests;
-  std::vector<int> dest_of;  // reducer -> its slot in dests
+  std::vector<int> slot_of;  // reducer -> the send slot its outbox drains into
+  /// The slots this mapper feeds, ordered by their lowest reducer.
+  std::vector<int> slots;
   std::unique_ptr<Combiner> combiner;  // optional mapper-side partial reduce
-  /// Per-reducer count of this GPU's chunks whose footprint owner mask
-  /// includes that reducer. Decremented as each chunk's partition
-  /// completes; hitting zero finalizes the (mapper, reducer) pair
-  /// (pair_final) — the per-pair refinement of the final flush.
+  /// Per-reducer count of this GPU's quanta whose owner mask includes
+  /// that reducer. Decremented as each quantum's partition completes;
+  /// hitting zero finalizes the (mapper, reducer) pair (finalize_pair) —
+  /// the per-pair refinement of the final flush.
   std::vector<int> contrib;
   /// Pair (this mapper, r) counts toward r's final_pairs: it is final
   /// AND none of its fragments wait in outbox[r]. A final pair whose
-  /// coalesced message has not flushed yet is "held" and not counted.
+  /// slot has not flushed yet is "held" and not counted.
   std::vector<std::uint8_t> counted;
+  /// Per chunk: this GPU holds it (its GPU part staged it here), so
+  /// further bands of it need no lookup and no H2D.
+  std::vector<std::uint8_t> holds;
   int pending_partitions = 0;  // partition tasks still queued on the CPU
   bool lane_busy = false;      // a GPU part (or failure wedge) in flight
-  /// The chunk whose transfer is in flight (staged == false) or whose
-  /// bytes wait in host memory for the lane (staged == true); -1 when
-  /// none. Always chunk_indices[cursor - 1]: nothing else is taken for
-  /// the lane until its GPU part issues.
+  /// The quantum whose chunk's transfer is in flight (staged == false)
+  /// or whose bytes wait in host memory for the lane (staged == true);
+  /// -1 when none. Always quanta[cursor - 1]: nothing else is taken
+  /// for the lane until its GPU part issues.
   int staging = -1;
   bool staged = false;
   MapOutcome last_outcome;     // the in-flight quantum's kernel (trace args)
-  bool issued_all = false;     // every chunk has entered the pipeline
+  /// The chunk of the last quantum this GPU mapped and the kernel time
+  /// it was charged: the steal rule's prediction for its later bands.
+  int last_chunk = -1;
+  double last_kernel_s = 0.0;
+  bool issued_all = false;     // every quantum has entered the pipeline
   bool finished = false;       // final flush done, mapper retired
 };
 
@@ -90,13 +102,14 @@ void FramePlan::add_chunk(std::unique_ptr<Chunk> chunk, int gpu) {
   footprints_.push_back(Footprint{});
 }
 
-void FramePlan::set_chunk_footprint(int chunk_index, int x0, int y0, int x1,
-                                    int y1) {
+void FramePlan::set_chunk_footprint(int chunk_index, int x0, int y0, int x1, int y1,
+                                    int row_block) {
   VRMR_CHECK_MSG(!started_, "cannot set footprints after start()");
   VRMR_CHECK(chunk_index >= 0 &&
              chunk_index < static_cast<int>(footprints_.size()));
+  VRMR_CHECK(row_block >= 0);
   footprints_[static_cast<std::size_t>(chunk_index)] =
-      Footprint{x0, y0, x1, y1, true};
+      Footprint{x0, y0, x1, y1, row_block, true};
 }
 
 void FramePlan::start() {
@@ -107,27 +120,44 @@ void FramePlan::start() {
   started_ = true;
 
   const int num_gpus = cluster_.total_gpus();
+  const int num_nodes = cluster_.num_nodes();
   partitioner_ = make_partitioner(config_.partition, config_.domain, num_gpus);
 
-  // Build per-GPU mapper processes and deal chunks.
+  // Per-GPU mapper processes and their send slots: one per (mapper,
+  // reducer) pair, except that under PerReducer every mapper on a node
+  // feeds one shared slot per remote node.
   gpus_.clear();
+  slots_.clear();
+  std::vector<int> node_slot(static_cast<std::size_t>(num_nodes * num_nodes), -1);
   for (int g = 0; g < num_gpus; ++g) {
     auto state = std::make_unique<GpuState>();
     state->mapper = mapper_factory_(g, cluster_.gpu(g));
     VRMR_CHECK(state->mapper != nullptr);
     state->mapper->init(cluster_.gpu(g));
-    std::vector<int> node_slot(static_cast<std::size_t>(cluster_.num_nodes()), -1);
+    const int src = cluster_.node_of_gpu(g);
     for (int r = 0; r < num_gpus; ++r) {
       state->outbox.emplace_back(config_.value_size);
-      const int node = cluster_.node_of_gpu(r);
-      int& slot = node_slot[static_cast<std::size_t>(node)];
-      const bool coalesce = per_reducer_barriers() && node != cluster_.node_of_gpu(g);
-      if (!coalesce || slot < 0) {
-        slot = static_cast<int>(state->dests.size());
-        state->dests.emplace_back();
+      const int dst = cluster_.node_of_gpu(r);
+      int slot = static_cast<int>(slots_.size());
+      if (per_reducer_barriers() && dst != src) {
+        int& shared = node_slot[static_cast<std::size_t>(src * num_nodes + dst)];
+        if (shared < 0) {
+          shared = slot;
+          Slot node_wide{src, true, {}, {}};
+          for (int k = 0; k < num_gpus; ++k) {
+            if (cluster_.node_of_gpu(k) == src) node_wide.mappers.push_back(k);
+            if (cluster_.node_of_gpu(k) == dst) node_wide.reducers.push_back(k);
+          }
+          slots_.push_back(std::move(node_wide));
+        }
+        slot = shared;
+      } else {
+        slots_.push_back(Slot{src, false, {g}, {r}});
       }
-      state->dests[static_cast<std::size_t>(slot)].push_back(r);
-      state->dest_of.push_back(slot);
+      state->slot_of.push_back(slot);
+      if (std::find(state->slots.begin(), state->slots.end(), slot) == state->slots.end()) {
+        state->slots.push_back(slot);
+      }
     }
     if (combiner_factory_) {
       state->combiner = combiner_factory_(g);
@@ -138,10 +168,10 @@ void FramePlan::start() {
   // Per-chunk conservative reducer owner masks: the partitioner's owner
   // set of the chunk's screen footprint; all-ones without a footprint.
   std::uint64_t culled = 0;
-  chunk_masks_.assign(chunks_.size(), {});
+  std::vector<std::vector<std::uint8_t>> chunk_masks(chunks_.size());
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     const Footprint& fp = footprints_[i];
-    auto& mask = chunk_masks_[i];
+    auto& mask = chunk_masks[i];
     if (!fp.set) {
       mask.assign(static_cast<std::size_t>(num_gpus), 1);
     } else if (fp.x1 <= fp.x0 || fp.y1 <= fp.y0) {
@@ -151,13 +181,14 @@ void FramePlan::start() {
     }
   }
 
+  std::vector<std::vector<int>> dealt(static_cast<std::size_t>(num_gpus));
   int deal = 0;
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     // Dealing positions advance for EVERY chunk, culled or not, so the
     // brick -> GPU mapping (and thus residency-cache hits) is identical
     // with and without footprints.
     const int g = chunk_gpu_[i] >= 0 ? chunk_gpu_[i] : (deal++ % num_gpus);
-    const auto& mask = chunk_masks_[i];
+    const auto& mask = chunk_masks[i];
     const bool on_screen =
         std::any_of(mask.begin(), mask.end(), [](std::uint8_t m) { return m != 0; });
     if (!on_screen) {
@@ -166,7 +197,43 @@ void FramePlan::start() {
       ++culled;
       continue;
     }
-    gpus_[static_cast<std::size_t>(g)]->chunk_indices.push_back(static_cast<int>(i));
+    dealt[static_cast<std::size_t>(g)].push_back(static_cast<int>(i));
+  }
+
+  // Map quanta: each dealt chunk whole, or — cut_ray_bands on an
+  // in-core plan — cut into enough ray bands that the lane dealt the
+  // fewest chunks still gets kMinQuantaPerLane quanta. A band is a run
+  // of whole row blocks, split as evenly as the block count allows.
+  int bands = 1;
+  if (cut_ray_bands_ && !config_.include_disk_io) {
+    std::size_t fewest = 0;
+    for (const auto& lane : dealt) {
+      if (!lane.empty() && (fewest == 0 || lane.size() < fewest)) fewest = lane.size();
+    }
+    if (fewest > 0) bands = ceil_div(kMinQuantaPerLane, static_cast<int>(fewest));
+  }
+  quanta_.clear();
+  for (int g = 0; g < num_gpus; ++g) {
+    auto& lane = gpus_[static_cast<std::size_t>(g)]->quanta;
+    for (const int ci : dealt[static_cast<std::size_t>(g)]) {
+      const Footprint& fp = footprints_[static_cast<std::size_t>(ci)];
+      const int blocks = fp.row_block > 0 ? ceil_div(fp.y1 - fp.y0, fp.row_block) : 1;
+      const int n = std::min(bands, blocks);
+      if (n <= 1) {
+        lane.push_back(static_cast<int>(quanta_.size()));
+        quanta_.push_back(
+            Quantum{ci, fp.y0, fp.y1, true, chunk_masks[static_cast<std::size_t>(ci)]});
+        continue;
+      }
+      for (int b = 0; b < n; ++b) {
+        Quantum band{ci, fp.y0 + b * blocks / n * fp.row_block,
+                     std::min(fp.y1, fp.y0 + (b + 1) * blocks / n * fp.row_block), false,
+                     {}};
+        partitioner_->owners_in_rect(fp.x0, band.y0, fp.x1, band.y1, band.mask);
+        lane.push_back(static_cast<int>(quanta_.size()));
+        quanta_.push_back(std::move(band));
+      }
+    }
   }
 
   // One reducer process per GPU process.
@@ -179,7 +246,7 @@ void FramePlan::start() {
     reducers_.push_back(std::move(state));
   }
   tile_finish_s_.assign(static_cast<std::size_t>(num_gpus), 0.0);
-  chunk_attempts_.assign(chunks_.size(), 0);
+  quantum_attempts_.assign(quanta_.size(), 0);
 
   stats_ = JobStats{};
   stats_.num_gpus = num_gpus;
@@ -206,8 +273,9 @@ void FramePlan::start() {
     auto& gs = *gpus_[static_cast<std::size_t>(g)];
     gs.contrib.assign(static_cast<std::size_t>(num_gpus), 0);
     gs.counted.assign(static_cast<std::size_t>(num_gpus), 0);
-    for (const int ci : gs.chunk_indices) {
-      const auto& mask = chunk_masks_[static_cast<std::size_t>(ci)];
+    gs.holds.assign(chunks_.size(), 0);
+    for (const int q : gs.quanta) {
+      const auto& mask = quanta_[static_cast<std::size_t>(q)].mask;
       for (int r = 0; r < num_gpus; ++r) {
         gs.contrib[static_cast<std::size_t>(r)] += mask[static_cast<std::size_t>(r)];
       }
@@ -233,7 +301,7 @@ void FramePlan::start() {
   // rely on — defer the retire sweep to a fresh engine event.
   const bool all_culled = std::all_of(
       gpus_.begin(), gpus_.end(),
-      [](const std::unique_ptr<GpuState>& gs) { return gs->chunk_indices.empty(); });
+      [](const std::unique_ptr<GpuState>& gs) { return gs->quanta.empty(); });
   if (all_culled) {
     cluster_.engine().schedule_after(0.0, [this] {
       for (int g = 0; g < static_cast<int>(gpus_.size()); ++g) {
@@ -245,7 +313,7 @@ void FramePlan::start() {
   } else {
     for (int g = 0; g < num_gpus; ++g) {
       auto& gs = *gpus_[static_cast<std::size_t>(g)];
-      if (gs.chunk_indices.empty()) {
+      if (gs.quanta.empty()) {
         gs.issued_all = true;
         maybe_final_flush(g);
       }
@@ -266,8 +334,7 @@ void FramePlan::start() {
 
 int FramePlan::pending_map_quanta(int gpu) const {
   const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
-  return static_cast<int>(gs.chunk_indices.size() - gs.cursor) +
-         (gs.staging >= 0 ? 1 : 0);
+  return static_cast<int>(gs.quanta.size() - gs.cursor) + (gs.staging >= 0 ? 1 : 0);
 }
 
 bool FramePlan::lane_busy(int gpu) const {
@@ -286,7 +353,7 @@ bool FramePlan::chunk_staged(int gpu) const {
 bool FramePlan::map_quantum_issuable(int gpu) const {
   const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
   if (gs.lane_busy) return false;
-  return gs.staged || (gs.staging < 0 && gs.cursor < gs.chunk_indices.size());
+  return gs.staged || (gs.staging < 0 && gs.cursor < gs.quanta.size());
 }
 
 void FramePlan::issue_map_quantum(int gpu) {
@@ -295,69 +362,79 @@ void FramePlan::issue_map_quantum(int gpu) {
   VRMR_CHECK_MSG(!gs.lane_busy, "gpu " << gpu << " lane already busy");
   if (gs.staged) {
     // The landed chunk's GPU part: H2D onward.
-    const int ci = gs.staging;
+    const int q = gs.staging;
     gs.staging = -1;
     gs.staged = false;
-    occupy_lane(gpu, ci);
-    after_disk(gpu, ci);
+    occupy_lane(gpu, q);
+    after_disk(gpu, q);
     return;
   }
   VRMR_CHECK_MSG(gs.staging < 0,
                  "gpu " << gpu << " has a transfer in flight; issue once it lands");
-  VRMR_CHECK_MSG(gs.cursor < gs.chunk_indices.size(),
-                 "no pending map quanta on gpu " << gpu);
-  const int ci = gs.chunk_indices[gs.cursor++];
-  const int attempt = ++chunk_attempts_[static_cast<std::size_t>(ci)];
+  VRMR_CHECK_MSG(gs.cursor < gs.quanta.size(), "no pending map quanta on gpu " << gpu);
+  const int q = gs.quanta[gs.cursor++];
+  const int ci = quanta_[static_cast<std::size_t>(q)].chunk;
+  const int attempt = ++quantum_attempts_[static_cast<std::size_t>(q)];
   if (config_.fault_hook) {
     const QuantumFault fault = config_.fault_hook(gpu, ci, attempt);
     if (fault.fail) {
-      occupy_lane(gpu, ci);
-      fail_quantum(gpu, ci, fault.detect_s, fault.kind);
+      occupy_lane(gpu, q);
+      fail_quantum(gpu, q, fault.detect_s, fault.kind);
       return;
     }
   }
-  begin_staging(gpu, ci);
+  if (gs.holds[static_cast<std::size_t>(ci)]) {
+    // A later band of a chunk this GPU already staged: kernel onward.
+    occupy_lane(gpu, q);
+    run_map(gpu, q);
+    return;
+  }
+  begin_staging(gpu, q);
 }
 
-void FramePlan::occupy_lane(int gpu, int chunk_index) {
+void FramePlan::occupy_lane(int gpu, int q) {
   gpus_[static_cast<std::size_t>(gpu)]->lane_busy = true;
   if (auto* tr = config_.trace.recorder) {
+    const Quantum& quantum = quanta_[static_cast<std::size_t>(q)];
+    obs::TraceArgs args{
+        {"chunk", chunks_[static_cast<std::size_t>(quantum.chunk)]->label()},
+        {"session", std::to_string(config_.trace.session)},
+        {"frame", std::to_string(config_.trace.frame_id)}};
+    if (!quantum.whole) {
+      args.emplace_back("rows",
+                        std::to_string(quantum.y0) + "-" + std::to_string(quantum.y1));
+    }
     tr->begin(cluster_.engine().now(), config_.trace.pid, gpu, "map", "map",
-              {{"chunk", chunks_[static_cast<std::size_t>(chunk_index)]->label()},
-               {"session", std::to_string(config_.trace.session)},
-               {"frame", std::to_string(config_.trace.frame_id)}});
+              std::move(args));
   }
 }
 
-void FramePlan::fail_quantum(int gpu, int chunk_index, double detect_s,
-                             const char* kind) {
+void FramePlan::fail_quantum(int gpu, int q, double detect_s, const char* kind) {
   ++stats_.quanta_failed;
   // The lane is wedged until the failure is detected (a stuck read, a
   // missed ack): charge the detection timeout on the GPU stream, then
-  // restore the chunk and release the lane.
+  // restore the quantum and release the lane.
   const std::string kind_str = kind != nullptr ? kind : "quantum";
-  auto land = [this, gpu, chunk_index, kind_str] {
+  auto land = [this, gpu, q, kind_str] {
     auto& gs = *gpus_[static_cast<std::size_t>(gpu)];
+    const int ci = quanta_[static_cast<std::size_t>(q)].chunk;
+    const int attempt = quantum_attempts_[static_cast<std::size_t>(q)];
     if (auto* tr = config_.trace.recorder) {
       const double now = cluster_.engine().now();
       tr->instant(now, config_.trace.pid, gpu, "fault." + kind_str, "fault",
-                  {{"chunk", chunks_[static_cast<std::size_t>(chunk_index)]->label()},
-                   {"attempt", std::to_string(
-                       chunk_attempts_[static_cast<std::size_t>(chunk_index)])},
+                  {{"chunk", chunks_[static_cast<std::size_t>(ci)]->label()},
+                   {"attempt", std::to_string(attempt)},
                    {"frame", std::to_string(config_.trace.frame_id)}});
       tr->end(now, config_.trace.pid, gpu);  // closes "map"
     }
-    // The cursor already advanced past the chunk and nothing since can
-    // have removed entries below it, so stepping back re-queues exactly
-    // this chunk as the lane's next quantum. issued_all stays false —
+    // The cursor already advanced past the quantum and nothing since
+    // can have removed entries below it, so stepping back re-queues
+    // exactly this quantum as the lane's next. issued_all stays false —
     // the mapper cannot retire with a retry outstanding.
     --gs.cursor;
-    VRMR_DCHECK(gs.chunk_indices[gs.cursor] == chunk_index);
+    VRMR_DCHECK(gs.quanta[gs.cursor] == q);
     gs.lane_busy = false;
-    if (quantum_failed_cb_) {
-      quantum_failed_cb_(gpu, chunk_index,
-                         chunk_attempts_[static_cast<std::size_t>(chunk_index)]);
-    }
+    if (quantum_failed_cb_) quantum_failed_cb_(gpu, ci, attempt);
     if (lane_free_cb_) lane_free_cb_(gpu);
     if (greedy_ && map_quantum_issuable(gpu)) {
       issue_map_quantum(gpu);  // immediate same-lane retry
@@ -369,6 +446,42 @@ void FramePlan::fail_quantum(int gpu, int chunk_index, double detect_s,
   } else {
     cluster_.engine().schedule_after(0.0, std::move(land));
   }
+}
+
+void FramePlan::move_quantum(int from, int to, int q) {
+  auto& gs = *gpus_[static_cast<std::size_t>(from)];
+  auto& gt = *gpus_[static_cast<std::size_t>(to)];
+  // Reopen a retired target mapper: it has new work to issue.
+  if (gt.finished) {
+    gt.finished = false;
+    ++mappers_remaining_;
+  }
+  gt.issued_all = false;
+  gt.quanta.push_back(q);
+
+  const auto& mask = quanta_[static_cast<std::size_t>(q)].mask;
+  for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
+    if (!mask[static_cast<std::size_t>(r)]) continue;
+    // Target first: a zero contribution count means the (target, r)
+    // pair went final. Final and flushed, it was counted — uncount it
+    // before the count goes up. Final but held in its slot, it was
+    // never counted; reopening keeps its fragments queued for the
+    // slot's next flush.
+    if (gt.contrib[static_cast<std::size_t>(r)]++ == 0 &&
+        gt.counted[static_cast<std::size_t>(r)]) {
+      gt.counted[static_cast<std::size_t>(r)] = 0;
+      --reducers_[static_cast<std::size_t>(r)]->final_pairs;
+    }
+    // Source: this quantum will never be partitioned by `from`.
+    if (--gs.contrib[static_cast<std::size_t>(r)] == 0) finalize_pair(from, r);
+  }
+}
+
+void FramePlan::retire_if_drained(int gpu) {
+  auto& gs = *gpus_[static_cast<std::size_t>(gpu)];
+  if (gs.lane_busy || gs.staging >= 0 || gs.cursor < gs.quanta.size()) return;
+  gs.issued_all = true;
+  maybe_final_flush(gpu);
 }
 
 void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
@@ -389,60 +502,26 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
     gs.staged = false;
     --gs.cursor;
   }
-  if (gs.cursor >= gs.chunk_indices.size()) return;  // nothing pending
+  if (gs.cursor >= gs.quanta.size()) return;  // nothing pending
 
-  // The dead lane holds pending chunks, so its mapper has not retired:
+  // The dead lane holds pending quanta, so its mapper has not retired:
   // the routing barrier is still open and no reducer can be ready yet
-  // for any pair the moves below reopen (proof: a moved chunk's mask
+  // for any pair the moves below reopen (proof: a moved quantum's mask
   // bit for r implies contrib[gpu][r] >= 1, so (gpu, r) is not final
   // and r's final_pairs < num mappers).
   VRMR_DCHECK(!sorts_ready_);
 
-  std::vector<int> moved(gs.chunk_indices.begin() +
-                             static_cast<std::ptrdiff_t>(gs.cursor),
-                         gs.chunk_indices.end());
-  gs.chunk_indices.resize(gs.cursor);
-
-  const int num_reducers = static_cast<int>(reducers_.size());
+  const std::vector<int> moved(gs.quanta.begin() + static_cast<std::ptrdiff_t>(gs.cursor),
+                               gs.quanta.end());
+  gs.quanta.resize(gs.cursor);
   for (std::size_t i = 0; i < moved.size(); ++i) {
-    const int ci = moved[i];
-    const int target = survivors[i % survivors.size()];
-    auto& gt = *gpus_[static_cast<std::size_t>(target)];
-    // Reopen a retired target mapper: it has new chunks to issue.
-    if (gt.finished) {
-      gt.finished = false;
-      ++mappers_remaining_;
-    }
-    gt.issued_all = false;
-    gt.chunk_indices.push_back(ci);
-
-    const auto& mask = chunk_masks_[static_cast<std::size_t>(ci)];
-    for (int r = 0; r < num_reducers; ++r) {
-      if (!mask[static_cast<std::size_t>(r)]) continue;
-      // Target first: a zero contribution count means the (target, r)
-      // pair went final. Final and flushed, it was counted — uncount it
-      // before the count goes up. Final but held in a coalesced outbox,
-      // it was never counted; reopening keeps its fragments queued for
-      // the slot's next flush.
-      if (gt.contrib[static_cast<std::size_t>(r)]++ == 0 &&
-          gt.counted[static_cast<std::size_t>(r)]) {
-        gt.counted[static_cast<std::size_t>(r)] = 0;
-        --reducers_[static_cast<std::size_t>(r)]->final_pairs;
-      }
-      // Source: this chunk will never be partitioned by `gpu`.
-      if (--gs.contrib[static_cast<std::size_t>(r)] == 0) {
-        pair_final(gpu, r);
-      }
-    }
+    move_quantum(gpu, survivors[i % survivors.size()], moved[i]);
   }
 
   // An idle dead lane retires its mapper now (flushing fragments its
   // completed quanta already produced); a busy one retires via
   // lane_freed when the in-flight quantum lands.
-  if (!gs.lane_busy && gs.staging < 0 && gs.cursor >= gs.chunk_indices.size()) {
-    gs.issued_all = true;
-    maybe_final_flush(gpu);
-  }
+  retire_if_drained(gpu);
 
   if (greedy_) {
     for (const int s : survivors) {
@@ -453,8 +532,70 @@ void FramePlan::redistribute_lane(int gpu, const std::vector<int>& survivors) {
   }
 }
 
-void FramePlan::begin_staging(int g, int chunk_index) {
+double FramePlan::predicted_unissued_s(int gpu) const {
+  const auto& gs = *gpus_[static_cast<std::size_t>(gpu)];
+  const double prior = stats_.map_quanta > 0
+                            ? mapped_kernel_s_ / static_cast<double>(stats_.map_quanta)
+                            : 1.0;
+  double work = 0.0;
+  for (std::size_t i = gs.cursor; i < gs.quanta.size(); ++i) {
+    const int ci = quanta_[static_cast<std::size_t>(gs.quanta[i])].chunk;
+    work += ci == gs.last_chunk ? gs.last_kernel_s : prior;
+  }
+  return work;
+}
+
+bool FramePlan::steal_map_quantum(int thief) {
+  VRMR_CHECK_MSG(started_, "steal before start()");
+  // A stolen out-of-core chunk would need a second disk read.
+  if (config_.include_disk_io) return false;
+  const auto& gt = *gpus_.at(static_cast<std::size_t>(thief));
+  if (gt.lane_busy || pending_map_quanta(thief) > 0) return false;
+
+  int victim = -1;
+  double most = 0.0;
+  for (int v = 0; v < static_cast<int>(gpus_.size()); ++v) {
+    const auto& gv = *gpus_[static_cast<std::size_t>(v)];
+    if (v == thief || gv.cursor >= gv.quanta.size()) continue;
+    const double work = predicted_unissued_s(v);
+    if (victim < 0 || work > most) {
+      victim = v;
+      most = work;
+    }
+  }
+  if (victim < 0) return false;
+
+  // Same bookkeeping as a redistributed quantum: the victim still has
+  // this quantum unissued, so no reducer it reaches can be ready yet.
+  auto& gv = *gpus_[static_cast<std::size_t>(victim)];
+  const int q = gv.quanta.back();
+  gv.quanta.pop_back();
+  move_quantum(victim, thief, q);
+  ++stats_.quanta_stolen;
+  if (auto* tr = config_.trace.recorder) {
+    const Quantum& quantum = quanta_[static_cast<std::size_t>(q)];
+    tr->instant(cluster_.engine().now(), config_.trace.pid, thief, "steal", "sched",
+                {{"chunk", chunks_[static_cast<std::size_t>(quantum.chunk)]->label()},
+                 {"rows", std::to_string(quantum.y0) + "-" + std::to_string(quantum.y1)},
+                 {"from", std::to_string(victim)},
+                 {"frame", std::to_string(config_.trace.frame_id)}});
+  }
+  // An idle victim left with nothing to issue will never free its lane
+  // again for this plan: retire it here.
+  retire_if_drained(victim);
+  return true;
+}
+
+void FramePlan::hold_chunk(int g, int q) {
+  const int ci = quanta_[static_cast<std::size_t>(q)].chunk;
+  gpus_[static_cast<std::size_t>(g)]->holds[static_cast<std::size_t>(ci)] = 1;
+  stats_.per_gpu[static_cast<std::size_t>(g)].chunks += 1;
+}
+
+void FramePlan::begin_staging(int g, int q) {
+  const int chunk_index = quanta_[static_cast<std::size_t>(q)].chunk;
   const Chunk& chunk = *chunks_[static_cast<std::size_t>(chunk_index)];
+  stats_.stagings += 1;
   if (config_.staging_hook && config_.staging_hook(g, chunk)) {
     // Already resident on this GPU (brick cache hit): skip the disk
     // read and the H2D copy entirely — the map kernel can launch as
@@ -465,16 +606,15 @@ void FramePlan::begin_staging(int g, int chunk_index) {
     stats_.chunks_resident += 1;
     stats_.bytes_h2d_saved += chunk.stored_bytes();
     if (config_.include_disk_io) stats_.bytes_disk_saved += chunk.disk_bytes();
-    occupy_lane(g, chunk_index);
-    after_h2d(g, chunk_index);
+    occupy_lane(g, q);
+    hold_chunk(g, q);
+    after_h2d(g, q);
     return;
   }
   // A miss moves the bytes into host memory first, without the lane.
   auto* tr = config_.trace.recorder;
   const std::uint64_t trace_id = tr != nullptr ? tr->next_async_id() : 0;
-  auto landed = [this, g, chunk_index, trace_id] {
-    transfer_landed(g, chunk_index, trace_id);
-  };
+  auto landed = [this, g, q, trace_id] { transfer_landed(g, q, trace_id); };
   // Peer hydration: a miss may be served from a sibling shard's warm
   // cache instead of disk — the hook owns the (simulated) fabric
   // transfer and lands the compressed payload in host memory.
@@ -482,7 +622,7 @@ void FramePlan::begin_staging(int g, int chunk_index) {
     stats_.chunks_hydrated += 1;
     stats_.bytes_hydrated += chunk.stored_bytes();
     if (config_.include_disk_io) stats_.bytes_disk_saved += chunk.disk_bytes();
-    start_transfer(g, chunk_index, "peer", chunk.stored_bytes(), trace_id);
+    start_transfer(g, q, "peer", chunk.stored_bytes(), trace_id);
     return;
   }
   if (config_.include_disk_io) {
@@ -490,23 +630,23 @@ void FramePlan::begin_staging(int g, int chunk_index) {
     stats_.bytes_disk += bytes;
     io::VirtualDisk& disk = cluster_.disk(cluster_.node_of_gpu(g));
     stats_.disk_busy_s += disk.model().read_time(bytes);
-    start_transfer(g, chunk_index, "disk", bytes, trace_id);
+    start_transfer(g, q, "disk", bytes, trace_id);
     disk.read(bytes, std::move(landed));
     return;
   }
   // In-core: the bytes are already in host memory.
-  occupy_lane(g, chunk_index);
-  after_disk(g, chunk_index);
+  occupy_lane(g, q);
+  after_disk(g, q);
 }
 
-void FramePlan::start_transfer(int g, int chunk_index, const char* source,
-                               std::uint64_t bytes, std::uint64_t trace_id) {
+void FramePlan::start_transfer(int g, int q, const char* source, std::uint64_t bytes,
+                               std::uint64_t trace_id) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
-  gs.staging = chunk_index;
+  gs.staging = q;
   if (auto* tr = config_.trace.recorder) {
-    tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "stage",
-                    "stage",
-                    {{"chunk", chunks_[static_cast<std::size_t>(chunk_index)]->label()},
+    const int ci = quanta_[static_cast<std::size_t>(q)].chunk;
+    tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "stage", "stage",
+                    {{"chunk", chunks_[static_cast<std::size_t>(ci)]->label()},
                      {"bytes", std::to_string(bytes)},
                      {"source", source},
                      {"gpu", std::to_string(g)},
@@ -514,13 +654,13 @@ void FramePlan::start_transfer(int g, int chunk_index, const char* source,
   }
 }
 
-void FramePlan::transfer_landed(int g, int chunk_index, std::uint64_t trace_id) {
+void FramePlan::transfer_landed(int g, int q, std::uint64_t trace_id) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   // A FetchHook must land from a later DES callback, never inside its
   // own call (the transfer is recorded only after the hook returns).
-  VRMR_CHECK_MSG(gs.staging == chunk_index && !gs.staged,
-                 "chunk " << chunk_index << " landed for gpu " << g
-                          << " without a transfer in flight");
+  VRMR_CHECK_MSG(gs.staging == q && !gs.staged,
+                 "quantum " << q << " landed for gpu " << g
+                            << " without a transfer in flight");
   gs.staged = true;
   if (auto* tr = config_.trace.recorder) {
     tr->async_end(cluster_.engine().now(), config_.trace.pid, trace_id, "stage",
@@ -532,13 +672,14 @@ void FramePlan::transfer_landed(int g, int chunk_index, std::uint64_t trace_id) 
   if (greedy_ && map_quantum_issuable(g)) issue_map_quantum(g);
 }
 
-void FramePlan::after_disk(int g, int chunk_index) {
+void FramePlan::after_disk(int g, int q) {
   // Synchronous H2D of the chunk's 3-D texture: occupies both the
   // node's PCIe link and the GPU stream (§3.1.2). The copy ships the
   // STORED payload (compressed chunks move fewer bytes; the expansion
   // back to device_bytes() is the decompress quantum in after_h2d).
+  hold_chunk(g, q);
   const int node = cluster_.node_of_gpu(g);
-  const Chunk& chunk = *chunks_[static_cast<std::size_t>(chunk_index)];
+  const Chunk& chunk = chunk_of(q);
   const std::uint64_t bytes = chunk.stored_bytes();
   stats_.bytes_h2d += bytes;
   stats_.bytes_logical_staged += chunk.device_bytes();
@@ -546,13 +687,12 @@ void FramePlan::after_disk(int g, int chunk_index) {
   stats_.pcie_busy_s += duration;
   stats_.gpu_busy_s += duration;
   const std::array<sim::Resource*, 2> rs = {&cluster_.pcie(node), &cluster_.gpu_stream(g)};
-  sim::Resource::acquire_multi(rs, duration,
-                               [this, g, chunk_index](sim::SimTime, sim::SimTime) {
-                                 after_h2d(g, chunk_index);
-                               });
+  sim::Resource::acquire_multi(rs, duration, [this, g, q](sim::SimTime, sim::SimTime) {
+    after_h2d(g, q);
+  });
 }
 
-void FramePlan::after_h2d(int g, int chunk_index) {
+void FramePlan::after_h2d(int g, int q) {
   // Decompress quantum: expand the stored payload to the logical
   // texture on this GPU's stream, strictly before the map kernel. Both
   // staging paths land here (a cache hit holds the compressed payload
@@ -561,38 +701,40 @@ void FramePlan::after_h2d(int g, int chunk_index) {
   // t_map_done, critical-path attribution folds it into StageMap with
   // no change to the exact finish − arrival partition
   // (obs/critical_path.hpp).
-  const Chunk& chunk = *chunks_[static_cast<std::size_t>(chunk_index)];
+  const Chunk& chunk = chunk_of(q);
   const double expand_s = chunk.decompress_s();
   if (expand_s > 0.0) {
     stats_.chunks_decompressed += 1;
     stats_.decompress_s_total += expand_s;
     stats_.gpu_busy_s += expand_s;
     if (auto* tr = config_.trace.recorder) {
-      tr->begin(cluster_.engine().now(), config_.trace.pid, g, "decompress",
-                "compress",
+      tr->begin(cluster_.engine().now(), config_.trace.pid, g, "decompress", "compress",
                 {{"chunk", chunk.label()},
                  {"frame", std::to_string(config_.trace.frame_id)}});
     }
-    cluster_.gpu_stream(g).acquire(
-        expand_s, [this, g, chunk_index](sim::SimTime, sim::SimTime) {
-          if (auto* tr = config_.trace.recorder) {
-            tr->end(cluster_.engine().now(), config_.trace.pid, g);
-          }
-          run_map(g, chunk_index);
-        });
+    cluster_.gpu_stream(g).acquire(expand_s, [this, g, q](sim::SimTime, sim::SimTime) {
+      if (auto* tr = config_.trace.recorder) {
+        tr->end(cluster_.engine().now(), config_.trace.pid, g);
+      }
+      run_map(g, q);
+    });
     return;
   }
-  run_map(g, chunk_index);
+  run_map(g, q);
 }
 
-void FramePlan::run_map(int g, int chunk_index) {
+void FramePlan::run_map(int g, int q) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
-  const Chunk& chunk = *chunks_[static_cast<std::size_t>(chunk_index)];
+  const Quantum& quantum = quanta_[static_cast<std::size_t>(q)];
+  const Chunk& chunk = *chunks_[static_cast<std::size_t>(quantum.chunk)];
 
   // Functional kernel execution happens here (host threads); its
   // simulated duration is charged onto the GPU stream afterwards.
   auto out = std::make_shared<KvBuffer>(config_.value_size);
-  const MapOutcome outcome = gs.mapper->map(cluster_.gpu(g), chunk, *out);
+  gpusim::Device& device = cluster_.gpu(g);
+  const MapOutcome outcome =
+      quantum.whole ? gs.mapper->map(device, chunk, *out)
+                    : gs.mapper->map_band(device, chunk, quantum.y0, quantum.y1, *out);
   if (config_.verify_every_thread_emits && outcome.threads > 0) {
     VRMR_CHECK_MSG(out->size() == outcome.threads,
                    "every-thread-emits violated for chunk '"
@@ -603,7 +745,6 @@ void FramePlan::run_map(int g, int chunk_index) {
   const double duration =
       cluster_.gpu(g).props().kernel_time(outcome.samples, out->bytes());
   auto& pg = stats_.per_gpu[static_cast<std::size_t>(g)];
-  pg.chunks += 1;
   pg.samples += outcome.samples;
   pg.threads += outcome.threads;
   pg.pairs += out->size();
@@ -612,16 +753,20 @@ void FramePlan::run_map(int g, int chunk_index) {
   stats_.samples_skipped += outcome.samples_skipped;
   stats_.skip_leaps += outcome.skip_leaps;
   gs.last_outcome = outcome;
+  gs.last_chunk = quantum.chunk;
+  gs.last_kernel_s = duration;
+  mapped_kernel_s_ += duration;
+  ++stats_.map_quanta;
   stats_.gpu_busy_s += duration;
 
   cluster_.gpu_stream(g).acquire(
-      duration, [this, g, chunk_index, out](sim::SimTime, sim::SimTime end) {
+      duration, [this, g, q, out](sim::SimTime, sim::SimTime end) {
         stats_.t_map_done = std::max(stats_.t_map_done, end - t0_);
-        after_kernel(g, chunk_index, out);
+        after_kernel(g, q, out);
       });
 }
 
-void FramePlan::after_kernel(int g, int chunk_index, std::shared_ptr<KvBuffer> out) {
+void FramePlan::after_kernel(int g, int q, std::shared_ptr<KvBuffer> out) {
   // D2H of the emitted pairs (fragments + placeholders — placeholders
   // are still resident on the device at this point, §3.1.1).
   const int node = cluster_.node_of_gpu(g);
@@ -632,10 +777,10 @@ void FramePlan::after_kernel(int g, int chunk_index, std::shared_ptr<KvBuffer> o
   stats_.gpu_busy_s += duration;
   const std::array<sim::Resource*, 2> rs = {&cluster_.pcie(node), &cluster_.gpu_stream(g)};
   sim::Resource::acquire_multi(
-      rs, duration, [this, g, node, chunk_index, out](sim::SimTime, sim::SimTime) {
+      rs, duration, [this, g, node, q, out](sim::SimTime, sim::SimTime) {
         // GPU is free again: the quantum ends here (the paper's overlap
         // of communication with further ray casting) while the CPU
-        // partitions this chunk's output in parallel.
+        // partitions this quantum's output in parallel.
         ++partitions_in_flight_;
         ++gpus_[static_cast<std::size_t>(g)]->pending_partitions;
         const double partition_time =
@@ -643,8 +788,8 @@ void FramePlan::after_kernel(int g, int chunk_index, std::shared_ptr<KvBuffer> o
             cluster_.config().hw.cpu.partition_rate_pairs_per_s;
         stats_.cpu_busy_s += partition_time;
         cluster_.cpu(node).acquire(partition_time,
-                                   [this, g, chunk_index, out](sim::SimTime, sim::SimTime) {
-                                     partition_and_send(g, chunk_index, out);
+                                   [this, g, q, out](sim::SimTime, sim::SimTime) {
+                                     partition_and_send(g, q, out);
                                    });
         lane_freed(g);
       });
@@ -658,20 +803,16 @@ void FramePlan::lane_freed(int g) {
             {{"samples_skipped", std::to_string(gs.last_outcome.samples_skipped)},
              {"skip_leaps", std::to_string(gs.last_outcome.skip_leaps)}});
   }
-  if (gs.staging < 0 && gs.cursor >= gs.chunk_indices.size()) {
-    gs.issued_all = true;
-    maybe_final_flush(g);
-  }
+  retire_if_drained(g);
   if (lane_free_cb_) lane_free_cb_(g);
   if (greedy_ && map_quantum_issuable(g)) issue_map_quantum(g);
 }
 
-void FramePlan::partition_and_send(int g, int chunk_index,
-                                   std::shared_ptr<KvBuffer> out) {
+void FramePlan::partition_and_send(int g, int q, std::shared_ptr<KvBuffer> out) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   const int num_reducers = static_cast<int>(reducers_.size());
   auto& pg = stats_.per_gpu[static_cast<std::size_t>(g)];
-  const auto& mask = chunk_masks_[static_cast<std::size_t>(chunk_index)];
+  const auto& mask = quanta_[static_cast<std::size_t>(q)].mask;
 
   for (std::size_t i = 0; i < out->size(); ++i) {
     const std::uint32_t key = out->key(i);
@@ -686,25 +827,27 @@ void FramePlan::partition_and_send(int g, int chunk_index,
     ++stats_.fragments;
     const int owner = partitioner_->owner(key);
     // Footprint conservativeness: every emitted key must belong to a
-    // reducer the chunk's declared footprint admits.
+    // reducer the quantum's declared footprint admits.
     VRMR_DCHECK(mask[static_cast<std::size_t>(owner)] != 0);
     gs.outbox[static_cast<std::size_t>(owner)].append(key, out->value(i));
   }
 
-  // Buffered streaming sends (§3.1.2): flush any destination whose
-  // buffered parts reached the threshold.
-  for (int d = 0; d < static_cast<int>(gs.dests.size()); ++d) {
+  // Buffered streaming sends (§3.1.2): flush any slot this mapper feeds
+  // whose buffered parts reached the threshold.
+  for (const int s : gs.slots) {
+    const Slot& slot = slots_[static_cast<std::size_t>(s)];
     std::uint64_t bytes = 0;
-    for (const int r : gs.dests[static_cast<std::size_t>(d)]) {
-      bytes += gs.outbox[static_cast<std::size_t>(r)].bytes();
+    for (const int m : slot.mappers) {
+      const auto& boxes = gpus_[static_cast<std::size_t>(m)]->outbox;
+      for (const int r : slot.reducers) bytes += boxes[static_cast<std::size_t>(r)].bytes();
     }
-    if (bytes >= config_.send_buffer_bytes) flush_outbox(g, d);
+    if (bytes >= config_.send_buffer_bytes) flush_outbox(s);
   }
 
   --partitions_in_flight_;
   --gs.pending_partitions;
 
-  // Per-pair finality: this was the last of g's chunks able to reach r.
+  // Per-pair finality: this was the last of g's quanta able to reach r.
   // Flush-only here; readiness marking waits until after the barrier
   // bookkeeping below so that when this completion also resolves the
   // whole routing barrier, t_routed is stamped before any zero-pair
@@ -715,7 +858,7 @@ void FramePlan::partition_and_send(int g, int chunk_index,
     if (mask[static_cast<std::size_t>(r)] &&
         --gs.contrib[static_cast<std::size_t>(r)] == 0) {
       any_pair_final = true;
-      pair_final(g, r);
+      finalize_pair(g, r);
     }
   }
 
@@ -732,20 +875,20 @@ void FramePlan::partition_and_send(int g, int chunk_index,
   }
 }
 
-void FramePlan::pair_final(int g, int r) {
+void FramePlan::finalize_pair(int g, int r) {
   // Early flush only under PerReducer barriers: Global mode keeps the
   // paper's message schedule (threshold + final flush) event-for-event.
-  // A coalesced remote-node slot flushes once its LAST pair is final;
+  // A (node, remote node) slot flushes once its LAST pair is final;
   // until then r's fragments are held and the pair does not count.
   if (per_reducer_barriers()) {
-    auto& gs = *gpus_[static_cast<std::size_t>(g)];
-    const int d = gs.dest_of[static_cast<std::size_t>(r)];
-    const auto& slot = gs.dests[static_cast<std::size_t>(d)];
-    if (std::all_of(slot.begin(), slot.end(), [&gs](int rr) {
-          return gs.contrib[static_cast<std::size_t>(rr)] == 0;
-        })) {
-      flush_outbox(g, d);
-    }
+    const int s = gpus_[static_cast<std::size_t>(g)]->slot_of[static_cast<std::size_t>(r)];
+    const Slot& slot = slots_[static_cast<std::size_t>(s)];
+    const bool all_final =
+        std::all_of(slot.mappers.begin(), slot.mappers.end(), [&](int m) {
+          return std::all_of(slot.reducers.begin(), slot.reducers.end(),
+                             [&](int rr) { return pair_final(m, rr); });
+        });
+    if (all_final) flush_outbox(s);
   }
   count_if_flushed(g, r);
 }
@@ -758,22 +901,32 @@ void FramePlan::count_if_flushed(int g, int r) {
   ++reducers_[ri]->final_pairs;
 }
 
-void FramePlan::flush_outbox(int g, int d) {
-  auto& gs = *gpus_[static_cast<std::size_t>(g)];
-  const auto& slot = gs.dests[static_cast<std::size_t>(d)];
+void FramePlan::flush_outbox(int s) {
+  const Slot& slot = slots_[static_cast<std::size_t>(s)];
   auto message = std::make_shared<Message>();
   std::uint64_t pairs = 0;
-  for (const int r : slot) {
-    KvBuffer& box = gs.outbox[static_cast<std::size_t>(r)];
-    if (box.empty()) continue;
-    pairs += box.size();
-    message->push_back(Part{r, std::move(box)});
-    box = KvBuffer(config_.value_size);
+  for (const int r : slot.reducers) {
+    Part part{r, KvBuffer(config_.value_size)};
+    for (const int m : slot.mappers) {
+      auto& box = gpus_[static_cast<std::size_t>(m)]->outbox[static_cast<std::size_t>(r)];
+      if (box.empty()) continue;
+      if (part.pairs.empty()) {
+        part.pairs = std::move(box);
+      } else {
+        part.pairs.append_buffer(box);
+      }
+      box = KvBuffer(config_.value_size);
+    }
+    if (part.pairs.empty()) continue;
+    pairs += part.pairs.size();
+    message->push_back(std::move(part));
     // Reducer r's inbox stays open for this part specifically.
     ++reducers_[static_cast<std::size_t>(r)]->sends_pending;
   }
   // Nothing of the slot's final pairs is held any more.
-  for (const int r : slot) count_if_flushed(g, r);
+  for (const int m : slot.mappers) {
+    for (const int r : slot.reducers) count_if_flushed(m, r);
+  }
   if (message->empty()) return;
 
   // Hold the routing barrier open for the whole flush (combine + send).
@@ -787,15 +940,17 @@ void FramePlan::flush_outbox(int g, int d) {
       to += std::to_string(part.reducer);
     }
     trace_id = tr->next_async_id();
-    tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "send",
-                    "send",
-                    {{"from", std::to_string(g)},
+    tr->async_begin(cluster_.engine().now(), config_.trace.pid, trace_id, "send", "send",
+                    {{"from", slot.node_wide ? "node" + std::to_string(slot.node)
+                                             : std::to_string(slot.mappers.front())},
                      {"to", to},
                      {"pairs", std::to_string(pairs)},
                      {"frame", std::to_string(config_.trace.frame_id)}});
   }
 
-  if (gs.combiner != nullptr) {
+  Combiner* combiner =
+      gpus_[static_cast<std::size_t>(slot.mappers.front())]->combiner.get();
+  if (combiner != nullptr) {
     // Mapper-side partial reduce: group each part by key and let the
     // combiner collapse each group before the message ships.
     for (Part& part : *message) {
@@ -804,31 +959,31 @@ void FramePlan::flush_outbox(int g, int d) {
       for (std::size_t gi = 0; gi < groups.num_groups(); ++gi) {
         const std::uint32_t lo = groups.group_offsets[gi];
         const std::uint32_t hi = groups.group_offsets[gi + 1];
-        gs.combiner->combine(groups.group_keys[gi], groups.sorted.value(lo), hi - lo,
-                             combined);
+        combiner->combine(groups.group_keys[gi], groups.sorted.value(lo), hi - lo,
+                          combined);
       }
       stats_.combine_output_pairs += combined.size();
       part.pairs = std::move(combined);
     }
     stats_.combine_input_pairs += pairs;
 
-    // The grouping + combine runs on the mapper node's CPU.
+    // The grouping + combine runs on the sending node's CPU.
     const auto& hw = cluster_.config().hw;
     const double duration =
         static_cast<double>(pairs) / hw.cpu.sort_rate_pairs_per_s +
         static_cast<double>(pairs) / hw.cpu.reduce_rate_frags_per_s;
     stats_.cpu_busy_s += duration;
-    const int node = cluster_.node_of_gpu(g);
+    const int node = slot.node;
     cluster_.cpu(node).acquire(duration,
-                               [this, g, message, trace_id](sim::SimTime, sim::SimTime) {
-                                 send_payload(g, message, trace_id);
+                               [this, node, message, trace_id](sim::SimTime, sim::SimTime) {
+                                 send_payload(node, message, trace_id);
                                });
     return;
   }
-  send_payload(g, message, trace_id);
+  send_payload(slot.node, message, trace_id);
 }
 
-void FramePlan::send_payload(int g, std::shared_ptr<Message> message,
+void FramePlan::send_payload(int src_node, std::shared_ptr<Message> message,
                              std::uint64_t send_trace_id) {
   std::uint64_t bytes = 0;
   for (const Part& part : *message) bytes += part.pairs.bytes();
@@ -837,7 +992,6 @@ void FramePlan::send_payload(int g, std::shared_ptr<Message> message,
     deliver(*message, send_trace_id);
     return;
   }
-  const int src_node = cluster_.node_of_gpu(g);
   const int dst_node = cluster_.node_of_gpu(message->front().reducer);
   stats_.bytes_net += bytes;
   ++stats_.net_messages;
@@ -880,7 +1034,16 @@ void FramePlan::maybe_final_flush(int g) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   if (gs.finished || !gs.issued_all || gs.pending_partitions != 0) return;
   gs.finished = true;
-  for (int d = 0; d < static_cast<int>(gs.dests.size()); ++d) flush_outbox(g, d);
+  // A (node, remote node) slot flushes when the node's last mapper
+  // retires; every other slot is this mapper's own.
+  for (const int s : gs.slots) {
+    const auto& mappers = slots_[static_cast<std::size_t>(s)].mappers;
+    if (std::all_of(mappers.begin(), mappers.end(), [this](int m) {
+          return gpus_[static_cast<std::size_t>(m)]->finished;
+        })) {
+      flush_outbox(s);
+    }
+  }
   --mappers_remaining_;
   maybe_finish_routing();
 }
@@ -1000,6 +1163,7 @@ void FramePlan::issue_sort_quantum(int r) {
 
   const auto& hw = cluster_.config().hw;
   const std::uint64_t pairs = rs.inbox.size();
+  const std::uint64_t bytes = rs.inbox.bytes();
   stats_.per_reducer[static_cast<std::size_t>(r)].pairs_in = pairs;
 
   if (pairs == 0) {
@@ -1009,8 +1173,10 @@ void FramePlan::issue_sort_quantum(int r) {
     return;
   }
 
-  // Functional sort (deterministic regardless of placement).
+  // Functional sort (deterministic regardless of placement). The sort
+  // has read the inbox: release it (the charges below use its size).
   rs.groups = counting_sort(rs.inbox, 0, config_.domain.num_keys);
+  rs.inbox = KvBuffer(config_.value_size);
   stats_.per_reducer[static_cast<std::size_t>(r)].groups = rs.groups.num_groups();
 
   const bool on_gpu =
@@ -1021,7 +1187,6 @@ void FramePlan::issue_sort_quantum(int r) {
   const int node = cluster_.node_of_gpu(r);
   if (on_gpu) {
     // H2D -> device counting sort -> D2H, on the co-located GPU.
-    const std::uint64_t bytes = rs.inbox.bytes();
     const double copy = hw.pcie.transfer_time(bytes);
     const double kernel = hw.gpu.kernel_launch_overhead_s +
                           static_cast<double>(pairs) / hw.gpu_sort.sort_rate_pairs_per_s;
@@ -1122,6 +1287,11 @@ void FramePlan::issue_reduce_quantum(int r) {
     rs.reducer->reduce(key, groups.sorted.value(lo), hi - lo);
   }
   rs.reducer->end();
+  // The reduce has read the sorted pairs: release them, keeping the
+  // sizes the GPU-reduce path charges.
+  const std::uint64_t up_bytes = groups.sorted.bytes();
+  const std::uint64_t down_bytes = groups.num_groups() * 16;  // RGBA float4
+  rs.groups = SortedGroups{};
 
   if (pairs == 0) {
     reduce_done(r);
@@ -1137,8 +1307,6 @@ void FramePlan::issue_reduce_quantum(int r) {
   } else {
     // GPU compositing: pairs up, kernel, finished pixels back (the
     // option §3.1.2 weighs and rejects at small scales).
-    const std::uint64_t up_bytes = rs.groups.sorted.bytes();
-    const std::uint64_t down_bytes = groups.num_groups() * 16;  // RGBA float4
     const double up = hw.pcie.transfer_time(up_bytes);
     const double kernel =
         hw.gpu.kernel_launch_overhead_s +
@@ -1188,6 +1356,11 @@ bool FramePlan::pair_held(int gpu, int reducer) const {
   const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
   const auto r = static_cast<std::size_t>(reducer);
   return gs.contrib.at(r) == 0 && !gs.counted.at(r);
+}
+
+bool FramePlan::pair_final(int gpu, int reducer) const {
+  const auto& gs = *gpus_.at(static_cast<std::size_t>(gpu));
+  return gs.contrib.at(static_cast<std::size_t>(reducer)) == 0;
 }
 
 void FramePlan::finalize_stats() {

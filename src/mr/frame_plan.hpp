@@ -23,15 +23,24 @@
 //     point, §3.1.2); partitioning and buffered sends continue
 //     asynchronously on the CPU/NIC inside the plan. This boundary is
 //     where a scheduler can hand the GPU to a *different* frame —
-//     brick-granular preemption.
+//     brick-granular preemption. A driver that calls cut_ray_bands()
+//     gets in-core chunks cut into *ray bands* (runs of whole
+//     thread-block rows of the chunk's footprint): a quantum then maps
+//     one band, a chunk stages once per GPU (later bands on a GPU that
+//     holds it skip the lookup, H2D and decompress), and an idle lane
+//     may take another lane's unissued band (steal_map_quantum;
+//     DESIGN.md §9). The greedy driver never cuts.
 //   * sends              — partition output buffers per (mapper,
-//     reducer) and ships per (mapper, destination). Under Global a
-//     destination is one reducer: the paper's direct-send, one message
-//     per pair. Under PerReducer a mapper's parts for one REMOTE node
-//     coalesce into a single message (one per-message overhead on the
-//     sender's NIC instead of one per reducer) that delivery splits
-//     into that node's reducers' inboxes; same-node destinations stay
-//     one reducer each, since they pay no per-message overhead.
+//     reducer) and ships per send slot. Under Global a slot is one
+//     (mapper, reducer) pair: the paper's direct-send, one message per
+//     pair and flush. Under PerReducer a same-node slot is still one
+//     pair (same-node sends pay no per-message overhead), but every
+//     mapper on a node ships its parts for one REMOTE node through a
+//     single slot per (node, remote node): one message, one overhead on
+//     the node's NIC, that delivery splits into the remote reducers'
+//     inboxes. The node's CPU pool partitions every local mapper's
+//     output into that node's host memory anyway, so merging costs no
+//     copy.
 //   * sort quantum       — one reducer's counting sort. Availability
 //     depends on JobConfig::barrier_mode: under Global it waits for
 //     the frame-wide routing barrier (all chunks issued, all
@@ -40,8 +49,8 @@
 //     (every mapper finished partitioning — the expected inbound-send
 //     count is final — and every message part destined to it has
 //     landed). A (mapper, reducer) pair counts toward that readiness
-//     only once its fragments left the mapper: a pair that is final
-//     but still held in a coalesced outbox does not count.
+//     only once its fragments left the node: a pair that is final but
+//     still held in a (node, remote node) slot does not count.
 //   * reduce quantum     — one reducer's compositing pass. Under
 //     Global it waits for every sort to complete (stage attribution
 //     matches the monolithic pipeline); under PerReducer it chains
@@ -56,8 +65,8 @@
 // and spends no more NIC time than Global. That is what minimizes
 // time-to-first-pixel (the first tile no longer waits for the slowest
 // reducer's inbox, the slowest sort, or a NIC serializing one overhead
-// per remote reducer). On a single node the two message schedules
-// coincide.
+// per remote reducer or per local mapper). On a single node the two
+// message schedules coincide.
 //
 // The driver decides *when* each quantum is issued; the plan owns all
 // dataflow bookkeeping and fires hooks at the decision points
@@ -117,7 +126,10 @@ class FramePlan {
   /// `chunk_index`: the pixel rect [x0,x1)×[y0,y1) outside which the
   /// chunk's map kernel emits nothing but placeholders (the renderer
   /// passes the kernel's own launch rect, camera.project_box of the
-  /// brick's world box, so the bound is exact). Two effects:
+  /// brick's world box, so the bound is exact). `row_block` > 0 says
+  /// the kernel launches over the rect in blocks of that many rows, so
+  /// any run of whole blocks is a ray band Mapper::map_band can map on
+  /// its own (cut_ray_bands); 0 keeps the chunk whole. Two effects:
   ///   * an EMPTY rect culls the chunk — it is never staged or mapped
   ///     (stats().chunks_culled counts them; dealing positions of the
   ///     other chunks are unchanged, so residency caches still predict
@@ -127,13 +139,29 @@ class FramePlan {
   ///     the (g, r) pair is final — a reducer no longer waits for
   ///     mappers that cannot contribute to it (per-(mapper, reducer)
   ///     final-flush readiness). A same-node pair flushes and counts
-  ///     at once; a remote pair shares its node's coalesced message,
-  ///     which flushes early when the last of that node's pairs is
+  ///     at once; a remote pair shares its (node, remote node) slot,
+  ///     which flushes early when the last of the slot's pairs — every
+  ///     local mapper's, toward every reducer on the remote node — is
   ///     final (or its buffer fills) — the pair counts from then.
   /// Emitted keys are CHECKed (debug builds) against the footprint's
   /// owner set. Chunks without a footprint conservatively contribute to
   /// every reducer; Global mode only culls, never flushes early.
-  void set_chunk_footprint(int chunk_index, int x0, int y0, int x1, int y1);
+  void set_chunk_footprint(int chunk_index, int x0, int y0, int x1, int y1,
+                           int row_block = 0);
+
+  /// Before start(): cut in-core chunks (JobConfig::include_disk_io off)
+  /// that declare a row block into ray bands, so that every lane with
+  /// chunks gets at least four map quanta — each chunk into
+  /// ceil(4 / the fewest chunks any lane was dealt) bands of as many
+  /// whole blocks each as the rows allow. A frame already that deep in
+  /// chunks is not cut. Out-of-core chunks stay whole: a band on another
+  /// lane would need a second disk read. Without this call every chunk
+  /// is one quantum, the paper's schedule; the render service calls it
+  /// for every frame it admits under PipelineMode::Quantum.
+  void cut_ray_bands() {
+    VRMR_CHECK_MSG(!started_, "cut_ray_bands() after start()");
+    cut_ray_bands_ = true;
+  }
 
   // --- driver hooks (install before start()) ------------------------------
   /// GPU `gpu`'s stream is free again after a stage+map quantum (its
@@ -180,8 +208,8 @@ class FramePlan {
   /// to a fresh engine event.
   void on_finished(std::function<void()> cb) { finished_cb_ = std::move(cb); }
   /// A stage+map quantum failed (JobConfig::fault_hook said so) and its
-  /// detection timeout elapsed: the chunk is restored as the lane's
-  /// next pending quantum and the lane is free again. Fires before
+  /// detection timeout elapsed: the quantum is restored as the lane's
+  /// next pending one and the lane is free again. Fires before
   /// on_lane_free for the same event; `attempt` counts this failure
   /// (retry n+1 will present attempt n+1 to the fault hook). Without a
   /// driver, greedy mode retries on the same lane immediately.
@@ -206,8 +234,10 @@ class FramePlan {
   void set_eager_barriers(bool eager) { eager_barriers_ = eager; }
 
   // --- stage+map quanta ----------------------------------------------------
-  /// Chunks dealt to `gpu` whose GPU part has not been issued yet:
-  /// unissued chunks plus the one in transit or waiting in host memory.
+  /// Map quanta queued on `gpu` whose GPU part has not been issued yet:
+  /// unissued quanta (whole chunks, or ray bands after cut_ray_bands)
+  /// plus the one in transit or waiting in host memory. A steal moves
+  /// one unissued quantum from its victim's count to its thief's.
   int pending_map_quanta(int gpu) const;
   /// A stage+map quantum of THIS plan currently occupies `gpu` (its GPU
   /// part, or a failed attempt's detection wedge). A transfer does not.
@@ -218,25 +248,42 @@ class FramePlan {
   bool chunk_staged(int gpu) const;
   /// issue_map_quantum(gpu) may be called now: the lane is not busy with
   /// this plan's work, and either a landed chunk waits or an unissued
-  /// chunk exists and no transfer of this plan is in flight for `gpu`.
+  /// quantum exists and no transfer of this plan is in flight for `gpu`.
   bool map_quantum_issuable(int gpu) const;
   /// Issue on `gpu`. A landed chunk waiting for the lane runs its GPU
   /// part: H2D -> (decompress) -> kernel -> D2H. Otherwise the next
-  /// chunk is taken: the fault hook may fail the attempt (the lane is
-  /// wedged for the detection timeout); a cache hit or an in-core chunk
-  /// runs its GPU part at once; a miss with a disk read or a fetch
-  /// starts the transfer and leaves the lane free (lane_busy stays
-  /// false; on_chunk_staged fires when the bytes land). Requires
-  /// map_quantum_issuable(gpu).
+  /// quantum is taken: the fault hook may fail the attempt (the lane is
+  /// wedged for the detection timeout); a band of a chunk this GPU
+  /// already holds runs its kernel and D2H at once, with no lookup and
+  /// no H2D; a cache hit or an in-core chunk runs its GPU part at once;
+  /// a miss with a disk read or a fetch starts the transfer and leaves
+  /// the lane free (lane_busy stays false; on_chunk_staged fires when
+  /// the bytes land). The functional kernel runs when the GPU part
+  /// reaches it, which for a held chunk or a hit is inside this call.
+  /// Requires map_quantum_issuable(gpu).
   void issue_map_quantum(int gpu);
 
-  /// Fail-stop recovery: move every chunk of `gpu` whose GPU part has
+  /// Idle-lane balancing: when `thief` has no quantum of this plan
+  /// queued, in flight or staging, move the last unissued quantum of
+  /// the lane with the most predicted unissued work onto `thief`, with
+  /// its per-(mapper, reducer) finality counts (redistribute_lane's
+  /// bookkeeping), and record a `steal` trace instant on the thief's
+  /// lane. A lane's prediction is the sum over its unissued quanta of
+  /// the kernel time its last mapped band of that chunk was charged (a
+  /// chunk the lane has not mapped yet counts the plan's mean band
+  /// time so far, or 1 before any); ties go to the lowest lane. Only
+  /// in-core plans steal. Returns false when nothing moved; otherwise
+  /// the driver issues the stolen quantum (issue_map_quantum(thief)).
+  /// The thief looks the chunk up in its own cache like any staging.
+  bool steal_map_quantum(int thief);
+
+  /// Fail-stop recovery: move every quantum of `gpu` whose GPU part has
   /// not been issued onto `survivors` (round-robin), preserving all
   /// per-(mapper, reducer) dataflow bookkeeping — reducers stop waiting
   /// on the dead lane for the moved work and start waiting on its
-  /// survivors (a moved chunk reopens a survivor's final pair: a
+  /// survivors (a moved quantum reopens a survivor's final pair: a
   /// flushed pair stops counting toward readiness, a held pair keeps
-  /// its fragments queued for the coalesced message's next flush). A
+  /// its fragments queued for its slot's next flush). A
   /// chunk in transit or waiting in host memory for `gpu` moves too:
   /// its transfer is abandoned (the landing is ignored) and the
   /// survivor stages it afresh. An in-flight GPU part on `gpu` (if any)
@@ -286,14 +333,19 @@ class FramePlan {
   /// should measure the first tile with contributors instead.
   int reducer_contributors(int reducer) const;
 
-  /// The (gpu, reducer) pair is final — gpu partitioned its last chunk
-  /// able to reach reducer — but some of its fragments still wait in
-  /// gpu's outbox, so the pair does not yet count toward reducer's
-  /// readiness. Under PerReducer barriers only a coalesced remote-node
-  /// slot holds a final pair (until the slot's last pair goes final or
-  /// its buffer fills); under Global buffered pairs wait for the
-  /// threshold or the mapper's final flush.
+  /// The (gpu, reducer) pair is final — gpu partitioned its last
+  /// quantum able to reach reducer — but some of its fragments still
+  /// wait in gpu's outbox, so the pair does not yet count toward
+  /// reducer's readiness. Under PerReducer barriers only a (node,
+  /// remote node) slot holds a final pair: until every (mapper on
+  /// gpu's node, reducer on reducer's node) pair is final, the slot's
+  /// buffer fills, or the node's last mapper retires. Under Global
+  /// buffered pairs wait for the threshold or the mapper's final flush.
   bool pair_held(int gpu, int reducer) const;
+  /// The (gpu, reducer) pair is final: gpu holds no queued, in-flight
+  /// or unpartitioned quantum able to reach reducer (a steal or a
+  /// redistribution that moves such a quantum onto gpu reopens it).
+  bool pair_final(int gpu, int reducer) const;
 
   /// Finalized statistics; valid once finished().
   const JobStats& stats() const;
@@ -308,49 +360,84 @@ class FramePlan {
   struct GpuState;
   struct ReducerState;
 
-  /// Mark `gpu`'s lane busy and open its "map" span for `chunk_index`.
-  void occupy_lane(int gpu, int chunk_index);
-  /// A taken chunk: cache hit -> GPU part; miss -> transfer (fetch hook
-  /// or disk read), or straight to the GPU part when in-core.
-  void begin_staging(int gpu, int chunk_index);
-  /// Record `chunk_index` as `gpu`'s transfer in flight and open its
+  /// One map quantum: a whole chunk, or one ray band of it.
+  struct Quantum {
+    int chunk = 0;
+    int y0 = 0, y1 = 0;  // the band's footprint rows (band quanta only)
+    bool whole = true;   // mapped by Mapper::map, else map_band(y0, y1)
+    /// Conservative reducer owner mask: the partitioner's owner set of
+    /// the band's (or the chunk's) footprint; all-ones without one.
+    std::vector<std::uint8_t> mask;
+  };
+  /// A send slot: the (mapper, reducer) outboxes one fabric message
+  /// drains. Per pair under Global and for same-node reducers; under
+  /// PerReducer one slot per (node, remote node) drains every mapper on
+  /// `node` for every reducer on the remote node.
+  struct Slot {
+    int node = 0;               // sending node
+    bool node_wide = false;     // a (node, remote node) slot
+    std::vector<int> mappers;   // ascending
+    std::vector<int> reducers;  // ascending
+  };
+
+  /// Mark `gpu`'s lane busy and open its "map" span for quantum `q`.
+  void occupy_lane(int gpu, int q);
+  /// A taken quantum whose chunk `gpu` does not hold: cache hit -> GPU
+  /// part; miss -> transfer (fetch hook or disk read), or straight to
+  /// the GPU part when in-core.
+  void begin_staging(int gpu, int q);
+  /// Record quantum `q` as `gpu`'s transfer in flight and open its
   /// async "stage" span (source "disk" or "peer").
-  void start_transfer(int gpu, int chunk_index, const char* source,
-                      std::uint64_t bytes, std::uint64_t trace_id);
+  void start_transfer(int gpu, int q, const char* source, std::uint64_t bytes,
+                      std::uint64_t trace_id);
   /// The transfer landed in host memory: the chunk waits for the lane.
-  void transfer_landed(int gpu, int chunk_index, std::uint64_t trace_id);
-  /// Wedge `gpu`'s stream for detect_s, then restore the chunk, free
+  void transfer_landed(int gpu, int q, std::uint64_t trace_id);
+  /// Wedge `gpu`'s stream for detect_s, then restore the quantum, free
   /// the lane, and fire on_quantum_failed (the injected-failure path).
-  void fail_quantum(int gpu, int chunk_index, double detect_s, const char* kind);
-  void after_disk(int gpu, int chunk_index);
-  void after_h2d(int gpu, int chunk_index);
-  void run_map(int gpu, int chunk_index);
-  void after_kernel(int gpu, int chunk_index, std::shared_ptr<KvBuffer> out);
+  void fail_quantum(int gpu, int q, double detect_s, const char* kind);
+  /// `gpu` now holds quantum `q`'s chunk: later bands of it skip staging.
+  void hold_chunk(int gpu, int q);
+  void after_disk(int gpu, int q);
+  void after_h2d(int gpu, int q);
+  void run_map(int gpu, int q);
+  void after_kernel(int gpu, int q, std::shared_ptr<KvBuffer> out);
   void lane_freed(int gpu);
+  /// Move unissued quantum `q` (already taken off `from`'s queue) onto
+  /// `to`'s queue with its per-(mapper, reducer) contributions,
+  /// reopening `to`'s mapper if it had retired.
+  void move_quantum(int from, int to, int q);
+  /// An idle lane with nothing left to issue retires its mapper.
+  void retire_if_drained(int gpu);
+  /// Predicted kernel seconds of `gpu`'s unissued quanta (the steal rule).
+  double predicted_unissued_s(int gpu) const;
+  const Chunk& chunk_of(int q) const {
+    const int chunk = quanta_[static_cast<std::size_t>(q)].chunk;
+    return *chunks_[static_cast<std::size_t>(chunk)];
+  }
   /// One reducer's share of a fabric message.
   struct Part {
     int reducer = 0;
     KvBuffer pairs;
   };
   /// One fabric message: parts for reducers that all live on one node
-  /// (exactly one part unless it is a coalesced remote-node message).
+  /// (exactly one part unless it is a (node, remote node) message).
   using Message = std::vector<Part>;
 
-  void partition_and_send(int gpu, int chunk_index, std::shared_ptr<KvBuffer> out);
-  /// Ship destination slot `dest`'s buffered parts as one message
-  /// (combining each part first when a combiner is set).
-  void flush_outbox(int gpu, int dest);
-  void send_payload(int gpu, std::shared_ptr<Message> message,
+  void partition_and_send(int gpu, int q, std::shared_ptr<KvBuffer> out);
+  /// Ship slot `s`'s buffered parts as one message (combining each part
+  /// first when a combiner is set).
+  void flush_outbox(int s);
+  void send_payload(int node, std::shared_ptr<Message> message,
                     std::uint64_t send_trace_id);
   /// A message landed: split it into its reducers' inboxes.
   void deliver(const Message& message, std::uint64_t send_trace_id);
   void maybe_final_flush(int gpu);
   void maybe_finish_routing();
-  /// The (gpu, reducer) pair went final: gpu partitioned the last chunk
-  /// that could contribute to reducer. Under PerReducer barriers this
-  /// flushes the pair's destination early once every pair it serves is
-  /// final (Global keeps the paper's schedule).
-  void pair_final(int gpu, int reducer);
+  /// The (gpu, reducer) pair went final: gpu partitioned the last
+  /// quantum that could contribute to reducer. Under PerReducer
+  /// barriers this flushes the pair's slot early once every pair it
+  /// serves is final (Global keeps the paper's schedule).
+  void finalize_pair(int gpu, int reducer);
   /// Count a final pair toward its reducer's final_pairs once none of
   /// its fragments are held in gpu's outbox (idempotent).
   void count_if_flushed(int gpu, int reducer);
@@ -374,12 +461,14 @@ class FramePlan {
 
   struct Footprint {
     int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+    int row_block = 0;  // > 0: cuttable into bands of whole blocks
     bool set = false;
   };
   std::vector<Footprint> footprints_;  // parallel to chunks_
-  /// Conservative per-chunk reducer owner masks (computed at start()
-  /// from footprints + partitioner; all-ones without a footprint).
-  std::vector<std::vector<std::uint8_t>> chunk_masks_;
+  /// Every on-screen chunk's map quanta, built at start(); lanes queue
+  /// indices into it.
+  std::vector<Quantum> quanta_;
+  std::vector<Slot> slots_;
 
   std::vector<std::unique_ptr<GpuState>> gpus_;
   std::vector<std::unique_ptr<ReducerState>> reducers_;
@@ -408,13 +497,17 @@ class FramePlan {
   int reduces_remaining_ = 0;
   std::vector<double> tile_finish_s_;
   std::vector<int> reducer_contributors_;  // frozen at start()
-  std::vector<int> chunk_attempts_;        // issue attempts per chunk
+  std::vector<int> quantum_attempts_;      // issue attempts per quantum
+  /// Kernel seconds charged so far (over stats_.map_quanta quanta): the
+  /// steal rule's prior for a chunk a lane has not mapped yet.
+  double mapped_kernel_s_ = 0.0;
 
   double t0_ = 0.0;
   bool started_ = false;
   bool finished_ = false;
   bool greedy_ = false;          // run_to_completion auto-issues map quanta
   bool eager_barriers_ = false;  // sort/reduce quanta self-issue at barriers
+  bool cut_ray_bands_ = false;   // start() cuts in-core chunks into bands
 
   JobStats stats_;
 };

@@ -110,12 +110,13 @@ using FaultHook = std::function<QuantumFault(int gpu, int chunk_index, int attem
 ///                moment its OWN inbox is complete, and its reduce
 ///                chains immediately after its own sort — no
 ///                frame-global sync anywhere on a tile's critical
-///                path. Sends coalesce per destination node: a mapper
-///                ships all its fragments for one REMOTE node as one
-///                fabric message (split into that node's reducers'
-///                inboxes on delivery), paying the per-message overhead
-///                once per node instead of once per reducer; same-node
-///                sends stay per reducer. Pixels and data counters
+///                path. Sends merge per (node, remote node): every
+///                mapper on a node ships its fragments for one REMOTE
+///                node through one shared slot, one fabric message per
+///                flush (split into that node's reducers' inboxes on
+///                delivery), paying the per-message overhead once per
+///                node pair instead of once per (mapper, reducer);
+///                same-node sends stay per pair. Pixels and data counters
 ///                (fragments, bytes, per-reducer pairs) are identical
 ///                to Global; the schedule differs, and so do the
 ///                message count and NIC time (never higher). This is
@@ -139,7 +140,7 @@ struct JobConfig {
   /// Barrier enforcement (see BarrierMode). Global preserves the
   /// paper's schedule and stage attribution bit-for-bit; PerReducer
   /// dissolves both frame-global barriers into per-reducer readiness
-  /// and coalesces each mapper's remote sends per destination node.
+  /// and merges each node's remote sends per destination node.
   BarrierMode barrier_mode = BarrierMode::Global;
 
   /// Auto sort placement moves to the GPU above this many pairs — set
@@ -153,16 +154,16 @@ struct JobConfig {
   /// memory: it holds the node's disk, not the GPU lane.
   bool include_disk_io = false;
 
-  /// Streaming send threshold per (mapper, destination): "Once enough
-  /// pairs have been generated by a Mapper, they are sent
-  /// asynchronously to the Reducer" (§3.1.2). Partition output
-  /// accumulates per destination and flushes when the destination's
-  /// buffered bytes reach this (or when the mapper finishes), so
-  /// message count is data-driven — with many bricks per GPU the
-  /// fabric sees a few large messages instead of bricks × reducers
-  /// small ones. A destination is one reducer under Global barriers;
-  /// under PerReducer it is one same-node reducer or one whole remote
-  /// node (all of that node's reducers' parts count together).
+  /// Streaming send threshold per send slot: "Once enough pairs have
+  /// been generated by a Mapper, they are sent asynchronously to the
+  /// Reducer" (§3.1.2). Partition output accumulates per slot and
+  /// flushes when the slot's buffered bytes reach this (or when its
+  /// mappers finish), so message count is data-driven — with many
+  /// bricks per GPU the fabric sees a few large messages instead of
+  /// bricks × reducers small ones. A slot is one (mapper, reducer) pair
+  /// under Global barriers; under PerReducer it is one same-node pair or
+  /// one (node, remote node) pair (every local mapper's parts for every
+  /// reducer on the remote node count together).
   std::uint64_t send_buffer_bytes = 256 * 1024;
 
   /// Verify the every-thread-emits restriction when mappers report

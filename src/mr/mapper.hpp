@@ -8,13 +8,16 @@
 // a MapOutcome with the quantities the DES layer charges to the GPU:
 // how many volume samples the kernel took and how many threads it
 // launched. The emitter collects the kernel's per-thread key-value
-// output (one pair per thread — fragment or placeholder).
+// output (one pair per thread — fragment or placeholder). `map_band`
+// runs the same kernel over one ray band of the chunk (FramePlan cuts
+// served in-core chunks into bands; DESIGN.md §9).
 
 #include <cstdint>
 
 #include "gpusim/device.hpp"
 #include "mr/chunk.hpp"
 #include "mr/kv_buffer.hpp"
+#include "util/check.hpp"
 
 namespace vrmr::mr {
 
@@ -42,6 +45,21 @@ class Mapper {
   /// Stage `chunk` onto `device`, execute the kernel, emit one pair per
   /// thread into `out`.
   virtual MapOutcome map(gpusim::Device& device, const Chunk& chunk, KvBuffer& out) = 0;
+
+  /// Map only the ray band [y0, y1): pixel rows of the chunk's footprint
+  /// made of whole thread-block rows (FramePlan::set_chunk_footprint's
+  /// row_block). Each of the chunk's outputs belongs to exactly one
+  /// band, so the bands' outputs together are map()'s, pair for pair.
+  /// Only chunks declared with a row block are ever cut; mappers that
+  /// declare none need not override this.
+  virtual MapOutcome map_band(gpusim::Device& device, const Chunk& chunk, int y0, int y1,
+                              KvBuffer& out) {
+    (void)device;
+    (void)out;
+    VRMR_CHECK_MSG(false, "mapper cannot map ray band [" << y0 << ", " << y1 << ") of '"
+                                                         << chunk.label() << "'");
+    return {};
+  }
 };
 
 }  // namespace vrmr::mr

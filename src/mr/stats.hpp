@@ -30,7 +30,7 @@ struct StageBreakdown {
 };
 
 struct GpuTaskStats {
-  int chunks = 0;
+  int chunks = 0;                  // chunks this GPU staged (once each)
   std::uint64_t samples = 0;
   std::uint64_t threads = 0;
   std::uint64_t pairs = 0;         // emitted pairs incl. placeholders
@@ -68,6 +68,17 @@ struct JobStats {
   // staging was skipped because they were already GPU-resident, and the
   // transfer bytes that skipping avoided.
   std::uint64_t chunks_resident = 0;
+  /// Staging lookups: each time a GPU took a chunk it did not hold yet
+  /// (chunks_resident of them hit). One per on-screen chunk, plus one
+  /// per further GPU a chunk's ray bands ran on after a steal, plus one
+  /// per re-staging of a chunk a dead lane had already landed.
+  std::uint64_t stagings = 0;
+  /// Map quanta whose kernel ran: one per mapped chunk, or one per ray
+  /// band when the plan cut its chunks (FramePlan::cut_ray_bands).
+  std::uint64_t map_quanta = 0;
+  /// Map quanta an idle lane took from another lane's queue
+  /// (FramePlan::steal_map_quantum).
+  std::uint64_t quanta_stolen = 0;
   /// Chunks never issued because their screen footprint was empty
   /// (FramePlan::set_chunk_footprint with an off-screen rect).
   std::uint64_t chunks_culled = 0;

@@ -1013,6 +1013,9 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   });
   plan.on_tile_done([this, raw](int r) { deliver_tile(*raw, r); });
   plan.on_finished([this, raw] { frame_finished(raw); });
+  // Ray bands let idle lanes take part of a busy lane's brick (pump's
+  // steal pass). Monolithic keeps whole chunks: the greedy schedule.
+  if (config_.pipeline == PipelineMode::Quantum) plan.cut_ray_bands();
   plan.start();
   // A frame admitted after lane deaths must not deal work to the
   // blacklisted lanes: the scheduler never fills them, so quanta dealt
@@ -1202,24 +1205,38 @@ void RenderService::pump(bool try_admission) {
     // miss reading disk or a peer) leaves the lane free: the next
     // candidate may take it while the bytes move.
     auto& busy = lane_busy_[static_cast<std::size_t>(g)];
+    const auto issue = [&](ActiveFrame& active) {
+      mr::FramePlan& plan = active.frame->plan();
+      if (!active.render_started) {
+        active.render_started = true;
+        active.record.start_s = cluster_.engine().now();
+        // Zero-delta sample: closes any idle gap since the last
+        // completion so the frame's busy is not smeared back across it.
+        sample_gpu_busy();
+      }
+      plan.issue_map_quantum(g);
+      if (plan.lane_busy(g)) {
+        busy = 1;
+        window_at(cluster_.engine().now()).quanta_issued += 1;
+      }
+    };
     for (const Priority cls : {Priority::Interactive, Priority::Batch}) {
       for (const auto& active : active_) {
         if (busy) break;
         if (active->done || active->priority != cls) continue;
-        mr::FramePlan& plan = active->frame->plan();
-        if (!plan.map_quantum_issuable(g)) continue;
-        if (!active->render_started) {
-          active->render_started = true;
-          active->record.start_s = cluster_.engine().now();
-          // Zero-delta sample: closes any idle gap since the last
-          // completion so the frame's busy is not smeared back across it.
-          sample_gpu_busy();
-        }
-        plan.issue_map_quantum(g);
-        if (plan.lane_busy(g)) {
-          busy = 1;
-          window_at(cluster_.engine().now()).quanta_issued += 1;
-        }
+        if (active->frame->plan().map_quantum_issuable(g)) issue(*active);
+      }
+    }
+    // A lane with none of its own work left takes a ray band another
+    // lane has not issued yet, Interactive frame first, so the frame's
+    // slowest lane stops setting its map phase (DESIGN.md §9).
+    // Monolithic frames are not cut and never steal.
+    const bool steal = config_.pipeline == PipelineMode::Quantum;
+    for (const Priority cls : {Priority::Interactive, Priority::Batch}) {
+      for (const auto& active : active_) {
+        if (busy || !steal) break;
+        if (active->done || active->priority != cls) continue;
+        if (active->frame->plan().steal_map_quantum(g)) issue(*active);
       }
     }
     // Overlap window: a lane no frame wants right now (typically the
@@ -1261,8 +1278,7 @@ void RenderService::frame_finished(ActiveFrame* active) {
   volren::RenderResult result = active->frame->finish();
   FrameRecord& record = active->record;
   record.cache_hits = result.stats.chunks_resident;
-  record.cache_misses = static_cast<std::uint64_t>(result.stats.num_chunks) -
-                        record.cache_hits - result.stats.chunks_culled;
+  record.cache_misses = result.stats.stagings - record.cache_hits;
   record.finish_s = cluster_.engine().now();
   record.stats = std::move(result.stats);
   // The footprint path may have dropped deeper than the admission-time

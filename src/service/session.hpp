@@ -100,7 +100,7 @@ struct FrameRecord {
   /// scheduled it (the model only runs when it decides).
   double predicted_cost_s = 0.0;
   std::uint64_t cache_hits = 0;    // resident bricks this frame
-  std::uint64_t cache_misses = 0;  // staged bricks this frame
+  std::uint64_t cache_misses = 0;  // staging lookups that missed (thieves too)
   int tiles = 0;           // tiles delivered for this frame
   double first_tile_s = 0.0;  // completion time of the frame's first tile
   mr::JobStats stats;

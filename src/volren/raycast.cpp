@@ -107,7 +107,7 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
 
   // 16×16 blocks over the projected sub-image (§3.2), padded to block
   // granularity like a CUDA grid.
-  const Int3 block{16, 16, 1};
+  const Int3 block{kRayBlock, kRayBlock, 1};
   const Int3 grid{ceil_div(rect.width(), block.x), ceil_div(rect.height(), block.y), 1};
   const std::int64_t row_threads = static_cast<std::int64_t>(grid.x) * block.x;
   const std::int64_t total_threads = row_threads * grid.y * block.y;
@@ -115,6 +115,8 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   out.keys.assign(static_cast<size_t>(total_threads), mr::kPlaceholderKey);
   out.fragments.assign(static_cast<size_t>(total_threads), RayFragment{});
   out.threads = static_cast<std::uint64_t>(total_threads);
+  out.rect = rect;
+  out.row_threads = row_threads;
 
   // Per-thread output slots live in device memory until the D2H copy
   // (placeholders included, §3.1.1).
@@ -144,9 +146,14 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   const auto sample = [&](Vec3 p) { return texture.sample(to_local(p)); };
   const auto transfer = [&](float s) { return transfer_tex.sample(s); };
 
-  std::atomic<std::uint64_t> samples{0};
-  std::atomic<std::uint64_t> samples_skipped{0};
-  std::atomic<std::uint64_t> skip_leaps{0};
+  // Costs per block row, so a ray band of whole block rows knows its
+  // share of the cast (RayCastMapper::map_band).
+  struct RowCounters {
+    std::atomic<std::uint64_t> samples{0};
+    std::atomic<std::uint64_t> samples_skipped{0};
+    std::atomic<std::uint64_t> skip_leaps{0};
+  };
+  std::vector<RowCounters> rows(static_cast<std::size_t>(grid.y));
 
   // One kernel instantiation per skip predicate: with NoSkip it is the
   // paper's kernel, with no per-step test left in it.
@@ -173,10 +180,11 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
 
       const MarchResult res = march_ray(ray, t_vol0, t_enter, t_exit, dt, decimation,
                                         correction, ert, sample, transfer, skip);
-      samples.fetch_add(res.samples, std::memory_order_relaxed);
+      RowCounters& row = rows[static_cast<std::size_t>(gy / block.y)];
+      row.samples.fetch_add(res.samples, std::memory_order_relaxed);
       if (res.skip_leaps > 0) {
-        samples_skipped.fetch_add(res.samples_skipped, std::memory_order_relaxed);
-        skip_leaps.fetch_add(res.skip_leaps, std::memory_order_relaxed);
+        row.samples_skipped.fetch_add(res.samples_skipped, std::memory_order_relaxed);
+        row.skip_leaps.fetch_add(res.skip_leaps, std::memory_order_relaxed);
       }
 
       if (res.color.a > 0.0f) {
@@ -198,9 +206,15 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
     launch(NoSkip{});
   }
 
-  out.samples = samples.load(std::memory_order_relaxed);
-  out.samples_skipped = samples_skipped.load(std::memory_order_relaxed);
-  out.skip_leaps = skip_leaps.load(std::memory_order_relaxed);
+  for (const RowCounters& row : rows) {
+    const BlockRowCost cost{row.samples.load(std::memory_order_relaxed),
+                            row.samples_skipped.load(std::memory_order_relaxed),
+                            row.skip_leaps.load(std::memory_order_relaxed)};
+    out.samples += cost.samples;
+    out.samples_skipped += cost.samples_skipped;
+    out.skip_leaps += cost.skip_leaps;
+    out.block_rows.push_back(cost);
+  }
   return out;
 }
 
@@ -210,8 +224,8 @@ void RayCastMapper::init(gpusim::Device& device) {
   transfer_tex_->upload(table);
 }
 
-mr::MapOutcome RayCastMapper::map(gpusim::Device& device, const mr::Chunk& chunk,
-                                  mr::KvBuffer& out) {
+const BrickChunk& RayCastMapper::brick_of(const mr::Chunk& chunk,
+                                          const mr::KvBuffer& out) const {
   const auto* brick_chunk = dynamic_cast<const BrickChunk*>(&chunk);
   VRMR_CHECK_MSG(brick_chunk != nullptr, "RayCastMapper requires BrickChunk inputs");
   // LOD chunks carry their pyramid-level volume (a wrapper over the
@@ -223,26 +237,69 @@ mr::MapOutcome RayCastMapper::map(gpusim::Device& device, const mr::Chunk& chunk
   VRMR_CHECK_MSG(transfer_tex_ != nullptr, "init() was not called");
   VRMR_CHECK_MSG(out.value_size() == sizeof(RayFragment),
                  "job value_size must be sizeof(RayFragment) = " << sizeof(RayFragment));
+  return *brick_chunk;
+}
 
-  BrickCastOutput cast;
-  if (brick_chunk->lod_stride() > 1) {
+BrickCastOutput RayCastMapper::cast(gpusim::Device& device, const BrickChunk& brick) const {
+  if (brick.lod_stride() > 1) {
     FrameSetup lod_frame = frame_;
-    lod_frame.cast.lod_stride = brick_chunk->lod_stride();
-    cast = cast_brick(device, brick_chunk->volume(), brick_chunk->info(), lod_frame,
-                      *transfer_tex_);
-  } else {
-    cast = cast_brick(device, brick_chunk->volume(), brick_chunk->info(), frame_,
-                      *transfer_tex_);
+    lod_frame.cast.lod_stride = brick.lod_stride();
+    return cast_brick(device, brick.volume(), brick.info(), lod_frame, *transfer_tex_);
   }
-  if (cast.threads > 0) {
-    out.append_bulk(cast.keys, cast.fragments.data());
-  }
+  return cast_brick(device, brick.volume(), brick.info(), frame_, *transfer_tex_);
+}
+
+mr::MapOutcome RayCastMapper::map(gpusim::Device& device, const mr::Chunk& chunk,
+                                  mr::KvBuffer& out) {
+  const BrickCastOutput cast_out = cast(device, brick_of(chunk, out));
+  if (cast_out.threads > 0) out.append_bulk(cast_out.keys, cast_out.fragments.data());
 
   mr::MapOutcome outcome;
-  outcome.samples = cast.samples;
-  outcome.samples_skipped = cast.samples_skipped;
-  outcome.skip_leaps = cast.skip_leaps;
-  outcome.threads = cast.threads;
+  outcome.samples = cast_out.samples;
+  outcome.samples_skipped = cast_out.samples_skipped;
+  outcome.skip_leaps = cast_out.skip_leaps;
+  outcome.threads = cast_out.threads;
+  return outcome;
+}
+
+mr::MapOutcome RayCastMapper::map_band(gpusim::Device& device, const mr::Chunk& chunk,
+                                       int y0, int y1, mr::KvBuffer& out) {
+  const BrickChunk& brick = brick_of(chunk, out);
+  auto it = band_casts_->find(&chunk);
+  if (it == band_casts_->end()) {
+    BrickCastOutput whole = cast(device, brick);
+    const int rows = whole.rect.height();
+    it = band_casts_->emplace(&chunk, BandCast{std::move(whole), rows}).first;
+  }
+  BandCast& band_cast = it->second;
+  const BrickCastOutput& whole = band_cast.cast;
+  const PixelRect& rect = whole.rect;
+  VRMR_CHECK_MSG(rect.y0 <= y0 && y0 < y1 && y1 <= rect.y1 &&
+                     (y0 - rect.y0) % kRayBlock == 0 &&
+                     (y1 == rect.y1 || (y1 - rect.y0) % kRayBlock == 0),
+                 "band [" << y0 << ", " << y1 << ") is not a run of whole block rows of ["
+                          << rect.y0 << ", " << rect.y1 << ")");
+
+  // The band's block rows, the last one with the grid's padding rows.
+  const std::size_t b0 = static_cast<std::size_t>((y0 - rect.y0) / kRayBlock);
+  const std::size_t b1 = y1 == rect.y1 ? whole.block_rows.size()
+                                       : static_cast<std::size_t>((y1 - rect.y0) / kRayBlock);
+  const std::size_t block_slots = static_cast<std::size_t>(whole.row_threads) * kRayBlock;
+  const std::size_t first = b0 * block_slots;
+  const std::size_t count = (b1 - b0) * block_slots;
+  out.append_bulk(std::span<const std::uint32_t>(whole.keys).subspan(first, count),
+                  whole.fragments.data() + first);
+
+  mr::MapOutcome outcome;
+  for (std::size_t b = b0; b < b1; ++b) {
+    outcome.samples += whole.block_rows[b].samples;
+    outcome.samples_skipped += whole.block_rows[b].samples_skipped;
+    outcome.skip_leaps += whole.block_rows[b].skip_leaps;
+  }
+  outcome.threads = count;
+  // Every band emitted: the frame no longer needs the cast.
+  band_cast.rows_left -= y1 - y0;
+  if (band_cast.rows_left == 0) band_casts_->erase(it);
   return outcome;
 }
 

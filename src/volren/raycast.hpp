@@ -4,7 +4,10 @@
 //
 // Kernel behaviour mirrors the paper's CUDA implementation:
 //   * volume brick in a 3-D float texture (trilinear, hardware-style);
-//   * 16×16 thread blocks over the brick's projected sub-image;
+//   * 16×16 thread blocks over the brick's projected sub-image
+//     (kRayBlock); a ray band — a run of whole block rows — is emitted
+//     from the brick's one cast with that band's share of its cost
+//     (RayCastMapper::map_band);
 //   * every ray intersected against the brick's bounding box,
 //     non-intersecting rays discarded immediately;
 //   * fixed-increment, non-adaptive trilinear sampling;
@@ -29,6 +32,7 @@
 // re-association; see tests/volren/test_pipeline_equivalence.cpp).
 
 #include <cstdint>
+#include <map>
 #include <memory>
 
 #include "gpusim/device.hpp"
@@ -42,6 +46,9 @@
 #include "volren/volume.hpp"
 
 namespace vrmr::volren {
+
+/// Edge of the map kernel's square thread blocks (§3.2).
+inline constexpr int kRayBlock = 16;
 
 /// Sampling parameters shared by the map kernel and the reference
 /// renderer (they must agree exactly for equivalence tests).
@@ -151,9 +158,17 @@ struct FrameSetup {
   RaycastSettings cast;
 };
 
+/// What the rays of one block row of the launch grid cost.
+struct BlockRowCost {
+  std::uint64_t samples = 0;
+  std::uint64_t samples_skipped = 0;
+  std::uint64_t skip_leaps = 0;
+};
+
 /// Raw kernel output for one brick: parallel slot arrays, one entry per
 /// launched thread (the every-thread-emits layout the paper requires
-/// for efficient device-side output, §3.1.1).
+/// for efficient device-side output, §3.1.1), row-major over the
+/// launch grid.
 struct BrickCastOutput {
   std::vector<std::uint32_t> keys;      // pixel index or kPlaceholderKey
   std::vector<RayFragment> fragments;   // valid where key != placeholder
@@ -161,6 +176,10 @@ struct BrickCastOutput {
   std::uint64_t samples_skipped = 0;    // logical steps elided (skip_empty)
   std::uint64_t skip_leaps = 0;         // runs of elided steps, 1 sample each
   std::uint64_t threads = 0;
+  PixelRect rect;                       // the launch rect
+  std::int64_t row_threads = 0;         // threads per pixel row of the grid
+  /// Per block row of the grid; the rows sum to the totals above.
+  std::vector<BlockRowCost> block_rows;
 };
 
 /// Execute the ray-cast kernel for one brick on `device` (functional
@@ -174,17 +193,36 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
 /// bulk-emits the slots.
 class RayCastMapper final : public mr::Mapper {
  public:
-  RayCastMapper(const Volume& volume, FrameSetup frame)
-      : volume_(&volume), frame_(std::move(frame)) {}
+  /// Whole-brick casts the mappers of one frame share for its ray bands.
+  struct BandCast {
+    BrickCastOutput cast;
+    int rows_left = 0;  // launch-rect rows no band has emitted yet
+  };
+  using BandCasts = std::map<const mr::Chunk*, BandCast>;
+
+  RayCastMapper(const Volume& volume, FrameSetup frame,
+                std::shared_ptr<BandCasts> band_casts = std::make_shared<BandCasts>())
+      : volume_(&volume), frame_(std::move(frame)), band_casts_(std::move(band_casts)) {}
 
   void init(gpusim::Device& device) override;
   mr::MapOutcome map(gpusim::Device& device, const mr::Chunk& chunk,
                      mr::KvBuffer& out) override;
+  /// The first band of a brick any of the frame's mappers maps casts
+  /// the whole brick once, on this device; every band, on whichever
+  /// lane, emits its block rows of that cast with their samples, so a
+  /// brick is materialized and cast once per frame however it is cut.
+  mr::MapOutcome map_band(gpusim::Device& device, const mr::Chunk& chunk, int y0, int y1,
+                          mr::KvBuffer& out) override;
 
  private:
+  /// The chunk as a BrickChunk of this mapper's volume (CHECKed).
+  const BrickChunk& brick_of(const mr::Chunk& chunk, const mr::KvBuffer& out) const;
+  BrickCastOutput cast(gpusim::Device& device, const BrickChunk& brick) const;
+
   const Volume* volume_;
   FrameSetup frame_;
   std::unique_ptr<gpusim::Texture1D> transfer_tex_;
+  std::shared_ptr<BandCasts> band_casts_;
 };
 
 }  // namespace vrmr::volren

@@ -105,8 +105,10 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
   // the one the mapper renders with, by construction.
   const FrameSetup frame = make_frame(volume, options);
   planned->camera_ = frame.camera;
-  planned->plan_->set_mapper_factory([&volume, frame](int, gpusim::Device&) {
-    return std::make_unique<RayCastMapper>(volume, frame);
+  // The frame's mappers share each brick's one cast among its ray bands.
+  auto band_casts = std::make_shared<RayCastMapper::BandCasts>();
+  planned->plan_->set_mapper_factory([&volume, frame, band_casts](int, gpusim::Device&) {
+    return std::make_unique<RayCastMapper>(volume, frame, band_casts);
   });
 
   auto* pieces = &planned->pieces_;  // pointer-stable: PlannedFrame is pinned
@@ -160,9 +162,11 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
     }
     if (options.screen_footprints) {
       // Level world boxes are bit-identical to the base brick's, so the
-      // same rect is exactly the LOD chunk's launch rect too.
+      // same rect is exactly the LOD chunk's launch rect too. The kernel
+      // launches over it in kRayBlock-row blocks: the plan may cut it
+      // into ray bands of whole blocks (FramePlan::cut_ray_bands).
       planned->plan_->set_chunk_footprint(chunk_index, rect.x0, rect.y0, rect.x1,
-                                          rect.y1);
+                                          rect.y1, kRayBlock);
     }
     ++chunk_index;
   }

@@ -174,12 +174,15 @@ TEST(FramePlanStaging, GreedyOutOfCoreScheduleIsUnchanged) {
                   {0.048574341207777774, 0.048574652318888883, 0.048574785652222223,
                    0.048575096763333332, 0.048574941207777778, 0.048574941207777778,
                    0.048574630096666661, 0.04857429676333333});
+  // The PerReducer half was re-recorded when every mapper on a node
+  // began shipping its parts for a remote node in one message per
+  // (node, remote node): same map phase, one merged message per NIC.
   expect_schedule(greedy_out_of_core(BarrierMode::PerReducer),
-                  {0.00010346586666666667, 0.042765377076666659, 1.5500000000029379e-06,
-                   2.0666666666682709e-06, 0.042872459609999997, 0.041245077359999993},
-                  {0.041266041137777772, 0.04287168183222221, 0.042871915165555552,
-                   0.042872459609999997, 0.04287054155444444, 0.04287054155444444,
-                   0.042869997109999988, 0.04126696895999999});
+                  {0.00010346586666666667, 0.042766663326666655, 1.5500000000029379e-06,
+                   2.0666666666682709e-06, 0.042873745859999993, 0.041245077359999993},
+                  {0.042872423637777768, 0.042872968082222206, 0.042873201415555548,
+                   0.042873745859999993, 0.04287166155444444, 0.04287166155444444,
+                   0.042871117109999989, 0.042870533776666657});
 }
 
 TEST(FramePlanStaging, LaneDeathWhileAChunkIsInTransitOrWaiting) {

@@ -148,11 +148,11 @@ TEST(WindowedStats, WindowsPartitionTheLifetimeAggregates) {
   EXPECT_EQ(frames, stats.frames_total);
   EXPECT_EQ(preemptions, stats.preemptions);
   EXPECT_EQ(tiles, stats.tiles_total);
-  // Every brick staged through the scheduler is a counted quantum.
-  std::uint64_t chunks = 0;
-  for (const FrameRecord& f : stats.frames)
-    chunks += static_cast<std::uint64_t>(f.stats.num_chunks);
-  EXPECT_EQ(quanta, chunks);
+  // Every map quantum the scheduler ran (a brick, or one ray band of
+  // it) is a counted quantum.
+  std::uint64_t map_quanta = 0;
+  for (const FrameRecord& f : stats.frames) map_quanta += f.stats.map_quanta;
+  EXPECT_EQ(quanta, map_quanta);
   // Attributed busy matches the run's GPU busy (same integral, just
   // binned), which also anchors per-window utilization.
   EXPECT_NEAR(busy, stats.cluster_utilization * stats.makespan_s *

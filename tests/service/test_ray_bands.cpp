@@ -1,0 +1,219 @@
+// Balanced map phase: a frame served under PipelineMode::Quantum cuts
+// its in-core bricks into ray bands, and a lane with none of its own
+// work left takes another lane's unissued band. Covered here: steals
+// happen on an in-core frame whose bricks differ in cost, its map phase
+// ends earlier than the uncut schedule's, and its pixels equal the
+// unserved render's; an out-of-core frame is neither cut nor stolen and
+// keeps its schedule; a Monolithic frame never steals and runs the
+// greedy schedule.
+
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "cluster/cluster.hpp"
+#include "obs/trace.hpp"
+#include "service/render_service.hpp"
+#include "sim/engine.hpp"
+#include "volren/datasets.hpp"
+#include "volren/image.hpp"
+#include "volren/renderer.hpp"
+
+namespace vrmr::service {
+namespace {
+
+struct Served {
+  FrameRecord record;
+  std::vector<obs::TraceEvent> steals;  // "steal" instants, in order
+  std::vector<double> tile_s;           // tile finish times, reducer order
+};
+
+/// One frame served alone on a fresh `gpus`-GPU service.
+Served serve_one(int gpus, PipelineMode pipeline, const volren::Volume& volume,
+                 const volren::RenderOptions& options) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(gpus));
+  ServiceConfig config;
+  config.pipeline = pipeline;
+  config.keep_images = true;
+  RenderService service(cluster, config);
+  obs::TraceRecorder trace;
+  service.set_trace(&trace);
+  Session session = service.open_session("view", Priority::Interactive);
+  Served served;
+  served.tile_s.assign(static_cast<std::size_t>(gpus), 0.0);
+  session.on_tile([&served](const TileRecord& tile) {
+    served.tile_s[static_cast<std::size_t>(tile.reducer)] = tile.finish_s;
+  });
+  RenderRequest request;
+  request.volume = &volume;
+  request.options = options;
+  session.submit(request);
+  service.drain();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.frames.size(), 1u);
+  served.record = stats.frames.front();
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.name == "steal") served.steals.push_back(e);
+  }
+  return served;
+}
+
+volren::Image unserved_image(int gpus, const volren::Volume& volume,
+                             const volren::RenderOptions& options) {
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(gpus));
+  return volren::render_mapreduce(cluster, volume, options).image;
+}
+
+std::string arg(const obs::TraceEvent& e, const std::string& key) {
+  for (const auto& [k, v] : e.args) {
+    if (k == key) return v;
+  }
+  return "";
+}
+
+/// Everything visible sits in one column of the volume: two of its
+/// eight bricks hold it all, and with empty space skipped the other six
+/// cost little more than their launches.
+volren::Volume skewed_volume() {
+  return volren::Volume::procedural("column", {32, 32, 32}, [](Int3 p) {
+    return p.x < 16 && p.y < 16 ? 0.35f : 0.0f;
+  });
+}
+
+volren::RenderOptions skewed_options() {
+  volren::RenderOptions options;
+  options.image_width = 384;
+  options.image_height = 384;
+  options.transfer = volren::TransferFunction::bone();
+  options.azimuth = 0.4f;
+  return options;
+}
+
+TEST(RayBands, IdleLanesStealBandsOfCostlierBricks) {
+  const volren::Volume volume = skewed_volume();
+  const volren::RenderOptions options = skewed_options();
+  const Served banded = serve_one(8, PipelineMode::Quantum, volume, options);
+  const Served whole = serve_one(8, PipelineMode::Monolithic, volume, options);
+  const mr::JobStats& stats = banded.record.stats;
+  ASSERT_EQ(stats.num_nodes, 2);
+
+  // Eight bricks on eight lanes: each brick is cut into four bands.
+  const auto on_screen = static_cast<std::uint64_t>(stats.num_chunks) - stats.chunks_culled;
+  EXPECT_EQ(on_screen, 8u);
+  EXPECT_EQ(stats.map_quanta, 4 * on_screen);
+  EXPECT_EQ(whole.record.stats.map_quanta, on_screen);
+
+  // Idle lanes stole, each steal is a trace instant on the thief's lane
+  // naming the band, its victim and the frame, and a thief never steals
+  // from itself.
+  EXPECT_GT(stats.quanta_stolen, 0u);
+  ASSERT_EQ(banded.steals.size(), stats.quanta_stolen);
+  for (const obs::TraceEvent& e : banded.steals) {
+    EXPECT_GE(e.tid, 0);
+    EXPECT_LT(e.tid, 8);
+    EXPECT_NE(arg(e, "from"), std::to_string(e.tid));
+    EXPECT_NE(arg(e, "chunk").find("/brick"), std::string::npos);
+    EXPECT_NE(arg(e, "rows").find('-'), std::string::npos);
+    EXPECT_EQ(arg(e, "frame"), std::to_string(banded.record.frame_id));
+  }
+  // A thief stages each stolen brick once: its lookups are misses here.
+  EXPECT_GT(stats.stagings, on_screen);
+  EXPECT_EQ(banded.record.cache_hits + banded.record.cache_misses, stats.stagings);
+
+  // The map phase ends earlier than the uncut schedule's, on the same
+  // samples and fragments.
+  EXPECT_LT(stats.t_map_done, whole.record.stats.t_map_done);
+  EXPECT_EQ(stats.total_samples, whole.record.stats.total_samples);
+  EXPECT_EQ(stats.fragments, whole.record.stats.fragments);
+  EXPECT_EQ(stats.placeholders, whole.record.stats.placeholders);
+  EXPECT_EQ(stats.bytes_d2h, whole.record.stats.bytes_d2h);
+
+  // Pixels do not depend on which lane cast a ray.
+  const volren::Image expected = unserved_image(8, volume, options);
+  EXPECT_EQ(volren::compare_images(banded.record.image, expected).max_abs, 0.0);
+  EXPECT_EQ(volren::compare_images(whole.record.image, expected).max_abs, 0.0);
+}
+
+TEST(RayBands, OutOfCoreFrameIsNeitherCutNorStolen) {
+  // Eight bricks on four lanes of one node, every one read from disk:
+  // a lane that runs out of work first takes nothing, since a stolen
+  // brick would need a second disk read. The schedule below was
+  // recorded before ray bands existed.
+  const std::uint64_t kRecordedDiskBytes = 157216;
+  const double kRecordedMapDoneS = 0.042279813786666669;
+  const double kRecordedFinishS = 0.042368736453333333;
+  const std::vector<double> kRecordedTilesS = {0.042368115164444442, 0.042367036231111113,
+                                               0.042368569386666673, 0.042368736453333333};
+  const volren::Volume volume = volren::datasets::skull({32, 32, 32});
+  volren::RenderOptions options;
+  options.image_width = 96;
+  options.image_height = 96;
+  options.transfer = volren::TransferFunction::fire();
+  options.azimuth = 0.4f;
+  options.target_bricks = 6;
+  options.include_disk_io = true;
+  const Served served = serve_one(4, PipelineMode::Quantum, volume, options);
+  const mr::JobStats& stats = served.record.stats;
+  ASSERT_EQ(stats.num_chunks, 8);
+  EXPECT_EQ(stats.quanta_stolen, 0u);
+  EXPECT_TRUE(served.steals.empty());
+  EXPECT_EQ(stats.map_quanta,
+            static_cast<std::uint64_t>(stats.num_chunks) - stats.chunks_culled);
+  EXPECT_EQ(stats.bytes_disk, kRecordedDiskBytes);
+  EXPECT_DOUBLE_EQ(stats.t_map_done, kRecordedMapDoneS);
+  EXPECT_DOUBLE_EQ(served.record.finish_s, kRecordedFinishS);
+  ASSERT_EQ(served.tile_s.size(), kRecordedTilesS.size());
+  for (std::size_t r = 0; r < kRecordedTilesS.size(); ++r) {
+    EXPECT_DOUBLE_EQ(served.tile_s[r], kRecordedTilesS[r]) << "tile " << r;
+  }
+  EXPECT_EQ(volren::compare_images(served.record.image, unserved_image(4, volume, options))
+                .max_abs,
+            0.0);
+
+  // A lane dealt no brick may take a band of an in-core frame at once,
+  // but nothing of an out-of-core one.
+  for (const bool disk : {false, true}) {
+    sim::Engine engine;
+    cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(4));
+    options.target_bricks = 2;
+    options.include_disk_io = disk;
+    const volren::BrickLayout layout = volren::choose_layout(volume, options, 4);
+    ASSERT_EQ(layout.num_bricks(), 2);
+    auto frame = volren::plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
+    mr::FramePlan& plan = frame->plan();
+    plan.cut_ray_bands();
+    plan.start();
+    ASSERT_EQ(plan.pending_map_quanta(3), 0);
+    EXPECT_EQ(plan.steal_map_quantum(3), !disk) << (disk ? "out-of-core" : "in-core");
+  }
+}
+
+TEST(RayBands, MonolithicFrameNeverStealsAndRunsTheGreedySchedule) {
+  const volren::Volume volume = skewed_volume();
+  const volren::RenderOptions options = skewed_options();
+  const Served served = serve_one(8, PipelineMode::Monolithic, volume, options);
+  const mr::JobStats& stats = served.record.stats;
+  EXPECT_EQ(stats.quanta_stolen, 0u);
+  EXPECT_TRUE(served.steals.empty());
+  EXPECT_EQ(stats.map_quanta,
+            static_cast<std::uint64_t>(stats.num_chunks) - stats.chunks_culled);
+
+  // The unserved render of what the service rendered (it skips empty
+  // space): the greedy driver's schedule, stamp for stamp.
+  volren::RenderOptions greedy_options = options;
+  greedy_options.cast.skip_empty = true;
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(8));
+  const volren::RenderResult greedy = volren::render_mapreduce(cluster, volume, greedy_options);
+  EXPECT_DOUBLE_EQ(stats.t_map_done, greedy.stats.t_map_done);
+  EXPECT_DOUBLE_EQ(stats.t_routed, greedy.stats.t_routed);
+  EXPECT_DOUBLE_EQ(stats.runtime_s, greedy.stats.runtime_s);
+  EXPECT_EQ(volren::compare_images(served.record.image, greedy.image).max_abs, 0.0);
+}
+
+}  // namespace
+}  // namespace vrmr::service

@@ -246,16 +246,28 @@ TEST(RenderService, BrickCacheSkipsRestagingWithinASession) {
   const ServiceStats cold = run_with_cache(false);
   const ServiceStats warm = run_with_cache(true);
 
-  // Frame 0 stages everything; frames 1..3 hit every brick.
-  const auto bricks = warm.frames[0].cache_misses;
+  // Frame 0 stages everything; frames 1..3 hit every brick on the lane
+  // it is dealt to. An idle lane that takes a ray band of another
+  // lane's brick looks it up in its own cache: only such lookups may
+  // miss, and only they pay an H2D.
+  const auto bricks = static_cast<std::uint64_t>(warm.frames[0].stats.num_chunks) -
+                      warm.frames[0].stats.chunks_culled;
   EXPECT_GT(bricks, 0u);
-  for (std::size_t f = 1; f < warm.frames.size(); ++f) {
-    EXPECT_EQ(warm.frames[f].cache_hits, bricks);
-    EXPECT_EQ(warm.frames[f].cache_misses, 0u);
-    EXPECT_EQ(warm.frames[f].stats.bytes_h2d, 0u);
-    EXPECT_GT(warm.frames[f].stats.bytes_h2d_saved, 0u);
+  EXPECT_EQ(warm.frames[0].cache_hits, 0u);
+  std::uint64_t hits = 0, lookups = 0;
+  for (std::size_t f = 0; f < warm.frames.size(); ++f) {
+    const FrameRecord& frame = warm.frames[f];
+    EXPECT_EQ(frame.cache_hits + frame.cache_misses, frame.stats.stagings);
+    hits += frame.cache_hits;
+    lookups += frame.stats.stagings;
+    if (f == 0) continue;
+    EXPECT_GE(frame.cache_hits, bricks);
+    EXPECT_LE(frame.cache_misses, frame.stats.quanta_stolen);
+    EXPECT_EQ(frame.stats.bytes_h2d == 0u, frame.cache_misses == 0u);
+    EXPECT_GT(frame.stats.bytes_h2d_saved, 0u);
   }
-  EXPECT_DOUBLE_EQ(warm.cache_hit_rate, 0.75);
+  EXPECT_DOUBLE_EQ(warm.cache_hit_rate,
+                   static_cast<double>(hits) / static_cast<double>(lookups));
   EXPECT_GT(warm.bytes_h2d_saved, 0u);
 
   // Without the cache every frame restages; with it the session is

@@ -1,15 +1,16 @@
 // Barrier-mode tests: mr::BarrierMode::PerReducer (dataflow readiness,
-// sort->reduce chaining, per-destination-node message coalescing)
-// against Global (the paper's frame-wide barriers and per-pair
-// direct-send). The modes must agree on every pixel and every data
-// counter; PerReducer may only move the schedule and merge a mapper's
-// messages to one remote node — so it never posts MORE messages, and
-// must never make the first tile LATER.
+// sort->reduce chaining, one message per (node, remote node)) against
+// Global (the paper's frame-wide barriers and per-pair direct-send).
+// The modes must agree on every pixel and every data counter;
+// PerReducer may only move the schedule and merge a node's messages to
+// one remote node — so it never posts MORE messages, and must never
+// make the first tile LATER.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -104,7 +105,7 @@ void expect_totals_equal(const mr::JobStats& a, const mr::JobStats& b,
   EXPECT_EQ(a.bytes_net, b.bytes_net) << label;
   EXPECT_EQ(a.bytes_net_inter, b.bytes_net_inter) << label;
   EXPECT_EQ(a.num_chunks, b.num_chunks) << label;
-  // Coalescing merges a mapper's parts for one remote node into one
+  // Node slots merge a node's parts for one remote node into one
   // message: never more messages, never more NIC time.
   EXPECT_LE(b.net_messages, a.net_messages) << label;
   EXPECT_LE(b.nic_busy_s, a.nic_busy_s * (1.0 + 1e-12)) << label;
@@ -145,12 +146,12 @@ TEST(BarrierModes, PixelsAndStatsTotalsIdenticalOnEverySeedScene) {
   }
 }
 
-TEST(BarrierModes, PerReducerPostsOneInterNodeMessagePerMapperAndRemoteNode) {
+TEST(BarrierModes, PerReducerPostsOneInterNodeMessagePerNodeAndRemoteNode) {
   // Footprints off and pixel round-robin ownership: every mapper holds
   // fragments for every reducer, and the default buffer is far larger
   // than any mapper's output, so no threshold flush fires. Global then
   // posts one message per (mapper, remote reducer) pair; PerReducer one
-  // per (mapper, remote node).
+  // per (node, remote node): all of a node's mappers share it.
   const Scene scene{"supernova", {32, 32, 32}, 8, 16,
                     mr::PartitionStrategy::PixelRoundRobin};
   const Volume volume = datasets::by_name(scene.dataset, scene.dims);
@@ -174,7 +175,7 @@ TEST(BarrierModes, PerReducerPostsOneInterNodeMessagePerMapperAndRemoteNode) {
   const long global_inter = inter_node_messages(global, config.hw.fabric);
   const long chained_inter = inter_node_messages(chained, config.hw.fabric);
   EXPECT_EQ(global_inter, mappers * (config.total_gpus() - config.gpus_per_node));
-  EXPECT_EQ(chained_inter, mappers * (config.num_nodes - 1));
+  EXPECT_EQ(chained_inter, config.num_nodes * (config.num_nodes - 1));
   // Same-node sends keep their per-reducer granularity.
   EXPECT_EQ(static_cast<long>(chained.net_messages) - chained_inter,
             mappers * config.gpus_per_node);
@@ -182,21 +183,144 @@ TEST(BarrierModes, PerReducerPostsOneInterNodeMessagePerMapperAndRemoteNode) {
             mappers * config.gpus_per_node);
 }
 
+/// Records, per reducer, the bricks its fragments came from.
+class BrickRecorder final : public mr::Reducer {
+ public:
+  explicit BrickRecorder(std::vector<std::uint8_t>* seen) : seen_(seen) {}
+  void reduce(std::uint32_t, const std::byte* values, std::size_t count) override {
+    for (std::size_t i = 0; i < count; ++i) {
+      RayFragment fragment;
+      std::memcpy(&fragment, values + i * sizeof(RayFragment), sizeof(RayFragment));
+      (*seen_)[fragment.brick] = 1;
+    }
+  }
+
+ private:
+  std::vector<std::uint8_t>* seen_;
+};
+
+TEST(BarrierModes, NodeSlotsNeverPostMoreThanPerMapperSlots) {
+  // Per-mapper slots post at least one inter-node message for every
+  // (mapper, remote node) that has a fragment for that node. Node slots
+  // must not exceed that floor, nor spend more NIC time than it implies
+  // — on 2- and 3-node clusters, with footprints (early final-pair
+  // flushes) and without.
+  struct Case {
+    Scene scene;
+    bool footprints;
+  };
+  const std::vector<Case> cases = {
+      {{"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::Striped}, true},
+      {{"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::PixelRoundRobin}, false},
+      {{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Tiled}, true},
+      {{"skull", {32, 32, 32}, 12, 24, mr::PartitionStrategy::Tiled}, true},
+      {{"skull", {32, 32, 32}, 12, 0, mr::PartitionStrategy::PixelRoundRobin}, false},
+  };
+  for (const Case& c : cases) {
+    const Scene& scene = c.scene;
+    const std::string label = scene.dataset + " g=" + std::to_string(scene.gpus) +
+                              " bricks=" + std::to_string(scene.target_bricks) +
+                              (c.footprints ? " footprints" : "");
+    const Volume volume = datasets::by_name(scene.dataset, scene.dims);
+    sim::Engine engine;
+    const auto config = cluster::ClusterConfig::with_total_gpus(scene.gpus);
+    cluster::Cluster cluster(engine, config);
+    RenderOptions options = options_for(scene);
+    options.barrier_mode = mr::BarrierMode::PerReducer;
+    options.screen_footprints = c.footprints;
+    const BrickLayout layout = choose_layout(volume, options, scene.gpus);
+    auto frame = plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
+    std::vector<std::vector<std::uint8_t>> seen(
+        static_cast<std::size_t>(scene.gpus),
+        std::vector<std::uint8_t>(static_cast<std::size_t>(layout.num_bricks()), 0));
+    frame->plan().set_reducer_factory([&seen](int r) {
+      return std::make_unique<BrickRecorder>(&seen[static_cast<std::size_t>(r)]);
+    });
+    const mr::JobStats stats = frame->plan().run_to_completion();
+
+    // The greedy driver deals brick i to GPU i % G and never moves it.
+    std::vector<std::uint8_t> pairs(
+        static_cast<std::size_t>(scene.gpus * config.num_nodes), 0);
+    for (int r = 0; r < scene.gpus; ++r) {
+      const int node = cluster.node_of_gpu(r);
+      for (int b = 0; b < layout.num_bricks(); ++b) {
+        const int mapper = b % scene.gpus;
+        if (!seen[static_cast<std::size_t>(r)][static_cast<std::size_t>(b)] ||
+            cluster.node_of_gpu(mapper) == node) {
+          continue;
+        }
+        pairs[static_cast<std::size_t>(mapper * config.num_nodes + node)] = 1;
+      }
+    }
+    const long per_mapper_floor = std::count(pairs.begin(), pairs.end(), 1);
+    ASSERT_GT(per_mapper_floor, 0) << label;
+    const long node_messages = inter_node_messages(stats, config.hw.fabric);
+    EXPECT_LE(node_messages, per_mapper_floor) << label;
+    const net::FabricModel& fabric = config.hw.fabric;
+    EXPECT_LE(stats.nic_busy_s,
+              static_cast<double>(per_mapper_floor) * fabric.per_message_overhead_s +
+                  static_cast<double>(stats.bytes_net_inter) / fabric.bandwidth_Bps + 1e-12)
+        << label;
+  }
+}
+
 TEST(BarrierModes, HeldPairNeverLetsItsReducerGoReadyEarly) {
   // Tiled ownership over many small bricks: some mapper is the last to
   // reach a remote reducer while it still owes fragments to that
   // reducer's node-mates, so the pair is final but held in the
-  // coalesced outbox. Counting it toward readiness before its message
-  // flushes would sort that reducer's inbox without those fragments.
+  // (node, remote node) slot. A pair also stays held there after every
+  // one of its mapper's own pairs toward that node went final, while a
+  // node-mate still maps for the node. Counting a held pair toward
+  // readiness before its message flushes would sort that reducer's
+  // inbox without those fragments.
   const Scene scene{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Tiled};
   const ModeRun global = run_scene(scene, mr::BarrierMode::Global);
   const ModeRun chained = run_scene(scene, mr::BarrierMode::PerReducer);
   EXPECT_EQ(compare_images(global.result.image, chained.result.image).max_abs, 0.0);
   expect_totals_equal(global.result.stats, chained.result.stats, "tiled 64 bricks");
+
+  const Volume volume = datasets::by_name(scene.dataset, scene.dims);
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(scene.gpus));
+  RenderOptions options = options_for(scene);
+  options.barrier_mode = mr::BarrierMode::PerReducer;
+  const BrickLayout layout = choose_layout(volume, options, scene.gpus);
+  auto frame = plan_frame(cluster, volume, options, mr::StagingHook{}, layout);
+  mr::FramePlan& plan = frame->plan();
+  const int gpus = scene.gpus;
+  // A pair held by its node slot alone: every one of its mapper's pairs
+  // toward the reducer's node is final, yet the pair is held.
+  bool held_by_node_slot = false;
+  const auto look = [&] {
+    for (int g = 0; g < gpus; ++g) {
+      for (int r = 0; r < gpus; ++r) {
+        if (cluster.node_of_gpu(r) == cluster.node_of_gpu(g) || !plan.pair_held(g, r)) {
+          continue;
+        }
+        bool all_final = true;
+        for (int rr = 0; rr < gpus; ++rr) {
+          if (cluster.node_of_gpu(rr) == cluster.node_of_gpu(r)) {
+            all_final = all_final && plan.pair_final(g, rr);
+          }
+        }
+        held_by_node_slot = held_by_node_slot || all_final;
+      }
+    }
+  };
+  int early = 0;
+  plan.on_lane_free([&](int) { look(); });
+  plan.on_reducer_ready([&](int r) {
+    look();
+    for (int g = 0; g < gpus; ++g) early += plan.pair_held(g, r) ? 1 : 0;
+  });
+  plan.run_to_completion();
+  EXPECT_EQ(early, 0) << "a reducer went ready while a pair of it was held";
+  EXPECT_TRUE(held_by_node_slot) << "no pair was held by its node slot alone";
+  EXPECT_EQ(compare_images(frame->finish().image, global.result.image).max_abs, 0.0);
 }
 
 TEST(BarrierModes, SingleNodeScheduleMatchesThePerPairSchedule) {
-  // One node has no remote destination, so coalescing has nothing to
+  // One node has no remote destination, so node slots have nothing to
   // merge: the PerReducer schedule is the per-pair one, message for
   // message and tile time for tile time. The expected tile times were
   // recorded from the per-pair (uncoalesced) PerReducer schedule.
@@ -216,8 +340,8 @@ TEST(BarrierModes, SingleNodeScheduleMatchesThePerPairSchedule) {
 }
 
 /// One PerReducer frame on 8 GPUs / 2 nodes driven by hand: once some
-/// pair (t, r) is held in t's coalesced outbox while lane `victim` still
-/// has pending quanta, the victim's pending quanta move onto t.
+/// pair (t, r) is held in its node slot while lane `victim` still has
+/// pending quanta, the victim's pending quanta move onto t.
 struct HeldRedistribution {
   bool redistributed = false;
   bool reopened_held_pair = false;  // a move reopened one of t's held pairs
@@ -266,7 +390,7 @@ HeldRedistribution redistribute_while_held(const Volume& volume,
 
 TEST(BarrierModes, RedistributeLaneWhileACoalescedPairIsHeld) {
   // A dead lane's pending chunks move onto a survivor whose pair toward
-  // a remote reducer is final but still held in the coalesced outbox.
+  // a remote reducer is final but still held in its node slot.
   // Reopening that pair must not uncount it (it was never counted) and
   // its held fragments must still ship: the frame finishes — no reducer
   // waits forever, none goes ready early — and the pixels match.

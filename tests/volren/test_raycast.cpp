@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
+
 #include "gpusim/device.hpp"
 #include "gpusim/texture.hpp"
 #include "volren/datasets.hpp"
@@ -186,6 +189,54 @@ TEST(RayCastMapper, RejectsForeignVolumeChunk) {
   BrickChunk chunk(b, layout.brick(0));
   mr::KvBuffer out(sizeof(RayFragment));
   EXPECT_THROW((void)mapper.map(test_device(), chunk, out), CheckError);
+}
+
+TEST(RayCastMapper, BandsOnSeveralMappersReproduceTheWholeBrick) {
+  // A brick cut into ray bands of whole block rows, mapped last band
+  // first on two mappers that share the frame's casts: the bands' pairs
+  // concatenate to map()'s, and their samples and threads sum to it.
+  KernelFixture fx;
+  fx.frame.cast.skip_empty = true;  // block rows carry skip counts too
+  const BrickChunk chunk(fx.volume, fx.layout.brick(fx.layout.num_bricks() / 2));
+  const PixelRect rect = fx.frame.camera.project_box(chunk.info().world_box);
+  ASSERT_GT(rect.height(), 2 * kRayBlock) << "need three bands";
+
+  RayCastMapper whole_mapper(fx.volume, fx.frame);
+  whole_mapper.init(test_device());
+  mr::KvBuffer whole(sizeof(RayFragment));
+  const mr::MapOutcome expected = whole_mapper.map(test_device(), chunk, whole);
+
+  auto casts = std::make_shared<RayCastMapper::BandCasts>();
+  RayCastMapper home(fx.volume, fx.frame, casts);
+  RayCastMapper thief(fx.volume, fx.frame, casts);
+  home.init(test_device());
+  thief.init(test_device());
+  const int cut0 = rect.y0 + kRayBlock;
+  const int cut1 = rect.y0 + 2 * kRayBlock;
+  mr::KvBuffer band2(sizeof(RayFragment)), band1(sizeof(RayFragment)),
+      band0(sizeof(RayFragment));
+  const mr::MapOutcome o2 = thief.map_band(test_device(), chunk, cut1, rect.y1, band2);
+  const mr::MapOutcome o1 = home.map_band(test_device(), chunk, cut0, cut1, band1);
+  const mr::MapOutcome o0 = home.map_band(test_device(), chunk, rect.y0, cut0, band0);
+  EXPECT_TRUE(casts->empty()) << "the cast outlived its last band";
+
+  mr::KvBuffer joined(sizeof(RayFragment));
+  for (const mr::KvBuffer* band : {&band0, &band1, &band2}) joined.append_buffer(*band);
+  ASSERT_EQ(joined.size(), whole.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    ASSERT_EQ(joined.key(i), whole.key(i)) << "slot " << i;
+    ASSERT_EQ(std::memcmp(joined.value(i), whole.value(i), sizeof(RayFragment)), 0)
+        << "slot " << i;
+  }
+  EXPECT_EQ(o0.samples + o1.samples + o2.samples, expected.samples);
+  EXPECT_EQ(o0.samples_skipped + o1.samples_skipped + o2.samples_skipped,
+            expected.samples_skipped);
+  EXPECT_EQ(o0.skip_leaps + o1.skip_leaps + o2.skip_leaps, expected.skip_leaps);
+  EXPECT_EQ(o0.threads + o1.threads + o2.threads, expected.threads);
+  EXPECT_EQ(o0.threads, band0.size());
+  EXPECT_GT(o1.samples, 0u);
+  // A band must be a run of whole block rows.
+  EXPECT_THROW(thief.map_band(test_device(), chunk, rect.y0 + 1, cut0, band0), CheckError);
 }
 
 TEST(RendererProperty, SendBufferSizeNeverChangesPixels) {
