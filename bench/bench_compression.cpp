@@ -17,7 +17,8 @@
 // pinned session renders cold on shard 1. With peer hydration the cold
 // shard's misses ship the stored payloads over the inter-shard fabric
 // (microseconds of latency at fabric bandwidth) instead of re-reading
-// disk (5 ms seek per brick at 75 MB/s), so time-to-first-pixel drops.
+// disk (75 MB/s, and a 5 ms seek per disk sweep), so time-to-first-pixel
+// drops.
 //
 // Acceptance (exit code gates Release CI): compression-on demand hit
 // rate >= 1.5x compression-off at the equal byte budget, hydrated

@@ -6,18 +6,20 @@
 // Scenario. A batch orbit is pinned to shard 0 (the victim). The plan
 // injects a disk read error at t=0 (the first quantum fails, is
 // detected after the timeout, and retries), a brief lane stall, and a
-// ShardCrash between the middle frames' fault-free delivery times —
-// half the orbit is already delivered, half is the crash snapshot
-// (the first frame absorbs the cold disk reads, so a makespan
-// fraction would land inside it). drain() meets the dead
-// shard, fails it over: the session re-pins to shard 1, the crash
-// snapshot's undelivered frames re-issue there in order, and — with
-// failover_prepush on — the crashed cache's warm bricks are pre-pushed
-// over the inter-shard fabric first (send_reliable: the plan's
-// FabricDrop on shard 1 forces one retransmit on the way). The orbit is
-// served out-of-core, so the A/B is real bytes: warm handoff renders
-// the re-issued frames against pushed bricks, the cold baseline
-// (failover_prepush off) re-reads every brick from disk at 5 ms seek.
+// ShardCrash between the middle frames' delivery times in a run of the
+// same plan without the crash — half the orbit is already delivered,
+// half is the crash snapshot (the first frame absorbs the cold disk
+// reads, so a makespan fraction would land inside it; the retry and the
+// stall shift every delivery, so fault-free times would misplace it).
+// drain() meets the dead shard, fails it over: the session re-pins to
+// shard 1, the crash snapshot's undelivered frames re-issue there in
+// order, and — with failover_prepush on — the crashed cache's warm
+// bricks are pre-pushed over the inter-shard fabric first
+// (send_reliable: the plan's FabricDrop on shard 1 forces one
+// retransmit on the way). The orbit is served out-of-core, so the A/B
+// is real bytes: warm handoff renders the re-issued frames against
+// pushed bricks, the cold baseline (failover_prepush off) re-reads
+// every brick from disk, a 5 ms seek per disk sweep.
 //
 // Acceptance (exit code gates Release CI): zero frames lost in both
 // failover modes, every delivered image bit-identical to the fault-free
@@ -134,18 +136,12 @@ int main() {
   const volren::Volume volume = volren::datasets::skull(orbit_dims());
   const int kFrames = orbit_frames();
 
-  // Fault-free baseline: the images every fault run must reproduce and
-  // the makespan that anchors the crash time.
+  // Fault-free baseline: the images every fault run must reproduce.
   const FarmRun clean = run_farm(volume, nullptr, /*prepush=*/true,
                                  /*attach_trace=*/false);
   VRMR_CHECK_MSG(static_cast<int>(clean.records.size()) == kFrames,
                  "fault-free run lost frames");
   VRMR_CHECK_MSG(kFrames >= 4, "need frames on both sides of the crash");
-  // Mid-drain, anchored to deliveries: halfway between the two middle
-  // frames' finish times, so the faulted replay — shifted a little by
-  // the retry and the stall — still has frames on both sides.
-  const double crash_t = 0.5 * (clean.records[kFrames / 2 - 1].finish_s +
-                                clean.records[kFrames / 2].finish_s);
 
   // The seeded plan, replayed identically by both failover modes: a
   // disk error and a lane stall on the victim first (retry + stall
@@ -154,8 +150,18 @@ int main() {
   fault::FaultPlan plan(0x5EED);
   plan.add({fault::FaultKind::DiskReadError, 0.0, 0, -1})
       .add({fault::FaultKind::LaneStall, 0.0, 0, 1, 2e-4})
-      .add({fault::FaultKind::ShardCrash, crash_t, 0, -1})
       .add({fault::FaultKind::FabricDrop, 0.0, 1, -1});
+  // Mid-drain, anchored to deliveries of the run the crash lands in:
+  // the same plan without the crash replays that run up to the crash,
+  // so halfway between its two middle frames' finish times leaves
+  // frames on both sides.
+  const FarmRun uncrashed = run_farm(volume, &plan, /*prepush=*/true,
+                                     /*attach_trace=*/false);
+  VRMR_CHECK_MSG(static_cast<int>(uncrashed.records.size()) == kFrames,
+                 "run without the crash lost frames");
+  const double crash_t = 0.5 * (uncrashed.records[kFrames / 2 - 1].finish_s +
+                                uncrashed.records[kFrames / 2].finish_s);
+  plan.add({fault::FaultKind::ShardCrash, crash_t, 0, -1});
 
   const FarmRun warm = run_farm(volume, &plan, /*prepush=*/true,
                                 /*attach_trace=*/true);

@@ -2,11 +2,12 @@
 
 // A Chunk is "a collection of work to be mapped" (§3.1.2) — for the
 // volume renderer, one brick of the volume. The MapReduce runtime only
-// needs three things from a chunk: how much GPU memory staging it
+// needs a few things from a chunk: how much GPU memory staging it
 // requires (to enforce the fit-in-VRAM restriction and to charge the
-// H2D copy), how many bytes the node's disk must deliver (out-of-core
-// mode), and a human-readable label. Everything else is between the
-// concrete chunk type and the mapper that consumes it.
+// H2D copy), how many bytes the node's disk must deliver and where
+// they sit (out-of-core mode), and a human-readable label. Everything
+// else is between the concrete chunk type and the mapper that consumes
+// it.
 
 #include <cstdint>
 #include <string>
@@ -24,6 +25,16 @@ class Chunk {
   /// the staged size (raw voxel payload); compressed chunks override
   /// this with their stored size.
   virtual std::uint64_t disk_bytes() const { return device_bytes(); }
+
+  /// Where disk_bytes() sit: the file that holds them and the chunk's
+  /// index in that file's order (index i + 1's payload starts where
+  /// index i's ends). The disk's sweep rule reads it (io/disk.hpp); the
+  /// default, no file, makes every read of the chunk a positioned read.
+  struct FilePlace {
+    const void* file = nullptr;
+    int index = -1;
+  };
+  virtual FilePlace file_place() const { return {}; }
 
   /// Bytes that actually move when this chunk's payload travels — what
   /// the brick cache holds, the H2D copy ships and a peer shard sends

@@ -10,7 +10,8 @@ namespace vrmr::mr {
 
 namespace {
 
-/// cut_ray_bands: the map quanta the lane dealt the fewest chunks gets.
+/// Ray bands (use_service_schedule): the map quanta the lane dealt the
+/// fewest chunks gets.
 constexpr int kMinQuantaPerLane = 4;
 
 }  // namespace
@@ -200,12 +201,12 @@ void FramePlan::start() {
     dealt[static_cast<std::size_t>(g)].push_back(static_cast<int>(i));
   }
 
-  // Map quanta: each dealt chunk whole, or — cut_ray_bands on an
-  // in-core plan — cut into enough ray bands that the lane dealt the
-  // fewest chunks still gets kMinQuantaPerLane quanta. A band is a run
-  // of whole row blocks, split as evenly as the block count allows.
+  // Map quanta: each dealt chunk whole, or — a served in-core plan —
+  // cut into enough ray bands that the lane dealt the fewest chunks
+  // still gets kMinQuantaPerLane quanta. A band is a run of whole row
+  // blocks, split as evenly as the block count allows.
   int bands = 1;
-  if (cut_ray_bands_ && !config_.include_disk_io) {
+  if (served_ && !config_.include_disk_io) {
     std::size_t fewest = 0;
     for (const auto& lane : dealt) {
       if (!lane.empty() && (fewest == 0 || lane.size() < fewest)) fewest = lane.size();
@@ -628,10 +629,22 @@ void FramePlan::begin_staging(int g, int q) {
   if (config_.include_disk_io) {
     const std::uint64_t bytes = chunk.disk_bytes();
     stats_.bytes_disk += bytes;
-    io::VirtualDisk& disk = cluster_.disk(cluster_.node_of_gpu(g));
-    stats_.disk_busy_s += disk.model().read_time(bytes);
     start_transfer(g, q, "disk", bytes, trace_id);
-    disk.read(bytes, std::move(landed));
+    // A served plan tags its reads so the disk can sweep; a retry reads
+    // after a failure, and seeks.
+    io::ReadTag tag;
+    if (served_ && quantum_attempts_[static_cast<std::size_t>(q)] == 1) {
+      const Chunk::FilePlace place = chunk.file_place();
+      tag = io::ReadTag{this, place.file, place.index};
+    }
+    const io::ReadCharge charge =
+        cluster_.disk(cluster_.node_of_gpu(g)).read(bytes, std::move(landed), tag);
+    stats_.disk_busy_s += charge.seconds;
+    if (charge.sweep && tr != nullptr) {
+      tr->instant(cluster_.engine().now(), config_.trace.pid, g, "sweep", "stage",
+                  {{"chunk", chunk.label()},
+                   {"frame", std::to_string(config_.trace.frame_id)}});
+    }
     return;
   }
   // In-core: the bytes are already in host memory.

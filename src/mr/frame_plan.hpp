@@ -17,19 +17,24 @@
 //     most one chunk per lane is in transit or waiting, so a plan
 //     buffers at most one chunk per lane (DESIGN.md §7). Cache hits and
 //     in-core chunks have no transfer: their issue starts the GPU part.
+//     A plan driven under use_service_schedule() reads in *disk
+//     sweeps*: a read queued right behind its read of the previous
+//     brick in file order, on the same node's disk, pays no seek
+//     (io/disk.hpp; DESIGN.md §7). The greedy driver's reads each seek.
 //   * stage+map quantum  — one chunk's GPU part on one GPU: H2D ->
 //     (decompress) -> map kernel -> D2H. The quantum ends when the D2H
 //     completes and the GPU stream is free again (the paper's overlap
 //     point, §3.1.2); partitioning and buffered sends continue
 //     asynchronously on the CPU/NIC inside the plan. This boundary is
 //     where a scheduler can hand the GPU to a *different* frame —
-//     brick-granular preemption. A driver that calls cut_ray_bands()
-//     gets in-core chunks cut into *ray bands* (runs of whole
-//     thread-block rows of the chunk's footprint): a quantum then maps
-//     one band, a chunk stages once per GPU (later bands on a GPU that
-//     holds it skip the lookup, H2D and decompress), and an idle lane
-//     may take another lane's unissued band (steal_map_quantum;
-//     DESIGN.md §9). The greedy driver never cuts.
+//     brick-granular preemption. A driver that calls
+//     use_service_schedule() gets in-core chunks cut into *ray bands*
+//     (runs of whole thread-block rows of the chunk's footprint): a
+//     quantum then maps one band, a chunk stages once per GPU (later
+//     bands on a GPU that holds it skip the lookup, H2D and
+//     decompress), and an idle lane may take another lane's unissued
+//     band (steal_map_quantum; DESIGN.md §9). The greedy driver never
+//     cuts.
 //   * sends              — partition output buffers per (mapper,
 //     reducer) and ships per send slot. Under Global a slot is one
 //     (mapper, reducer) pair: the paper's direct-send, one message per
@@ -129,7 +134,7 @@ class FramePlan {
   /// brick's world box, so the bound is exact). `row_block` > 0 says
   /// the kernel launches over the rect in blocks of that many rows, so
   /// any run of whole blocks is a ray band Mapper::map_band can map on
-  /// its own (cut_ray_bands); 0 keeps the chunk whole. Two effects:
+  /// its own (use_service_schedule); 0 keeps the chunk whole. Two effects:
   ///   * an EMPTY rect culls the chunk — it is never staged or mapped
   ///     (stats().chunks_culled counts them; dealing positions of the
   ///     other chunks are unchanged, so residency caches still predict
@@ -149,18 +154,27 @@ class FramePlan {
   void set_chunk_footprint(int chunk_index, int x0, int y0, int x1, int y1,
                            int row_block = 0);
 
-  /// Before start(): cut in-core chunks (JobConfig::include_disk_io off)
-  /// that declare a row block into ray bands, so that every lane with
-  /// chunks gets at least four map quanta — each chunk into
-  /// ceil(4 / the fewest chunks any lane was dealt) bands of as many
-  /// whole blocks each as the rows allow. A frame already that deep in
-  /// chunks is not cut. Out-of-core chunks stay whole: a band on another
-  /// lane would need a second disk read. Without this call every chunk
-  /// is one quantum, the paper's schedule; the render service calls it
-  /// for every frame it admits under PipelineMode::Quantum.
-  void cut_ray_bands() {
-    VRMR_CHECK_MSG(!started_, "cut_ray_bands() after start()");
-    cut_ray_bands_ = true;
+  /// Before start(): a scheduler that drives every lane of a node
+  /// together runs this plan — the render service calls it for every
+  /// frame it admits under PipelineMode::Quantum. Two things change,
+  /// neither of them pixels:
+  ///   * ray bands — in-core chunks (JobConfig::include_disk_io off)
+  ///     that declare a row block are cut so that every lane with
+  ///     chunks gets at least four map quanta: each chunk into
+  ///     ceil(4 / the fewest chunks any lane was dealt) bands of as many
+  ///     whole blocks each as the rows allow. A frame already that deep
+  ///     in chunks is not cut. Out-of-core chunks stay whole: a band on
+  ///     another lane would need a second disk read.
+  ///   * disk sweeps — each disk read tells the node's disk which file
+  ///     and brick it fetches (Chunk::file_place) for this plan, so a
+  ///     read queued right behind this plan's read of the previous
+  ///     brick of the same file streams on without a seek (io/disk.hpp).
+  ///     A retried quantum's read is positioned.
+  /// Without this call every chunk is one quantum with one positioned
+  /// read: the paper's schedule, which run_to_completion keeps.
+  void use_service_schedule() {
+    VRMR_CHECK_MSG(!started_, "use_service_schedule() after start()");
+    served_ = true;
   }
 
   // --- driver hooks (install before start()) ------------------------------
@@ -235,7 +249,7 @@ class FramePlan {
 
   // --- stage+map quanta ----------------------------------------------------
   /// Map quanta queued on `gpu` whose GPU part has not been issued yet:
-  /// unissued quanta (whole chunks, or ray bands after cut_ray_bands)
+  /// unissued quanta (whole chunks, or ray bands after use_service_schedule)
   /// plus the one in transit or waiting in host memory. A steal moves
   /// one unissued quantum from its victim's count to its thief's.
   int pending_map_quanta(int gpu) const;
@@ -507,7 +521,7 @@ class FramePlan {
   bool finished_ = false;
   bool greedy_ = false;          // run_to_completion auto-issues map quanta
   bool eager_barriers_ = false;  // sort/reduce quanta self-issue at barriers
-  bool cut_ray_bands_ = false;   // start() cuts in-core chunks into bands
+  bool served_ = false;          // use_service_schedule: bands and sweeps
 
   JobStats stats_;
 };

@@ -74,7 +74,7 @@ struct JobStats {
   /// per re-staging of a chunk a dead lane had already landed.
   std::uint64_t stagings = 0;
   /// Map quanta whose kernel ran: one per mapped chunk, or one per ray
-  /// band when the plan cut its chunks (FramePlan::cut_ray_bands).
+  /// band when the plan cut its chunks (FramePlan::use_service_schedule).
   std::uint64_t map_quanta = 0;
   /// Map quanta an idle lane took from another lane's queue
   /// (FramePlan::steal_map_quantum).
@@ -113,6 +113,11 @@ struct JobStats {
   double gpu_busy_s = 0.0;
   double pcie_busy_s = 0.0;
   double nic_busy_s = 0.0;
+  /// Disk time the job's reads were charged, as the node's disk charged
+  /// it (io::VirtualDisk::read): a positioned read pays its seek plus
+  /// the transfer, a read that continued a disk sweep the transfer
+  /// alone. Summed over a run's frames it equals the disks' busy time
+  /// when only frames read (the service's prefetch reads too).
   double disk_busy_s = 0.0;
   double cpu_busy_s = 0.0;
 

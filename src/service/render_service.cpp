@@ -1013,9 +1013,11 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   });
   plan.on_tile_done([this, raw](int r) { deliver_tile(*raw, r); });
   plan.on_finished([this, raw] { frame_finished(raw); });
-  // Ray bands let idle lanes take part of a busy lane's brick (pump's
-  // steal pass). Monolithic keeps whole chunks: the greedy schedule.
-  if (config_.pipeline == PipelineMode::Quantum) plan.cut_ray_bands();
+  // pump drives every lane of a node: ray bands let idle lanes take part
+  // of a busy lane's brick (pump's steal pass), and a frame's reads,
+  // issued in brick order, stream as disk sweeps. Monolithic keeps whole
+  // chunks and one seek per read: the greedy schedule.
+  if (config_.pipeline == PipelineMode::Quantum) plan.use_service_schedule();
   plan.start();
   // A frame admitted after lane deaths must not deal work to the
   // blacklisted lanes: the scheduler never fills them, so quanta dealt

@@ -119,6 +119,10 @@ class BrickChunk final : public mr::Chunk {
   /// Disk delivers the stored payload too (VRBF v2 records compressed
   /// brick streams; io/brick_file.hpp).
   std::uint64_t disk_bytes() const override { return stored_bytes(); }
+  /// A layout's bricks are one file, written in brick-id order
+  /// (io::BrickFileWriter, examples/out_of_core.cpp); a pyramid level's
+  /// volume is a file of its own.
+  FilePlace file_place() const override { return {volume_, info_.id}; }
   double decompress_s() const override { return decompress_s_; }
   std::string label() const override {
     std::string name = volume_->name() + "/brick" + std::to_string(info_.id);

@@ -164,7 +164,7 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
       // Level world boxes are bit-identical to the base brick's, so the
       // same rect is exactly the LOD chunk's launch rect too. The kernel
       // launches over it in kRayBlock-row blocks: the plan may cut it
-      // into ray bands of whole blocks (FramePlan::cut_ray_bands).
+      // into ray bands of whole blocks (FramePlan::use_service_schedule).
       planned->plan_->set_chunk_footprint(chunk_index, rect.x0, rect.y0, rect.x1,
                                           rect.y1, kRayBlock);
     }
