@@ -2,7 +2,7 @@
 
 namespace vrmr::cluster {
 
-Cluster::Cluster(sim::Engine& engine, ClusterConfig config, ThreadPool* pool)
+Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     : engine_(&engine), config_(std::move(config)) {
   config_.validate();
   fabric_ = std::make_unique<net::Fabric>(engine, config_.hw.fabric, config_.num_nodes);
@@ -11,7 +11,7 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config, ThreadPool* pool)
   gpus_.reserve(static_cast<size_t>(gpus));
   gpu_streams_.reserve(static_cast<size_t>(gpus));
   for (int g = 0; g < gpus; ++g) {
-    gpus_.push_back(std::make_unique<gpusim::Device>(g, config_.hw.gpu, pool));
+    gpus_.push_back(std::make_unique<gpusim::Device>(g, config_.hw.gpu));
     gpu_streams_.push_back(
         std::make_unique<sim::Resource>(engine, "gpu[" + std::to_string(g) + "]"));
   }

@@ -17,7 +17,6 @@
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace vrmr::cluster {
 
@@ -58,7 +57,7 @@ struct ClusterConfig {
 
 class Cluster {
  public:
-  Cluster(sim::Engine& engine, ClusterConfig config, ThreadPool* pool = nullptr);
+  Cluster(sim::Engine& engine, ClusterConfig config);
 
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;

@@ -1,5 +1,7 @@
 #include "gpusim/device.hpp"
 
+#include "util/thread_pool.hpp"
+
 namespace vrmr::gpusim {
 
 DeviceAllocation::DeviceAllocation(Device* device, std::uint64_t bytes, std::string label)
@@ -57,7 +59,7 @@ std::uint64_t Device::launch_2d(Int3 grid, Int3 block,
   grid.z = 1;
   block.z = 1;
 
-  pool_->parallel_for(
+  ThreadPool::global().parallel_for(
       0, num_blocks,
       [&](std::int64_t b) {
         ThreadCtx ctx;

@@ -23,7 +23,6 @@
 
 #include "gpusim/device_props.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 #include "util/vec.hpp"
 
 namespace vrmr::gpusim {
@@ -80,9 +79,7 @@ struct ThreadCtx {
 
 class Device {
  public:
-  Device(int id, DeviceProps props, ThreadPool* pool = nullptr)
-      : id_(id), props_(std::move(props)),
-        pool_(pool ? pool : &ThreadPool::global()) {}
+  Device(int id, DeviceProps props) : id_(id), props_(std::move(props)) {}
 
   Device(const Device&) = delete;
   Device& operator=(const Device&) = delete;
@@ -116,7 +113,6 @@ class Device {
 
   int id_;
   DeviceProps props_;
-  ThreadPool* pool_;
   std::uint64_t vram_used_ = 0;
   std::uint64_t kernels_launched_ = 0;
 };

@@ -1,12 +1,15 @@
 #pragma once
 
-// Fixed-size worker pool. Two uses in the reproduction:
-//   1. gpusim executes CUDA-style (grid x block) kernel launches by
-//      fanning blocks out over the pool (the "streaming multiprocessors").
-//   2. Host-side data-parallel helpers (counting sort, compositing).
+// Fixed-size worker pool: the host's "streaming multiprocessors". Its
+// users are gpusim::Device::launch_2d (a CUDA-style grid's blocks),
+// volren::Volume::materialize (a brick's voxel rows) and
+// volren::render_reference (image rows).
 //
-// parallel_for is the primary interface; it blocks the caller until the
-// range completes, mirroring a synchronous kernel launch.
+// parallel_for is the interface; it blocks the caller until the range
+// completes, mirroring a synchronous kernel launch. The range is dealt
+// in pieces of `grain` iterations from one shared counter, and the
+// calling thread takes pieces too, so a launch whose iterations differ
+// in cost ends when its work ends.
 
 #include <condition_variable>
 #include <cstdint>
@@ -29,10 +32,13 @@ class ThreadPool {
 
   unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Run fn(i) for i in [begin, end), chunked by `grain`, blocking until
-  /// all iterations finish. Exceptions from fn propagate to the caller
-  /// (first one wins). Recursive calls from inside a worker execute the
-  /// range inline to avoid deadlock.
+  /// Run fn(i) for i in [begin, end), blocking until all iterations
+  /// finish. The caller and up to size() − 1 workers take pieces of
+  /// `grain` consecutive iterations until none are left. Exceptions from
+  /// fn propagate to the caller (first one wins; pieces not yet started
+  /// are skipped) and the pool stays usable. A call from inside one of
+  /// this pool's workers, a pool of one worker, and a range of at most
+  /// `grain` iterations all run inline on the calling thread.
   void parallel_for(std::int64_t begin, std::int64_t end,
                     const std::function<void(std::int64_t)>& fn,
                     std::int64_t grain = 1);
@@ -41,18 +47,14 @@ class ThreadPool {
   static ThreadPool& global();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-  };
-
   void worker_loop();
   bool on_worker_thread() const;
 
-  std::vector<std::thread> workers_;
-  std::deque<Task> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_ = false;
+  std::deque<std::function<void()>> queue_;  // guarded by mutex_
+  bool stopping_ = false;                     // guarded by mutex_
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace vrmr

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/thread_pool.hpp"
+
 namespace vrmr::volren {
 
 Volume::Volume(std::string name, Int3 dims, std::shared_ptr<const VolumeSource> source)
@@ -25,16 +27,23 @@ std::vector<float> Volume::materialize(Int3 origin, Int3 size, int stride,
   if (stride == 1) sdims = size;
   if (stored_dims) *stored_dims = sdims;
 
+  // Each (z, y) row fills its own contiguous run of the output, so rows
+  // fan out over the pool and the x-fastest order holds byte for byte.
+  // The pool deals whole rows, about kVoxelsPerPiece voxels at a time;
+  // a region no bigger than that runs inline.
+  constexpr std::int64_t kVoxelsPerPiece = 1024;
   std::vector<float> out(static_cast<size_t>(sdims.volume()));
-  size_t idx = 0;
-  for (int z = 0; z < sdims.z; ++z) {
-    for (int y = 0; y < sdims.y; ++y) {
-      for (int x = 0; x < sdims.x; ++x) {
-        const Int3 p = origin + Int3{x * stride, y * stride, z * stride};
-        out[idx++] = voxel_clamped(p);
-      }
-    }
-  }
+  ThreadPool::global().parallel_for(
+      0, static_cast<std::int64_t>(sdims.z) * sdims.y,
+      [&](std::int64_t row) {
+        const int y = static_cast<int>(row % sdims.y);
+        const int z = static_cast<int>(row / sdims.y);
+        float* dst = out.data() + row * sdims.x;
+        for (int x = 0; x < sdims.x; ++x) {
+          dst[x] = voxel_clamped(origin + Int3{x * stride, y * stride, z * stride});
+        }
+      },
+      /*grain=*/std::max<std::int64_t>(1, kVoxelsPerPiece / sdims.x));
   return out;
 }
 

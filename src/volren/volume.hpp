@@ -26,6 +26,11 @@
 
 namespace vrmr::volren {
 
+/// Concurrency contract: `Volume::materialize` fans its rows out over
+/// ThreadPool::global(), so voxel() is called concurrently from pool
+/// threads and the caller's. It must be a pure function of the
+/// coordinate: no caches, counters or other state written behind a
+/// const call.
 class VolumeSource {
  public:
   virtual ~VolumeSource() = default;
@@ -34,7 +39,9 @@ class VolumeSource {
   virtual float voxel(Int3 p) const = 0;
 };
 
-/// Field-function-backed source; evaluated lazily, never stored.
+/// Field-function-backed source; evaluated lazily, never stored. The
+/// field inherits the VolumeSource contract: a pure function of the
+/// voxel coordinate, safe to call from several threads at once.
 class ProceduralSource final : public VolumeSource {
  public:
   using Field = std::function<float(Int3 voxel)>;
@@ -91,7 +98,8 @@ class Volume {
   /// Materialize the voxel region [origin, origin + size) with
   /// clamp-at-edges, optionally decimated by `stride` (stored grid
   /// takes every stride-th logical voxel; see DESIGN.md §2).
-  /// Returns stored_dims voxels in x-fastest order.
+  /// Returns stored_dims voxels in x-fastest order. Rows are filled on
+  /// ThreadPool::global() (see VolumeSource's concurrency contract).
   std::vector<float> materialize(Int3 origin, Int3 size, int stride = 1,
                                  Int3* stored_dims = nullptr) const;
 

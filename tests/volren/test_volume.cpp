@@ -75,6 +75,28 @@ TEST(Volume, MaterializeDecimationKeepsMinimumTwoPoints) {
   EXPECT_EQ(stored, (Int3{2, 2, 2}));
 }
 
+TEST(Volume, MaterializeFannedOutMatchesSerialLoop) {
+  // Big enough that its rows fan out over the pool at both strides. The
+  // region overhangs every face by one voxel, so every edge clamps, and
+  // the field is distinct per voxel, so a misplaced row shows.
+  const auto index = [](Int3 v) { return static_cast<float>(v.x + 64 * v.y + 4096 * v.z); };
+  const Volume v = Volume::procedural("v", {40, 33, 29}, index);
+  const Int3 origin{-1, -1, -1};
+  const Int3 size = v.dims() + Int3{2, 2, 2};
+  for (const int stride : {1, 3}) {
+    Int3 stored;
+    const auto voxels = v.materialize(origin, size, stride, &stored);
+    ASSERT_EQ(voxels.size(), static_cast<size_t>(stored.volume())) << "stride " << stride;
+    size_t idx = 0;
+    int mismatches = 0;
+    for (int z = 0; z < stored.z; ++z)
+      for (int y = 0; y < stored.y; ++y)
+        for (int x = 0; x < stored.x; ++x)
+          if (voxels[idx++] != v.voxel_clamped(origin + Int3{x, y, z} * stride)) ++mismatches;
+    EXPECT_EQ(mismatches, 0) << "stride " << stride;
+  }
+}
+
 TEST(Volume, MaterializedFactoryStoresExactField) {
   const Volume v = Volume::materialized("m", {6, 5, 4}, ramp);
   for (int z = 0; z < 4; ++z)
