@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the functional kernel pieces:
 // trilinear texture sampling, transfer-function lookup, the full
 // per-brick cast (host wall time of the functional simulation — NOT
-// simulated seconds), and the effect of early ray termination on
-// charged sample counts.
+// simulated seconds), the casts of one served frame, and the effect of
+// early ray termination on charged sample counts.
 
 #include <benchmark/benchmark.h>
 
@@ -80,6 +80,46 @@ void BM_CastBrickFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(samples) * state.iterations());
 }
 BENCHMARK(BM_CastBrickFunctional)->Arg(128)->Arg(256);
+
+void BM_CastServedOrbitFrame(benchmark::State& state) {
+  // The map kernel as the benchmark suite's orbit_warm serves its
+  // supernova sessions: all eight bricks of a 256³ volume stored at 16³
+  // (decimation 16), a 256² image, the fire transfer function and
+  // empty-space skipping. Wall time, since the casts fan out over the
+  // host pool.
+  const volren::Volume volume = volren::datasets::supernova({256, 256, 256});
+  volren::RenderOptions options;
+  options.image_width = 256;
+  options.image_height = 256;
+  options.distance = 1.2f;
+  options.transfer = volren::TransferFunction::fire();
+  options.cast.decimation = 16;
+  options.cast.skip_empty = true;
+  const volren::FrameSetup frame = volren::make_frame(volume, options);
+  const volren::BrickLayout layout = volren::choose_layout(volume, options, 8);
+  gpusim::Texture1D tf(bench_device(), 256);
+  tf.upload(frame.transfer.bake(256));
+
+  std::uint64_t samples = 0;
+  for (auto _ : state) {
+    samples = 0;
+    for (const volren::BrickInfo& brick : layout.bricks()) {
+      const volren::BrickCastOutput out =
+          volren::cast_brick(bench_device(), volume, brick, frame, tf);
+      samples += out.samples;
+      benchmark::DoNotOptimize(out.keys.data());
+      benchmark::DoNotOptimize(out.fragments.data());
+    }
+  }
+  state.counters["bricks"] = static_cast<double>(layout.num_bricks());
+  state.counters["samples"] = static_cast<double>(samples);
+  // Wall seconds per charged sample (printed as e.g. "1.6ns"),
+  // materialization included.
+  state.counters["per_sample"] = benchmark::Counter(
+      static_cast<double>(samples),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CastServedOrbitFrame)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_EarlyRayTerminationSavings(benchmark::State& state) {
   // Dense transfer function: ERT should cut charged samples hard.

@@ -11,9 +11,13 @@
 // Kernels are C++ callables invoked once per thread with a ThreadCtx
 // giving blockIdx/threadIdx/blockDim, exactly mirroring how the paper's
 // CUDA ray caster addresses its 16×16 blocks over the brick's screen
-// footprint. Blocks are distributed over the host thread pool; threads
-// within a block run sequentially (kernels in this codebase do not use
-// intra-block synchronization).
+// footprint. Blocks are distributed over the host thread pool; all
+// threads of one block run in order (thread_idx row-major) on one host
+// thread, and kernels in this codebase do not use intra-block
+// synchronization. So state a kernel keeps per block, indexed by
+// block_idx, has exactly one writer, and launch_2d returns only after
+// every block has finished (the pool's join orders their writes before
+// the return).
 
 #include <cstdint>
 #include <functional>

@@ -13,6 +13,7 @@
 // Texture1D is the 1-D transfer-function texture (scalar -> RGBA),
 // sampled with normalized coordinates in [0, 1].
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -22,6 +23,14 @@
 #include "util/vec.hpp"
 
 namespace vrmr::gpusim {
+
+/// static_cast<int>(std::floor(v)) for every v in int range, without
+/// the libm call: truncation rounds toward zero, so it lands one above
+/// the floor exactly when v is negative and not an integer.
+inline int floor_to_int(float v) {
+  const int i = static_cast<int>(v);
+  return static_cast<float>(i) > v ? i - 1 : i;
+}
 
 class Texture3D {
  public:
@@ -57,27 +66,44 @@ class Texture3D {
   /// Lowest texel of the 2x2x2 support sample(p) interpolates, before
   /// clamp addressing: floor(p - 0.5) per axis.
   static Int3 support_origin(Vec3 p) {
-    return {static_cast<int>(std::floor(p.x - 0.5f)),
-            static_cast<int>(std::floor(p.y - 0.5f)),
-            static_cast<int>(std::floor(p.z - 0.5f))};
+    return {floor_to_int(p.x - 0.5f), floor_to_int(p.y - 0.5f), floor_to_int(p.z - 0.5f)};
   }
 
   /// Trilinear fetch at unnormalized coordinates (CUDA linear-filter
   /// semantics: interpolates around p - 0.5) with clamp addressing.
+  /// Returns, bit for bit, the seven lerps below over eight fetch()
+  /// calls at support_origin(p) + {0, 1}^3, with each support
+  /// coordinate clamped once rather than in every fetch.
   float sample(Vec3 p) const {
-    const auto [x0, y0, z0] = support_origin(p);
-    const float tx = (p.x - 0.5f) - static_cast<float>(x0);
-    const float ty = (p.y - 0.5f) - static_cast<float>(y0);
-    const float tz = (p.z - 0.5f) - static_cast<float>(z0);
+    const float fx = p.x - 0.5f;
+    const float fy = p.y - 0.5f;
+    const float fz = p.z - 0.5f;
+    const int ix = floor_to_int(fx);
+    const int iy = floor_to_int(fy);
+    const int iz = floor_to_int(fz);
+    const float tx = fx - static_cast<float>(ix);
+    const float ty = fy - static_cast<float>(iy);
+    const float tz = fz - static_cast<float>(iz);
 
-    const float c000 = fetch(x0, y0, z0);
-    const float c100 = fetch(x0 + 1, y0, z0);
-    const float c010 = fetch(x0, y0 + 1, z0);
-    const float c110 = fetch(x0 + 1, y0 + 1, z0);
-    const float c001 = fetch(x0, y0, z0 + 1);
-    const float c101 = fetch(x0 + 1, y0, z0 + 1);
-    const float c011 = fetch(x0, y0 + 1, z0 + 1);
-    const float c111 = fetch(x0 + 1, y0 + 1, z0 + 1);
+    const auto clamp_axis = [](int i, int n) {
+      return static_cast<size_t>(std::clamp(i, 0, n - 1));
+    };
+    const size_t x0 = clamp_axis(ix, dims_.x);
+    const size_t x1 = clamp_axis(ix + 1, dims_.x);
+    const size_t row0 = clamp_axis(iy, dims_.y) * dims_.x;
+    const size_t row1 = clamp_axis(iy + 1, dims_.y) * dims_.x;
+    const size_t slab = static_cast<size_t>(dims_.y) * dims_.x;
+    const size_t slab0 = clamp_axis(iz, dims_.z) * slab;
+    const size_t slab1 = clamp_axis(iz + 1, dims_.z) * slab;
+
+    const float c000 = data_[slab0 + row0 + x0];
+    const float c100 = data_[slab0 + row0 + x1];
+    const float c010 = data_[slab0 + row1 + x0];
+    const float c110 = data_[slab0 + row1 + x1];
+    const float c001 = data_[slab1 + row0 + x0];
+    const float c101 = data_[slab1 + row0 + x1];
+    const float c011 = data_[slab1 + row1 + x0];
+    const float c111 = data_[slab1 + row1 + x1];
 
     const float c00 = lerpf(c000, c100, tx);
     const float c10 = lerpf(c010, c110, tx);
@@ -111,7 +137,7 @@ class Texture1D {
   Vec4 sample(float t) const {
     VRMR_DCHECK(!data_.empty());
     const float x = clampf(t, 0.0f, 1.0f) * static_cast<float>(data_.size()) - 0.5f;
-    const int i0 = static_cast<int>(std::floor(x));
+    const int i0 = floor_to_int(x);
     const float frac = x - static_cast<float>(i0);
     const int lo = std::clamp(i0, 0, static_cast<int>(data_.size()) - 1);
     const int hi = std::clamp(i0 + 1, 0, static_cast<int>(data_.size()) - 1);

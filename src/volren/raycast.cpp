@@ -1,7 +1,6 @@
 #include "volren/raycast.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <optional>
@@ -146,14 +145,16 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   const auto sample = [&](Vec3 p) { return texture.sample(to_local(p)); };
   const auto transfer = [&](float s) { return transfer_tex.sample(s); };
 
-  // Costs per block row, so a ray band of whole block rows knows its
-  // share of the cast (RayCastMapper::map_band).
-  struct RowCounters {
-    std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> samples_skipped{0};
-    std::atomic<std::uint64_t> skip_leaps{0};
+  // Costs per block, summed per block row after the launch, so a ray
+  // band of whole block rows knows its share of the cast
+  // (RayCastMapper::map_band). launch_2d runs all threads of a block in
+  // order on one host thread, so each entry has one writer; the line
+  // alignment keeps blocks on different threads off each other's cache
+  // lines.
+  struct alignas(64) BlockCost {
+    BlockRowCost cost;
   };
-  std::vector<RowCounters> rows(static_cast<std::size_t>(grid.y));
+  std::vector<BlockCost> blocks(static_cast<std::size_t>(grid.x) * grid.y);
 
   // One kernel instantiation per skip predicate: with NoSkip it is the
   // paper's kernel, with no per-step test left in it.
@@ -180,12 +181,11 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
 
       const MarchResult res = march_ray(ray, t_vol0, t_enter, t_exit, dt, decimation,
                                         correction, ert, sample, transfer, skip);
-      RowCounters& row = rows[static_cast<std::size_t>(gy / block.y)];
-      row.samples.fetch_add(res.samples, std::memory_order_relaxed);
-      if (res.skip_leaps > 0) {
-        row.samples_skipped.fetch_add(res.samples_skipped, std::memory_order_relaxed);
-        row.skip_leaps.fetch_add(res.skip_leaps, std::memory_order_relaxed);
-      }
+      BlockRowCost& cost =
+          blocks[static_cast<std::size_t>(ctx.block_idx.y) * grid.x + ctx.block_idx.x].cost;
+      cost.samples += res.samples;
+      cost.samples_skipped += res.samples_skipped;
+      cost.skip_leaps += res.skip_leaps;
 
       if (res.color.a > 0.0f) {
         out.keys[slot] =
@@ -206,14 +206,16 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
     launch(NoSkip{});
   }
 
-  for (const RowCounters& row : rows) {
-    const BlockRowCost cost{row.samples.load(std::memory_order_relaxed),
-                            row.samples_skipped.load(std::memory_order_relaxed),
-                            row.skip_leaps.load(std::memory_order_relaxed)};
+  out.block_rows.resize(static_cast<std::size_t>(grid.y));
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const BlockRowCost& cost = blocks[b].cost;
+    BlockRowCost& row = out.block_rows[b / static_cast<std::size_t>(grid.x)];
+    row.samples += cost.samples;
+    row.samples_skipped += cost.samples_skipped;
+    row.skip_leaps += cost.skip_leaps;
     out.samples += cost.samples;
     out.samples_skipped += cost.samples_skipped;
     out.skip_leaps += cost.skip_leaps;
-    out.block_rows.push_back(cost);
   }
   return out;
 }

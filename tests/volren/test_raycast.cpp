@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "gpusim/device.hpp"
 #include "gpusim/texture.hpp"
 #include "volren/datasets.hpp"
+#include "volren/marching.hpp"
 #include "volren/raycast.hpp"
 #include "volren/renderer.hpp"
 
@@ -46,6 +50,99 @@ struct KernelFixture {
     transfer_tex.upload(frame.transfer.bake(256));
   }
 };
+
+/// cast_brick's slots and block-row costs, marched one pixel at a time
+/// on the calling thread.
+struct SerialCast {
+  std::vector<std::uint32_t> keys;
+  std::vector<RayFragment> fragments;
+  std::vector<BlockRowCost> block_rows;
+};
+
+SerialCast serial_cast(const Volume& volume, const BrickInfo& brick, const FrameSetup& frame,
+                       const gpusim::Texture1D& transfer_tex) {
+  const Camera& camera = frame.camera;
+  const PixelRect rect = camera.project_box(brick.world_box);
+  const int grid_width = ceil_div(rect.width(), kRayBlock) * kRayBlock;
+  const int grid_height = ceil_div(rect.height(), kRayBlock) * kRayBlock;
+  const std::size_t slots = static_cast<std::size_t>(grid_width) * grid_height;
+  SerialCast out;
+  out.keys.assign(slots, mr::kPlaceholderKey);
+  out.fragments.assign(slots, RayFragment{});
+  out.block_rows.resize(static_cast<std::size_t>(grid_height / kRayBlock));
+
+  Int3 stored;
+  const std::vector<float> voxels = volume.materialize(
+      brick.padded_origin, brick.padded_dims, frame.cast.decimation, &stored);
+  gpusim::Texture3D texture(test_device(), stored);
+  texture.upload(voxels);
+
+  // World -> global voxel coords -> brick-local stored-grid coords.
+  const Vec3 dims_f = to_vec3(volume.dims());
+  const Vec3 extent = volume.world_extent();
+  const float inv_m = 1.0f / static_cast<float>(frame.cast.decimation);
+  const Vec3 origin = to_vec3(brick.padded_origin);
+  const auto to_local = [&](Vec3 p) {
+    const Vec3 gv = (p / extent) * dims_f;
+    return Vec3{(gv.x - origin.x - 0.5f) * inv_m + 0.5f, (gv.y - origin.y - 0.5f) * inv_m + 0.5f,
+                (gv.z - origin.z - 0.5f) * inv_m + 0.5f};
+  };
+  const auto sample = [&](Vec3 p) { return texture.sample(to_local(p)); };
+  const auto transfer = [&](float s) { return transfer_tex.sample(s); };
+  // Skipping's rule straight from the eight texels of the support, with
+  // the kernel's 16-ulp widening of their hull.
+  const auto empty = [&](Vec3 p) {
+    const Int3 o = gpusim::Texture3D::support_origin(to_local(p));
+    float lo = std::numeric_limits<float>::infinity();
+    float hi = -lo;
+    for (int dz = 0; dz < 2; ++dz) {
+      for (int dy = 0; dy < 2; ++dy) {
+        for (int dx = 0; dx < 2; ++dx) {
+          const float v = texture.fetch(o.x + dx, o.y + dy, o.z + dz);
+          lo = std::min(lo, v);
+          hi = std::max(hi, v);
+        }
+      }
+    }
+    const float slack = 16.0f * std::numeric_limits<float>::epsilon() *
+                        std::max(std::fabs(lo), std::fabs(hi));
+    return tf_empty_interval(transfer_tex.texels(), lo - slack, hi + slack);
+  };
+
+  const float dt = frame.cast.step_size(volume);
+  const RaycastSettings& cast = frame.cast;
+  for (int py = rect.y0; py < rect.y1; ++py) {
+    for (int px = rect.x0; px < rect.x1; ++px) {
+      const Ray ray = camera.pixel_ray(px, py);
+      float t_vol0 = 0.0f, t_vol1 = 0.0f;
+      if (!volume.world_box().intersect(ray, 0.0f, std::numeric_limits<float>::max(), &t_vol0,
+                                        &t_vol1)) {
+        continue;
+      }
+      float t_enter = 0.0f, t_exit = 0.0f;
+      if (!brick.world_box.intersect(ray, t_vol0, t_vol1, &t_enter, &t_exit)) continue;
+      const MarchResult res =
+          cast.skip_empty
+              ? march_ray(ray, t_vol0, t_enter, t_exit, dt, cast.decimation,
+                          cast.opacity_correction(), cast.ert_threshold, sample, transfer, empty)
+              : march_ray(ray, t_vol0, t_enter, t_exit, dt, cast.decimation,
+                          cast.opacity_correction(), cast.ert_threshold, sample, transfer);
+      BlockRowCost& row = out.block_rows[static_cast<std::size_t>((py - rect.y0) / kRayBlock)];
+      row.samples += res.samples;
+      row.samples_skipped += res.samples_skipped;
+      row.skip_leaps += res.skip_leaps;
+      if (res.color.a > 0.0f) {
+        const std::size_t slot =
+            static_cast<std::size_t>(py - rect.y0) * grid_width + (px - rect.x0);
+        out.keys[slot] = static_cast<std::uint32_t>(py * camera.width() + px);
+        out.fragments[slot].set_color(res.color);
+        out.fragments[slot].depth = t_enter;
+        out.fragments[slot].brick = static_cast<std::uint32_t>(brick.id);
+      }
+    }
+  }
+  return out;
+}
 
 TEST(CastBrick, ThreadCountMatchesPaddedGrid) {
   KernelFixture fx;
@@ -87,6 +184,53 @@ TEST(CastBrick, EveryThreadHasAnEntry) {
   }
   EXPECT_GT(fragments, 0u);
   EXPECT_LT(fragments, out.threads);  // padding threads stay placeholders
+}
+
+TEST(CastBrick, MatchesASerialMarchSlotForSlot) {
+  // The launch's blocks run on several pool threads and each keeps its
+  // own costs; a block's costs summed into the wrong block row would
+  // still add up to the right brick total, but not to the right rows.
+  for (const bool skip : {false, true}) {
+    SCOPED_TRACE(skip ? "skipping on" : "skipping off");
+    KernelFixture fx;
+    RenderOptions options = fx.options;
+    options.image_width = 128;
+    options.image_height = 128;
+    fx.frame = make_frame(fx.volume, options);
+    fx.frame.cast.skip_empty = skip;
+    const BrickInfo& brick = fx.layout.brick(fx.layout.num_bricks() / 2);
+    const BrickCastOutput out =
+        cast_brick(test_device(), fx.volume, brick, fx.frame, fx.transfer_tex);
+    const SerialCast want = serial_cast(fx.volume, brick, fx.frame, fx.transfer_tex);
+    ASSERT_GT(out.rect.width(), 2 * kRayBlock) << "need three block columns";
+    ASSERT_GT(out.rect.height(), 2 * kRayBlock) << "need three block rows";
+
+    ASSERT_EQ(out.keys.size(), want.keys.size());
+    ASSERT_EQ(out.fragments.size(), want.fragments.size());
+    EXPECT_EQ(std::memcmp(out.keys.data(), want.keys.data(),
+                          out.keys.size() * sizeof(std::uint32_t)),
+              0);
+    EXPECT_EQ(std::memcmp(out.fragments.data(), want.fragments.data(),
+                          out.fragments.size() * sizeof(RayFragment)),
+              0);
+    ASSERT_EQ(out.block_rows.size(), want.block_rows.size());
+    BlockRowCost total;
+    for (std::size_t b = 0; b < want.block_rows.size(); ++b) {
+      EXPECT_EQ(out.block_rows[b].samples, want.block_rows[b].samples) << "block row " << b;
+      EXPECT_EQ(out.block_rows[b].samples_skipped, want.block_rows[b].samples_skipped)
+          << "block row " << b;
+      EXPECT_EQ(out.block_rows[b].skip_leaps, want.block_rows[b].skip_leaps)
+          << "block row " << b;
+      EXPECT_GT(want.block_rows[b].samples, 0u) << "block row " << b;
+      total.samples += want.block_rows[b].samples;
+      total.samples_skipped += want.block_rows[b].samples_skipped;
+      total.skip_leaps += want.block_rows[b].skip_leaps;
+    }
+    EXPECT_EQ(out.samples, total.samples);
+    EXPECT_EQ(out.samples_skipped, total.samples_skipped);
+    EXPECT_EQ(out.skip_leaps, total.skip_leaps);
+    EXPECT_EQ(total.skip_leaps > 0, skip);
+  }
 }
 
 TEST(CastBrick, BrickBehindCameraProducesOnlyPlaceholders) {
