@@ -10,9 +10,7 @@
 // hot set is promoted to the frequency list T2 after its second touch
 // and the one-pass scan churns through T1/B1 without ever reaching it
 // (scan resistance), so the interactive demand hit rate survives the
-// scan with no orbit hint and no prefetcher help (the prefetcher only
-// serves hinted sessions — this bench measures the demand stream the
-// ROADMAP calls out).
+// scan on demand staging alone.
 //
 // The schedule is self-pacing (no timing constants to mis-tune): the
 // interactive session warms up with two back-to-back orbit frames,

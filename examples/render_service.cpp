@@ -38,21 +38,14 @@ int main(int argc, char** argv) {
   options.cast.decimation = 2;
 
   // Two interactive orbit sessions: 30 ms between frames (~33 Hz hand
-  // motion), starting staggered. The orbit hint is how a later prefetch
-  // stage will know which bricks the next frame needs.
-  service::SessionProfile alice_profile;
-  alice_profile.name = "alice/skull";
-  alice_profile.priority = service::Priority::Interactive;
-  alice_profile.orbit = service::OrbitHint{24, 0.03};
-  service::Session alice = svc.open_session(alice_profile);
+  // motion), starting staggered.
+  service::Session alice =
+      svc.open_session("alice/skull", service::Priority::Interactive);
   options.transfer = volren::TransferFunction::bone();
   alice.submit_orbit(skull, options, 24, 0.0, 0.03);
 
-  service::SessionProfile bob_profile;
-  bob_profile.name = "bob/supernova";
-  bob_profile.priority = service::Priority::Interactive;
-  bob_profile.orbit = service::OrbitHint{24, 0.03};
-  service::Session bob = svc.open_session(bob_profile);
+  service::Session bob =
+      svc.open_session("bob/supernova", service::Priority::Interactive);
   options.transfer = volren::TransferFunction::fire();
   bob.submit_orbit(supernova, options, 24, 0.1, 0.03);
 

@@ -46,11 +46,8 @@ int main(int argc, char** argv) {
   batch_options.target_bricks = 4 * gpus;  // fine preemption granularity
   batch.submit_orbit(supernova, batch_options, 8, 0.0, 0.0);
 
-  service::SessionProfile viewer_profile;
-  viewer_profile.name = "viewer";
-  viewer_profile.priority = service::Priority::Interactive;
-  viewer_profile.orbit = service::OrbitHint{6, 0.05};
-  service::Session viewer = svc.open_session(viewer_profile);
+  service::Session viewer =
+      svc.open_session("viewer", service::Priority::Interactive);
 
   // Scanline-band partitioning skews the reducers' loads (center bands
   // carry most fragments), so the light tiles land visibly earlier —
@@ -93,8 +90,7 @@ int main(int argc, char** argv) {
             << table.to_string() << "\n"
             << "service: " << stats.frames_total << " frames, "
             << stats.tiles_total << " tiles streamed, " << stats.preemptions
-            << " preemptions, " << stats.bricks_prefetched
-            << " bricks prefetched\n";
+            << " preemptions\n";
 
   // Sanity for CI smoke runs: every viewer frame delivered all its
   // tiles, and the first tile landed strictly before the frame — the

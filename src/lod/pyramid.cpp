@@ -82,18 +82,4 @@ LodPyramid::LodPyramid(const volren::Volume& base,
   }
 }
 
-int select_level(const LodPyramid& pyramid, const volren::BrickInfo& base_brick,
-                 int projected_pixels, int base_level, float quality) {
-  int level = pyramid.clamp(base_level);
-  if (quality >= 1.0f || projected_pixels <= 0) return level;
-  const int core_max = std::max({base_brick.core_dims.x, base_brick.core_dims.y,
-                                 base_brick.core_dims.z});
-  const float required = quality * static_cast<float>(projected_pixels);
-  while (level + 1 < pyramid.num_levels() &&
-         static_cast<float>(core_max >> (level + 1)) >= required) {
-    ++level;
-  }
-  return level;
-}
-
 }  // namespace vrmr::lod

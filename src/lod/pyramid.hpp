@@ -88,16 +88,4 @@ class LodPyramid {
   std::vector<LodLevel> levels_;
 };
 
-/// Per-brick level selection. `base_level` (RenderOptions::max_lod as
-/// clamped by the caller / the SLO controller) is the floor every brick
-/// renders at. When `quality` < 1, a brick whose projected footprint is
-/// small relative to its voxel resolution may drop further: level L+1
-/// is allowed while (max core axis >> (L+1)) >= quality *
-/// projected_pixels — i.e. the coarser brick still offers at least
-/// `quality` voxels per screen pixel along its widest axis. quality >=
-/// 1 disables the footprint path entirely (selection is exactly
-/// base_level, preserving the pixel-identity guarantee at level 0).
-int select_level(const LodPyramid& pyramid, const volren::BrickInfo& base_brick,
-                 int projected_pixels, int base_level, float quality);
-
 }  // namespace vrmr::lod

@@ -748,7 +748,7 @@ void FramePlan::run_map(int g, int q) {
   const MapOutcome outcome =
       quantum.whole ? gs.mapper->map(device, chunk, *out)
                     : gs.mapper->map_band(device, chunk, quantum.y0, quantum.y1, *out);
-  if (config_.verify_every_thread_emits && outcome.threads > 0) {
+  if (outcome.threads > 0) {
     VRMR_CHECK_MSG(out->size() == outcome.threads,
                    "every-thread-emits violated for chunk '"
                        << chunk.label() << "': " << out->size() << " pairs from "
@@ -1035,10 +1035,7 @@ void FramePlan::deliver(const Message& message, std::uint64_t send_trace_id) {
   }
   // Barrier bookkeeping first: if this was the last send, the routing
   // barrier stamps (and sweeps readiness, these reducers included)
-  // before any zero-pair cascade a reducer's readiness could trigger;
-  // the drain transition's sweep still marks the reducers ready before
-  // on_sorts_ready fires, preserving the ready-then-sorts_ready order
-  // on the final send.
+  // before any zero-pair cascade a reducer's readiness could trigger.
   maybe_finish_routing();
   for (const Part& part : message) maybe_reducer_ready(part.reducer);
 }
@@ -1083,8 +1080,8 @@ void FramePlan::maybe_finish_routing() {
   if (per_reducer_barriers()) {
     // Sweep on newly-final counts (any reducer whose inbox is already
     // complete becomes ready, index order) and on the drain (the final
-    // send's reducer goes ready here, before sorts_ready_cb_). Between
-    // those, each landing send marks its own reducer.
+    // send's reducer goes ready here). Between those, each landing send
+    // marks its own reducer.
     if (first_resolve || drained) {
       for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
         maybe_reducer_ready(r);
@@ -1097,7 +1094,6 @@ void FramePlan::maybe_finish_routing() {
     }
   }
   if (!drained) return;
-  if (sorts_ready_cb_) sorts_ready_cb_();
   if (greedy_ || eager_barriers_) {
     for (int r = 0; r < static_cast<int>(reducers_.size()); ++r) {
       if (sort_pending(r)) issue_sort_quantum(r);
@@ -1250,7 +1246,6 @@ void FramePlan::sort_done(int r) {
     issue_reduce_quantum(r);
   }
   if (last) {
-    if (reduces_ready_cb_) reduces_ready_cb_();
     if (greedy_ || eager_barriers_) {
       // Under PerReducer barriers every other reduce already chained at
       // its own sort; this loop only picks up stragglers (Global mode

@@ -6,9 +6,9 @@
 // The paper runs one monolithic job per frame: every chunk is staged
 // and mapped, fragments are routed, sorted, reduced, and control only
 // returns when the whole cluster is done. That shape is exactly what
-// blocks a serving layer from preempting a batch frame, streaming
-// finished tiles, or prefetching during a frame's reduce tail — so the
-// pipeline now lives here, cut at its natural seams:
+// blocks a serving layer from preempting a batch frame or streaming
+// finished tiles — so the pipeline now lives here, cut at its natural
+// seams:
 //
 //   * transfer           — a staging miss first moves the chunk's bytes
 //     into host memory: the disk read (JobConfig::include_disk_io) or a
@@ -75,11 +75,11 @@
 //
 // The driver decides *when* each quantum is issued; the plan owns all
 // dataflow bookkeeping and fires hooks at the decision points
-// (chunk staged, lane freed, sorts ready, reduces ready, tile done,
-// finished). `run_to_completion()` is the greedy driver that reproduces
-// the original monolithic job event-for-event (it issues each landed
-// chunk's GPU part inside the landing event) — mr::Job and the one-shot
-// renderer facade are thin wrappers over it.
+// (chunk staged, lane freed, reducer ready, sort done, tile done,
+// finished, quantum failed). `run_to_completion()` is the greedy driver
+// that reproduces the original monolithic job event-for-event (it
+// issues each landed chunk's GPU part inside the landing event) —
+// mr::Job and the one-shot renderer facade are thin wrappers over it.
 //
 // Everything runs on the cluster's DES engine; with a deterministic
 // driver the whole schedule is bit-reproducible. Busy-time stats are
@@ -122,8 +122,8 @@ class FramePlan {
   }
 
   /// Queue a chunk; `gpu` pins it, -1 deals round-robin (brick i of an
-  /// unpinned layout always lands on GPU i % G — residency caches and
-  /// prefetchers rely on this determinism).
+  /// unpinned layout always lands on GPU i % G — residency caches rely
+  /// on this determinism).
   void add_chunk(std::unique_ptr<Chunk> chunk, int gpu = -1);
   int num_chunks() const { return static_cast<int>(chunks_.size()); }
 
@@ -202,17 +202,6 @@ class FramePlan {
   void on_sort_done(std::function<void(int reducer)> cb) {
     sort_done_cb_ = std::move(cb);
   }
-  /// The routing barrier passed — every sort quantum is now issuable.
-  /// Under PerReducer barriers this is informational, not a gate: it
-  /// fires when the last send drains, after the final
-  /// on_reducer_ready, by which point sorts (and, for zero-pair
-  /// reducers, whole sort+reduce chains) may already have run.
-  void on_sorts_ready(std::function<void()> cb) { sorts_ready_cb_ = std::move(cb); }
-  /// Every sort completed — every reduce quantum is now issuable.
-  /// Informational under PerReducer barriers (reduces chain off their
-  /// own sorts; in the all-empty-inbox corner the frame can even
-  /// finish before this fires).
-  void on_reduces_ready(std::function<void()> cb) { reduces_ready_cb_ = std::move(cb); }
   /// Reducer `reducer`'s reduce quantum completed: its tile of the key
   /// domain is final. Fires before on_finished for the last tile.
   void on_tile_done(std::function<void(int reducer)> cb) { tile_cb_ = std::move(cb); }
@@ -492,8 +481,6 @@ class FramePlan {
   std::function<void(int)> chunk_staged_cb_;
   std::function<void(int)> reducer_ready_cb_;
   std::function<void(int)> sort_done_cb_;
-  std::function<void()> sorts_ready_cb_;
-  std::function<void()> reduces_ready_cb_;
   std::function<void(int)> tile_cb_;
   std::function<void()> finished_cb_;
   std::function<void(int, int, int)> quantum_failed_cb_;

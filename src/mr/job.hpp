@@ -38,8 +38,8 @@
 // mr/frame_plan.hpp as externally-driven work quanta; Job drives a
 // FramePlan greedily (every quantum issued the moment it is available),
 // which reproduces the paper's whole-frame execution exactly. Serving
-// layers that need preemption, tile streaming, or prefetch drive the
-// FramePlan directly.
+// layers that need preemption or tile streaming drive the FramePlan
+// directly.
 
 #include <functional>
 #include <memory>
@@ -165,10 +165,6 @@ struct JobConfig {
   /// one (node, remote node) pair (every local mapper's parts for every
   /// reducer on the remote node count together).
   std::uint64_t send_buffer_bytes = 256 * 1024;
-
-  /// Verify the every-thread-emits restriction when mappers report
-  /// thread counts (§3.1.1).
-  bool verify_every_thread_emits = true;
 
   /// Optional residency test consulted before each chunk is staged
   /// (see StagingHook above). Null = always stage.

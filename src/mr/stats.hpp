@@ -116,8 +116,8 @@ struct JobStats {
   /// Disk time the job's reads were charged, as the node's disk charged
   /// it (io::VirtualDisk::read): a positioned read pays its seek plus
   /// the transfer, a read that continued a disk sweep the transfer
-  /// alone. Summed over a run's frames it equals the disks' busy time
-  /// when only frames read (the service's prefetch reads too).
+  /// alone. Summed over a render service's frames it equals its
+  /// cluster's disk busy time: frames are the service's only readers.
   double disk_busy_s = 0.0;
   double cpu_busy_s = 0.0;
 

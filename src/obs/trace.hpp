@@ -8,11 +8,11 @@
 // one span per work quantum (stage+map on the GPU-lane track, sort and
 // reduce on per-reducer tracks, partition sends as async arrows), the
 // render service emits scheduling events (admission, preemption, batch
-// aging, prefetch, cache hit/miss), and the sharded frontend names one
+// aging, cache hit/miss), and the sharded frontend names one
 // trace *process* per shard. Track layout:
 //
 //   pid                 = shard index (0 for a single RenderService)
-//   tid 0..G-1          = GPU lanes (map quanta + prefetch staging)
+//   tid 0..G-1          = GPU lanes (map quanta)
 //   tid 990             = service events (admit / preempt / batch_aged)
 //   tid base + r        = reducer r's sort+reduce chain, where base is
 //                         TraceContext::reducer_tid_base (the service

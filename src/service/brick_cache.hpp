@@ -106,13 +106,11 @@ struct BrickCacheStats {
   std::uint64_t stored_bytes_admitted = 0;
   std::uint64_t logical_bytes_evicted = 0;
   std::uint64_t logical_bytes_saved = 0;  // logical size of hit payloads
-  /// Bricks admitted by the prefetcher (prefetch()) rather than by a
-  /// frame's staging miss. Not counted as misses: the demand stream's
-  /// hit rate stays comparable with and without prefetching.
+  /// Bricks admitted by prefetch() — a peer's warm-handoff push —
+  /// rather than by a frame's staging miss. Not counted as misses: the
+  /// demand stream's hit rate stays comparable with and without pushes.
   std::uint64_t prefetch_admissions = 0;
-  /// Payload bytes of those admissions — counted at the cache layer so
-  /// service-level prefetch telemetry (ServiceStats::bytes_prefetched)
-  /// reconciles exactly against cache-level accounting.
+  /// Payload bytes of those admissions.
   std::uint64_t bytes_prefetched = 0;
 
   // --- Arc telemetry (all zero under Lru) --------------------------------
@@ -191,11 +189,13 @@ class BrickCache {
   };
   std::optional<Residency> payload_of(int gpu, const BrickKey& key) const;
 
-  /// Speculative admission (camera-aware prefetch): admit `key` on
-  /// `gpu` — evicting per policy to fit — WITHOUT charging a demand
-  /// miss, so hit-rate telemetry reflects only what frames actually
-  /// asked for. Already-resident keys are refreshed (no accounting);
-  /// oversized bricks are rejected exactly like lookup_or_admit.
+  /// Speculative admission: admit `key` on `gpu` — evicting per policy
+  /// to fit — WITHOUT charging a demand miss, so hit-rate telemetry
+  /// reflects only what frames actually asked for. The one caller is
+  /// RenderService::admit_pushed_brick, which seeds the bricks a peer
+  /// shard pushes during failover or migration (warm handoff).
+  /// Already-resident keys are refreshed (no accounting); oversized
+  /// bricks are rejected exactly like lookup_or_admit.
   /// Under Arc a speculative insert lands in T1 flagged speculative:
   /// it never nudges p (a ghost entry it displaces is dropped
   /// silently, not "hit"), its first *demand* touch counts as that
@@ -206,7 +206,8 @@ class BrickCache {
   /// Returns true when the brick is resident on return; `admitted`
   /// (optional) reports whether this call inserted it (false for a
   /// refresh or a reject) — what prefetch_admissions/bytes_prefetched
-  /// count, so callers' telemetry reconciles without probing stats.
+  /// count, so callers can count their own admissions without probing
+  /// stats.
   /// `bytes`/`logical_bytes` follow lookup_or_admit's stored/logical
   /// convention.
   bool prefetch(int gpu, const BrickKey& key, std::uint64_t bytes,

@@ -184,9 +184,7 @@ struct FrontendConfig {
   int gpus_per_shard = 4;
   /// Per-shard RenderService configuration (policy, cache, ...).
   /// Adaptive quality flows through unchanged: each shard runs its own
-  /// SLO controller (service.interactive_slo_s, kMaxDegradeLod) and
-  /// per-session quality floors (SessionProfile::quality) ride the
-  /// profile to whichever shard placement picks.
+  /// SLO controller (service.interactive_slo_s, kMaxDegradeLod).
   ServiceConfig service;
 
   // --- control plane ------------------------------------------------------

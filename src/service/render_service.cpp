@@ -1,7 +1,6 @@
 #include "service/render_service.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -116,7 +115,6 @@ RenderService::RenderService(cluster::Cluster& cluster, ServiceConfig config)
                                        kCacheReserveBytes);
     cache_.emplace(cluster_.total_gpus(), capacity, config_.cache_policy);
   }
-  lane_busy_.assign(static_cast<std::size_t>(cluster_.total_gpus()), 0);
   lane_dead_.assign(static_cast<std::size_t>(cluster_.total_gpus()), 0);
   lane_retry_at_.assign(static_cast<std::size_t>(cluster_.total_gpus()), 0.0);
 }
@@ -184,8 +182,8 @@ std::uint64_t RenderService::session_submit(int session, RenderRequest request) 
 
   Pending pending;
   pending.frame_id = next_frame_id_++;
-  // Memoize the decomposition once: every scheduling probe, prefetch
-  // pass and the render itself reuse it.
+  // Memoize the decomposition once: every scheduling probe and the
+  // render itself reuse it.
   pending.layout = std::make_shared<const volren::BrickLayout>(
       volren::choose_layout(*request.volume, request.options,
                             cluster_.total_gpus()));
@@ -667,7 +665,7 @@ void RenderService::deliver_frame(int session_index, const FrameRecord& record) 
 RenderService::QualityState& RenderService::quality_state(const Pending& pending,
                                                           std::uint64_t vid) {
   // The entry may already exist with only its compression plan filled
-  // (compression_state runs on every compressed admission): each piece
+  // (apply_compression runs on every compressed admission): each piece
   // builds independently on first need.
   QualityState& qs = quality_[std::make_pair(vid, pending.layout_sig)];
   if (qs.pyramid == nullptr) {
@@ -680,9 +678,10 @@ RenderService::QualityState& RenderService::quality_state(const Pending& pending
   return qs;
 }
 
-const RenderService::QualityState* RenderService::compression_state(
-    const Pending& pending) {
-  if (config_.compression == compress::Codec::None) return nullptr;
+void RenderService::apply_compression(ActiveFrame& active,
+                                      volren::AdaptiveQuality* aq) {
+  if (config_.compression == compress::Codec::None) return;
+  const Pending& pending = active.pending;
   const std::uint64_t vid = register_volume(pending.request.volume).id;
   QualityState& qs = quality_[std::make_pair(vid, pending.layout_sig)];
   const auto codec = compress::make_codec(config_.compression);
@@ -706,18 +705,11 @@ const RenderService::QualityState* RenderService::compression_state(
               compress::analyze(*lvl.volume, *lvl.layout, *codec));
     }
   }
-  return &qs;
-}
-
-void RenderService::apply_compression(ActiveFrame& active,
-                                      volren::AdaptiveQuality* aq) {
-  const QualityState* qs = compression_state(active.pending);
-  if (qs == nullptr) return;
   // Keep-alive refs: the planned chunks read stored sizes from the
   // plans for the frame's whole lifetime, and invalidate_volume may
   // erase the quality entry while this frame is in flight.
-  active.compression = qs->compression;
-  active.level_compression = qs->level_compression;
+  active.compression = qs.compression;
+  active.level_compression = qs.level_compression;
   aq->compression = active.compression.get();
   aq->level_compression.clear();
   for (const auto& plan : active.level_compression) {
@@ -761,18 +753,13 @@ void RenderService::apply_adaptive_quality(ActiveFrame& active,
                                            const SessionState& session,
                                            volren::RenderOptions& options,
                                            volren::AdaptiveQuality* aq) {
-  // The session's quality floor composes with the request's own knob.
-  if (session.profile.quality < options.quality)
-    options.quality = session.profile.quality;
-
-  const bool wants_lod = options.max_lod > 0 || options.quality < 1.0f;
   // The SLO controller degrades only client Interactive frames: a
   // refinement re-degrading would loop forever, and Batch work has no
   // deadline to protect.
   const bool slo_armed = config_.interactive_slo_s > 0.0 &&
                          active.priority == Priority::Interactive &&
                          !active.pending.is_refinement;
-  if (!wants_lod && !slo_armed) return;
+  if (options.max_lod <= 0 && !slo_armed) return;
 
   const std::uint64_t vid = register_volume(active.pending.request.volume).id;
   QualityState& qs = quality_state(active.pending, vid);
@@ -924,7 +911,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
     options.barrier_mode = config_.barrier_mode;
   }
   options.cast.skip_empty = true;
-  // Adaptive quality: session quality floor and SLO-budget degradation
+  // Adaptive quality: the request's max_lod and SLO-budget degradation
   // — resolved before the trace arrow so the served LOD is attributable
   // from admission on.
   volren::AdaptiveQuality aq;
@@ -978,8 +965,7 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   auto active = make_active_frame(session_index, drain_floor_s_, predicted_cost_s);
   ActiveFrame* raw = active.get();
   auto& plan = active->frame->plan();
-  plan.on_lane_free([this](int gpu) {
-    lane_busy_[static_cast<std::size_t>(gpu)] = 0;
+  plan.on_lane_free([this](int) {
     // A freed lane changes only lane state, never admissibility — the
     // class slots and arrival set are untouched, so skip re-running
     // the admission policy (under SJF that is a full cost-model pass).
@@ -1002,8 +988,7 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   // frame's map quanta is arbitrated by the simulated resources. Under
   // PerReducer barriers (the default) a reducer's readiness is a
   // scheduling event: its sort+reduce chain starts right then, tiles
-  // stream while other lanes still map, and idle lanes get a prefetch
-  // pass at the earliest point the widened overlap window opens.
+  // stream while other lanes still map.
   plan.set_eager_barriers(true);
   plan.on_reducer_ready([this](int) {
     if (draining_) pump(/*try_admission=*/false);
@@ -1072,118 +1057,9 @@ void RenderService::try_admit() {
   }
 }
 
-bool RenderService::try_prefetch(int gpu) {
-  // The paper's schedule stages nothing speculatively.
-  if (!cache_ || config_.pipeline == PipelineMode::Monolithic) return false;
-  bool any_active = false;
-  for (const auto& active : active_) {
-    if (!active->done) {
-      any_active = true;
-      break;
-    }
-  }
-  if (!any_active) return false;  // prefetch only overlaps a serving frame
-
-  // Deterministic candidate order: orbit-hinted sessions with queued
-  // work, most imminent head frame first (ties by frame_id).
-  std::vector<std::pair<std::pair<double, std::uint64_t>, int>> candidates;
-  for (int s = 0; s < num_sessions(); ++s) {
-    const SessionState& session = *sessions_[static_cast<std::size_t>(s)];
-    if (!session.profile.orbit.has_value() || session.queue.empty()) continue;
-    const Pending& head = session.queue.front();
-    candidates.push_back({{head.effective_arrival_s(), head.frame_id}, s});
-  }
-  std::sort(candidates.begin(), candidates.end());
-
-  const int gpus = cluster_.total_gpus();
-  for (const auto& [order_key, s] : candidates) {
-    (void)order_key;
-    Pending& head = sessions_[static_cast<std::size_t>(s)]->queue.front();
-    const auto it = volumes_.find(head.request.volume);
-    if (it == volumes_.end()) continue;  // invalidated since submit
-    const std::uint64_t vid = it->second.id;
-    const auto& bricks = head.layout->bricks();
-    // Prefetch moves exactly what demand staging would: stored bytes
-    // (memoized per (volume, layout); a miss here builds the plan the
-    // admission would build anyway).
-    const QualityState* cqs = compression_state(head);
-    const compress::CompressionPlan* plan =
-        cqs != nullptr ? cqs->compression.get() : nullptr;
-    if (head.prefetch_issued.empty()) head.prefetch_issued.assign(bricks.size(), 0);
-    for (const volren::BrickInfo& brick : bricks) {
-      if (brick.id % gpus != gpu) continue;  // dealt to another lane
-      auto& issued = head.prefetch_issued[static_cast<std::size_t>(brick.id)];
-      if (issued) continue;
-      const BrickKey key{vid, brick.id, head.layout_sig};
-      // Resident bricks need no prefetch *now* but must stay eligible:
-      // a later frame's staging may evict them while this frame is
-      // still queued. Only an actual transfer (or a permanent reject)
-      // consumes the once-per-queued-frame budget.
-      if (cache_->resident(gpu, key)) continue;
-      const std::uint64_t logical = brick.device_bytes();
-      const std::uint64_t bytes =
-          plan != nullptr ? plan->brick(brick.id).stored_bytes : logical;
-      if (bytes > cache_->capacity_per_gpu()) {
-        issued = 1;  // would never be admitted; stop retrying
-        continue;
-      }
-      issued = 1;
-      lane_busy_[static_cast<std::size_t>(gpu)] = 1;
-      if (trace_ != nullptr) {
-        // Safe on the lane track: lane_busy_ keeps map quanta off this
-        // lane until the staging lands, so the span never interleaves.
-        trace_->begin(cluster_.engine().now(), trace_pid_, gpu, "prefetch",
-                      "prefetch",
-                      {{"brick", std::to_string(brick.id)},
-                       {"session", std::to_string(s)}});
-      }
-      // Stage it exactly like a frame would: optional disk read, then
-      // a synchronous H2D occupying the node's PCIe link and the GPU
-      // stream. Admission into the cache happens at transfer
-      // completion — the brick is not resident until it landed.
-      const int node = cluster_.node_of_gpu(gpu);
-      const double h2d_s = cluster_.config().hw.pcie.transfer_time(bytes);
-      const volren::Volume* volume = head.request.volume;
-      auto finish = [this, gpu, key, bytes, logical, volume] {
-        // The transfer was in flight: only admit if the volume's
-        // registration still carries the id the key was built from —
-        // an invalidate_volume() meanwhile retired that id, and a
-        // brick admitted under it could never match a future lookup.
-        const auto reg = volumes_.find(volume);
-        const bool registration_live =
-            reg != volumes_.end() && reg->second.id == key.volume_id;
-        if (registration_live && cache_) {
-          // Count only actual admissions (a brick that became resident
-          // via demand staging while the transfer was in flight is a
-          // refresh, not an admission), so service- and cache-level
-          // prefetch telemetry reconcile exactly.
-          bool admitted = false;
-          (void)cache_->prefetch(gpu, key, bytes, &admitted, logical);
-          if (admitted) {
-            ++bricks_prefetched_;
-            bytes_prefetched_ += bytes;
-          }
-        }
-        if (trace_ != nullptr) {
-          trace_->end(cluster_.engine().now(), trace_pid_, gpu);
-        }
-        lane_busy_[static_cast<std::size_t>(gpu)] = 0;
-        if (draining_) pump(/*try_admission=*/false);
-      };
-      auto stage = [this, node, gpu, h2d_s, finish] {
-        const std::array<sim::Resource*, 2> rs = {&cluster_.pcie(node),
-                                                  &cluster_.gpu_stream(gpu)};
-        sim::Resource::acquire_multi(
-            rs, h2d_s, [finish](sim::SimTime, sim::SimTime) { finish(); });
-      };
-      if (head.request.options.include_disk_io) {
-        cluster_.disk(node).read(bytes, stage);
-      } else {
-        stage();
-      }
-      return true;
-    }
-  }
+bool RenderService::lane_taken(int gpu) const {
+  for (const auto& active : active_)
+    if (active->frame->plan().lane_busy(gpu)) return true;
   return false;
 }
 
@@ -1195,7 +1071,7 @@ void RenderService::pump(bool try_admission) {
   const int gpus = cluster_.total_gpus();
   const double pump_now = cluster_.engine().now();
   for (int g = 0; g < gpus; ++g) {
-    if (lane_busy_[static_cast<std::size_t>(g)]) continue;
+    if (lane_taken(g)) continue;
     // Fail-stopped lanes are never filled again; a lane under a retry
     // hold-down sits out until its backoff expires (quantum_failed
     // armed a wake at exactly that time).
@@ -1206,7 +1082,7 @@ void RenderService::pump(bool try_admission) {
     // the lane. An issue that only starts a brick's transfer (a staging
     // miss reading disk or a peer) leaves the lane free: the next
     // candidate may take it while the bytes move.
-    auto& busy = lane_busy_[static_cast<std::size_t>(g)];
+    bool busy = false;
     const auto issue = [&](ActiveFrame& active) {
       mr::FramePlan& plan = active.frame->plan();
       if (!active.render_started) {
@@ -1218,7 +1094,7 @@ void RenderService::pump(bool try_admission) {
       }
       plan.issue_map_quantum(g);
       if (plan.lane_busy(g)) {
-        busy = 1;
+        busy = true;
         window_at(cluster_.engine().now()).quanta_issued += 1;
       }
     };
@@ -1241,9 +1117,6 @@ void RenderService::pump(bool try_admission) {
         if (active->frame->plan().steal_map_quantum(g)) issue(*active);
       }
     }
-    // Overlap window: a lane no frame wants right now (typically the
-    // current frame's sort/reduce tail) prefetches predicted bricks.
-    if (!busy) (void)try_prefetch(g);
   }
 
   // Arm a wake-up at the earliest FUTURE head arrival so preemptive
@@ -1283,9 +1156,6 @@ void RenderService::frame_finished(ActiveFrame* active) {
   record.cache_misses = result.stats.stagings - record.cache_hits;
   record.finish_s = cluster_.engine().now();
   record.stats = std::move(result.stats);
-  // The footprint path may have dropped deeper than the admission-time
-  // floor (quality < 1); the record reports the deepest level served.
-  record.lod = std::max(record.lod, active->frame->max_level());
   if (active->pending.is_refinement) ++refinements_served_;
   if (config_.keep_images) record.image = std::move(result.image);
   window_at(record.finish_s).frames_finished += 1;
@@ -1712,8 +1582,6 @@ ServiceStats RenderService::stats() const {
   out.cache_hit_rate = out.cache.hit_rate();
   out.tiles_total = tiles_total_;
   out.preemptions = preemptions_;
-  out.bricks_prefetched = bricks_prefetched_;
-  out.bytes_prefetched = bytes_prefetched_;
   out.frames_degraded = frames_degraded_;
   out.refinements_enqueued = refinements_enqueued_;
   out.refinements_served = refinements_served_;
@@ -1725,8 +1593,8 @@ ServiceStats RenderService::stats() const {
 
   if (config_.stats_window_s > 0.0) {
     // Fold GPU busy not yet attributed (work since the last frame
-    // completion, e.g. prefetch transfers) into a copy of the bins,
-    // then finalize per-window utilization.
+    // completion) into a copy of the bins, then finalize per-window
+    // utilization.
     std::map<std::int64_t, ServiceWindow> bins = windows_;
     if (window_open_) {
       spread_busy(bins, config_.stats_window_s, busy_sample_t_,

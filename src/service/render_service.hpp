@@ -24,18 +24,14 @@
 //     candidate until the bytes land);
 //   * finished tiles stream to the session's on_tile callback at each
 //     reducer's completion time (partial-frame delivery), all before
-//     the frame's own on_frame callback;
-//   * lanes idle during a frame's sort/reduce tail prefetch the
-//     predicted next bricks of orbit-hinted sessions into the
-//     BrickCache (camera-aware prefetch), so the next orbit frame hits
-//     instead of paying the staging miss.
+//     the frame's own on_frame callback.
 //
 // PipelineMode::Monolithic reproduces the paper's whole-frame schedule
 // through the same scheduler: a frame is admitted only when no frame is
 // in flight, so it runs alone to completion with its request's own
-// barrier mode, and idle lanes never prefetch. Tiles still stream at
-// the true reducer completion times and faults recover as under
-// Quantum. bench_preemption_latency quantifies the difference.
+// barrier mode. Tiles still stream at the true reducer completion times
+// and faults recover as under Quantum. bench_preemption_latency
+// quantifies the difference.
 //
 // Scheduling picks *which queued frame is admitted next*:
 //
@@ -62,8 +58,8 @@
 // on their GPUs; the service wires a per-GPU BrickCache into chunk
 // staging (JobConfig::staging_hook) so those bricks skip the disk read
 // and H2D upload entirely. The frame's BrickLayout and cache signature
-// are memoized once at submit; scheduling probes, prefetch and the
-// render itself reuse them.
+// are memoized once at submit; scheduling probes and the render itself
+// reuse them.
 //
 // Everything runs on the DES clock: arrivals are simulated timestamps,
 // queue waits advance the clock, and the whole schedule is
@@ -103,17 +99,17 @@ const char* to_string(PipelineMode mode);
 
 /// Deepest pyramid level the SLO controller may degrade to (further
 /// clamped by the pyramid's actual depth). Per-volume LOD pyramids are
-/// built on demand: only frames that ask for reduced quality (the SLO
-/// controller, max_lod or quality < 1) ever need one.
+/// built on demand: only frames that ask for a coarser level (the SLO
+/// controller or max_lod) ever need one.
 inline constexpr int kMaxDegradeLod = 2;
 
 struct ServiceConfig {
   SchedulingPolicy policy = SchedulingPolicy::Fifo;
 
   /// Admission rule. Quantum (default): brick-granular scheduling with
-  /// preemption and prefetch. Monolithic: the paper's indivisible
-  /// one-job-per-frame schedule — a frame is admitted only when none is
-  /// in flight, and nothing is prefetched (tile streaming still active).
+  /// preemption. Monolithic: the paper's indivisible one-job-per-frame
+  /// schedule — a frame is admitted only when none is in flight (tile
+  /// streaming still active).
   PipelineMode pipeline = PipelineMode::Quantum;
 
   /// Barrier enforcement for frames served under the Quantum pipeline
@@ -256,9 +252,6 @@ struct ServiceStats {
   /// Interactive frames admitted while a batch frame was mid-render
   /// (brick-boundary preemptions; Quantum pipeline only).
   std::uint64_t preemptions = 0;
-  /// Camera-aware prefetch: bricks staged speculatively on idle lanes.
-  std::uint64_t bricks_prefetched = 0;
-  std::uint64_t bytes_prefetched = 0;
   /// Adaptive quality: interactive frames the SLO controller admitted
   /// below full resolution, and refinement frames enqueued/served for
   /// them.
@@ -503,8 +496,7 @@ class RenderService final : public SessionBackend {
     RenderRequest request;
     std::uint64_t frame_id = 0;
     /// Memoized at submit: the decomposition this frame will stage and
-    /// its cache signature; scheduling probes, prefetch and the render
-    /// reuse it.
+    /// its cache signature; scheduling probes and the render reuse it.
     std::shared_ptr<const volren::BrickLayout> layout;
     std::uint64_t layout_sig = 0;
     /// A-priori (unscaled) cost estimate at submit; load accounting
@@ -514,10 +506,6 @@ class RenderService final : public SessionBackend {
     /// DES clock at submit: a streamed frame (submitted mid-drain from
     /// a callback) cannot claim to have arrived before it existed.
     double submit_floor_s = 0.0;
-    /// Per-brick prefetch-issued flags (lazily sized): each brick is
-    /// prefetched at most once per queued frame, so cache pressure
-    /// cannot make the prefetcher thrash.
-    std::vector<std::uint8_t> prefetch_issued;
     /// Refinement link: >= 0 means this frame re-renders the listed
     /// completed frame's view at full quality (internal sessions only).
     std::int64_t refines = -1;
@@ -659,19 +647,17 @@ class RenderService final : public SessionBackend {
   /// Find-or-build the memoized CompressionPlan(s) for the frame's
   /// (volume, layout) under config_.compression — the base plan always,
   /// plus per-level plans when the quality state already carries a
-  /// pyramid. Returns nullptr when compression is off.
-  const QualityState* compression_state(const Pending& pending);
-  /// Hand the memoized plans + the peer-hydration hook to the planner.
-  /// Runs after apply_adaptive_quality so level plans exist exactly
+  /// pyramid — and hand them to the planner. No-op when compression is
+  /// off. Runs after apply_adaptive_quality so level plans exist exactly
   /// when a pyramid may serve coarse chunks this admission.
   void apply_compression(ActiveFrame& active, volren::AdaptiveQuality* aq);
   /// The frame's staging-miss fetch: wait for another frame's transfer
   /// of the same brick for the same GPU (frame_staging), else ask the
   /// installed HydrationSource under the frame's cache keys.
   mr::FetchHook make_fetch_hook(ActiveFrame& active);
-  /// SLO controller + per-request quality knobs: resolves the LOD this
+  /// SLO controller + the request's max_lod: resolves the LOD this
   /// admission serves at, fills `aq` (and the keep-alive refs on
-  /// `active`), flags degradation. Mutates `options` (max_lod/quality).
+  /// `active`), flags degradation. Mutates `options.max_lod`.
   void apply_adaptive_quality(ActiveFrame& active, const SessionState& session,
                               volren::RenderOptions& options,
                               volren::AdaptiveQuality* aq);
@@ -705,11 +691,11 @@ class RenderService final : public SessionBackend {
   void drain_quantum();
   /// The scheduler heartbeat: reap finished frames, admit what the
   /// admission rule allows, fill free lanes (interactive quanta first,
-  /// then batch, then prefetch; an issue that only starts a transfer
+  /// then batch, then band steals; an issue that only starts a transfer
   /// leaves the lane to the next candidate), and arm the next arrival
   /// wake-up.
   /// `try_admission` is false for events that only change lane state
-  /// (lane freed, prefetch landed): admissibility moves only at
+  /// (lane freed, bytes landed): admissibility moves only at
   /// arrival wakes, frame completions and mid-drain submits, each of
   /// which pumps with admission on — skipping the policy pass (a full
   /// cost-model evaluation under SJF) on every brick boundary.
@@ -720,7 +706,9 @@ class RenderService final : public SessionBackend {
   /// frame only when none is in flight.
   void try_admit();
   void admit(int session_index, double predicted_cost_s);
-  bool try_prefetch(int gpu);
+  /// Some active frame's map quantum (its GPU part, or a failed
+  /// attempt's wedge) occupies `gpu`.
+  bool lane_taken(int gpu) const;
   void frame_finished(ActiveFrame* active);
   void reap();
   void schedule_wake(double t);
@@ -778,7 +766,6 @@ class RenderService final : public SessionBackend {
 
   // Scheduler state.
   std::vector<std::unique_ptr<ActiveFrame>> active_;  // <=1 per priority class
-  std::vector<std::uint8_t> lane_busy_;  // GPU part, wedge or prefetch in flight
   double drain_floor_s_ = 0.0;   // arrival clamp for the current drain
   /// Admission gate for drain_until(): no frame is admitted (and no
   /// arrival wake armed) at/after this clock value. +inf for a full
@@ -808,11 +795,9 @@ class RenderService final : public SessionBackend {
   std::uint64_t lanes_dead_ = 0;
   std::uint64_t bricks_pushed_in_ = 0;
 
-  // Streaming / preemption / prefetch telemetry.
+  // Streaming / preemption telemetry.
   std::uint64_t tiles_total_ = 0;
   std::uint64_t preemptions_ = 0;
-  std::uint64_t bricks_prefetched_ = 0;
-  std::uint64_t bytes_prefetched_ = 0;
 
   // Adaptive-quality state and telemetry.
   std::map<std::pair<std::uint64_t, std::uint64_t>, QualityState> quality_;

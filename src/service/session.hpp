@@ -53,10 +53,9 @@ inline const char* to_string(Priority priority) {
 }
 
 /// Camera-trajectory hint: the session promises a turntable orbit of
-/// `frames_per_orbit` frames spaced `frame_interval_s` apart. A hint's
-/// presence licenses prefetch: while a frame is in flight, idle lanes
-/// stage the bricks of hinted sessions' queued head frames
-/// (RenderService::try_prefetch). The two values are not read yet.
+/// `frames_per_orbit` frames spaced `frame_interval_s` apart. Nothing
+/// reads it: the serving stack keeps the field only because
+/// bench/suite's workloads still set it.
 struct OrbitHint {
   int frames_per_orbit = 0;
   double frame_interval_s = 0.0;
@@ -66,11 +65,6 @@ struct SessionProfile {
   std::string name;
   Priority priority = Priority::Batch;
   std::optional<OrbitHint> orbit;
-  /// Session-wide quality floor in (0, 1], min-composed with each
-  /// request's RenderOptions::quality at admission: < 1 lets bricks
-  /// that project small render from coarser pyramid levels
-  /// (lod::select_level). 1.0 = full fidelity (the default).
-  float quality = 1.0f;
   /// Frontend-only placement override: pin this session to the given
   /// shard index instead of the placement policy's choice (cold-shard
   /// warm-up experiments, capacity drains). Out-of-range values are
@@ -109,9 +103,9 @@ struct FrameRecord {
   /// the last-finishing reducer's dependency chain, summing EXACTLY to
   /// finish_s - arrival_s (obs::analyze_plan; valid once served).
   obs::CriticalPath critical_path;
-  /// Deepest LOD pyramid level any brick of this frame rendered at:
-  /// 0 = full resolution everywhere; > 0 = a degraded preview (SLO
-  /// controller) or a reduced-quality request.
+  /// LOD pyramid level every brick of this frame rendered at: 0 = full
+  /// resolution; > 0 = a degraded preview (SLO controller) or a
+  /// request's max_lod.
   int lod = 0;
   /// When >= 0, this frame is the full-quality refinement of the listed
   /// earlier frame of the same session (same view, lod 0). A

@@ -1,6 +1,5 @@
 #include "volren/renderer.hpp"
 
-#include <algorithm>
 #include <memory>
 
 #include "compress/brick_codec.hpp"
@@ -120,22 +119,11 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
   });
 
   const lod::LodPyramid* pyramid = aq.pyramid;
-  const int base_level = pyramid != nullptr ? pyramid->clamp(options.max_lod) : 0;
+  const int level = pyramid != nullptr ? pyramid->clamp(options.max_lod) : 0;
+  planned->max_level_ = level;
 
   int chunk_index = 0;
   for (const BrickInfo& info : layout.bricks()) {
-    // Exactly the rect cast_brick launches over: off-screen bricks
-    // emit nothing, and every emitted key lands inside the rect.
-    const PixelRect rect = frame.camera.project_box(info.world_box);
-    const int projected_pixels =
-        rect.empty() ? 0 : rect.width() * rect.height();
-
-    int level = 0;
-    if (pyramid != nullptr) {
-      level = lod::select_level(*pyramid, info, projected_pixels, base_level,
-                                options.quality);
-    }
-
     // Pyramid levels share the base grid's brick ids, so a level plan
     // (compress::analyze over the level volume + layout) indexes by the
     // same id. A level without a plan stages uncompressed.
@@ -151,7 +139,6 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
         chunk->set_compression(bc.stored_bytes, bc.decompress_s);
       }
       planned->plan_->add_chunk(std::move(chunk));
-      planned->max_level_ = std::max(planned->max_level_, level);
     } else {
       auto chunk = std::make_unique<BrickChunk>(volume, info);
       if (aq.compression != nullptr) {
@@ -161,10 +148,13 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
       planned->plan_->add_chunk(std::move(chunk));
     }
     if (options.screen_footprints) {
+      // Exactly the rect cast_brick launches over: off-screen bricks
+      // emit nothing, and every emitted key lands inside the rect.
       // Level world boxes are bit-identical to the base brick's, so the
       // same rect is exactly the LOD chunk's launch rect too. The kernel
       // launches over it in kRayBlock-row blocks: the plan may cut it
       // into ray bands of whole blocks (FramePlan::use_service_schedule).
+      const PixelRect rect = frame.camera.project_box(info.world_box);
       planned->plan_->set_chunk_footprint(chunk_index, rect.x0, rect.y0, rect.x1,
                                           rect.y1, kRayBlock);
     }

@@ -75,16 +75,10 @@ struct RenderOptions {
   bool screen_footprints = true;
 
   // --- adaptive quality -----------------------------------------------------
-  /// LOD floor for every brick when a pyramid is supplied to plan_frame:
-  /// 0 = full resolution (clamped to the pyramid's depth). The service's
-  /// SLO controller raises this under queue pressure.
+  /// Pyramid level every brick renders at when a pyramid is supplied to
+  /// plan_frame: 0 = full resolution (clamped to the pyramid's depth).
+  /// The service's SLO controller raises this under queue pressure.
   int max_lod = 0;
-  /// Per-brick footprint-driven refinement knob in (0, 1]: values < 1
-  /// let small-on-screen bricks drop below max_lod while they still
-  /// offer >= quality voxels per screen pixel (lod::select_level).
-  /// 1.0 keeps selection exactly at max_lod — the pixel-identity
-  /// default.
-  float quality = 1.0f;
 
   // --- observability --------------------------------------------------------
   /// Flight-recorder attribution; trace.recorder == nullptr (default)
@@ -150,7 +144,7 @@ RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
 /// the service's per-volume quality state — guarantees).
 struct AdaptiveQuality {
   /// LOD pyramid for (volume, layout); nullptr = no LOD (all bricks at
-  /// base resolution regardless of options.max_lod/quality).
+  /// base resolution regardless of options.max_lod).
   const lod::LodPyramid* pyramid = nullptr;
   /// Per-brick compression outcomes for the BASE layout
   /// (compress::analyze over (volume, layout)); nullptr = uncompressed
@@ -207,8 +201,8 @@ class PlannedFrame {
   /// plan().finished(); call once.
   RenderResult finish();
 
-  /// Deepest pyramid level any planned chunk renders at (0 = the whole
-  /// frame is full resolution).
+  /// Pyramid level every planned chunk renders at (0 = the whole frame
+  /// is full resolution).
   int max_level() const { return max_level_; }
 
  private:
@@ -238,10 +232,10 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
                                          mr::StagingHook staging_hook,
                                          const BrickLayout& layout);
 
-/// As above with adaptive-quality inputs: per-brick pyramid level
-/// selection (options.max_lod / options.quality against aq.pyramid).
-/// With a default-constructed AdaptiveQuality this is exactly the 5-arg
-/// overload — bit-identical planning.
+/// As above with adaptive-quality inputs: every brick renders at
+/// aq.pyramid->clamp(options.max_lod). With a default-constructed
+/// AdaptiveQuality this is exactly the 5-arg overload — bit-identical
+/// planning.
 std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume& volume,
                                          const RenderOptions& options,
                                          mr::StagingHook staging_hook,

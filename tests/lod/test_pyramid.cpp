@@ -1,7 +1,7 @@
 // LOD brick pyramid invariants (src/lod/pyramid.hpp): exact halving,
 // identical brick grids across levels, bit-identical world boxes (the
 // mixed-level seam-freedom argument), decimation-style level sampling,
-// distinct cache signatures, and the per-brick level selector.
+// distinct cache signatures, and level clamping.
 
 #include "lod/pyramid.hpp"
 
@@ -139,37 +139,6 @@ TEST(LodPyramid, CoarseLevelsShrinkDeviceBytesRoughlyEightfold) {
               pyramid.level(l - 1).device_bytes)
         << "level " << l;
   }
-}
-
-TEST(SelectLevel, QualityOneIsExactlyTheRequestedFloor) {
-  const volren::Volume volume = volren::datasets::skull({48, 48, 48});
-  const LodPyramid pyramid(volume, layout_for(volume, 24));
-  const volren::BrickInfo& brick = pyramid.level(0).layout->brick(0);
-  // The pixel-identity default: no footprint-driven coarsening, even
-  // for a brick projecting to a single pixel.
-  EXPECT_EQ(select_level(pyramid, brick, 1, 0, 1.0f), 0);
-  EXPECT_EQ(select_level(pyramid, brick, 1, 2, 1.0f), 2);
-  // Floors beyond the pyramid clamp.
-  EXPECT_EQ(select_level(pyramid, brick, 1, 9, 1.0f),
-            pyramid.num_levels() - 1);
-}
-
-TEST(SelectLevel, SmallFootprintsCoarsenUnderReducedQuality) {
-  const volren::Volume volume = volren::datasets::skull({48, 48, 48});
-  const LodPyramid pyramid(volume, layout_for(volume, 24));
-  ASSERT_EQ(pyramid.num_levels(), 4);
-  const volren::BrickInfo& brick = pyramid.level(0).layout->brick(0);
-  ASSERT_EQ(brick.core_dims, (Int3{24, 24, 24}));
-
-  // quality 0.5, 24-voxel core: level L+1 allowed while 24 >> (L+1) >=
-  // 0.5 * projected_pixels.
-  EXPECT_EQ(select_level(pyramid, brick, 24, 0, 0.5f), 1);  // 12 >= 12, 6 < 12
-  EXPECT_EQ(select_level(pyramid, brick, 6, 0, 0.5f), 3);   // 3 >= 3 at L3
-  // A large footprint never coarsens below the floor.
-  EXPECT_EQ(select_level(pyramid, brick, 4096, 0, 0.5f), 0);
-  // Off-screen bricks (no pixels) stay at the floor — they are culled
-  // by footprints, not by LOD.
-  EXPECT_EQ(select_level(pyramid, brick, 0, 0, 0.5f), 0);
 }
 
 TEST(LodPyramid, SharedLayoutOverloadAliasesTheCallerLayout) {

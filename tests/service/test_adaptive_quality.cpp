@@ -1,9 +1,9 @@
 // Adaptive quality of service (src/lod + the service's SLO controller):
 // LOD-0 planning is bit-identical to the pyramid-free path across the
-// seed scenes and both barrier modes, per-request/per-session quality
-// knobs thread through admission, and the SLO controller's
-// degrade -> refine sequencing delivers previews before their
-// full-quality refinements with linked FrameRecords.
+// seed scenes and both barrier modes, the request's max_lod threads
+// through admission, and the SLO controller's degrade -> refine
+// sequencing delivers previews before their full-quality refinements
+// with linked FrameRecords.
 
 #include <gtest/gtest.h>
 
@@ -67,9 +67,9 @@ std::vector<Scene> seed_scenes() {
 
 TEST(AdaptiveQuality, LodZeroPlanningIsBitIdenticalToThePyramidFreePath) {
   // The pixel-identity guarantee the whole subsystem rests on: with a
-  // pyramid supplied but max_lod == 0 and quality == 1, plan_frame must
-  // reproduce the 5-arg overload exactly — every seed scene, both
-  // barrier modes, images AND simulated timings bit-identical.
+  // pyramid supplied but max_lod == 0, plan_frame must reproduce the
+  // 5-arg overload exactly — every seed scene, both barrier modes,
+  // images AND simulated timings bit-identical.
   for (Scene& scene : seed_scenes()) {
     for (const mr::BarrierMode mode :
          {mr::BarrierMode::Global, mr::BarrierMode::PerReducer}) {
@@ -138,23 +138,18 @@ TEST(AdaptiveQuality, CoarseLevelsReduceWorkWhenRequested) {
   EXPECT_LT(coarse.stats.runtime_s, full.stats.runtime_s);
 }
 
-TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {
+TEST(AdaptiveQuality, RequestMaxLodThreadsThroughAdmission) {
   const volren::Volume volume = volren::datasets::skull({48, 48, 48});
   volren::RenderOptions options;
   options.image_width = 64;
   options.image_height = 64;
   options.brick_size = 24;
 
-  auto profile_named = [](std::string name) {
-    SessionProfile profile;
-    profile.name = std::move(name);
-    return profile;
-  };
-  auto serve_one = [&](volren::RenderOptions opt, SessionProfile profile) {
+  auto serve_one = [&](volren::RenderOptions opt) {
     sim::Engine engine;
     cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
     RenderService service(cluster);
-    Session s = service.open_session(std::move(profile));
+    Session s = service.open_session("r");
     RenderRequest request;
     request.volume = &volume;
     request.options = opt;
@@ -167,18 +162,9 @@ TEST(AdaptiveQuality, RequestAndSessionQualityKnobsThreadThroughAdmission) {
   // says so.
   volren::RenderOptions coarse = options;
   coarse.max_lod = 1;
-  EXPECT_EQ(serve_one(coarse, profile_named("r")).lod, 1);
-
-  // SessionProfile::quality min-composes with the request: a far-away
-  // view under an aggressive session floor renders its small-footprint
-  // bricks from coarse levels.
-  volren::RenderOptions far = options;
-  far.distance = 8.0f;
-  SessionProfile cheap = profile_named("cheap");
-  cheap.quality = 0.02f;
-  EXPECT_GT(serve_one(far, cheap).lod, 0);
-  // The same request on a full-quality session stays at level 0.
-  EXPECT_EQ(serve_one(far, profile_named("full")).lod, 0);
+  EXPECT_EQ(serve_one(coarse).lod, 1);
+  // Without it the frame stays at level 0.
+  EXPECT_EQ(serve_one(options).lod, 0);
 }
 
 TEST(AdaptiveQuality, SloDegradesPreviewsAndRefinesThemInOrder) {

@@ -1,9 +1,8 @@
 // Scheduling-extras tests: batch aging under a sustained interactive
 // burst (bounded batch tail latency where strict priority starves),
 // windowed service stats (per-simulated-second counters partitioning
-// the lifetime aggregates), prefetch telemetry reconciling exactly
-// between the service and cache layers, and the service-level effect
-// of per-reducer barrier chaining on time-to-first-tile.
+// the lifetime aggregates), and the service-level effect of
+// per-reducer barrier chaining on time-to-first-tile.
 
 #include <gtest/gtest.h>
 
@@ -293,43 +292,6 @@ TEST(WindowedStats, UtilizationStaysBoundedWhenPreemptionSplitsAFrame) {
   EXPECT_NEAR(busy, stats.cluster_utilization * stats.makespan_s *
                         h.cluster->total_gpus(),
               1e-9);
-}
-
-TEST(PrefetchTelemetry, ServiceAndCacheLayersReconcileExactly) {
-  // The A/B thrash scenario from test_preemption: an orbit-hinted
-  // session whose bricks are evicted by a batch scan every other
-  // frame, restaged by the overlap-window prefetcher. Service-level
-  // prefetch counters must equal the cache layer's admission counters
-  // byte for byte.
-  const volren::Volume a_volume = volren::datasets::skull({24, 24, 24});
-  const volren::Volume b_volume = volren::datasets::supernova({48, 48, 48});
-  constexpr int kFramesEach = 4;
-
-  ServiceConfig config;
-  config.policy = SchedulingPolicy::RoundRobin;
-  const auto a_layout = volren::choose_layout(a_volume, tiny_options(), 2);
-  const auto b_layout = volren::choose_layout(b_volume, tiny_options(), 2);
-  std::uint64_t a_per_gpu = 0, b_per_gpu = 0;
-  for (const volren::BrickInfo& brick : a_layout.bricks())
-    if (brick.id % 2 == 0) a_per_gpu += brick.device_bytes();
-  for (const volren::BrickInfo& brick : b_layout.bricks())
-    if (brick.id % 2 == 0) b_per_gpu += brick.device_bytes();
-  config.cache_capacity_override = b_per_gpu + a_per_gpu / 2;
-
-  Harness h(2, config);
-  SessionProfile orbiter;
-  orbiter.name = "a";
-  orbiter.orbit = OrbitHint{kFramesEach, 0.0};
-  Session a = h.service->open_session(orbiter);
-  Session b = h.service->open_session("b", Priority::Batch);
-  a.submit_orbit(a_volume, tiny_options(), kFramesEach, 0.0, 0.0);
-  b.submit_orbit(b_volume, tiny_options(), kFramesEach, 0.0, 0.0);
-  h.service->drain();
-
-  const ServiceStats stats = h.service->stats();
-  ASSERT_GT(stats.bricks_prefetched, 0u);
-  EXPECT_EQ(stats.bricks_prefetched, stats.cache.prefetch_admissions);
-  EXPECT_EQ(stats.bytes_prefetched, stats.cache.bytes_prefetched);
 }
 
 TEST(BarrierModes, PerReducerChainingCutsServiceFirstTileLatency) {

@@ -6,7 +6,8 @@
 // than the Monolithic schedule's, with the same pixels; each break —
 // another frame's read queued in between, a cache hit or a peer fetch in
 // mid-order, a retried quantum, a gap in file order on a 2-node shard —
-// pays its seek; and frames' disk time reconciles with the disks'.
+// pays its seek; and frames' disk time reconciles with the disks', since
+// frames are their only readers.
 
 #include <gtest/gtest.h>
 
@@ -392,14 +393,22 @@ TEST(DiskSweeps, FileGapOnATwoNodeShardPaysASeek) {
 
 TEST(DiskSweeps, FrameDiskTimeReconcilesWithTheDisks) {
   // Several frames of both classes on a 2-node shard, with cache hits
-  // and interleaved reads; no session is orbit-hinted, so nothing
-  // prefetches and every disk read is some frame's.
+  // and interleaved reads. Both sessions declare an orbit, and still
+  // every disk read is some frame's and only map quanta hold a lane.
   const volren::Volume a = volren::datasets::skull({32, 32, 32});
   const volren::Volume b = volren::datasets::supernova({32, 32, 32});
   const volren::Volume c = volren::datasets::plume({32, 32, 32});
   Harness h(8);
-  Session batch = h.service->open_session("scan", Priority::Batch);
-  Session view = h.service->open_session("view", Priority::Interactive);
+  SessionProfile scan;
+  scan.name = "scan";
+  scan.priority = Priority::Batch;
+  scan.orbit = OrbitHint{4, 0.0};
+  SessionProfile viewer;
+  viewer.name = "view";
+  viewer.priority = Priority::Interactive;
+  viewer.orbit = OrbitHint{4, 7e-3};
+  Session batch = h.service->open_session(scan);
+  Session view = h.service->open_session(viewer);
   int submitted = 0;
   for (const volren::Volume* v : {&a, &b, &c, &a}) {
     batch.submit(request_for(*v, 0.0, disk_options(16)));
@@ -423,6 +432,11 @@ TEST(DiskSweeps, FrameDiskTimeReconcilesWithTheDisks) {
   }
   EXPECT_NEAR(frames_s, h.cluster->total_disk_busy(), 1e-12);
   EXPECT_EQ(bytes, h.cluster->disk(0).bytes_read() + h.cluster->disk(1).bytes_read());
+  for (const obs::TraceEvent& e : h.trace.events()) {
+    if (e.ph == 'B' && e.tid < h.cluster->total_gpus()) {
+      EXPECT_EQ(e.name, "map") << "lane " << e.tid << " at " << e.ts_s;
+    }
+  }
 
   // Every read the trace does not mark as a sweep paid one seek.
   const std::vector<Read> reads = disk_reads(h.trace);

@@ -99,8 +99,8 @@ struct Timeline {
   std::vector<GpuPart> gpu_parts;
 };
 
-/// Transfers and GPU parts from the trace. These runs compress nothing
-/// and prefetch nothing, so every span on a lane track is a GPU part.
+/// Transfers and GPU parts from the trace. These runs compress nothing,
+/// so every span on a lane track is a GPU part.
 Timeline timeline_of(const obs::TraceRecorder& trace, int lanes) {
   Timeline out;
   std::map<std::uint64_t, std::size_t> open_transfer;  // async id -> index

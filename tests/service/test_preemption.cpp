@@ -1,8 +1,8 @@
 // Quantum-pipeline tests: brick-boundary preemption (interactive queue
 // wait bounded by one brick quantum, not one batch frame), streamed
-// tile delivery ordering, overlap-window prefetch of orbit-predicted
-// bricks, deterministic replay of the preemptive schedule, scheduler
-// tie-breaking by frame_id, and online cost-model calibration.
+// tile delivery ordering, deterministic replay of the preemptive
+// schedule, scheduler tie-breaking by frame_id, and online cost-model
+// calibration.
 
 #include <gtest/gtest.h>
 
@@ -274,72 +274,6 @@ TEST(TileStreaming, TilesPrecedeTheirFrameAndCoverIt) {
     EXPECT_EQ(stats.sessions[0].tiles_delivered,
               static_cast<std::uint64_t>(4 * kFrames));
   }
-}
-
-TEST(Prefetch, OrbitPredictedBricksHitOnTheNextFrame) {
-  // Round-robin between an orbit-hinted session A and a batch scan B
-  // whose working set evicts A's bricks every other frame. With the
-  // overlap-window prefetcher, A's bricks are restaged on lanes B
-  // leaves idle during its own frame, so A's later frames hit; without
-  // the hint (the prefetcher only speculates for hinted sessions),
-  // every A frame after the first restages cold.
-  const volren::Volume a_volume = volren::datasets::skull({24, 24, 24});
-  const volren::Volume b_volume = volren::datasets::supernova({48, 48, 48});
-  constexpr int kFramesEach = 4;
-
-  auto run = [&](bool hinted) {
-    ServiceConfig config;
-    config.policy = SchedulingPolicy::RoundRobin;
-    // Budget fits either working set alone but not both: B's staging
-    // evicts A, and vice versa.
-    const auto a_layout = volren::choose_layout(a_volume, tiny_options(), 2);
-    const auto b_layout = volren::choose_layout(b_volume, tiny_options(), 2);
-    std::uint64_t a_per_gpu = 0, b_per_gpu = 0;
-    for (const volren::BrickInfo& brick : a_layout.bricks())
-      if (brick.id % 2 == 0) a_per_gpu += brick.device_bytes();
-    for (const volren::BrickInfo& brick : b_layout.bricks())
-      if (brick.id % 2 == 0) b_per_gpu += brick.device_bytes();
-    config.cache_capacity_override = b_per_gpu + a_per_gpu / 2;
-
-    Harness h(2, config);
-    SessionProfile orbiter;
-    orbiter.name = "a";
-    orbiter.priority = Priority::Batch;
-    if (hinted) orbiter.orbit = OrbitHint{kFramesEach, 0.0};
-    Session a = h.service->open_session(orbiter);
-    Session b = h.service->open_session("b", Priority::Batch);
-    a.submit_orbit(a_volume, tiny_options(), kFramesEach, 0.0, 0.0);
-    b.submit_orbit(b_volume, tiny_options(), kFramesEach, 0.0, 0.0);
-    h.service->drain();
-    return h.service->stats();
-  };
-
-  const ServiceStats cold = run(false);
-  const ServiceStats warm = run(true);
-
-  auto session_hits = [](const ServiceStats& stats, std::size_t session) {
-    return stats.sessions.at(session).cache_hits;
-  };
-  // Without prefetch the alternation thrashes: A restages every frame.
-  EXPECT_EQ(session_hits(cold, 0), 0u);
-  EXPECT_EQ(cold.bricks_prefetched, 0u);
-  // With prefetch every A frame after the first hits every brick: the
-  // prefetcher restaged them during B's frames.
-  const std::uint64_t a_bricks =
-      static_cast<std::uint64_t>(warm.frames[0].cache_misses);
-  EXPECT_GT(a_bricks, 0u);
-  EXPECT_EQ(session_hits(warm, 0),
-            a_bricks * static_cast<std::uint64_t>(kFramesEach - 1));
-  EXPECT_GE(warm.bricks_prefetched,
-            a_bricks * static_cast<std::uint64_t>(kFramesEach - 1));
-  EXPECT_GT(warm.bytes_prefetched, 0u);
-  // The prefetcher only speculates for orbit-hinted sessions: B stays
-  // cold in both runs.
-  EXPECT_EQ(session_hits(cold, 1), 0u);
-  EXPECT_EQ(session_hits(warm, 1), 0u);
-  // And the speculative staging paid off end to end: serving the same
-  // workload finished no later with prefetch than without.
-  EXPECT_LE(warm.makespan_s, cold.makespan_s);
 }
 
 TEST(Scheduler, ArrivalTiesBreakBySubmissionOrderNotOpenOrder) {
