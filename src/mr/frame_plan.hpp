@@ -156,8 +156,7 @@ class FramePlan {
 
   /// Before start(): a scheduler that drives every lane of a node
   /// together runs this plan — the render service calls it for every
-  /// frame it admits under PipelineMode::Quantum. Two things change,
-  /// neither of them pixels:
+  /// frame it admits. Two things change, neither of them pixels:
   ///   * ray bands — in-core chunks (JobConfig::include_disk_io off)
   ///     that declare a row block are cut so that every lane with
   ///     chunks gets at least four map quanta: each chunk into

@@ -341,16 +341,6 @@ bool BrickCache::resident(int gpu, const BrickKey& key) const {
          (it->second.list == ListId::T1 || it->second.list == ListId::T2);
 }
 
-std::optional<BrickCache::Residency> BrickCache::payload_of(
-    int gpu, const BrickKey& key) const {
-  const Shard& shard = shard_at(gpu);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) return std::nullopt;
-  const Locator& loc = it->second;
-  if (loc.list != ListId::T1 && loc.list != ListId::T2) return std::nullopt;
-  return Residency{loc.it->bytes, loc.it->logical_bytes};
-}
-
 void BrickCache::invalidate_volume(std::uint64_t volume_id) {
   // Residents AND ghosts: a retired (volume, generation) id can never
   // be demanded again, and a stale ghost hit would steer p with

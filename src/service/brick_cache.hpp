@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <list>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -178,16 +177,6 @@ class BrickCache {
   /// Non-mutating residency probe (no recency touch, no accounting).
   /// Ghost entries are not resident.
   bool resident(int gpu, const BrickKey& key) const;
-
-  /// Stored/logical payload sizes of a resident entry (no recency
-  /// touch, no accounting); nullopt when the key is not resident on
-  /// `gpu` (ghosts included). The failover pre-push reads this to ship
-  /// a crashed shard's warm bricks at their true stored sizes.
-  struct Residency {
-    std::uint64_t stored_bytes = 0;
-    std::uint64_t logical_bytes = 0;
-  };
-  std::optional<Residency> payload_of(int gpu, const BrickKey& key) const;
 
   /// Speculative admission: admit `key` on `gpu` — evicting per policy
   /// to fit — WITHOUT charging a demand miss, so hit-rate telemetry

@@ -53,6 +53,11 @@ ServiceFrontend::ServiceFrontend(FrontendConfig config)
   VRMR_CHECK_MSG(config_.rebalance.skew_ratio >= 1.0,
                  "rebalance.skew_ratio must be >= 1, got "
                      << config_.rebalance.skew_ratio);
+  VRMR_CHECK_MSG(!(config_.rebalance.enabled || config_.autoscale.enabled) ||
+                     config_.rebalance.period_s > 0.0,
+                 "rebalance.period_s must be > 0 when the rebalancer or the "
+                 "autoscaler is enabled, got "
+                     << config_.rebalance.period_s);
   max_farm_shards_ = std::max(config_.shards, config_.autoscale.max_shards);
   shards_.reserve(static_cast<std::size_t>(max_farm_shards_));
   for (int s = 0; s < config_.shards; ++s) shards_.push_back(make_shard(s));
@@ -340,29 +345,28 @@ SessionStats ServiceFrontend::session_stats(int session) const {
     return empty;
   }
   SessionStats agg = state.inner.stats();
+  if (state.past.empty()) return agg;
   // Epoch merge across migrations: counters sum over every shard the
-  // session has lived on, latency means are frame-weighted, and
-  // percentiles/max take the worst epoch (conservative — the true
-  // merged quantile of two sorted populations is bounded by the worse
-  // one's). fps, cost_scale and queued_frames reflect the current
-  // epoch: moved frames re-queued on the target and count there.
-  for (const Session& past : state.past_inner) {
-    const SessionStats p = past.stats();
-    const int total = agg.frames + p.frames;
-    if (total > 0) {
-      agg.mean_latency_s =
-          (agg.mean_latency_s * agg.frames + p.mean_latency_s * p.frames) /
-          total;
+  // session has lived on, and the latency summary covers every epoch's
+  // completed frames. fps, cost_scale and queued_frames reflect the
+  // current epoch: moved frames re-queued on the target and count
+  // there.
+  std::vector<double> latencies;
+  const auto collect = [this, &latencies](int shard, const Session& inner) {
+    for (const FrameRecord& f :
+         shards_[static_cast<std::size_t>(shard)].service->frames()) {
+      if (f.session == inner.index_) latencies.push_back(f.latency_s());
     }
-    agg.frames = total;
-    agg.p50_latency_s = std::max(agg.p50_latency_s, p.p50_latency_s);
-    agg.p95_latency_s = std::max(agg.p95_latency_s, p.p95_latency_s);
-    agg.p99_latency_s = std::max(agg.p99_latency_s, p.p99_latency_s);
-    agg.max_latency_s = std::max(agg.max_latency_s, p.max_latency_s);
+  };
+  for (const FrontendSession::Epoch& past : state.past) {
+    const SessionStats p = past.inner.stats();
     agg.cache_hits += p.cache_hits;
     agg.cache_misses += p.cache_misses;
     agg.tiles_delivered += p.tiles_delivered;
+    collect(past.shard, past.inner);
   }
+  collect(state.shard, state.inner);
+  summarize_latencies(std::move(latencies), agg);
   return agg;
 }
 
@@ -473,7 +477,7 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     // The previous epoch's session stays open on the source (its
     // in-flight frame and queued refinements deliver there through the
     // callback copies); session_stats merges its history.
-    state.past_inner.push_back(state.inner);
+    state.past.push_back({state.shard, state.inner});
     state.shard = move.target;
     state.inner = dest.service->open_session(std::move(profile));
     ++dest.sessions_placed;
@@ -864,16 +868,13 @@ int ServiceFrontend::accepting_shards() const {
 }
 
 void ServiceFrontend::drain() {
-  const bool control = config_.rebalance.enabled || config_.autoscale.enabled;
-  const double period = config_.rebalance.period_s;
-
-  // One full sweep: a callback running on one shard may submit frames
-  // that place onto an already-drained shard (brick affinity), so loop
-  // until every live shard's queue is empty. A shard that crashed
-  // mid-drain fails over on the next sweep: its sessions re-pin and
-  // its unserved frames re-issue onto survivors, which the loop then
-  // drains.
-  const auto sweep = [this] {
+  if (!config_.rebalance.enabled && !config_.autoscale.enabled) {
+    // Full sweeps: a callback running on one shard may submit frames
+    // that place onto an already-drained shard (brick affinity), so
+    // loop until every live shard's queue is empty. A shard that
+    // crashed mid-drain fails over on the next sweep: its sessions
+    // re-pin and its unserved frames re-issue onto survivors, which the
+    // loop then drains.
     bool again = true;
     while (again) {
       again = false;
@@ -892,29 +893,9 @@ void ServiceFrontend::drain() {
         again = true;
       }
     }
-  };
-  const auto total_queued = [this] {
-    int queued = 0;
-    for (const Shard& shard : shards_) {
-      if (shard.retired || shard.service->crashed()) continue;
-      queued += shard.service->queued_frames();
-    }
-    return queued;
-  };
-
-  if (!control || period <= 0.0) {
-    // Classic full sweeps. With a control plane but no period, the
-    // passes run between sweeps (useful for end-of-run scale-down; a
-    // fully drained farm leaves the rebalancer nothing to move).
-    while (true) {
-      sweep();
-      if (!control) return;
-      const double now = farm_now();
-      autoscale_pass();  // capacity first; the rebalancer fills it
-      const int moves = rebalance_pass(now);
-      if (moves == 0 && total_queued() == 0) return;
-    }
+    return;
   }
+  const double period = config_.rebalance.period_s;
 
   // Horizon rounds: advance every live shard to a shared farm-time
   // horizon (RenderService::drain_until stops admitting at the horizon

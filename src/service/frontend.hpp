@@ -90,19 +90,18 @@ struct HandoffConfig {
 };
 
 /// Steady-state rebalancer: a periodic control pass (inside drain())
-/// that reads the farm's windowed load and outstanding cost, detects
-/// sustained skew, and migrates sessions off the hottest shard toward
-/// the shard where their bricks are warm or outstanding cost is
-/// lowest. `period_s` is also the cadence of the autoscale pass.
+/// that compares the accepting shards' outstanding cost
+/// (RenderService::outstanding_cost_s) and, while the hottest holds
+/// more than skew_ratio x the coldest, moves the hot shard's session
+/// whose queue best evens the pair toward the shard where its bricks
+/// are warm or outstanding cost is lowest. `period_s` is also the
+/// cadence of the autoscale pass.
 struct RebalanceConfig {
   bool enabled = false;
   /// Farm-time cadence of the control passes: drain() advances every
   /// shard to a shared horizon (RenderService::drain_until), runs the
-  /// passes at that frame boundary, and repeats. 0 runs the passes
-  /// only between full drain sweeps — fine for the autoscaler's
-  /// scale-down, useless for rebalancing a backlog (the sweep already
-  /// drained it); set a period comparable to service.stats_window_s
-  /// for steady-state behaviour.
+  /// passes at that frame boundary, and repeats. Must be > 0 when the
+  /// rebalancer or the autoscaler is enabled.
   double period_s = 0.0;
   /// Trigger: hottest outstanding cost > skew_ratio x coldest, so a
   /// uniformly loaded or uniformly idle farm never churns.
@@ -363,9 +362,10 @@ class ServiceFrontend final : public SessionBackend {
   void session_on_frame(int session, FrameCallback callback) override;
   void session_on_tile(int session, TileCallback callback) override;
   /// Migration-aware: counters (frames, cache hits/misses, tiles) sum
-  /// over every shard the session has lived on; latency means are
-  /// frame-weighted across epochs, percentiles/max are the worst
-  /// epoch's (conservative). fps reflects the current epoch only.
+  /// over every shard the session has lived on, and the latency mean,
+  /// max and percentiles summarize every one of those shards' completed
+  /// frames (summarize_latencies, as for one shard). fps, cost_scale
+  /// and queued_frames are the current epoch's.
   SessionStats session_stats(int session) const override;
   const SessionProfile& session_profile(int session) const override;
 
@@ -403,9 +403,14 @@ class ServiceFrontend final : public SessionBackend {
     TileCallback client_tile_callback;
     int shard = -1;
     Session inner;  // valid once placed
-    /// Earlier placements' inner sessions (failover and voluntary
-    /// moves): session_stats merges their served history.
-    std::vector<Session> past_inner;
+    /// An earlier placement (failover and voluntary moves): the shard
+    /// and its inner session. session_stats merges their served
+    /// history.
+    struct Epoch {
+      int shard = -1;
+      Session inner;
+    };
+    std::vector<Epoch> past;
   };
 
   /// Build one shard (used by the constructor and add_shard).

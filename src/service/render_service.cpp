@@ -88,19 +88,26 @@ LatencyQuantiles quantiles_from(const obs::LogHistogram* histogram) {
 
 }  // namespace
 
+void summarize_latencies(std::vector<double> latencies_s, SessionStats& stats) {
+  stats.frames = static_cast<int>(latencies_s.size());
+  stats.mean_latency_s = stats.max_latency_s = 0.0;
+  stats.p50_latency_s = stats.p95_latency_s = stats.p99_latency_s = 0.0;
+  if (latencies_s.empty()) return;
+  for (const double latency : latencies_s) {
+    stats.mean_latency_s += latency;
+    stats.max_latency_s = std::max(stats.max_latency_s, latency);
+  }
+  stats.mean_latency_s /= stats.frames;
+  stats.p50_latency_s = percentile(latencies_s, 50.0);
+  stats.p95_latency_s = percentile(latencies_s, 95.0);
+  stats.p99_latency_s = percentile(std::move(latencies_s), 99.0);
+}
+
 const char* to_string(SchedulingPolicy policy) {
   switch (policy) {
     case SchedulingPolicy::Fifo: return "fifo";
     case SchedulingPolicy::RoundRobin: return "round-robin";
     case SchedulingPolicy::ShortestJobFirst: return "sjf";
-  }
-  return "?";
-}
-
-const char* to_string(PipelineMode mode) {
-  switch (mode) {
-    case PipelineMode::Monolithic: return "monolithic";
-    case PipelineMode::Quantum: return "quantum";
   }
   return "?";
 }
@@ -899,17 +906,13 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   // it; other policies never run the model.
   if (predicted_cost_s >= 0.0) record.predicted_cost_s = predicted_cost_s;
 
-  // The Quantum rule owns barrier enforcement: per-reducer readiness
-  // (ServiceConfig::barrier_mode default) lets each tile's sort+reduce
-  // chain the moment its own inbox completes, so tiles stream and lanes
-  // free while other lanes still map. Monolithic keeps the request's
-  // own setting (the paper's schedule by default).
+  // The service owns barrier enforcement: per-reducer readiness lets
+  // each tile's sort+reduce chain the moment its own inbox completes,
+  // so tiles stream and lanes free while other lanes still map.
   // Every served frame skips TF-empty space in the map kernel: same
   // pixels as the request renders unserved, fewer charged samples.
   volren::RenderOptions options = active->pending.request.options;
-  if (config_.pipeline == PipelineMode::Quantum) {
-    options.barrier_mode = config_.barrier_mode;
-  }
+  options.barrier_mode = mr::BarrierMode::PerReducer;
   options.cast.skip_empty = true;
   // Adaptive quality: the request's max_lod and SLO-budget degradation
   // — resolved before the trace arrow so the served LOD is attributable
@@ -985,14 +988,10 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   });
   // Sort and reduce quanta self-issue at their barriers: they are
   // per-reducer (tile) grained, and any contention with another
-  // frame's map quanta is arbitrated by the simulated resources. Under
-  // PerReducer barriers (the default) a reducer's readiness is a
-  // scheduling event: its sort+reduce chain starts right then, tiles
-  // stream while other lanes still map.
+  // frame's map quanta is arbitrated by the simulated resources. A
+  // reducer's sort+reduce chain starts the moment its inbox completes,
+  // so tiles stream while other lanes still map.
   plan.set_eager_barriers(true);
-  plan.on_reducer_ready([this](int) {
-    if (draining_) pump(/*try_admission=*/false);
-  });
   plan.on_quantum_failed([this](int gpu, int chunk_index, int attempt) {
     quantum_failed(gpu, chunk_index, attempt);
   });
@@ -1000,9 +999,8 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
   plan.on_finished([this, raw] { frame_finished(raw); });
   // pump drives every lane of a node: ray bands let idle lanes take part
   // of a busy lane's brick (pump's steal pass), and a frame's reads,
-  // issued in brick order, stream as disk sweeps. Monolithic keeps whole
-  // chunks and one seek per read: the greedy schedule.
-  if (config_.pipeline == PipelineMode::Quantum) plan.use_service_schedule();
+  // issued in brick order, stream as disk sweeps.
+  plan.use_service_schedule();
   plan.start();
   // A frame admitted after lane deaths must not deal work to the
   // blacklisted lanes: the scheduler never fills them, so quanta dealt
@@ -1028,22 +1026,13 @@ void RenderService::try_admit() {
       if (active->priority == Priority::Interactive) interactive_active = true;
       else batch_active = true;
     }
+    if (interactive_active) break;
+    // An idle cluster admits any class (priority filter inside); beside
+    // a rendering batch frame only an arrived Interactive frame is
+    // admitted, preempting it at the next brick boundary.
     double predicted_cost_s = -1.0;
-    int pick = -1;
     const double now = cluster_.engine().now();
-    if (!interactive_active && !batch_active) {
-      // Idle cluster: any class may be admitted (priority filter inside).
-      pick = pick_next(now, &predicted_cost_s, false);
-    } else if (!interactive_active &&
-               config_.pipeline == PipelineMode::Quantum) {
-      // A batch frame is rendering: an arrived Interactive frame
-      // preempts it at the next brick boundary.
-      pick = pick_next(now, &predicted_cost_s, true);
-    } else {
-      // An interactive frame is already in flight, or (Monolithic) the
-      // running frame keeps the cluster until it completes.
-      break;
-    }
+    const int pick = pick_next(now, &predicted_cost_s, /*interactive_only=*/batch_active);
     if (pick < 0) break;
     if (batch_active) {
       ++preemptions_;
@@ -1108,11 +1097,9 @@ void RenderService::pump(bool try_admission) {
     // A lane with none of its own work left takes a ray band another
     // lane has not issued yet, Interactive frame first, so the frame's
     // slowest lane stops setting its map phase (DESIGN.md §9).
-    // Monolithic frames are not cut and never steal.
-    const bool steal = config_.pipeline == PipelineMode::Quantum;
     for (const Priority cls : {Priority::Interactive, Priority::Batch}) {
       for (const auto& active : active_) {
-        if (busy || !steal) break;
+        if (busy) break;
         if (active->done || active->priority != cls) continue;
         if (active->frame->plan().steal_map_quantum(g)) issue(*active);
       }
@@ -1556,20 +1543,14 @@ SessionStats RenderService::stats_for(int session_index) const {
   double last_finish = 0.0;
   for (const FrameRecord& f : completed_) {
     if (f.session != session_index) continue;
-    ++out.frames;
     latencies.push_back(f.latency_s());
-    out.mean_latency_s += f.latency_s();
-    out.max_latency_s = std::max(out.max_latency_s, f.latency_s());
     out.cache_hits += f.cache_hits;
     out.cache_misses += f.cache_misses;
     first_arrival = std::min(first_arrival, f.arrival_s);
     last_finish = std::max(last_finish, f.finish_s);
   }
+  summarize_latencies(std::move(latencies), out);
   if (out.frames == 0) return out;
-  out.mean_latency_s /= out.frames;
-  out.p50_latency_s = percentile(latencies, 50.0);
-  out.p95_latency_s = percentile(latencies, 95.0);
-  out.p99_latency_s = percentile(latencies, 99.0);
   const double span = last_finish - first_arrival;
   out.fps = span > 0.0 ? out.frames / span : 0.0;
   return out;

@@ -7,11 +7,10 @@
 // this layer multiplexes many concurrent sessions (a scientist orbiting
 // a dataset, a batch animation export) onto a shared cluster timeline.
 //
-// Execution model (PipelineMode::Quantum, the default): each admitted
-// frame is a *plan of brick-granular work quanta* (volren::PlannedFrame
-// over mr::FramePlan), not an indivisible job. The scheduler owns every
-// GPU "lane" and decides, at each lane-free event, whose quantum runs
-// next:
+// Execution model: each admitted frame is a *plan of brick-granular
+// work quanta* (volren::PlannedFrame over mr::FramePlan), not an
+// indivisible job. The scheduler owns every GPU "lane" and decides, at
+// each lane-free event, whose quantum runs next:
 //
 //   * frames are admitted one at a time per priority class; an
 //     Interactive frame arriving while a Batch frame renders is
@@ -22,16 +21,15 @@
 //     frame (a brick's disk read or peer fetch never holds a lane:
 //     the issue starts it and the lane stays free for the next
 //     candidate until the bytes land);
+//   * every served frame runs PerReducer barriers: each tile's sort
+//     and reduce chain the moment its own inbox completes;
 //   * finished tiles stream to the session's on_tile callback at each
 //     reducer's completion time (partial-frame delivery), all before
 //     the frame's own on_frame callback.
 //
-// PipelineMode::Monolithic reproduces the paper's whole-frame schedule
-// through the same scheduler: a frame is admitted only when no frame is
-// in flight, so it runs alone to completion with its request's own
-// barrier mode. Tiles still stream at the true reducer completion times
-// and faults recover as under Quantum. bench_preemption_latency
-// quantifies the difference.
+// The paper's one-job-per-frame schedule is render_mapreduce's greedy
+// driver (mr::FramePlan::run_to_completion), not a mode of this
+// service.
 //
 // Scheduling picks *which queued frame is admitted next*:
 //
@@ -92,10 +90,8 @@
 namespace vrmr::service {
 
 enum class SchedulingPolicy { Fifo, RoundRobin, ShortestJobFirst };
-enum class PipelineMode { Monolithic, Quantum };
 
 const char* to_string(SchedulingPolicy policy);
-const char* to_string(PipelineMode mode);
 
 /// Deepest pyramid level the SLO controller may degrade to (further
 /// clamped by the pyramid's actual depth). Per-volume LOD pyramids are
@@ -105,20 +101,6 @@ inline constexpr int kMaxDegradeLod = 2;
 
 struct ServiceConfig {
   SchedulingPolicy policy = SchedulingPolicy::Fifo;
-
-  /// Admission rule. Quantum (default): brick-granular scheduling with
-  /// preemption. Monolithic: the paper's indivisible one-job-per-frame
-  /// schedule — a frame is admitted only when none is in flight (tile
-  /// streaming still active).
-  PipelineMode pipeline = PipelineMode::Quantum;
-
-  /// Barrier enforcement for frames served under the Quantum pipeline
-  /// (overrides each request's RenderOptions::barrier_mode there;
-  /// Monolithic honours the request's own setting). PerReducer issues
-  /// each reducer's sort the moment its own inbox completes and chains
-  /// its reduce right after — same pixels, minimum time-to-first-tile
-  /// and earlier lane/frame completion for the scheduler.
-  mr::BarrierMode barrier_mode = mr::BarrierMode::PerReducer;
 
   /// Batch aging: a queued Batch head that has waited at least this
   /// long past its effective arrival competes ahead of Interactive
@@ -237,6 +219,12 @@ struct PriorityLatencies {
   LatencyQuantiles service;
 };
 
+/// Fill `stats`' latency summary — frames, mean, max and p50/p95/p99 —
+/// from one latency (finish - arrival) per completed frame. A service
+/// summarizes one session's frames with it; the frontend summarizes a
+/// migrated session's frames from every shard it lived on.
+void summarize_latencies(std::vector<double> latencies_s, SessionStats& stats);
+
 /// Service-wide statistics over every frame completed so far.
 struct ServiceStats {
   int frames_total = 0;
@@ -250,7 +238,7 @@ struct ServiceStats {
   /// Tiles streamed through on_tile delivery across all sessions.
   std::uint64_t tiles_total = 0;
   /// Interactive frames admitted while a batch frame was mid-render
-  /// (brick-boundary preemptions; Quantum pipeline only).
+  /// (brick-boundary preemptions).
   std::uint64_t preemptions = 0;
   /// Adaptive quality: interactive frames the SLO controller admitted
   /// below full resolution, and refinement frames enqueued/served for
@@ -700,10 +688,9 @@ class RenderService final : public SessionBackend {
   /// which pumps with admission on — skipping the policy pass (a full
   /// cost-model evaluation under SJF) on every brick boundary.
   void pump(bool try_admission = true);
-  /// Admit per the pipeline's rule. Quantum: one frame per priority
-  /// class, and an arrived Interactive frame is admitted beside a
-  /// rendering Batch frame (brick-boundary preemption). Monolithic: a
-  /// frame only when none is in flight.
+  /// Admit one frame per priority class: any class on an idle cluster,
+  /// and an arrived Interactive frame beside a rendering Batch frame
+  /// (brick-boundary preemption).
   void try_admit();
   void admit(int session_index, double predicted_cost_s);
   /// Some active frame's map quantum (its GPU part, or a failed

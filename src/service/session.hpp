@@ -40,8 +40,10 @@ namespace vrmr::service {
 
 /// Admission class. Every scheduling policy serves arrived Interactive
 /// frames before any Batch frame, so a queued animation export cannot
-/// head-of-line-block a scientist orbiting a dataset (the running frame
-/// is never preempted; the bound is one batch frame of delay).
+/// head-of-line-block a scientist orbiting a dataset. A rendering Batch
+/// frame is preempted: an Interactive frame is admitted beside it and
+/// takes each GPU lane as the batch frame's current brick quantum ends,
+/// so the delay is bounded by one brick quantum, not one batch frame.
 enum class Priority { Interactive, Batch };
 
 inline const char* to_string(Priority priority) {

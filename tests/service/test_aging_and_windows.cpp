@@ -1,12 +1,12 @@
 // Scheduling-extras tests: batch aging under a sustained interactive
-// burst (bounded batch tail latency where strict priority starves),
+// burst (bounded batch tail latency where strict priority starves) and
 // windowed service stats (per-simulated-second counters partitioning
-// the lifetime aggregates), and the service-level effect of
-// per-reducer barrier chaining on time-to-first-tile.
+// the lifetime aggregates).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -173,49 +173,50 @@ TEST(BatchAging, DeepPreAgedBacklogCannotInvertPriority) {
   // Regression: every head of a deep batch backlog submitted at t=0 is
   // "pre-aged" by the time it reaches the queue front (it waited
   // behind its own siblings), so without the one-admission-per-period
-  // rate limit the aged-head override won every pick and interactive
-  // frames waited behind the ENTIRE backlog — strictly worse than
-  // aging disabled. Monolithic pipeline makes the inversion fully
-  // visible (no lane yielding). With the rate limit, batch trickles
-  // through at one frame per aging period and interactive frames
-  // interleave throughout.
+  // rate limit the aged-head override wins every admission on an idle
+  // cluster and the whole backlog drains through the interactive burst,
+  // one batch frame beside each few interactive ones. With the rate
+  // limit, batch trickles through at one frame per aging period.
   const volren::Volume batch_volume = volren::datasets::supernova({24, 24, 24});
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
   constexpr int kBacklog = 10;
+  constexpr int kBurst = 40;
 
   ServiceConfig config;
-  config.pipeline = PipelineMode::Monolithic;
-  config.batch_aging_s = 0.002;
+  config.batch_aging_s = 0.001;
   Harness h(2, config);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
   for (int f = 0; f < kBacklog; ++f)
     batch.submit(request_for(batch_volume, 0.0));
-  live.submit_orbit(live_volume, tiny_options(), 20, 0.0, 0.0005);
+  live.submit_orbit(live_volume, tiny_options(), kBurst, 0.0, 0.0);
   h.service->drain();
 
   const ServiceStats stats = h.service->stats();
-  double first_live_finish = std::numeric_limits<double>::infinity();
   double last_live_finish = 0.0;
   std::vector<double> batch_finishes;
   for (const FrameRecord& f : stats.frames) {
     if (f.session == 1) {
-      first_live_finish = std::min(first_live_finish, f.finish_s);
       last_live_finish = std::max(last_live_finish, f.finish_s);
     } else {
       batch_finishes.push_back(f.finish_s);
     }
   }
   ASSERT_EQ(batch_finishes.size(), static_cast<std::size_t>(kBacklog));
-  std::sort(batch_finishes.begin(), batch_finishes.end());
-  // No inversion: interactive work completes before the backlog's
-  // second frame (under the bug all kBacklog batch frames ran first).
-  EXPECT_LT(first_live_finish, batch_finishes[1]);
-  // And aging still guarantees forward progress for batch: its first
-  // frame finishes while interactive pressure is still live.
-  const SessionStats live_stats = stats.sessions.at(1);
-  EXPECT_EQ(live_stats.frames, 20);
-  EXPECT_LT(batch_finishes[0], last_live_finish);
+  EXPECT_EQ(stats.sessions.at(1).frames, kBurst);
+  // A batch frame is admitted only on a cluster with no interactive
+  // frame in flight, and until the burst's last frame is admitted an
+  // interactive head is always waiting: every batch frame that finished
+  // during the burst was an aged admission. The k-th came no earlier
+  // than k aging periods in, so fewer than burst / period of them fit.
+  const auto during_burst = static_cast<int>(
+      std::count_if(batch_finishes.begin(), batch_finishes.end(),
+                    [&](double finish) { return finish < last_live_finish; }));
+  EXPECT_LE(during_burst,
+            static_cast<int>(std::floor(last_live_finish / config.batch_aging_s)));
+  // And aging still guarantees forward progress for batch while
+  // interactive pressure is live.
+  EXPECT_GE(during_burst, 1);
 }
 
 TEST(WindowedStats, IdleGapsBetweenBurstsStayEmpty) {
@@ -292,38 +293,6 @@ TEST(WindowedStats, UtilizationStaysBoundedWhenPreemptionSplitsAFrame) {
   EXPECT_NEAR(busy, stats.cluster_utilization * stats.makespan_s *
                         h.cluster->total_gpus(),
               1e-9);
-}
-
-TEST(BarrierModes, PerReducerChainingCutsServiceFirstTileLatency) {
-  // Served frames under the quantum pipeline default to PerReducer
-  // barriers; against a Global-barrier service the first streamed tile
-  // lands no later, frames and pixels stay identical.
-  const volren::Volume volume = volren::datasets::supernova({32, 32, 32});
-  auto run = [&](mr::BarrierMode mode) {
-    ServiceConfig config;
-    config.barrier_mode = mode;
-    config.keep_images = true;
-    Harness h(4, config);
-    Session s = h.service->open_session("stream");
-    volren::RenderOptions options = tiny_options();
-    options.partition = mr::PartitionStrategy::Striped;
-    options.target_bricks = 8;
-    s.submit(request_for(volume, 0.0, options));
-    h.service->drain();
-    return h.service->stats();
-  };
-
-  const ServiceStats global = run(mr::BarrierMode::Global);
-  const ServiceStats chained = run(mr::BarrierMode::PerReducer);
-  ASSERT_EQ(global.frames.size(), 1u);
-  ASSERT_EQ(chained.frames.size(), 1u);
-  EXPECT_LE(chained.frames[0].first_tile_s, global.frames[0].first_tile_s);
-  EXPECT_LE(chained.frames[0].finish_s, global.frames[0].finish_s);
-  EXPECT_EQ(chained.frames[0].tiles, global.frames[0].tiles);
-  const volren::ImageDiff diff =
-      volren::compare_images(global.frames[0].image, chained.frames[0].image);
-  EXPECT_EQ(diff.max_abs, 0.0);
-  EXPECT_EQ(chained.frames[0].stats.fragments, global.frames[0].stats.fragments);
 }
 
 }  // namespace

@@ -1,13 +1,13 @@
-// Disk sweeps: a frame served under PipelineMode::Quantum tags its
-// out-of-core reads, so a read queued right behind the frame's read of
-// the previous brick in file order, on the same node's disk, streams on
-// without a seek (io/disk.hpp, DESIGN.md §7). Covered here: a frame on
-// one node pays one seek and its map phase ends (n - 1) seeks earlier
-// than the Monolithic schedule's, with the same pixels; each break —
-// another frame's read queued in between, a cache hit or a peer fetch in
-// mid-order, a retried quantum, a gap in file order on a 2-node shard —
-// pays its seek; and frames' disk time reconciles with the disks', since
-// frames are their only readers.
+// Disk sweeps: a served frame tags its out-of-core reads, so a read
+// queued right behind the frame's read of the previous brick in file
+// order, on the same node's disk, streams on without a seek (io/disk.hpp,
+// DESIGN.md §7). Covered here: a frame on one node pays one seek and its
+// map phase ends (n - 1) seeks earlier than the greedy schedule's
+// (render_mapreduce, whose every read seeks), with the same pixels; each
+// break — another frame's read queued in between, a cache hit or a peer
+// fetch in mid-order, a retried quantum, a gap in file order on a 2-node
+// shard — pays its seek; and frames' disk time reconciles with the
+// disks', since frames are their only readers.
 
 #include <gtest/gtest.h>
 
@@ -50,11 +50,10 @@ struct Harness {
   std::unique_ptr<RenderService> service;
   obs::TraceRecorder trace;
 
-  explicit Harness(int gpus, PipelineMode pipeline = PipelineMode::Quantum) {
+  explicit Harness(int gpus) {
     cluster = std::make_unique<cluster::Cluster>(
         engine, cluster::ClusterConfig::with_total_gpus(gpus));
     ServiceConfig config;
-    config.pipeline = pipeline;
     config.keep_images = true;
     service = std::make_unique<RenderService>(*cluster, config);
     service->set_trace(&trace);
@@ -186,17 +185,24 @@ TEST(DiskSweeps, FrameOnOneNodePaysOneSeek) {
   const volren::Volume volume = volren::datasets::skull({32, 32, 32});
   const volren::RenderOptions options = disk_options(16);
   Harness served(4);
-  Harness whole(4, PipelineMode::Monolithic);
-  for (Harness* h : {&served, &whole}) {
-    Session session = h->service->open_session("scan", Priority::Batch);
-    session.submit(request_for(volume, 0.0, options));
-    h->service->drain();
-  }
+  Session session = served.service->open_session("scan", Priority::Batch);
+  session.submit(request_for(volume, 0.0, options));
+  served.service->drain();
+  // The paper's greedy schedule of what the service rendered (it skips
+  // empty space), traced for its reads.
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(4));
+  obs::TraceRecorder greedy_trace;
+  volren::RenderOptions greedy_options = options;
+  greedy_options.cast.skip_empty = true;
+  greedy_options.trace.recorder = &greedy_trace;
+  const volren::RenderResult whole =
+      volren::render_mapreduce(cluster, volume, greedy_options);
+  const mr::JobStats& m = whole.stats;
   const FrameRecord f = only_frame(*served.service);
-  const FrameRecord m = only_frame(*whole.service);
   const int n = f.stats.num_chunks;
   ASSERT_EQ(n, 16);
-  ASSERT_EQ(f.stats.bytes_disk, m.stats.bytes_disk);
+  ASSERT_EQ(f.stats.bytes_disk, m.bytes_disk);
 
   // One seek for the node's whole run of reads, in brick order, and a
   // `sweep` instant on the reading lane for every read after the first.
@@ -209,17 +215,17 @@ TEST(DiskSweeps, FrameOnOneNodePaysOneSeek) {
   expect_sweep_rule(reads);
   EXPECT_NEAR(f.stats.disk_busy_s, disk_time(served.disk(), 1, f.stats), 1e-12);
 
-  // Monolithic frames keep the greedy schedule: every read seeks.
-  const std::vector<Read> greedy_reads = disk_reads(whole.trace);
+  // The greedy schedule: every read seeks.
+  const std::vector<Read> greedy_reads = disk_reads(greedy_trace);
   ASSERT_EQ(greedy_reads.size(), static_cast<std::size_t>(n));
-  EXPECT_EQ(seeks(greedy_reads, std::to_string(m.frame_id)), n);
-  EXPECT_NEAR(m.stats.disk_busy_s, disk_time(whole.disk(), n, m.stats), 1e-12);
+  EXPECT_EQ(seeks(greedy_reads, std::to_string(greedy_options.trace.frame_id)), n);
+  EXPECT_NEAR(m.disk_busy_s, disk_time(served.disk(), n, m), 1e-12);
 
   // The disk sets both map phases, so the sweep ends it n - 1 seeks
   // earlier, on the same pixels.
-  EXPECT_NEAR(f.stats.t_map_done,
-              m.stats.t_map_done - (n - 1) * served.disk().seek_latency_s, 1e-12);
-  EXPECT_EQ(volren::compare_images(f.image, m.image).max_abs, 0.0);
+  EXPECT_NEAR(f.stats.t_map_done, m.t_map_done - (n - 1) * served.disk().seek_latency_s,
+              1e-12);
+  EXPECT_EQ(volren::compare_images(f.image, whole.image).max_abs, 0.0);
   EXPECT_EQ(volren::compare_images(f.image, unserved_image(4, volume, options)).max_abs,
             0.0);
 }

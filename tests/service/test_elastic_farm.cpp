@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
 #include "util/check.hpp"
+#include "util/stats.hpp"
 #include "volren/datasets.hpp"
 #include "volren/image.hpp"
 
@@ -129,6 +131,55 @@ TEST(ElasticFarm, MigrationPrepushWarmsTargetAndStatsMergeEpochs) {
   const auto [cold, cold_session] = run(false);
   EXPECT_EQ(cold.bricks_prepushed, 0u);  // handoff disabled: no push
   EXPECT_EQ(cold_session.frames, 3);     // ...but nothing is lost
+}
+
+TEST(ElasticFarm, MigratedSessionStatsSummarizeEveryEpochsFrames) {
+  const volren::Volume volume = volren::datasets::skull({24, 24, 24});
+  ServiceFrontend frontend(two_shard_config());
+  Session s = frontend.open_session("mover");
+  frontend.pin_shard(s, 0);
+  std::vector<double> latencies;  // delivery order
+  s.on_frame([&latencies](const FrameRecord& f) { latencies.push_back(f.latency_s()); });
+  // Epoch 1 on shard 0: four frames arrive together and queue behind
+  // each other.
+  for (int i = 0; i < 4; ++i) s.submit(request_for(volume, 0.0));
+  frontend.drain();
+  // Epoch 2 on shard 1: eight frames far enough apart that none waits.
+  frontend.migrate_session(s, 1);
+  for (int i = 0; i < 8; ++i) s.submit(request_for(volume, 0.01 * i));
+  frontend.drain();
+  ASSERT_EQ(latencies.size(), 12u);
+
+  // The summary is the one over all twelve frames, not a merge of the
+  // epochs' own summaries.
+  const SessionStats stats = s.stats();
+  EXPECT_EQ(stats.frames, 12);
+  EXPECT_DOUBLE_EQ(stats.p50_latency_s, percentile(latencies, 50.0));
+  EXPECT_DOUBLE_EQ(stats.p95_latency_s, percentile(latencies, 95.0));
+  EXPECT_DOUBLE_EQ(stats.p99_latency_s, percentile(latencies, 99.0));
+  EXPECT_DOUBLE_EQ(stats.max_latency_s,
+                   *std::max_element(latencies.begin(), latencies.end()));
+  double sum = 0.0;
+  for (const double latency : latencies) sum += latency;
+  EXPECT_DOUBLE_EQ(stats.mean_latency_s, sum / 12.0);
+  // The epochs differ enough that the slower epoch's median is not the
+  // session's.
+  const std::vector<double> first_epoch(latencies.begin(), latencies.begin() + 4);
+  EXPECT_GT(percentile(first_epoch, 50.0), stats.p50_latency_s);
+}
+
+TEST(ElasticFarm, ControlPassesNeedAPeriod) {
+  for (const bool autoscale : {false, true}) {
+    FrontendConfig config = two_shard_config();
+    config.rebalance.enabled = !autoscale;
+    config.autoscale.enabled = autoscale;
+    config.autoscale.max_shards = 2;
+    EXPECT_THROW({ ServiceFrontend frontend(config); }, CheckError)
+        << (autoscale ? "autoscale" : "rebalance");
+    config.rebalance.period_s = 2e-4;
+    EXPECT_NO_THROW({ ServiceFrontend frontend(config); })
+        << (autoscale ? "autoscale" : "rebalance");
+  }
 }
 
 TEST(ElasticFarm, CallbacksAreRetainedAndFireExactlyOnceAcrossMove) {

@@ -185,16 +185,14 @@ TEST(FaultTolerance, LaneDeathBeforeAdmissionServesOnSurvivors) {
   expect_identical_images(stats.frames, clean_run(volume, 2));
 }
 
-TEST(FaultTolerance, MonolithicAdmissionRecoversFaultsWithoutPreemption) {
-  // The paper's schedule is an admission rule of the one scheduler, so
-  // its faults recover exactly like the Quantum rule's while each frame
-  // still runs alone to completion.
+TEST(FaultTolerance, PreemptedFramesRecoverFaultsWithUnchangedPixels) {
+  // Interactive frames preempt a batch orbit while a disk error and a
+  // lane stall land: every frame is delivered once, each fault is
+  // recovered, and the pixels are the fault-free run's.
   const volren::Volume batch_volume = volren::datasets::supernova({24, 24, 24});
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
-  auto run = [&](PipelineMode mode, bool faulted, int* delivered) {
-    ServiceConfig config = image_keeping_config();
-    config.pipeline = mode;
-    Harness h(2, config);
+  auto run = [&](bool faulted, int* delivered) {
+    Harness h(2, image_keeping_config());
     if (faulted) {
       fault::FaultEvent disk;
       disk.kind = fault::FaultKind::DiskReadError;
@@ -217,42 +215,26 @@ TEST(FaultTolerance, MonolithicAdmissionRecoversFaultsWithoutPreemption) {
     h.service->drain();
     return h.service->stats();
   };
-  const auto by = [](std::vector<FrameRecord> frames, auto key) {
+  const auto by_frame_id = [](std::vector<FrameRecord> frames) {
     std::sort(frames.begin(), frames.end(),
-              [key](const FrameRecord& a, const FrameRecord& b) {
-                return key(a) < key(b);
+              [](const FrameRecord& a, const FrameRecord& b) {
+                return a.frame_id < b.frame_id;
               });
     return frames;
   };
-  const auto frame_id = [](const FrameRecord& f) { return f.frame_id; };
 
   int clean_delivered = 0;
   int delivered = 0;
-  const ServiceStats clean = run(PipelineMode::Monolithic, false, &clean_delivered);
-  const ServiceStats stats = run(PipelineMode::Monolithic, true, &delivered);
+  const ServiceStats clean = run(false, &clean_delivered);
+  const ServiceStats stats = run(true, &delivered);
   EXPECT_EQ(clean_delivered, 6);
   EXPECT_EQ(delivered, 6);
   EXPECT_EQ(stats.frames_total, 6);
   EXPECT_GE(stats.quanta_retried, 1u);
   EXPECT_EQ(stats.lane_stalls, 1u);
+  EXPECT_GT(stats.preemptions, 0u);
   // Faults change the completion order, never the pixels.
-  expect_identical_images(by(stats.frames, frame_id), by(clean.frames, frame_id));
-  // The paper's schedule: no preemption, and frames that never
-  // overlap.
-  EXPECT_EQ(stats.preemptions, 0u);
-  const std::vector<FrameRecord> started =
-      by(stats.frames, [](const FrameRecord& f) { return f.start_s; });
-  for (std::size_t i = 1; i < started.size(); ++i) {
-    EXPECT_GE(started[i].start_s, started[i - 1].finish_s)
-        << "frame " << started[i].frame_id << " overlaps frame "
-        << started[i - 1].frame_id;
-  }
-  // The same workload under the Quantum rule does preempt, so the zero
-  // above is the admission rule's doing.
-  int quantum_delivered = 0;
-  const ServiceStats quantum = run(PipelineMode::Quantum, true, &quantum_delivered);
-  EXPECT_EQ(quantum_delivered, 6);
-  EXPECT_GT(quantum.preemptions, 0u);
+  expect_identical_images(by_frame_id(stats.frames), by_frame_id(clean.frames));
 }
 
 TEST(FaultTolerance, ShardCrashSnapshotsUndeliveredWork) {

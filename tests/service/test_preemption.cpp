@@ -1,4 +1,4 @@
-// Quantum-pipeline tests: brick-boundary preemption (interactive queue
+// Scheduler tests: brick-boundary preemption (interactive queue
 // wait bounded by one brick quantum, not one batch frame), streamed
 // tile delivery ordering, deterministic replay of the preemptive
 // schedule, scheduler tie-breaking by frame_id, and online cost-model
@@ -16,7 +16,6 @@
 #include "cluster/cluster.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
-#include "util/stats.hpp"
 #include "volren/datasets.hpp"
 
 namespace vrmr::service {
@@ -60,12 +59,10 @@ struct MixedRun {
   double max_batch_service_s = 0.0;
 };
 
-MixedRun run_mixed(PipelineMode mode, int backlog_frames) {
+MixedRun run_mixed(int backlog_frames) {
   const volren::Volume batch_volume = volren::datasets::supernova({32, 32, 32});
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
-  ServiceConfig config;
-  config.pipeline = mode;
-  Harness h(2, config);
+  Harness h(2);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
   // Fine bricks (8 per GPU) give the quantum scheduler short quanta —
@@ -93,33 +90,22 @@ MixedRun run_mixed(PipelineMode mode, int backlog_frames) {
 }
 
 TEST(Preemption, InteractiveWaitBoundedByBrickQuantumNotBatchFrame) {
-  const MixedRun mono = run_mixed(PipelineMode::Monolithic, 50);
-  const MixedRun quantum = run_mixed(PipelineMode::Quantum, 50);
-  ASSERT_EQ(mono.interactive_waits.size(), 8u);
-  ASSERT_EQ(quantum.interactive_waits.size(), 8u);
-
-  const double mono_p95 = percentile(mono.interactive_waits, 95.0);
-  const double quantum_p95 = percentile(quantum.interactive_waits, 95.0);
-  // Monolithic admission bounds the wait by one whole batch frame; the
-  // quantum scheduler preempts at the next brick boundary, which must
-  // cut the tail by at least 2x (the ISSUE's acceptance bar).
-  EXPECT_LT(quantum_p95, mono_p95 / 2.0);
-  // Stronger: every interactive wait is shorter than even the fastest
-  // whole batch frame — the bound really is sub-frame.
-  const double quantum_max =
-      *std::max_element(quantum.interactive_waits.begin(),
-                        quantum.interactive_waits.end());
-  EXPECT_LT(quantum_max, quantum.min_batch_service_s);
+  const MixedRun run = run_mixed(50);
+  ASSERT_EQ(run.interactive_waits.size(), 8u);
+  // The scheduler preempts at the next brick boundary, so every
+  // interactive wait is shorter than even the fastest whole batch
+  // frame — the bound really is sub-frame.
+  const double max_wait =
+      *std::max_element(run.interactive_waits.begin(), run.interactive_waits.end());
+  EXPECT_LT(max_wait, run.min_batch_service_s);
   // The scheduler recorded the preemptions it performed.
-  EXPECT_GT(quantum.stats.preemptions, 0u);
-  EXPECT_EQ(mono.stats.preemptions, 0u);
-  // Work conservation: both pipelines served everything.
-  EXPECT_EQ(quantum.stats.frames_total, 58);
-  EXPECT_EQ(mono.stats.frames_total, 58);
+  EXPECT_GT(run.stats.preemptions, 0u);
+  // Work conservation: everything was served.
+  EXPECT_EQ(run.stats.frames_total, 58);
 }
 
 TEST(Preemption, PreemptiveScheduleReplaysDeterministically) {
-  auto run_once = [] { return run_mixed(PipelineMode::Quantum, 12); };
+  auto run_once = [] { return run_mixed(12); };
   const MixedRun first = run_once();
   const MixedRun second = run_once();
   ASSERT_EQ(first.stats.frames.size(), second.stats.frames.size());
@@ -208,72 +194,66 @@ TEST(Preemption, PreemptedBatchFrameStillRendersCorrectPixels) {
 
 TEST(TileStreaming, TilesPrecedeTheirFrameAndCoverIt) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
-  for (const PipelineMode mode :
-       {PipelineMode::Quantum, PipelineMode::Monolithic}) {
-    ServiceConfig config;
-    config.pipeline = mode;
-    Harness h(4, config);
-    Session s = h.service->open_session("stream");
+  Harness h(4);
+  Session s = h.service->open_session("stream");
 
-    struct Delivery {
-      bool is_tile = false;
-      std::uint64_t frame_id = 0;
-      int reducer = -1;
-      double finish_s = 0.0;
-      std::size_t pixels = 0;
-    };
-    std::vector<Delivery> deliveries;
-    s.on_tile([&](const TileRecord& tile) {
-      EXPECT_DOUBLE_EQ(tile.finish_s, h.engine.now());
-      EXPECT_EQ(tile.tiles_in_frame, 4);
-      deliveries.push_back(
-          {true, tile.frame_id, tile.reducer, tile.finish_s, tile.pixels.size()});
-    });
-    s.on_frame([&](const FrameRecord& frame) {
-      deliveries.push_back({false, frame.frame_id, -1, frame.finish_s, 0});
-    });
-    constexpr int kFrames = 3;
-    for (int f = 0; f < kFrames; ++f) s.submit(request_for(volume, 0.0));
-    h.service->drain();
+  struct Delivery {
+    bool is_tile = false;
+    std::uint64_t frame_id = 0;
+    int reducer = -1;
+    double finish_s = 0.0;
+    std::size_t pixels = 0;
+  };
+  std::vector<Delivery> deliveries;
+  s.on_tile([&](const TileRecord& tile) {
+    EXPECT_DOUBLE_EQ(tile.finish_s, h.engine.now());
+    EXPECT_EQ(tile.tiles_in_frame, 4);
+    deliveries.push_back(
+        {true, tile.frame_id, tile.reducer, tile.finish_s, tile.pixels.size()});
+  });
+  s.on_frame([&](const FrameRecord& frame) {
+    deliveries.push_back({false, frame.frame_id, -1, frame.finish_s, 0});
+  });
+  constexpr int kFrames = 3;
+  for (int f = 0; f < kFrames; ++f) s.submit(request_for(volume, 0.0));
+  h.service->drain();
 
-    // Per frame: exactly 4 tiles, then the frame event; tile times are
-    // nondecreasing and never later than the frame's finish.
-    std::map<std::uint64_t, int> tiles_seen;
-    std::map<std::uint64_t, bool> frame_seen;
-    double last_tile_s = 0.0;
-    for (const Delivery& d : deliveries) {
-      if (d.is_tile) {
-        EXPECT_FALSE(frame_seen[d.frame_id])
-            << "tile after its frame callback (" << to_string(mode) << ")";
-        tiles_seen[d.frame_id] += 1;
-        EXPECT_GE(d.finish_s, last_tile_s);
-        last_tile_s = d.finish_s;
-      } else {
-        EXPECT_EQ(tiles_seen[d.frame_id], 4) << to_string(mode);
-        frame_seen[d.frame_id] = true;
-        EXPECT_GE(d.finish_s, last_tile_s);
-      }
+  // Per frame: exactly 4 tiles, then the frame event; tile times are
+  // nondecreasing and never later than the frame's finish.
+  std::map<std::uint64_t, int> tiles_seen;
+  std::map<std::uint64_t, bool> frame_seen;
+  double last_tile_s = 0.0;
+  for (const Delivery& d : deliveries) {
+    if (d.is_tile) {
+      EXPECT_FALSE(frame_seen[d.frame_id]) << "tile after its frame callback";
+      tiles_seen[d.frame_id] += 1;
+      EXPECT_GE(d.finish_s, last_tile_s);
+      last_tile_s = d.finish_s;
+    } else {
+      EXPECT_EQ(tiles_seen[d.frame_id], 4);
+      frame_seen[d.frame_id] = true;
+      EXPECT_GE(d.finish_s, last_tile_s);
     }
-    EXPECT_EQ(static_cast<int>(frame_seen.size()), kFrames);
-
-    const ServiceStats stats = h.service->stats();
-    EXPECT_EQ(stats.tiles_total, static_cast<std::uint64_t>(4 * kFrames));
-    std::size_t covered_pixels = 0;
-    for (const Delivery& d : deliveries)
-      if (d.is_tile) covered_pixels += d.pixels;
-    EXPECT_GT(covered_pixels, 0u);
-    for (const FrameRecord& f : stats.frames) {
-      EXPECT_EQ(f.tiles, 4);
-      EXPECT_GT(f.first_tile_s, f.start_s);
-      EXPECT_LE(f.first_tile_s, f.finish_s);
-      // Partial-frame delivery: the first tile lands strictly before
-      // the frame completes.
-      EXPECT_LT(f.first_tile_s, f.finish_s) << to_string(mode);
-    }
-    ASSERT_EQ(stats.sessions.size(), 1u);
-    EXPECT_EQ(stats.sessions[0].tiles_delivered,
-              static_cast<std::uint64_t>(4 * kFrames));
   }
+  EXPECT_EQ(static_cast<int>(frame_seen.size()), kFrames);
+
+  const ServiceStats stats = h.service->stats();
+  EXPECT_EQ(stats.tiles_total, static_cast<std::uint64_t>(4 * kFrames));
+  std::size_t covered_pixels = 0;
+  for (const Delivery& d : deliveries)
+    if (d.is_tile) covered_pixels += d.pixels;
+  EXPECT_GT(covered_pixels, 0u);
+  for (const FrameRecord& f : stats.frames) {
+    EXPECT_EQ(f.tiles, 4);
+    EXPECT_GT(f.first_tile_s, f.start_s);
+    EXPECT_LE(f.first_tile_s, f.finish_s);
+    // Partial-frame delivery: the first tile lands strictly before
+    // the frame completes.
+    EXPECT_LT(f.first_tile_s, f.finish_s);
+  }
+  ASSERT_EQ(stats.sessions.size(), 1u);
+  EXPECT_EQ(stats.sessions[0].tiles_delivered,
+            static_cast<std::uint64_t>(4 * kFrames));
 }
 
 TEST(Scheduler, ArrivalTiesBreakBySubmissionOrderNotOpenOrder) {

@@ -1,11 +1,10 @@
-// Balanced map phase: a frame served under PipelineMode::Quantum cuts
-// its in-core bricks into ray bands, and a lane with none of its own
-// work left takes another lane's unissued band. Covered here: steals
-// happen on an in-core frame whose bricks differ in cost, its map phase
-// ends earlier than the uncut schedule's, and its pixels equal the
+// Balanced map phase: a served frame cuts its in-core bricks into ray
+// bands, and a lane with none of its own work left takes another lane's
+// unissued band. Covered here: steals happen on an in-core frame whose
+// bricks differ in cost, its map phase ends earlier than the uncut
+// greedy schedule's (render_mapreduce), and its pixels equal the
 // unserved render's; an out-of-core frame is neither cut nor stolen,
-// and only its disk sweep moves its schedule; a Monolithic frame never
-// steals and runs the greedy schedule.
+// and only its disk sweep moves its schedule.
 
 #include <gtest/gtest.h>
 
@@ -31,12 +30,11 @@ struct Served {
 };
 
 /// One frame served alone on a fresh `gpus`-GPU service.
-Served serve_one(int gpus, PipelineMode pipeline, const volren::Volume& volume,
+Served serve_one(int gpus, const volren::Volume& volume,
                  const volren::RenderOptions& options) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(gpus));
   ServiceConfig config;
-  config.pipeline = pipeline;
   config.keep_images = true;
   RenderService service(cluster, config);
   obs::TraceRecorder trace;
@@ -68,6 +66,16 @@ volren::Image unserved_image(int gpus, const volren::Volume& volume,
   return volren::render_mapreduce(cluster, volume, options).image;
 }
 
+/// The paper's greedy schedule of what the service renders (it skips
+/// empty space): whole bricks, one map quantum each, no steals.
+mr::JobStats greedy_stats(int gpus, const volren::Volume& volume,
+                          volren::RenderOptions options) {
+  options.cast.skip_empty = true;
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(gpus));
+  return volren::render_mapreduce(cluster, volume, options).stats;
+}
+
 std::string arg(const obs::TraceEvent& e, const std::string& key) {
   for (const auto& [k, v] : e.args) {
     if (k == key) return v;
@@ -96,8 +104,8 @@ volren::RenderOptions skewed_options() {
 TEST(RayBands, IdleLanesStealBandsOfCostlierBricks) {
   const volren::Volume volume = skewed_volume();
   const volren::RenderOptions options = skewed_options();
-  const Served banded = serve_one(8, PipelineMode::Quantum, volume, options);
-  const Served whole = serve_one(8, PipelineMode::Monolithic, volume, options);
+  const Served banded = serve_one(8, volume, options);
+  const mr::JobStats whole = greedy_stats(8, volume, options);
   const mr::JobStats& stats = banded.record.stats;
   ASSERT_EQ(stats.num_nodes, 2);
 
@@ -105,7 +113,8 @@ TEST(RayBands, IdleLanesStealBandsOfCostlierBricks) {
   const auto on_screen = static_cast<std::uint64_t>(stats.num_chunks) - stats.chunks_culled;
   EXPECT_EQ(on_screen, 8u);
   EXPECT_EQ(stats.map_quanta, 4 * on_screen);
-  EXPECT_EQ(whole.record.stats.map_quanta, on_screen);
+  EXPECT_EQ(whole.map_quanta, on_screen);
+  EXPECT_EQ(whole.quanta_stolen, 0u);
 
   // Idle lanes stole, each steal is a trace instant on the thief's lane
   // naming the band, its victim and the frame, and a thief never steals
@@ -126,16 +135,16 @@ TEST(RayBands, IdleLanesStealBandsOfCostlierBricks) {
 
   // The map phase ends earlier than the uncut schedule's, on the same
   // samples and fragments.
-  EXPECT_LT(stats.t_map_done, whole.record.stats.t_map_done);
-  EXPECT_EQ(stats.total_samples, whole.record.stats.total_samples);
-  EXPECT_EQ(stats.fragments, whole.record.stats.fragments);
-  EXPECT_EQ(stats.placeholders, whole.record.stats.placeholders);
-  EXPECT_EQ(stats.bytes_d2h, whole.record.stats.bytes_d2h);
+  EXPECT_LT(stats.t_map_done, whole.t_map_done);
+  EXPECT_EQ(stats.total_samples, whole.total_samples);
+  EXPECT_EQ(stats.fragments, whole.fragments);
+  EXPECT_EQ(stats.placeholders, whole.placeholders);
+  EXPECT_EQ(stats.bytes_d2h, whole.bytes_d2h);
 
   // Pixels do not depend on which lane cast a ray.
-  const volren::Image expected = unserved_image(8, volume, options);
-  EXPECT_EQ(volren::compare_images(banded.record.image, expected).max_abs, 0.0);
-  EXPECT_EQ(volren::compare_images(whole.record.image, expected).max_abs, 0.0);
+  EXPECT_EQ(volren::compare_images(banded.record.image, unserved_image(8, volume, options))
+                .max_abs,
+            0.0);
 }
 
 TEST(RayBands, OutOfCoreFrameIsNeitherCutNorStolen) {
@@ -157,7 +166,7 @@ TEST(RayBands, OutOfCoreFrameIsNeitherCutNorStolen) {
   options.azimuth = 0.4f;
   options.target_bricks = 6;
   options.include_disk_io = true;
-  const Served served = serve_one(4, PipelineMode::Quantum, volume, options);
+  const Served served = serve_one(4, volume, options);
   const mr::JobStats& stats = served.record.stats;
   ASSERT_EQ(stats.num_chunks, 8);
   EXPECT_EQ(stats.quanta_stolen, 0u);
@@ -191,29 +200,6 @@ TEST(RayBands, OutOfCoreFrameIsNeitherCutNorStolen) {
     ASSERT_EQ(plan.pending_map_quanta(3), 0);
     EXPECT_EQ(plan.steal_map_quantum(3), !disk) << (disk ? "out-of-core" : "in-core");
   }
-}
-
-TEST(RayBands, MonolithicFrameNeverStealsAndRunsTheGreedySchedule) {
-  const volren::Volume volume = skewed_volume();
-  const volren::RenderOptions options = skewed_options();
-  const Served served = serve_one(8, PipelineMode::Monolithic, volume, options);
-  const mr::JobStats& stats = served.record.stats;
-  EXPECT_EQ(stats.quanta_stolen, 0u);
-  EXPECT_TRUE(served.steals.empty());
-  EXPECT_EQ(stats.map_quanta,
-            static_cast<std::uint64_t>(stats.num_chunks) - stats.chunks_culled);
-
-  // The unserved render of what the service rendered (it skips empty
-  // space): the greedy driver's schedule, stamp for stamp.
-  volren::RenderOptions greedy_options = options;
-  greedy_options.cast.skip_empty = true;
-  sim::Engine engine;
-  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(8));
-  const volren::RenderResult greedy = volren::render_mapreduce(cluster, volume, greedy_options);
-  EXPECT_DOUBLE_EQ(stats.t_map_done, greedy.stats.t_map_done);
-  EXPECT_DOUBLE_EQ(stats.t_routed, greedy.stats.t_routed);
-  EXPECT_DOUBLE_EQ(stats.runtime_s, greedy.stats.runtime_s);
-  EXPECT_EQ(volren::compare_images(served.record.image, greedy.image).max_abs, 0.0);
 }
 
 }  // namespace

@@ -300,9 +300,9 @@ TEST(RenderService, CacheDoesNotChangeRenderedPixels) {
 }
 
 TEST(RenderService, ServedFramesSkipEmptySpaceWithUnchangedPixels) {
-  // Both pipelines serve with empty-space skipping on: fewer charged
-  // samples than the unserved (non-skipping) render of the same
-  // request, and the same pixels.
+  // Served frames skip empty space: fewer charged samples than the
+  // unserved (non-skipping) render of the same request, and the same
+  // pixels.
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
   volren::RenderOptions options = tiny_options();
   options.transfer = volren::TransferFunction::bone();
@@ -311,23 +311,17 @@ TEST(RenderService, ServedFramesSkipEmptySpaceWithUnchangedPixels) {
   const volren::RenderResult unserved = volren::render_mapreduce(cluster, volume, options);
   EXPECT_EQ(unserved.stats.samples_skipped, 0u);
 
-  for (const PipelineMode pipeline : {PipelineMode::Quantum, PipelineMode::Monolithic}) {
-    ServiceConfig config;
-    config.pipeline = pipeline;
-    config.keep_images = true;
-    Harness h(2, config);
-    Session s = h.service->open_session("viewer");
-    s.submit(request_for(volume, 0.0, options));
-    h.service->drain();
-    const FrameRecord frame = h.service->stats().frames.at(0);
-    EXPECT_GT(frame.stats.samples_skipped, 0u) << to_string(pipeline);
-    EXPECT_EQ(frame.stats.total_samples, unserved.stats.total_samples -
-                                             frame.stats.samples_skipped +
-                                             frame.stats.skip_leaps)
-        << to_string(pipeline);
-    EXPECT_EQ(volren::compare_images(frame.image, unserved.image).max_abs, 0.0)
-        << to_string(pipeline);
-  }
+  ServiceConfig config;
+  config.keep_images = true;
+  Harness h(2, config);
+  Session s = h.service->open_session("viewer");
+  s.submit(request_for(volume, 0.0, options));
+  h.service->drain();
+  const FrameRecord frame = h.service->stats().frames.at(0);
+  EXPECT_GT(frame.stats.samples_skipped, 0u);
+  EXPECT_EQ(frame.stats.total_samples,
+            unserved.stats.total_samples - frame.stats.samples_skipped + frame.stats.skip_leaps);
+  EXPECT_EQ(volren::compare_images(frame.image, unserved.image).max_abs, 0.0);
 }
 
 TEST(RenderService, DistinctVolumesDoNotShareResidency) {
