@@ -1,13 +1,16 @@
 // Micro-benchmarks (google-benchmark) of the functional kernel pieces:
 // trilinear texture sampling, transfer-function lookup, the full
 // per-brick cast (host wall time of the functional simulation — NOT
-// simulated seconds), the casts of one served frame, and the effect of
-// early ray termination on charged sample counts.
+// simulated seconds), the casts of one served frame, the reducer sorts
+// of one paper-scale frame, and the effect of early ray termination on
+// charged sample counts.
 
 #include <benchmark/benchmark.h>
 
 #include "gpusim/device.hpp"
 #include "gpusim/texture.hpp"
+#include "mr/partitioner.hpp"
+#include "mr/sorter.hpp"
 #include "util/rng.hpp"
 #include "volren/datasets.hpp"
 #include "volren/raycast.hpp"
@@ -86,7 +89,8 @@ void BM_CastServedOrbitFrame(benchmark::State& state) {
   // supernova sessions: all eight bricks of a 256³ volume stored at 16³
   // (decimation 16), a 256² image, the fire transfer function and
   // empty-space skipping. Wall time, since the casts fan out over the
-  // host pool.
+  // host pool. From the second iteration on the bricks' texels come
+  // from the brick memo, as on every orbit frame after the first two.
   const volren::Volume volume = volren::datasets::supernova({256, 256, 256});
   volren::RenderOptions options;
   options.image_width = 256;
@@ -120,6 +124,62 @@ void BM_CastServedOrbitFrame(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_CastServedOrbitFrame)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_CountingSortFrame(benchmark::State& state) {
+  // The reducer sorts of one benchmark-suite paper_frames frame:
+  // supernova 512³ stored at 64³ (decimation 8) in one brick per GPU, a
+  // 512² image and the fire transfer function. Each brick's fragments go
+  // to R = range(0) reducer inboxes by pixel round-robin, in the order
+  // the mappers emit them; an iteration sorts every inbox over the keys
+  // its reducer owns, as FramePlan's sort quantum does.
+  const int reducers = static_cast<int>(state.range(0));
+  const volren::Volume volume = volren::datasets::supernova({512, 512, 512});
+  volren::RenderOptions options;
+  options.image_width = 512;
+  options.image_height = 512;
+  options.distance = 1.2f;
+  options.elevation = 0.3f;
+  options.azimuth = 0.65f;
+  options.transfer = volren::TransferFunction::fire();
+  options.cast.decimation = 8;
+  options.target_bricks = reducers;
+  const volren::FrameSetup frame = volren::make_frame(volume, options);
+  const volren::BrickLayout layout = volren::choose_layout(volume, options, reducers);
+  gpusim::Texture1D tf(bench_device(), 256);
+  tf.upload(frame.transfer.bake(256));
+
+  mr::PartitionDomain domain;
+  domain.num_keys = 512 * 512;
+  domain.image_width = 512;
+  const auto partitioner =
+      mr::make_partitioner(mr::PartitionStrategy::PixelRoundRobin, domain, reducers);
+  std::vector<mr::KvBuffer> inboxes(static_cast<std::size_t>(reducers),
+                                    mr::KvBuffer(sizeof(volren::RayFragment)));
+  std::size_t pairs = 0;
+  for (const volren::BrickInfo& brick : layout.bricks()) {
+    const volren::BrickCastOutput out =
+        volren::cast_brick(bench_device(), volume, brick, frame, tf);
+    for (std::size_t i = 0; i < out.keys.size(); ++i) {
+      if (out.keys[i] == mr::kPlaceholderKey) continue;
+      inboxes[static_cast<std::size_t>(partitioner->owner(out.keys[i]))].append(
+          out.keys[i], &out.fragments[i]);
+      ++pairs;
+    }
+  }
+
+  for (auto _ : state) {
+    for (int r = 0; r < reducers; ++r) {
+      const mr::KeyLattice keys = partitioner->owned_keys(r);
+      const mr::SortedGroups groups = mr::counting_sort(
+          inboxes[static_cast<std::size_t>(r)], keys.first, keys.end, keys.stride);
+      benchmark::DoNotOptimize(groups.group_keys.data());
+      benchmark::DoNotOptimize(groups.sorted.keys().data());
+    }
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.SetItemsProcessed(static_cast<std::int64_t>(pairs) * state.iterations());
+}
+BENCHMARK(BM_CountingSortFrame)->Arg(8)->Arg(16)->Unit(benchmark::kMillisecond);
 
 void BM_EarlyRayTerminationSavings(benchmark::State& state) {
   // Dense transfer function: ERT should cut charged samples hard.

@@ -967,7 +967,8 @@ void FramePlan::flush_outbox(int s) {
     // Mapper-side partial reduce: group each part by key and let the
     // combiner collapse each group before the message ships.
     for (Part& part : *message) {
-      const SortedGroups groups = counting_sort(part.pairs, 0, config_.domain.num_keys);
+      const KeyLattice keys = partitioner_->owned_keys(part.reducer);
+      const SortedGroups groups = counting_sort(part.pairs, keys.first, keys.end, keys.stride);
       KvBuffer combined(config_.value_size);
       for (std::size_t gi = 0; gi < groups.num_groups(); ++gi) {
         const std::uint32_t lo = groups.group_offsets[gi];
@@ -1182,9 +1183,11 @@ void FramePlan::issue_sort_quantum(int r) {
     return;
   }
 
-  // Functional sort (deterministic regardless of placement). The sort
-  // has read the inbox: release it (the charges below use its size).
-  rs.groups = counting_sort(rs.inbox, 0, config_.domain.num_keys);
+  // Functional sort (deterministic regardless of placement) over the
+  // keys r owns. The sort has read the inbox: release it (the charges
+  // below use its size).
+  const KeyLattice keys = partitioner_->owned_keys(r);
+  rs.groups = counting_sort(rs.inbox, keys.first, keys.end, keys.stride);
   rs.inbox = KvBuffer(config_.value_size);
   stats_.per_reducer[static_cast<std::size_t>(r)].groups = rs.groups.num_groups();
 

@@ -17,10 +17,16 @@ namespace {
 /// fashion ... A modulo is sufficient."
 class RoundRobinPartitioner final : public Partitioner {
  public:
-  RoundRobinPartitioner(int parts, std::uint32_t width)
-      : Partitioner(parts), width_(width) {}
+  RoundRobinPartitioner(int parts, std::uint32_t num_keys, std::uint32_t width)
+      : Partitioner(parts, num_keys), width_(width) {}
   int owner(std::uint32_t key) const override {
     return static_cast<int>(key % static_cast<std::uint32_t>(num_partitions()));
+  }
+
+  /// Exactly the keys r, r + R, r + 2R, ...
+  KeyLattice owned_keys(int r) const override {
+    return {static_cast<std::uint32_t>(r), num_keys(),
+            static_cast<std::uint32_t>(num_partitions())};
   }
 
   /// Residues of y*W + x over the rect. A full-width-R row already hits
@@ -58,14 +64,19 @@ class RoundRobinPartitioner final : public Partitioner {
 class StripedPartitioner final : public Partitioner {
  public:
   StripedPartitioner(int parts, std::uint32_t num_keys, std::uint32_t width)
-      : Partitioner(parts), num_keys_(num_keys), width_(width) {
+      : Partitioner(parts, num_keys), width_(width) {
     VRMR_CHECK_MSG(num_keys > 0, "striped partitioning needs the key count");
   }
   int owner(std::uint32_t key) const override {
-    VRMR_DCHECK(key < num_keys_);
+    VRMR_DCHECK(key < num_keys());
     const auto r = static_cast<std::uint64_t>(key) *
-                   static_cast<std::uint64_t>(num_partitions()) / num_keys_;
+                   static_cast<std::uint64_t>(num_partitions()) / num_keys();
     return static_cast<int>(r);
+  }
+
+  /// Exactly r's band: owner(key) >= r iff key >= ceil(r * n / R).
+  KeyLattice owned_keys(int r) const override {
+    return {band_start(r), band_start(r + 1), 1};
   }
 
   /// owner() is monotone in the key, and every key in the rect lies in
@@ -91,7 +102,12 @@ class StripedPartitioner final : public Partitioner {
   }
 
  private:
-  std::uint32_t num_keys_;
+  std::uint32_t band_start(int r) const {
+    const auto parts = static_cast<std::uint64_t>(num_partitions());
+    return static_cast<std::uint32_t>(
+        (static_cast<std::uint64_t>(r) * num_keys() + parts - 1) / parts);
+  }
+
   std::uint32_t width_;  // 0: keys are not pixels, rect queries degrade
 };
 
@@ -99,8 +115,8 @@ class StripedPartitioner final : public Partitioner {
 /// "checkerboard" family). Needs the image width to recover (x, y).
 class TiledPartitioner final : public Partitioner {
  public:
-  TiledPartitioner(int parts, std::uint32_t width, std::uint32_t tile)
-      : Partitioner(parts), width_(width), tile_(tile) {
+  TiledPartitioner(int parts, std::uint32_t num_keys, std::uint32_t width, std::uint32_t tile)
+      : Partitioner(parts, num_keys), width_(width), tile_(tile) {
     VRMR_CHECK_MSG(width > 0, "tiled partitioning needs image width");
     VRMR_CHECK(tile > 0);
     tiles_x_ = (width + tile - 1) / tile;
@@ -152,14 +168,14 @@ std::unique_ptr<Partitioner> make_partitioner(PartitionStrategy strategy,
                                               int num_partitions) {
   switch (strategy) {
     case PartitionStrategy::PixelRoundRobin:
-      return std::make_unique<RoundRobinPartitioner>(num_partitions,
+      return std::make_unique<RoundRobinPartitioner>(num_partitions, domain.num_keys,
                                                      domain.image_width);
     case PartitionStrategy::Striped:
       return std::make_unique<StripedPartitioner>(num_partitions, domain.num_keys,
                                                   domain.image_width);
     case PartitionStrategy::Tiled:
-      return std::make_unique<TiledPartitioner>(num_partitions, domain.image_width,
-                                                domain.tile_size);
+      return std::make_unique<TiledPartitioner>(num_partitions, domain.num_keys,
+                                                domain.image_width, domain.tile_size);
   }
   VRMR_CHECK_MSG(false, "unknown partition strategy");
   return nullptr;

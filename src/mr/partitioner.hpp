@@ -34,18 +34,37 @@ struct PartitionDomain {
   std::uint32_t tile_size = 32;    // Tiled strategy tile edge
 };
 
+/// The keys a reducer may own: first, first + stride, ... below end.
+struct KeyLattice {
+  std::uint32_t first = 0;
+  std::uint32_t end = 0;
+  std::uint32_t stride = 1;
+};
+
 class Partitioner {
  public:
   virtual ~Partitioner() = default;
 
-  explicit Partitioner(int num_partitions) : num_partitions_(num_partitions) {
+  Partitioner(int num_partitions, std::uint32_t num_keys)
+      : num_partitions_(num_partitions), num_keys_(num_keys) {
     VRMR_CHECK(num_partitions >= 1);
   }
 
   int num_partitions() const { return num_partitions_; }
+  std::uint32_t num_keys() const { return num_keys_; }
 
   /// Which reducer owns `key`. Must be pure and total on the domain.
   virtual int owner(std::uint32_t key) const = 0;
+
+  /// A lattice holding every key owner() maps to `r` (a superset is
+  /// fine, missing one is not). The reducer's counting sort histograms
+  /// only this lattice (paper §3.1.2: the library "knows the minimum and
+  /// maximum keys for each node"). The base class answers the whole
+  /// domain, stride 1.
+  virtual KeyLattice owned_keys(int r) const {
+    (void)r;
+    return {0, num_keys_, 1};
+  }
 
   /// Conservative owner set of the pixel rect [x0,x1)×[y0,y1): set
   /// mask[r] = 1 for every reducer that MAY own a key in the rect (a
@@ -61,6 +80,7 @@ class Partitioner {
 
  private:
   int num_partitions_;
+  std::uint32_t num_keys_;
 };
 
 std::unique_ptr<Partitioner> make_partitioner(PartitionStrategy strategy,

@@ -33,10 +33,13 @@ struct SortedGroups {
   std::size_t num_groups() const { return group_keys.size(); }
 };
 
-/// Stable counting sort of `input` whose keys all lie in [key_lo,
-/// key_hi). Placeholder keys are not allowed here — the partition phase
-/// must have dropped them. θ(n + k) time, θ(n + k) space.
+/// Stable counting sort of `input` whose keys all lie on the lattice
+/// key_lo, key_lo + stride, ... below key_hi — a reducer's
+/// Partitioner::owned_keys, so each reducer histograms only the keys it
+/// can own. Placeholder keys are not allowed here — the partition phase
+/// must have dropped them. With k = ceil((key_hi - key_lo) / stride)
+/// lattice points: θ(n + k) time, θ(n + k) space.
 SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
-                           std::uint32_t key_hi);
+                           std::uint32_t key_hi, std::uint32_t stride = 1);
 
 }  // namespace vrmr::mr

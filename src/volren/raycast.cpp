@@ -6,6 +6,7 @@
 #include <optional>
 
 #include "util/check.hpp"
+#include "volren/brick_memo.hpp"
 #include "volren/marching.hpp"
 
 namespace vrmr::volren {
@@ -86,11 +87,11 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   if (rect.empty()) return out;
 
   // Stage the brick texture (decimated proxy grid; logical bytes are
-  // accounted against VRAM).
-  Int3 stored;
-  const std::vector<float> voxels =
-      volume.materialize(brick.padded_origin, brick.padded_dims, frame.cast.decimation,
-                         &stored);
+  // accounted against VRAM) from the texels earlier frames staged.
+  const std::shared_ptr<const StagedTexels> staged = BrickMemo::global().stage(
+      volume, brick.padded_origin, brick.padded_dims, frame.cast.decimation);
+  const std::vector<float>& voxels = staged->voxels;
+  const Int3 stored = staged->dims;
   gpusim::Texture3D texture(device, stored, brick.device_bytes());
   texture.upload(voxels);
 

@@ -188,7 +188,8 @@ struct BrickCastOutput {
 
 /// Execute the ray-cast kernel for one brick on `device` (functional
 /// path used by both the MapReduce mapper and the binary-swap
-/// compositor ablation).
+/// compositor ablation). The brick's texels are staged through
+/// BrickMemo::global() (brick_memo.hpp), the one staging path.
 BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
                            const BrickInfo& brick, const FrameSetup& frame,
                            const gpusim::Texture1D& transfer_tex);
@@ -214,7 +215,7 @@ class RayCastMapper final : public mr::Mapper {
   /// The first band of a brick any of the frame's mappers maps casts
   /// the whole brick once, on this device; every band, on whichever
   /// lane, emits its block rows of that cast with their samples, so a
-  /// brick is materialized and cast once per frame however it is cut.
+  /// brick is staged and cast once per frame however it is cut.
   mr::MapOutcome map_band(gpusim::Device& device, const mr::Chunk& chunk, int y0, int y1,
                           mr::KvBuffer& out) override;
 

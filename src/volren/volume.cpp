@@ -1,13 +1,23 @@
 #include "volren/volume.hpp"
 
 #include <algorithm>
+#include <atomic>
 
 #include "util/thread_pool.hpp"
 
 namespace vrmr::volren {
 
+namespace {
+
+std::uint64_t next_volume_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
+
 Volume::Volume(std::string name, Int3 dims, std::shared_ptr<const VolumeSource> source)
-    : name_(std::move(name)), dims_(dims), source_(std::move(source)) {
+    : id_(next_volume_id()), name_(std::move(name)), dims_(dims), source_(std::move(source)) {
   VRMR_CHECK_MSG(dims.x > 0 && dims.y > 0 && dims.z > 0, "bad volume dims " << dims);
   VRMR_CHECK(source_ != nullptr);
   const float longest = static_cast<float>(std::max({dims.x, dims.y, dims.z}));

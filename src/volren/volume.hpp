@@ -15,6 +15,7 @@
 // the volume in a box whose longest edge is 1, preserving aspect
 // (needed for the 512×512×2048 Plume).
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -71,6 +72,9 @@ class ArraySource final : public VolumeSource {
   std::vector<float> voxels_;
 };
 
+/// A Volume's voxels never change over its lifetime: the source is
+/// const and no member replaces it. The brick memo (brick_memo.hpp)
+/// relies on it to hand one volume's staged texels to every later cast.
 class Volume {
  public:
   /// `dims` is the logical resolution; `source` supplies voxel values
@@ -78,6 +82,10 @@ class Volume {
   Volume(std::string name, Int3 dims, std::shared_ptr<const VolumeSource> source);
 
   const std::string& name() const { return name_; }
+  /// Identity of this volume's voxels: fresh for every construction,
+  /// shared by copies and moves, never reused in the process, so a
+  /// volume built later at a freed address gets an id of its own.
+  std::uint64_t id() const { return id_; }
   Int3 dims() const { return dims_; }
   std::int64_t voxel_count() const { return dims_.volume(); }
   std::uint64_t bytes() const {
@@ -113,6 +121,7 @@ class Volume {
                            std::function<float(Int3)> field);
 
  private:
+  std::uint64_t id_;
   std::string name_;
   Int3 dims_;
   Vec3 world_extent_;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "mr/partitioner.hpp"
@@ -114,6 +115,44 @@ TEST(TiledPartitioner, PixelsInOneTileShareAnOwner) {
     }
   }
   EXPECT_NE(part->owner(16), owner00);  // next tile, 4 partitions, round-robin
+}
+
+// owned_keys(r) is the lattice a reducer's counting sort histograms: it
+// must hold every key owner() maps to r. Round-robin and striped report
+// exactly r's keys; tiled reports the whole domain.
+TEST(Partitioner, OwnedKeysHoldEveryKeyTheReducerOwns) {
+  const PartitionDomain domain = pixel_domain(37, 23, /*tile=*/8);
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped,
+        PartitionStrategy::Tiled}) {
+    for (const int partitions : {1, 3, 8}) {
+      const auto part = make_partitioner(strategy, domain, partitions);
+      for (int r = 0; r < partitions; ++r) {
+        SCOPED_TRACE(std::string(to_string(strategy)) + " R=" + std::to_string(partitions) +
+                     " r=" + std::to_string(r));
+        const KeyLattice keys = part->owned_keys(r);
+        ASSERT_GE(keys.stride, 1u);
+        ASSERT_LE(keys.end, domain.num_keys);
+        std::vector<std::uint32_t> owned;
+        for (std::uint32_t key = 0; key < domain.num_keys; ++key) {
+          if (part->owner(key) != r) continue;
+          owned.push_back(key);
+          EXPECT_GE(key, keys.first);
+          EXPECT_LT(key, keys.end);
+          EXPECT_EQ((key - keys.first) % keys.stride, 0u) << "key " << key;
+        }
+        std::vector<std::uint32_t> lattice;
+        for (std::uint32_t key = keys.first; key < keys.end; key += keys.stride) {
+          lattice.push_back(key);
+        }
+        if (strategy == PartitionStrategy::Tiled) {
+          EXPECT_EQ(lattice.size(), domain.num_keys);
+        } else {
+          EXPECT_EQ(lattice, owned);
+        }
+      }
+    }
+  }
 }
 
 TEST(Partitioner, StripedRequiresKeyCount) {

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "mr/partitioner.hpp"
 #include "mr/sorter.hpp"
 #include "util/rng.hpp"
 
@@ -126,6 +128,56 @@ TEST(CountingSort, RejectsOutOfRangeKeys) {
 TEST(CountingSort, RejectsEmptyKeyRange) {
   KvBuffer buf(4);
   EXPECT_THROW((void)counting_sort(buf, 10, 10), vrmr::CheckError);
+}
+
+// A reducer sorts over its Partitioner::owned_keys lattice; that must
+// equal the full-domain sort of the same pairs byte for byte.
+TEST(CountingSort, OwnedKeyLatticeSortEqualsFullDomainSort) {
+  constexpr std::uint32_t kWidth = 37, kHeight = 23;
+  PartitionDomain domain;
+  domain.num_keys = kWidth * kHeight;
+  domain.image_width = kWidth;
+  domain.tile_size = 8;
+  vrmr::Pcg32 rng(99);
+  for (const PartitionStrategy strategy :
+       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped,
+        PartitionStrategy::Tiled}) {
+    for (const int reducers : {1, 3, 8}) {
+      const auto partitioner = make_partitioner(strategy, domain, reducers);
+      for (int r = 0; r < reducers; ++r) {
+        SCOPED_TRACE(std::string(to_string(strategy)) + " R=" + std::to_string(reducers) +
+                     " r=" + std::to_string(r));
+        // Every key r owns, some twice, in shuffled order (stability).
+        KvBuffer buf(sizeof(TaggedValue));
+        for (std::uint32_t i = 0; i < 3 * domain.num_keys; ++i) {
+          const std::uint32_t key = rng.next_below(domain.num_keys);
+          if (partitioner->owner(key) != r) continue;
+          const TaggedValue v{rng.next_u32(), i};
+          buf.append(key, &v);
+        }
+        const KeyLattice keys = partitioner->owned_keys(r);
+        const SortedGroups lattice = counting_sort(buf, keys.first, keys.end, keys.stride);
+        const SortedGroups full = counting_sort(buf, 0, domain.num_keys);
+        ASSERT_EQ(lattice.sorted.size(), full.sorted.size());
+        EXPECT_TRUE(std::equal(lattice.sorted.keys().begin(), lattice.sorted.keys().end(),
+                               full.sorted.keys().begin()));
+        EXPECT_TRUE(std::equal(lattice.sorted.values().begin(),
+                               lattice.sorted.values().end(), full.sorted.values().begin()));
+        EXPECT_EQ(lattice.group_keys, full.group_keys);
+        EXPECT_EQ(lattice.group_offsets, full.group_offsets);
+      }
+    }
+  }
+}
+
+TEST(CountingSort, RejectsKeysOffTheLattice) {
+  KvBuffer buf(4);
+  const float v = 0.0f;
+  buf.append(3 + 8 * 5, &v);
+  EXPECT_NO_THROW((void)counting_sort(buf, 3, 851, 8));
+  buf.append(3 + 8 * 5 + 1, &v);
+  EXPECT_THROW((void)counting_sort(buf, 3, 851, 8), vrmr::CheckError);
+  EXPECT_THROW((void)counting_sort(buf, 0, 851, 0), vrmr::CheckError);
 }
 
 TEST(SortPlacement, ToStringNames) {
