@@ -1,8 +1,10 @@
 // Micro-ablation (google-benchmark) for §3.1.2's sort/reduce choices:
 //   * the θ(n) counting sort against std::stable_sort — the dense
 //     4-byte key domain is what buys the linear-time specialization;
-//   * CPU vs GPU sort placement cost (modeled transfer + kernel), the
-//     "depending on the amount of data" switch;
+//   * the modeled cost of sorting n pairs on the CPU and on the GPU
+//     (transfers + kernel), whose crossover is the paper's "depending
+//     on the amount of data" (the rule FramePlan applies is
+//     mr::kGpuSortThresholdPairs);
 //   * the reduce-side per-pixel depth sort that made CPU compositing
 //     beat GPU compositing at the paper's scales.
 
@@ -58,10 +60,9 @@ void BM_StdStableSortBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_StdStableSortBaseline)->Arg(1 << 14)->Arg(1 << 17)->Arg(1 << 20);
 
-/// Modeled placement cost: what the DES charges for a sort of n pairs on
-/// CPU vs GPU (H2D + kernel + D2H). The crossover is the paper's
-/// "depending on the amount of data".
-void BM_ModeledSortPlacement(benchmark::State& state) {
+/// Modeled sort cost on each side: what the DES charges for a sort of n
+/// pairs on the CPU vs the GPU (H2D + kernel + D2H).
+void BM_ModeledSortSides(benchmark::State& state) {
   const auto pairs = static_cast<double>(state.range(0));
   const auto hw = cluster::HardwareModel::ncsa_accelerator_cluster();
   double cpu_s = 0.0, gpu_s = 0.0;
@@ -77,7 +78,7 @@ void BM_ModeledSortPlacement(benchmark::State& state) {
   state.counters["gpu_ms"] = gpu_s * 1e3;
   state.counters["gpu_wins"] = gpu_s < cpu_s ? 1 : 0;
 }
-BENCHMARK(BM_ModeledSortPlacement)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
+BENCHMARK(BM_ModeledSortSides)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 24);
 
 /// Reduce-side work: depth-sorting each pixel's fragment list is the
 /// cost that kept compositing on the CPU (§3.1.2).

@@ -60,6 +60,7 @@ int main() {
             << "    model keeps the same qualitative conclusion — computation is no\n"
             << "    longer the bottleneck (ratio >> 1) — with a smaller absolute gap,\n"
             << "    since our fabric charges calibrated per-message costs rather than\n"
-            << "    the paper's unreported MPI stack behaviour (EXPERIMENTS.md).\n";
+            << "    the paper's unreported MPI stack behaviour (DESIGN.md §5, the\n"
+            << "    per-message overhead row).\n";
   return 0;
 }

@@ -42,7 +42,6 @@ HardwareModel HardwareModel::ncsa_accelerator_cluster() {
   hw.cpu.memcpy_bandwidth_Bps = 5e9;
 
   hw.gpu_sort.sort_rate_pairs_per_s = 900e6;
-  hw.gpu_sort.reduce_rate_frags_per_s = 500e6;
 
   return hw;
 }

@@ -40,8 +40,9 @@ struct CpuModel {
   double partition_rate_pairs_per_s = 400e6;
   /// Counting sort (θ(n) histogram + scatter), per pair per core.
   /// 2010-era core with random 32-byte scatters: ~60 M pairs/s. This
-  /// puts the CPU/GPU sort crossover near ~15 K pairs (§3.1.2's
-  /// "depending on the amount of data").
+  /// puts the modeled CPU/GPU sort crossover near 11.2 K ray-fragment
+  /// pairs (§3.1.2's "depending on the amount of data"; the rule itself
+  /// is mr::kGpuSortThresholdPairs).
   double sort_rate_pairs_per_s = 60e6;
   /// Reduce: per-pixel depth sort + front-to-back composite, per
   /// fragment per core. CPU compositing wins at the paper's scales.
@@ -53,8 +54,6 @@ struct CpuModel {
 struct GpuSortModel {
   /// Device counting sort rate once data is resident.
   double sort_rate_pairs_per_s = 900e6;
-  /// Device compositing rate (used by the GPU-reduce ablation).
-  double reduce_rate_frags_per_s = 500e6;
 };
 
 struct HardwareModel {

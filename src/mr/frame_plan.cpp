@@ -1183,17 +1183,15 @@ void FramePlan::issue_sort_quantum(int r) {
     return;
   }
 
-  // Functional sort (deterministic regardless of placement) over the
-  // keys r owns. The sort has read the inbox: release it (the charges
-  // below use its size).
+  // Functional sort (the same on either side) over the keys r owns.
+  // The sort has read the inbox: release it (the charges below use its
+  // size).
   const KeyLattice keys = partitioner_->owned_keys(r);
   rs.groups = counting_sort(rs.inbox, keys.first, keys.end, keys.stride);
   rs.inbox = KvBuffer(config_.value_size);
   stats_.per_reducer[static_cast<std::size_t>(r)].groups = rs.groups.num_groups();
 
-  const bool on_gpu =
-      config_.sort == SortPlacement::Gpu ||
-      (config_.sort == SortPlacement::Auto && pairs > config_.gpu_sort_threshold_pairs);
+  const bool on_gpu = pairs > kGpuSortThresholdPairs;
   stats_.per_reducer[static_cast<std::size_t>(r)].sorted_on_gpu = on_gpu;
 
   const int node = cluster_.node_of_gpu(r);
@@ -1298,10 +1296,8 @@ void FramePlan::issue_reduce_quantum(int r) {
     rs.reducer->reduce(key, groups.sorted.value(lo), hi - lo);
   }
   rs.reducer->end();
-  // The reduce has read the sorted pairs: release them, keeping the
-  // sizes the GPU-reduce path charges.
-  const std::uint64_t up_bytes = groups.sorted.bytes();
-  const std::uint64_t down_bytes = groups.num_groups() * 16;  // RGBA float4
+  // The reduce has read the sorted pairs: release them. Its charge
+  // depends only on the pair count.
   rs.groups = SortedGroups{};
 
   if (pairs == 0) {
@@ -1309,36 +1305,11 @@ void FramePlan::issue_reduce_quantum(int r) {
     return;
   }
 
-  const int node = cluster_.node_of_gpu(r);
-  if (config_.reduce == ReducePlacement::Cpu) {
-    const double duration = static_cast<double>(pairs) / hw.cpu.reduce_rate_frags_per_s;
-    stats_.cpu_busy_s += duration;
-    cluster_.cpu(node).acquire(
-        duration, [this, r](sim::SimTime, sim::SimTime) { reduce_done(r); });
-  } else {
-    // GPU compositing: pairs up, kernel, finished pixels back (the
-    // option §3.1.2 weighs and rejects at small scales).
-    const double up = hw.pcie.transfer_time(up_bytes);
-    const double kernel =
-        hw.gpu.kernel_launch_overhead_s +
-        static_cast<double>(pairs) / hw.gpu_sort.reduce_rate_frags_per_s;
-    const double down = hw.pcie.transfer_time(down_bytes);
-    stats_.pcie_busy_s += up + down;
-    stats_.gpu_busy_s += up + kernel + down;
-    const std::array<sim::Resource*, 2> rsrc = {&cluster_.pcie(node),
-                                                &cluster_.gpu_stream(r)};
-    sim::Resource::acquire_multi(
-        rsrc, up, [this, r, node, kernel, down](sim::SimTime, sim::SimTime) {
-          cluster_.gpu_stream(r).acquire(
-              kernel, [this, r, node, down](sim::SimTime, sim::SimTime) {
-                const std::array<sim::Resource*, 2> back = {&cluster_.pcie(node),
-                                                            &cluster_.gpu_stream(r)};
-                sim::Resource::acquire_multi(
-                    back, down,
-                    [this, r](sim::SimTime, sim::SimTime) { reduce_done(r); });
-              });
-        });
-  }
+  // Compositing runs on the reducer node's CPU (§3.1.2).
+  const double duration = static_cast<double>(pairs) / hw.cpu.reduce_rate_frags_per_s;
+  stats_.cpu_busy_s += duration;
+  cluster_.cpu(cluster_.node_of_gpu(r))
+      .acquire(duration, [this, r](sim::SimTime, sim::SimTime) { reduce_done(r); });
 }
 
 void FramePlan::reduce_done(int r) {

@@ -16,8 +16,9 @@
 //         work on the lane while the read is in flight (FramePlan).
 //   Partition --> async network sends to reducer processes
 //   barrier: all mappers finished AND all pairs delivered
-//   Sort (counting sort, CPU or GPU)  --> barrier
-//   Reduce (compositing)              --> job complete
+//   Sort (counting sort, on the GPU above kGpuSortThresholdPairs
+//         pairs, else on the CPU)     --> barrier
+//   Reduce (compositing, on the CPU)  --> job complete
 //
 // Design notes mirroring the paper:
 //   * streaming, no intermediate disk I/O (§1: values are "streamed ...
@@ -130,23 +131,16 @@ struct JobConfig {
   /// Size of every emitted value in bytes (homogeneous, §3.1.1).
   std::uint32_t value_size = 0;
 
-  /// Dense key domain facts (num_keys required; image_width required
-  /// for the Tiled strategy).
+  /// Dense key domain facts (num_keys required; image_width lets a
+  /// partitioner bound the owners of a screen rect).
   PartitionDomain domain;
 
   PartitionStrategy partition = PartitionStrategy::PixelRoundRobin;
-  SortPlacement sort = SortPlacement::Auto;
-  ReducePlacement reduce = ReducePlacement::Cpu;
   /// Barrier enforcement (see BarrierMode). Global preserves the
   /// paper's schedule and stage attribution bit-for-bit; PerReducer
   /// dissolves both frame-global barriers into per-reducer readiness
   /// and merges each node's remote sends per destination node.
   BarrierMode barrier_mode = BarrierMode::Global;
-
-  /// Auto sort placement moves to the GPU above this many pairs — set
-  /// at the modeled CPU/GPU crossover (round-trip PCIe + device sort
-  /// beats a 2010 core above ~15-30 K pairs; see bench_ablation_sort).
-  std::uint64_t gpu_sort_threshold_pairs = 32u << 10;
 
   /// Charge disk reads for chunk staging (out-of-core mode). The
   /// paper's §6.3 speed-of-light analysis assumes data resident in CPU

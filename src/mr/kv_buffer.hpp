@@ -21,6 +21,7 @@
 #include <cstring>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/check.hpp"
@@ -36,6 +37,18 @@ class KvBuffer {
   KvBuffer() : value_size_(0) {}
   explicit KvBuffer(std::uint32_t value_size) : value_size_(value_size) {
     VRMR_CHECK_MSG(value_size > 0, "value_size must be positive");
+  }
+
+  /// Adopt parallel key and packed-value arrays without copying them
+  /// (the counting sort scatters straight into its output's storage).
+  KvBuffer(std::uint32_t value_size, std::vector<std::uint32_t> keys,
+           std::vector<std::byte> values)
+      : KvBuffer(value_size) {
+    VRMR_CHECK_MSG(values.size() == keys.size() * value_size,
+                   values.size() << " value bytes for " << keys.size() << " keys of "
+                                 << value_size << " bytes");
+    keys_ = std::move(keys);
+    values_ = std::move(values);
   }
 
   std::uint32_t value_size() const { return value_size_; }

@@ -6,7 +6,6 @@ const char* to_string(PartitionStrategy s) {
   switch (s) {
     case PartitionStrategy::PixelRoundRobin: return "round-robin";
     case PartitionStrategy::Striped: return "striped";
-    case PartitionStrategy::Tiled: return "tiled";
   }
   return "?";
 }
@@ -111,56 +110,6 @@ class StripedPartitioner final : public Partitioner {
   std::uint32_t width_;  // 0: keys are not pixels, rect queries degrade
 };
 
-/// 2-D screen tiles dealt round-robin to reducers ("tiled" /
-/// "checkerboard" family). Needs the image width to recover (x, y).
-class TiledPartitioner final : public Partitioner {
- public:
-  TiledPartitioner(int parts, std::uint32_t num_keys, std::uint32_t width, std::uint32_t tile)
-      : Partitioner(parts, num_keys), width_(width), tile_(tile) {
-    VRMR_CHECK_MSG(width > 0, "tiled partitioning needs image width");
-    VRMR_CHECK(tile > 0);
-    tiles_x_ = (width + tile - 1) / tile;
-  }
-  int owner(std::uint32_t key) const override {
-    const std::uint32_t x = key % width_;
-    const std::uint32_t y = key / width_;
-    const std::uint32_t tile_id = (y / tile_) * tiles_x_ + (x / tile_);
-    return static_cast<int>(tile_id % static_cast<std::uint32_t>(num_partitions()));
-  }
-
-  /// Exact: owners of every tile overlapping the rect.
-  void owners_in_rect(int x0, int y0, int x1, int y1,
-                      std::vector<std::uint8_t>& mask) const override {
-    const int parts = num_partitions();
-    if (x1 <= x0 || y1 <= y0) {
-      mask.assign(static_cast<std::size_t>(parts), 1);
-      return;
-    }
-    mask.assign(static_cast<std::size_t>(parts), 0);
-    const std::uint32_t tx0 = static_cast<std::uint32_t>(x0) / tile_;
-    const std::uint32_t tx1 = static_cast<std::uint32_t>(x1 - 1) / tile_;
-    const std::uint32_t ty0 = static_cast<std::uint32_t>(y0) / tile_;
-    const std::uint32_t ty1 = static_cast<std::uint32_t>(y1 - 1) / tile_;
-    int found = 0;
-    for (std::uint32_t ty = ty0; ty <= ty1 && found < parts; ++ty) {
-      for (std::uint32_t tx = tx0; tx <= tx1 && found < parts; ++tx) {
-        const std::uint32_t tile_id = ty * tiles_x_ + tx;
-        std::uint8_t& m =
-            mask[tile_id % static_cast<std::uint32_t>(parts)];
-        if (!m) {
-          m = 1;
-          ++found;
-        }
-      }
-    }
-  }
-
- private:
-  std::uint32_t width_;
-  std::uint32_t tile_;
-  std::uint32_t tiles_x_;
-};
-
 }  // namespace
 
 std::unique_ptr<Partitioner> make_partitioner(PartitionStrategy strategy,
@@ -173,9 +122,6 @@ std::unique_ptr<Partitioner> make_partitioner(PartitionStrategy strategy,
     case PartitionStrategy::Striped:
       return std::make_unique<StripedPartitioner>(num_partitions, domain.num_keys,
                                                   domain.image_width);
-    case PartitionStrategy::Tiled:
-      return std::make_unique<TiledPartitioner>(num_partitions, domain.num_keys,
-                                                domain.image_width, domain.tile_size);
   }
   VRMR_CHECK_MSG(false, "unknown partition strategy");
   return nullptr;

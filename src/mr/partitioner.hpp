@@ -5,9 +5,11 @@
 // The paper (§3.1.1) uses per-pixel round-robin — "a modulo is
 // sufficient to determine the reducer to which a key-value pair must be
 // sent" — and reports it as empirically the highest-performing
-// distribution. We implement it plus the two alternatives the paper
-// weighed for direct-send compositing (§6: "checkerboard, tiled, or
-// striped distribution") so the ablation bench can compare them.
+// distribution. Striped scanline bands, one of the distributions §6
+// weighs for direct-send compositing, are the only other strategy:
+// bench_time_to_first_pixel, bench_preemption_latency and
+// examples/streaming_tiles run them, and bench_ablation_partition gates
+// round-robin's reducer balance against them.
 
 #include <cstdint>
 #include <memory>
@@ -21,7 +23,6 @@ namespace vrmr::mr {
 enum class PartitionStrategy {
   PixelRoundRobin,  // owner = key % R                   (paper's choice)
   Striped,          // contiguous key ranges (scanline bands)
-  Tiled,            // 2-D screen tiles dealt round-robin
 };
 
 const char* to_string(PartitionStrategy s);
@@ -31,7 +32,6 @@ const char* to_string(PartitionStrategy s);
 struct PartitionDomain {
   std::uint32_t num_keys = 0;
   std::uint32_t image_width = 0;   // 0 when keys are not pixels
-  std::uint32_t tile_size = 32;    // Tiled strategy tile edge
 };
 
 /// The keys a reducer may own: first, first + stride, ... below end.
@@ -59,24 +59,16 @@ class Partitioner {
   /// A lattice holding every key owner() maps to `r` (a superset is
   /// fine, missing one is not). The reducer's counting sort histograms
   /// only this lattice (paper §3.1.2: the library "knows the minimum and
-  /// maximum keys for each node"). The base class answers the whole
-  /// domain, stride 1.
-  virtual KeyLattice owned_keys(int r) const {
-    (void)r;
-    return {0, num_keys_, 1};
-  }
+  /// maximum keys for each node").
+  virtual KeyLattice owned_keys(int r) const = 0;
 
   /// Conservative owner set of the pixel rect [x0,x1)×[y0,y1): set
   /// mask[r] = 1 for every reducer that MAY own a key in the rect (a
-  /// superset is fine; missing an actual owner is not). The base class
-  /// answers "all reducers", always safe. FramePlan uses this with
-  /// per-chunk screen footprints to finalize (mapper, reducer) pairs
-  /// early — see FramePlan::set_chunk_footprint.
+  /// superset is fine; missing an actual owner is not). FramePlan uses
+  /// this with per-chunk screen footprints to finalize (mapper, reducer)
+  /// pairs early — see FramePlan::set_chunk_footprint.
   virtual void owners_in_rect(int x0, int y0, int x1, int y1,
-                              std::vector<std::uint8_t>& mask) const {
-    (void)x0; (void)y0; (void)x1; (void)y1;
-    mask.assign(static_cast<std::size_t>(num_partitions_), 1);
-  }
+                              std::vector<std::uint8_t>& mask) const = 0;
 
  private:
   int num_partitions_;

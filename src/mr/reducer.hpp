@@ -5,20 +5,13 @@
 // ray fragment that landed on one pixel; the reduce depth-sorts them
 // and composites front-to-back.
 //
-// Reducers may run on CPU or GPU (the paper found the CPU faster at
-// their scales because of the per-pixel fragment sort); placement only
-// affects the simulated cost, the functional path is identical.
+// Reducers run on the host CPU: the paper composites there, because the
+// per-pixel fragment sort made the CPU faster at its scales (§3.1.2).
 
 #include <cstddef>
 #include <cstdint>
 
 namespace vrmr::mr {
-
-enum class ReducePlacement { Cpu, Gpu };
-
-inline const char* to_string(ReducePlacement p) {
-  return p == ReducePlacement::Cpu ? "cpu" : "gpu";
-}
 
 class Reducer {
  public:

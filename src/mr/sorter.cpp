@@ -1,19 +1,11 @@
 #include "mr/sorter.hpp"
 
 #include <cstring>
+#include <utility>
 
 #include "util/check.hpp"
 
 namespace vrmr::mr {
-
-const char* to_string(SortPlacement p) {
-  switch (p) {
-    case SortPlacement::Auto: return "auto";
-    case SortPlacement::Cpu: return "cpu";
-    case SortPlacement::Gpu: return "gpu";
-  }
-  return "?";
-}
 
 SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
                            std::uint32_t key_hi, std::uint32_t stride) {
@@ -57,7 +49,7 @@ SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
   }
   out.group_offsets.push_back(running);
 
-  // Stable scatter.
+  // Stable scatter, straight into the arrays the output buffer adopts.
   const std::uint32_t vs = input.value_size();
   std::vector<std::uint32_t> sorted_keys(n);
   std::vector<std::byte> sorted_values(n * vs);
@@ -68,7 +60,7 @@ SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
                 input.value(i), vs);
   }
 
-  out.sorted.append_bulk(sorted_keys, sorted_values.data());
+  out.sorted = KvBuffer(vs, std::move(sorted_keys), std::move(sorted_values));
   return out;
 }
 

@@ -18,11 +18,15 @@
 
 namespace vrmr::mr {
 
-/// Where a sort executes; Auto picks the GPU above a pair-count
-/// threshold, mirroring the paper's "depending on the amount of data".
-enum class SortPlacement { Auto, Cpu, Gpu };
-
-const char* to_string(SortPlacement p);
+/// A reducer sorts on its co-located GPU (H2D, device sort, D2H) when
+/// it holds more than this many pairs, and on its node's CPU otherwise:
+/// the paper's "depending on the amount of data". 32 Ki is a kept
+/// value, not the modeled crossover. The NCSA model (DESIGN.md §5)
+/// breaks even at about 11.2 K ray-fragment pairs: 70 µs of fixed GPU
+/// cost (a 40 µs launch and two 15 µs PCIe latencies) over 6.2 ns saved
+/// per 28-byte pair. Deriving the threshold from the model would move
+/// the simulated time of every reducer that holds between the two.
+inline constexpr std::uint64_t kGpuSortThresholdPairs = 32u << 10;
 
 /// Key-grouped output of a counting sort.
 struct SortedGroups {

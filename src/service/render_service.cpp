@@ -409,8 +409,7 @@ double RenderService::estimate_cost_s(const Pending& pending, int lod) const {
   // fewer samples per covered ray (the fragment/network volume is
   // unchanged — the kernel still launches the same projected rects).
   pred.total_samples = static_cast<std::uint64_t>(
-      rays * mean_axis * static_cast<double>(req.options.cast.sampling_rate) /
-      static_cast<double>(std::uint64_t{1} << lod));
+      rays * mean_axis / static_cast<double>(std::uint64_t{1} << lod));
 
   const Int3 grid = layout.grid_dims();
   const double layers =

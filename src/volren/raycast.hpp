@@ -53,8 +53,6 @@ inline constexpr int kRayBlock = 16;
 /// Sampling parameters shared by the map kernel and the reference
 /// renderer (they must agree exactly for equivalence tests).
 struct RaycastSettings {
-  /// Samples per voxel along the ray (1 = one step per voxel edge).
-  float sampling_rate = 1.0f;
   /// Early-ray-termination opacity threshold; >= 1 disables ERT.
   float ert_threshold = kOpaqueAlpha;
   /// Functional step stride: the kernel *takes* every decimation-th
@@ -78,16 +76,17 @@ struct RaycastSettings {
   /// turns it on for every frame it serves.
   bool skip_empty = false;
 
-  /// World-space step between consecutive logical samples for `volume`.
+  /// World-space step between consecutive logical samples for `volume`:
+  /// one step per (shortest) voxel edge.
   float step_size(const Volume& volume) const {
     const Vec3 voxel = volume.world_extent() / to_vec3(volume.dims());
-    return std::min({voxel.x, voxel.y, voxel.z}) / sampling_rate;
+    return std::min({voxel.x, voxel.y, voxel.z});
   }
 
   /// Opacity-correction exponent relative to the transfer function's
   /// per-voxel-step alpha definition.
   float opacity_correction() const {
-    return static_cast<float>(decimation * lod_stride) / sampling_rate;
+    return static_cast<float>(decimation * lod_stride);
   }
 };
 
@@ -186,9 +185,8 @@ struct BrickCastOutput {
   std::vector<BlockRowCost> block_rows;
 };
 
-/// Execute the ray-cast kernel for one brick on `device` (functional
-/// path used by both the MapReduce mapper and the binary-swap
-/// compositor ablation). The brick's texels are staged through
+/// Execute the ray-cast kernel for one brick on `device` (the MapReduce
+/// mapper's functional path). The brick's texels are staged through
 /// BrickMemo::global() (brick_memo.hpp), the one staging path.
 BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
                            const BrickInfo& brick, const FrameSetup& frame,

@@ -9,7 +9,6 @@
 namespace vrmr::volren {
 
 Camera make_camera(const Volume& volume, const RenderOptions& options) {
-  if (options.use_explicit_camera) return options.explicit_camera;
   return Camera::orbit(volume.world_box(), options.azimuth, options.elevation,
                        options.distance, options.fovy, options.image_width,
                        options.image_height);
@@ -32,7 +31,7 @@ BrickLayout choose_layout(const Volume& volume, const RenderOptions& options,
     const int target = options.target_bricks > 0 ? options.target_bricks : total_gpus;
     brick_dims = BrickLayout::choose_brick_dims(volume.dims(), target);
   }
-  return BrickLayout(volume.dims(), volume.world_extent(), brick_dims, options.ghost);
+  return BrickLayout(volume.dims(), volume.world_extent(), brick_dims);
 }
 
 RenderResult render_mapreduce(cluster::Cluster& cluster, const Volume& volume,
@@ -79,8 +78,6 @@ std::unique_ptr<PlannedFrame> plan_frame(cluster::Cluster& cluster, const Volume
       static_cast<std::uint32_t>(options.image_height);
   config.domain.image_width = static_cast<std::uint32_t>(options.image_width);
   config.partition = options.partition;
-  config.sort = options.sort;
-  config.reduce = options.reduce;
   config.barrier_mode = options.barrier_mode;
   config.include_disk_io = options.include_disk_io;
   config.staging_hook = std::move(staging_hook);

@@ -34,12 +34,10 @@ struct RenderOptions {
   int image_width = 512;   // the paper evaluates at 512² (§5)
   int image_height = 512;
   float fovy = 0.7f;       // ~40°
-  /// Orbit camera placement (ignored when use_explicit_camera).
+  /// Orbit camera placement (Camera::orbit around the volume's box).
   float azimuth = 0.65f;
   float elevation = 0.30f;
   float distance = 1.8f;   // multiples of the volume diagonal
-  bool use_explicit_camera = false;
-  Camera explicit_camera;
 
   // --- appearance -----------------------------------------------------------
   TransferFunction transfer = TransferFunction::bone();
@@ -52,12 +50,9 @@ struct RenderOptions {
   /// Desired brick count when brick_size == 0; 0 = the cluster's GPU
   /// count (the paper's bricks ≈ GPUs sweet spot, §6).
   int target_bricks = 0;
-  int ghost = 1;
 
   // --- MapReduce configuration ----------------------------------------------
   mr::PartitionStrategy partition = mr::PartitionStrategy::PixelRoundRobin;
-  mr::SortPlacement sort = mr::SortPlacement::Auto;
-  mr::ReducePlacement reduce = mr::ReducePlacement::Cpu;
   /// Pipeline barrier enforcement (mr::BarrierMode): Global reproduces
   /// the paper's frame-wide sync points; PerReducer issues each
   /// reducer's sort the moment its own inbox completes and chains its
@@ -103,7 +98,7 @@ struct RenderResult {
   double mvps() const { return voxels_per_second() / 1e6; }
 };
 
-/// Build the frame's camera from the options (orbit or explicit).
+/// Build the frame's orbit camera from the options.
 Camera make_camera(const Volume& volume, const RenderOptions& options);
 
 /// Bundle camera + transfer + sampling for mapper construction.

@@ -45,7 +45,6 @@
 #include "mr/job.hpp"
 
 // Volume renderer.
-#include "volren/binary_swap.hpp"
 #include "volren/datasets.hpp"
 #include "volren/reference.hpp"
 #include "volren/renderer.hpp"

@@ -215,36 +215,24 @@ TEST(Job, OutOfCoreModeChargesDisk) {
   EXPECT_EQ(with.fragments, without.fragments);
 }
 
-TEST(Job, GpuSortPlacementHonored) {
-  constexpr std::uint32_t kKeys = 16;
-  auto run = [&](SortPlacement placement) {
-    Harness h(2);
-    JobConfig cfg = h.config(kKeys);
-    cfg.sort = placement;
-    auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
-    job.add_chunk(std::make_unique<RangeChunk>(0, 5000));
+// The paper sorts "on the CPU or GPU (depending on the amount of
+// data)": a reducer holding more than 32 Ki pairs sorts on its GPU
+// (mr::kGpuSortThresholdPairs). The boundary is exact.
+TEST(Job, SortMovesToTheGpuJustAboveThirtyTwoKiPairs) {
+  constexpr std::uint32_t kKeys = 64;
+  auto run = [&](std::uint32_t pairs) {
+    Harness h(1);
+    auto job_owner = h.make_job(h.config(kKeys), kKeys);
+    Job& job = *job_owner;
+    job.add_chunk(std::make_unique<RangeChunk>(0, pairs));
     return job.run();
   };
-  const JobStats cpu = run(SortPlacement::Cpu);
-  for (const auto& r : cpu.per_reducer) EXPECT_FALSE(r.sorted_on_gpu);
-  const JobStats gpu = run(SortPlacement::Gpu);
-  bool any_gpu = false;
-  for (const auto& r : gpu.per_reducer) any_gpu |= r.sorted_on_gpu;
-  EXPECT_TRUE(any_gpu);
-}
-
-TEST(Job, AutoSortUsesGpuAboveThreshold) {
-  constexpr std::uint32_t kKeys = 4;
-  Harness h(1);
-  JobConfig cfg = h.config(kKeys);
-  cfg.sort = SortPlacement::Auto;
-  cfg.gpu_sort_threshold_pairs = 100;  // tiny threshold
-  auto job_owner = h.make_job(cfg, kKeys);
-  Job& job = *job_owner;
-  job.add_chunk(std::make_unique<RangeChunk>(0, 1000));
-  const JobStats stats = job.run();
-  EXPECT_TRUE(stats.per_reducer[0].sorted_on_gpu);
+  const JobStats at = run(32768);
+  ASSERT_EQ(at.per_reducer[0].pairs_in, 32768u);
+  EXPECT_FALSE(at.per_reducer[0].sorted_on_gpu);
+  const JobStats above = run(32769);
+  ASSERT_EQ(above.per_reducer[0].pairs_in, 32769u);
+  EXPECT_TRUE(above.per_reducer[0].sorted_on_gpu);
 }
 
 TEST(Job, ChunksCanBePinnedToGpus) {
@@ -312,8 +300,7 @@ TEST(Job, ConfigValidation) {
   bad.value_size = 4;
   EXPECT_THROW(Job(*h.cluster, bad), vrmr::CheckError);  // num_keys unset
   bad.domain.num_keys = 16;
-  bad.partition = PartitionStrategy::Tiled;
-  EXPECT_THROW(Job(*h.cluster, bad), vrmr::CheckError);  // tiled needs width
+  EXPECT_NO_THROW(Job(*h.cluster, bad));
 }
 
 TEST(Job, SequentialJobsOnOneClusterAccumulateIndependently) {

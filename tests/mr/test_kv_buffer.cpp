@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "mr/kv_buffer.hpp"
@@ -70,6 +71,24 @@ TEST(KvBuffer, AppendBulkMatchesLooping) {
     EXPECT_EQ(a.key(i), b.key(i));
     EXPECT_EQ(std::memcmp(a.value(i), b.value(i), 4), 0);
   }
+}
+
+TEST(KvBuffer, AdoptsParallelArraysAsIfAppended) {
+  const std::vector<std::uint32_t> keys{7, 3, 9};
+  const std::vector<float> values{0.5f, 1.5f, 2.5f};
+  std::vector<std::byte> bytes(values.size() * sizeof(float));
+  std::memcpy(bytes.data(), values.data(), bytes.size());
+  const KvBuffer adopted(4, keys, bytes);
+  KvBuffer appended(4);
+  appended.append_bulk(keys, values.data());
+  EXPECT_EQ(adopted.value_size(), 4u);
+  EXPECT_TRUE(std::equal(adopted.keys().begin(), adopted.keys().end(),
+                         appended.keys().begin(), appended.keys().end()));
+  EXPECT_TRUE(std::equal(adopted.values().begin(), adopted.values().end(),
+                         appended.values().begin(), appended.values().end()));
+  // One value's bytes too few for three keys.
+  bytes.resize(bytes.size() - 4);
+  EXPECT_THROW(KvBuffer(4, keys, bytes), vrmr::CheckError);
 }
 
 TEST(KvBuffer, AppendBufferConcatenates) {

@@ -8,12 +8,10 @@
 namespace vrmr::mr {
 namespace {
 
-PartitionDomain pixel_domain(std::uint32_t width, std::uint32_t height,
-                             std::uint32_t tile = 32) {
+PartitionDomain pixel_domain(std::uint32_t width, std::uint32_t height) {
   PartitionDomain d;
   d.num_keys = width * height;
   d.image_width = width;
-  d.tile_size = tile;
   return d;
 }
 
@@ -23,9 +21,8 @@ struct StrategyCase {
 };
 
 std::string strategy_case_name(const testing::TestParamInfo<StrategyCase>& info) {
-  const char* name = info.param.strategy == PartitionStrategy::PixelRoundRobin ? "rr"
-                     : info.param.strategy == PartitionStrategy::Striped       ? "striped"
-                                                                               : "tiled";
+  const char* name =
+      info.param.strategy == PartitionStrategy::PixelRoundRobin ? "rr" : "striped";
   return std::string(name) + "_r" + std::to_string(info.param.partitions);
 }
 
@@ -36,10 +33,7 @@ class PartitionerProperties : public testing::TestWithParam<StrategyCase> {};
 // domain (load balance is why the paper picked round-robin).
 TEST_P(PartitionerProperties, TotalAndRoughlyBalanced) {
   const auto [strategy, partitions] = GetParam();
-  // 8-pixel tiles give 12x8 = 96 tiles, enough granularity for every
-  // partition count in the sweep (balance is meaningless with fewer
-  // tiles than partitions).
-  const PartitionDomain domain = pixel_domain(96, 64, /*tile=*/8);
+  const PartitionDomain domain = pixel_domain(96, 64);
   const auto part = make_partitioner(strategy, domain, partitions);
   ASSERT_EQ(part->num_partitions(), partitions);
 
@@ -75,10 +69,7 @@ INSTANTIATE_TEST_SUITE_P(
                     StrategyCase{PartitionStrategy::PixelRoundRobin, 32},
                     StrategyCase{PartitionStrategy::Striped, 1},
                     StrategyCase{PartitionStrategy::Striped, 5},
-                    StrategyCase{PartitionStrategy::Striped, 16},
-                    StrategyCase{PartitionStrategy::Tiled, 1},
-                    StrategyCase{PartitionStrategy::Tiled, 7},
-                    StrategyCase{PartitionStrategy::Tiled, 16}),
+                    StrategyCase{PartitionStrategy::Striped, 16}),
     strategy_case_name);
 
 TEST(RoundRobinPartitioner, IsExactlyModulo) {
@@ -103,28 +94,13 @@ TEST(StripedPartitioner, AssignsContiguousRanges) {
   EXPECT_EQ(part->owner(99), 3);
 }
 
-TEST(TiledPartitioner, PixelsInOneTileShareAnOwner) {
-  const std::uint32_t width = 64;
-  const auto part =
-      make_partitioner(PartitionStrategy::Tiled, pixel_domain(width, 64, 16), 4);
-  // All pixels of tile (0,0) share an owner; tile (1,0) may differ.
-  const int owner00 = part->owner(0);
-  for (std::uint32_t y = 0; y < 16; ++y) {
-    for (std::uint32_t x = 0; x < 16; ++x) {
-      EXPECT_EQ(part->owner(y * width + x), owner00);
-    }
-  }
-  EXPECT_NE(part->owner(16), owner00);  // next tile, 4 partitions, round-robin
-}
-
 // owned_keys(r) is the lattice a reducer's counting sort histograms: it
 // must hold every key owner() maps to r. Round-robin and striped report
-// exactly r's keys; tiled reports the whole domain.
+// exactly r's keys.
 TEST(Partitioner, OwnedKeysHoldEveryKeyTheReducerOwns) {
-  const PartitionDomain domain = pixel_domain(37, 23, /*tile=*/8);
+  const PartitionDomain domain = pixel_domain(37, 23);
   for (const PartitionStrategy strategy :
-       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped,
-        PartitionStrategy::Tiled}) {
+       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped}) {
     for (const int partitions : {1, 3, 8}) {
       const auto part = make_partitioner(strategy, domain, partitions);
       for (int r = 0; r < partitions; ++r) {
@@ -145,11 +121,7 @@ TEST(Partitioner, OwnedKeysHoldEveryKeyTheReducerOwns) {
         for (std::uint32_t key = keys.first; key < keys.end; key += keys.stride) {
           lattice.push_back(key);
         }
-        if (strategy == PartitionStrategy::Tiled) {
-          EXPECT_EQ(lattice.size(), domain.num_keys);
-        } else {
-          EXPECT_EQ(lattice, owned);
-        }
+        EXPECT_EQ(lattice, owned);
       }
     }
   }
@@ -161,17 +133,9 @@ TEST(Partitioner, StripedRequiresKeyCount) {
                vrmr::CheckError);
 }
 
-TEST(Partitioner, TiledRequiresImageWidth) {
-  PartitionDomain domain;
-  domain.num_keys = 100;  // but no width
-  EXPECT_THROW((void)make_partitioner(PartitionStrategy::Tiled, domain, 2),
-               vrmr::CheckError);
-}
-
 TEST(Partitioner, ToStringNames) {
   EXPECT_STREQ(to_string(PartitionStrategy::PixelRoundRobin), "round-robin");
   EXPECT_STREQ(to_string(PartitionStrategy::Striped), "striped");
-  EXPECT_STREQ(to_string(PartitionStrategy::Tiled), "tiled");
 }
 
 }  // namespace

@@ -137,11 +137,9 @@ TEST(CountingSort, OwnedKeyLatticeSortEqualsFullDomainSort) {
   PartitionDomain domain;
   domain.num_keys = kWidth * kHeight;
   domain.image_width = kWidth;
-  domain.tile_size = 8;
   vrmr::Pcg32 rng(99);
   for (const PartitionStrategy strategy :
-       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped,
-        PartitionStrategy::Tiled}) {
+       {PartitionStrategy::PixelRoundRobin, PartitionStrategy::Striped}) {
     for (const int reducers : {1, 3, 8}) {
       const auto partitioner = make_partitioner(strategy, domain, reducers);
       for (int r = 0; r < reducers; ++r) {
@@ -178,12 +176,6 @@ TEST(CountingSort, RejectsKeysOffTheLattice) {
   buf.append(3 + 8 * 5 + 1, &v);
   EXPECT_THROW((void)counting_sort(buf, 3, 851, 8), vrmr::CheckError);
   EXPECT_THROW((void)counting_sort(buf, 0, 851, 0), vrmr::CheckError);
-}
-
-TEST(SortPlacement, ToStringNames) {
-  EXPECT_STREQ(to_string(SortPlacement::Auto), "auto");
-  EXPECT_STREQ(to_string(SortPlacement::Cpu), "cpu");
-  EXPECT_STREQ(to_string(SortPlacement::Gpu), "gpu");
 }
 
 }  // namespace

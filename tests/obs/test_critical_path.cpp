@@ -37,7 +37,7 @@ std::vector<Scene> seed_scenes() {
       {"skull", {24, 24, 24}, 4, 0, mr::PartitionStrategy::Striped},
       {"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::Striped},
       {"plume", {16, 16, 32}, 2, 4, mr::PartitionStrategy::PixelRoundRobin},
-      {"supernova", {24, 24, 24}, 4, 8, mr::PartitionStrategy::Tiled},
+      {"supernova", {24, 24, 24}, 4, 8, mr::PartitionStrategy::PixelRoundRobin},
   };
 }
 

@@ -39,7 +39,7 @@ std::vector<Scene> seed_scenes() {
       {"skull", {24, 24, 24}, 4, 0, mr::PartitionStrategy::Striped},
       {"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::Striped},
       {"skull", {16, 16, 16}, 2, 4, mr::PartitionStrategy::PixelRoundRobin},
-      {"supernova", {24, 24, 24}, 4, 8, mr::PartitionStrategy::Tiled},
+      {"supernova", {24, 24, 24}, 4, 8, mr::PartitionStrategy::PixelRoundRobin},
   };
 }
 
@@ -212,8 +212,8 @@ TEST(BarrierModes, NodeSlotsNeverPostMoreThanPerMapperSlots) {
   const std::vector<Case> cases = {
       {{"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::Striped}, true},
       {{"supernova", {32, 32, 32}, 8, 16, mr::PartitionStrategy::PixelRoundRobin}, false},
-      {{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Tiled}, true},
-      {{"skull", {32, 32, 32}, 12, 24, mr::PartitionStrategy::Tiled}, true},
+      {{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Striped}, true},
+      {{"skull", {32, 32, 32}, 12, 24, mr::PartitionStrategy::Striped}, true},
       {{"skull", {32, 32, 32}, 12, 0, mr::PartitionStrategy::PixelRoundRobin}, false},
   };
   for (const Case& c : cases) {
@@ -265,7 +265,7 @@ TEST(BarrierModes, NodeSlotsNeverPostMoreThanPerMapperSlots) {
 }
 
 TEST(BarrierModes, HeldPairNeverLetsItsReducerGoReadyEarly) {
-  // Tiled ownership over many small bricks: some mapper is the last to
+  // Striped ownership over many small bricks: some mapper is the last to
   // reach a remote reducer while it still owes fragments to that
   // reducer's node-mates, so the pair is final but held in the
   // (node, remote node) slot. A pair also stays held there after every
@@ -273,11 +273,11 @@ TEST(BarrierModes, HeldPairNeverLetsItsReducerGoReadyEarly) {
   // node-mate still maps for the node. Counting a held pair toward
   // readiness before its message flushes would sort that reducer's
   // inbox without those fragments.
-  const Scene scene{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Tiled};
+  const Scene scene{"supernova", {32, 32, 32}, 8, 64, mr::PartitionStrategy::Striped};
   const ModeRun global = run_scene(scene, mr::BarrierMode::Global);
   const ModeRun chained = run_scene(scene, mr::BarrierMode::PerReducer);
   EXPECT_EQ(compare_images(global.result.image, chained.result.image).max_abs, 0.0);
-  expect_totals_equal(global.result.stats, chained.result.stats, "tiled 64 bricks");
+  expect_totals_equal(global.result.stats, chained.result.stats, "striped 64 bricks");
 
   const Volume volume = datasets::by_name(scene.dataset, scene.dims);
   sim::Engine engine;

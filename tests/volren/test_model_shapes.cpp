@@ -103,26 +103,6 @@ TEST(ModelShapes, OutOfCoreDiskScalesWithNodes) {
   EXPECT_LT(two_nodes.stats.runtime_s, one_node.stats.runtime_s);
 }
 
-// Placement knobs change timing, never pixels.
-TEST(ModelShapes, GpuSortPlacementPreservesImage) {
-  const Volume volume = datasets::supernova({48, 48, 48});
-  auto render_sorted = [&](mr::SortPlacement placement) {
-    sim::Engine engine;
-    cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(4));
-    RenderOptions opt;
-    opt.image_width = 96;
-    opt.image_height = 96;
-    opt.sort = placement;
-    return render_mapreduce(cluster, volume, opt);
-  };
-  const RenderResult on_cpu = render_sorted(mr::SortPlacement::Cpu);
-  const RenderResult on_gpu = render_sorted(mr::SortPlacement::Gpu);
-  EXPECT_EQ(compare_images(on_cpu.image, on_gpu.image).max_abs, 0.0);
-  EXPECT_TRUE(on_gpu.stats.per_reducer[0].sorted_on_gpu);
-  EXPECT_FALSE(on_cpu.stats.per_reducer[0].sorted_on_gpu);
-  EXPECT_NE(on_cpu.stats.runtime_s, on_gpu.stats.runtime_s);
-}
-
 // The paper's §6 claim that small inputs "do not scale very well in
 // terms of the number of nodes": for a small volume, 32 GPUs must be
 // slower than the best configuration.

@@ -1,7 +1,7 @@
 // The central correctness property of the reproduction (DESIGN.md §6):
 // the bricked, partitioned, sorted, reduced MapReduce render must agree
 // with the single-pass reference ray caster for every brick
-// decomposition, GPU count and partition strategy.
+// decomposition, GPU count, partition strategy and sort side.
 //
 // With early ray termination disabled the two paths take *identical*
 // samples and differ only by floating-point re-association in the
@@ -53,9 +53,8 @@ struct Case {
 
 std::string case_name(const testing::TestParamInfo<Case>& info) {
   const Case& c = info.param;
-  const char* strategy = c.strategy == mr::PartitionStrategy::PixelRoundRobin ? "rr"
-                         : c.strategy == mr::PartitionStrategy::Striped       ? "striped"
-                                                                              : "tiled";
+  const char* strategy =
+      c.strategy == mr::PartitionStrategy::PixelRoundRobin ? "rr" : "striped";
   return c.volume + "_g" + std::to_string(c.gpus) + "_b" + std::to_string(c.brick_size) +
          "_" + strategy + std::to_string(info.index);
 }
@@ -96,15 +95,46 @@ INSTANTIATE_TEST_SUITE_P(
         Case{"skull", 4, 20, mr::PartitionStrategy::PixelRoundRobin},
         // Fine 4x4x4 bricking.
         Case{"skull", 8, 12, mr::PartitionStrategy::PixelRoundRobin},
-        // Alternative partition strategies must not change the image.
+        // The partition strategy must not change the image.
         Case{"skull", 5, 24, mr::PartitionStrategy::Striped},
-        Case{"skull", 5, 24, mr::PartitionStrategy::Tiled},
+        Case{"skull", 5, 24, mr::PartitionStrategy::PixelRoundRobin},
         // Other datasets, incl. the non-cubic plume.
         Case{"supernova", 4, 20, mr::PartitionStrategy::PixelRoundRobin},
         Case{"supernova", 6, 10, mr::PartitionStrategy::Striped},
         Case{"plume", 4, 24, mr::PartitionStrategy::PixelRoundRobin},
-        Case{"plume", 7, 12, mr::PartitionStrategy::Tiled}),
+        Case{"plume", 7, 12, mr::PartitionStrategy::Striped}),
     case_name);
+
+// A reducer holding more than mr::kGpuSortThresholdPairs (32 Ki) pairs
+// sorts on its GPU, the others on their node's CPU. A frame whose
+// reducers fall on both sides still matches the reference.
+TEST(PipelineSortSides, ReducersOnBothSidesMatchReference) {
+  const Volume volume = make_volume("skull");
+  RenderOptions opt = base_options();
+  // A close camera over fine bricks: the middle band's reducer holds
+  // about 40.9 K pairs, the outer two about 12 K each.
+  opt.image_width = 224;
+  opt.image_height = 186;
+  opt.distance = 0.9f;
+  opt.brick_size = 8;
+  opt.partition = mr::PartitionStrategy::Striped;
+
+  sim::Engine engine;
+  cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(3));
+  const RenderResult mapreduce = render_mapreduce(cluster, volume, opt);
+  int on_gpu = 0, on_cpu = 0;
+  for (const mr::ReducerTaskStats& r : mapreduce.stats.per_reducer) {
+    ++(r.sorted_on_gpu ? on_gpu : on_cpu);
+    EXPECT_EQ(r.sorted_on_gpu, r.pairs_in > 32768u) << r.pairs_in << " pairs";
+  }
+  ASSERT_GT(on_gpu, 0);
+  ASSERT_GT(on_cpu, 0);
+
+  const ReferenceResult reference =
+      render_reference(volume, make_frame(volume, opt), opt.background);
+  EXPECT_LT(compare_images(mapreduce.image, reference.image).max_abs, 1e-4);
+  EXPECT_EQ(mapreduce.stats.total_samples, reference.samples);
+}
 
 TEST(PipelineEquivalenceErt, BoundedDeviationWithEarlyRayTermination) {
   const Volume volume = make_volume("skull");

@@ -262,17 +262,6 @@ TEST(CastBrick, FullyOffscreenBrickLaunchesNothing) {
   EXPECT_TRUE(out.keys.empty());
 }
 
-TEST(CastBrick, SamplesScaleWithSamplingRate) {
-  KernelFixture fx;
-  const BrickCastOutput base =
-      cast_brick(test_device(), fx.volume, fx.layout.brick(0), fx.frame, fx.transfer_tex);
-  fx.frame.cast.sampling_rate = 2.0f;  // half the step size => ~2x samples
-  const BrickCastOutput dense =
-      cast_brick(test_device(), fx.volume, fx.layout.brick(0), fx.frame, fx.transfer_tex);
-  EXPECT_GT(dense.samples, base.samples * 3 / 2);
-  EXPECT_LT(dense.samples, base.samples * 5 / 2);
-}
-
 TEST(CastBrick, VramIsReleasedAfterReturn) {
   KernelFixture fx;
   const std::uint64_t before = test_device().vram_used();

@@ -91,26 +91,17 @@ TEST(Renderer, OutOfCoreChargesDiskAndSlowsFrame) {
   EXPECT_EQ(compare_images(in_core.image, out_of_core.image).max_abs, 0.0);
 }
 
-TEST(Renderer, ExplicitCameraIsUsed) {
+TEST(Renderer, OrbitCameraFollowsTheOptions) {
   const Volume volume = datasets::skull({32, 32, 32});
   RenderOptions opt = small_options();
-  opt.use_explicit_camera = true;
-  opt.explicit_camera = Camera(Vec3{3, 3, 3}, volume.world_box().center(), Vec3{0, 1, 0},
-                               0.6f, 64, 64);
+  opt.azimuth = 2.1f;
+  opt.elevation = -0.4f;
+  opt.distance = 0.9f;
+  opt.fovy = 0.6f;
   const RenderResult result = render(1, volume, opt);
-  EXPECT_EQ(result.camera.eye(), (Vec3{3, 3, 3}));
-}
-
-TEST(Renderer, ReducePlacementGpuStillCorrect) {
-  const Volume volume = datasets::supernova({32, 32, 32});
-  RenderOptions cpu_opt = small_options();
-  RenderOptions gpu_opt = small_options();
-  gpu_opt.reduce = mr::ReducePlacement::Gpu;
-  const RenderResult on_cpu = render(3, volume, cpu_opt);
-  const RenderResult on_gpu = render(3, volume, gpu_opt);
-  // Placement changes timing, never pixels.
-  EXPECT_EQ(compare_images(on_cpu.image, on_gpu.image).max_abs, 0.0);
-  EXPECT_NE(on_cpu.stats.runtime_s, on_gpu.stats.runtime_s);
+  const Camera expected = Camera::orbit(volume.world_box(), 2.1f, -0.4f, 0.9f, 0.6f, 64, 64);
+  EXPECT_EQ(result.camera.eye(), expected.eye());
+  EXPECT_EQ(make_camera(volume, opt).eye(), expected.eye());
 }
 
 TEST(Renderer, MapStageShrinksWithMoreGpus) {

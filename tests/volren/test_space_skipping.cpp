@@ -73,7 +73,7 @@ TEST(SpaceSkipping, BitIdenticalWithFewerSamplesUnderBone) {
       for (const mr::BarrierMode mode :
            {mr::BarrierMode::Global, mr::BarrierMode::PerReducer}) {
         for (const mr::PartitionStrategy partition :
-             {mr::PartitionStrategy::Striped, mr::PartitionStrategy::Tiled}) {
+             {mr::PartitionStrategy::Striped, mr::PartitionStrategy::PixelRoundRobin}) {
           RenderOptions options = base_options();
           options.cast.decimation = decimation;
           options.barrier_mode = mode;
