@@ -6,6 +6,19 @@
 //   * VPS rises steeply with volume size (the paper's headline scaling
 //     argument): a bigger volume amortizes fixed pipeline costs;
 //   * the 1024³ volume reaches the highest absolute VPS.
+//
+// Acceptance at paper scale (exit 1 on a miss), all three of:
+//   * at every GPU count, MVPS rises strictly with cube edge
+//     128 → 256 → 512 → 1024;
+//   * the highest MVPS of all points is a 1024³ point;
+//   * every series' fps peaks at 8 or 16 GPUs.
+// BENCH_fig4.json carries the gate triple; its gate_speedup is the best
+// 1024³ MVPS over the best MVPS of any other series. Under VRMR_FAST
+// (256²) the figure benches gate nothing (see bench_fig3_breakdown).
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common.hpp"
 
@@ -28,13 +41,27 @@ int main() {
 
   Table fps({"volume", "g=1", "g=2", "g=4", "g=8", "g=16", "g=32"});
   Table vps({"volume", "g=1", "g=2", "g=4", "g=8", "g=16", "g=32"});
-  for (const Series& s : series) {
+  // The gate's inputs. Series 0..3 are the skull cubes 128³..1024³, in
+  // edge order; mvps_of is NaN where a point is not rendered.
+  constexpr std::size_t kCubes = 4;
+  constexpr std::size_t k1024 = 3;
+  std::vector<std::vector<double>> mvps_of(
+      series.size(),
+      std::vector<double>(gpu_counts.size(), std::numeric_limits<double>::quiet_NaN()));
+  double best_1024 = 0.0, best_other = 0.0;
+  bool fps_peaks_mid = true;
+  std::vector<std::pair<std::string, double>> metrics;
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const Series& s = series[i];
+    double peak_fps = 0.0;
+    int peak_gpus = 0;
     std::vector<std::string> fps_row{dims_label(s.dims)};
     std::vector<std::string> vps_row{dims_label(s.dims)};
     // 1024^3 floats leave no VRAM headroom on one device (paper: the
       // 1024^3 series starts at 2 GPUs).
       const bool too_big_for_one = s.dims.volume() * 4 >= (4LL << 30);
-    for (const int gpus : gpu_counts) {
+    for (std::size_t g = 0; g < gpu_counts.size(); ++g) {
+      const int gpus = gpu_counts[g];
       if (gpus == 1 && too_big_for_one) {
         fps_row.push_back("-");
         vps_row.push_back("-");
@@ -43,9 +70,18 @@ int main() {
       const volren::RenderResult r = run_point({s.dataset, s.dims, gpus});
       fps_row.push_back(Table::num(r.fps(), 2));
       vps_row.push_back(Table::num(r.mvps(), 0));
+      mvps_of[i][g] = r.mvps();
+      if (r.fps() > peak_fps) {
+        peak_fps = r.fps();
+        peak_gpus = gpus;
+      }
+      double& best = i == k1024 ? best_1024 : best_other;
+      best = std::max(best, r.mvps());
     }
     fps.add_row(fps_row);
     vps.add_row(vps_row);
+    fps_peaks_mid = fps_peaks_mid && (peak_gpus == 8 || peak_gpus == 16);
+    metrics.emplace_back("peak_fps_gpus_" + s.dataset + std::to_string(s.dims.z), peak_gpus);
   }
 
   std::cout << "Frames per second (Fig. 4 left):\n" << fps.to_string() << "\n";
@@ -55,5 +91,27 @@ int main() {
   std::cout << "Reference point (paper footnote 1): ParaView reaches 346 MVPS on 512\n"
                "processes; the paper's 16 GPUs more than double it — compare the\n"
                "1024^3 row at g=16 above and see bench_vs_cpu_baseline.\n";
-  return 0;
+  if (fast_mode()) {
+    std::cout << "gate: none under VRMR_FAST; the ordering gate runs at paper scale\n";
+    return 0;
+  }
+
+  bool mvps_rises = true;
+  for (std::size_t g = 0; g < gpu_counts.size(); ++g) {
+    for (std::size_t i = 0; i + 1 < kCubes; ++i) {
+      const double lo = mvps_of[i][g], hi = mvps_of[i + 1][g];
+      if (!std::isnan(lo) && !std::isnan(hi)) mvps_rises = mvps_rises && lo < hi;
+    }
+  }
+  const bool pass = mvps_rises && best_1024 > best_other && fps_peaks_mid;
+  std::cout << (pass ? "acceptance: MVPS rises with cube edge at every GPU count, a 1024^3 "
+                       "point has the highest MVPS, and every series' fps peaks at 8 or 16 "
+                       "GPUs\n"
+                     : "ACCEPTANCE MISSED: MVPS does not rise with cube edge at every GPU "
+                       "count, or no 1024^3 point has the highest MVPS, or a series' fps "
+                       "peaks outside 8-16 GPUs\n");
+  metrics.emplace_back("best_mvps_1024", best_1024);
+  metrics.emplace_back("best_mvps_other", best_other);
+  write_gate_summary("fig4", best_1024 / best_other, 1.0, pass, std::move(metrics));
+  return pass ? 0 : 1;
 }

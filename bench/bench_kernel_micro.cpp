@@ -1,9 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the functional kernel pieces:
 // trilinear texture sampling, transfer-function lookup, the full
 // per-brick cast (host wall time of the functional simulation — NOT
-// simulated seconds), the casts of one served frame, the reducer sorts
-// of one paper-scale frame, and the effect of early ray termination on
-// charged sample counts.
+// simulated seconds), the casts of one served frame and of one
+// paper-scale frame, the reducer sorts of one paper-scale frame, and
+// the effect of early ray termination on charged sample counts.
 
 #include <benchmark/benchmark.h>
 
@@ -125,28 +125,80 @@ void BM_CastServedOrbitFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_CastServedOrbitFrame)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-void BM_CountingSortFrame(benchmark::State& state) {
-  // The reducer sorts of one benchmark-suite paper_frames frame:
-  // supernova 512³ stored at 64³ (decimation 8) in one brick per GPU, a
-  // 512² image and the fire transfer function. Each brick's fragments go
-  // to R = range(0) reducer inboxes by pixel round-robin, in the order
-  // the mappers emit them; an iteration sorts every inbox over the keys
-  // its reducer owns, as FramePlan's sort quantum does.
-  const int reducers = static_cast<int>(state.range(0));
+// One benchmark-suite paper_frames frame: supernova 512³ stored at 64³
+// (decimation 8) in one brick per GPU, a 512² image and the fire
+// transfer function, without empty-space skipping.
+struct PaperFrame {
+  static volren::RenderOptions options_for(int bricks) {
+    volren::RenderOptions options;
+    options.image_width = 512;
+    options.image_height = 512;
+    options.distance = 1.2f;
+    options.elevation = 0.3f;
+    options.azimuth = 0.65f;
+    options.transfer = volren::TransferFunction::fire();
+    options.cast.decimation = 8;
+    options.target_bricks = bricks;
+    return options;
+  }
+
+  explicit PaperFrame(int bricks)
+      : options(options_for(bricks)),
+        frame(volren::make_frame(volume, options)),
+        layout(volren::choose_layout(volume, options, bricks)),
+        tf(bench_device(), 256) {
+    tf.upload(frame.transfer.bake(256));
+  }
+
+  /// Casts every brick; returns the charged samples.
+  std::uint64_t cast_all() const {
+    std::uint64_t samples = 0;
+    for (const volren::BrickInfo& brick : layout.bricks()) {
+      const volren::BrickCastOutput out =
+          volren::cast_brick(bench_device(), volume, brick, frame, tf);
+      samples += out.samples;
+      benchmark::DoNotOptimize(out.keys.data());
+      benchmark::DoNotOptimize(out.fragments.data());
+    }
+    return samples;
+  }
+
   const volren::Volume volume = volren::datasets::supernova({512, 512, 512});
-  volren::RenderOptions options;
-  options.image_width = 512;
-  options.image_height = 512;
-  options.distance = 1.2f;
-  options.elevation = 0.3f;
-  options.azimuth = 0.65f;
-  options.transfer = volren::TransferFunction::fire();
-  options.cast.decimation = 8;
-  options.target_bricks = reducers;
-  const volren::FrameSetup frame = volren::make_frame(volume, options);
-  const volren::BrickLayout layout = volren::choose_layout(volume, options, reducers);
-  gpusim::Texture1D tf(bench_device(), 256);
-  tf.upload(frame.transfer.bake(256));
+  const volren::RenderOptions options;
+  const volren::FrameSetup frame;
+  const volren::BrickLayout layout;
+  gpusim::Texture1D tf;
+};
+
+void BM_CastPaperFrame(benchmark::State& state) {
+  // The map kernel of one paper_frames frame in 8 bricks (PaperFrame):
+  // wall time of the casts, which fan out over the host pool. Two
+  // untimed passes put every brick in the brick memo first, as at a
+  // point's azimuths after its first two, so the time is the cast
+  // alone. Reported, not gated.
+  const PaperFrame paper(8);
+  paper.cast_all();
+  paper.cast_all();
+  std::uint64_t samples = 0;
+  for (auto _ : state) samples = paper.cast_all();
+  state.counters["bricks"] = static_cast<double>(paper.layout.num_bricks());
+  state.counters["samples"] = static_cast<double>(samples);
+  // Wall seconds per functional sample (the loop takes every
+  // decimation-th charged step; printed as e.g. "13ns").
+  state.counters["per_functional_sample"] = benchmark::Counter(
+      static_cast<double>(samples) / paper.options.cast.decimation,
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CastPaperFrame)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_CountingSortFrame(benchmark::State& state) {
+  // The reducer sorts of one paper_frames frame (PaperFrame) in R =
+  // range(0) bricks and reducers. Each brick's fragments go to the R
+  // reducer inboxes by pixel round-robin, in the order the mappers emit
+  // them; an iteration sorts every inbox over the keys its reducer
+  // owns, as FramePlan's sort quantum does.
+  const int reducers = static_cast<int>(state.range(0));
+  const PaperFrame paper(reducers);
 
   mr::PartitionDomain domain;
   domain.num_keys = 512 * 512;
@@ -156,9 +208,9 @@ void BM_CountingSortFrame(benchmark::State& state) {
   std::vector<mr::KvBuffer> inboxes(static_cast<std::size_t>(reducers),
                                     mr::KvBuffer(sizeof(volren::RayFragment)));
   std::size_t pairs = 0;
-  for (const volren::BrickInfo& brick : layout.bricks()) {
+  for (const volren::BrickInfo& brick : paper.layout.bricks()) {
     const volren::BrickCastOutput out =
-        volren::cast_brick(bench_device(), volume, brick, frame, tf);
+        volren::cast_brick(bench_device(), paper.volume, brick, paper.frame, paper.tf);
     for (std::size_t i = 0; i < out.keys.size(); ++i) {
       if (out.keys[i] == mr::kPlaceholderKey) continue;
       inboxes[static_cast<std::size_t>(partitioner->owner(out.keys[i]))].append(

@@ -7,7 +7,6 @@
 // chain of front-to-back composites over ordered fragments yields the
 // same result as compositing the whole ray in one pass.
 
-#include <cmath>
 #include <cstdint>
 #include <ostream>
 
@@ -58,12 +57,28 @@ constexpr Vec3 blend_background(Rgba accum, Vec3 background) {
           accum.b + background.z * t};
 }
 
+/// x^n for n >= 0: square-and-multiply in double, rounded to float
+/// once; at n = 1 it returns x. Over every float x in [0, 1] it is the
+/// correctly rounded x^n at each n from 1 to 64 except 34, 37 and 60
+/// (one ulp off on 4, 4 and 2 inputs), exponents the renderer does not
+/// produce; libm's powf is not (DESIGN.md §1, "Opacity correction").
+constexpr float pow_int(float x, int n) {
+  auto bits = static_cast<unsigned>(n);  // unsigned: the loop ends for any n
+  double base = x;
+  double result = (bits & 1u) ? base : 1.0;
+  while (bits >>= 1) {
+    base *= base;
+    if (bits & 1u) result *= base;
+  }
+  return static_cast<float>(result);
+}
+
 /// Convert a straight-alpha sample (e.g. a transfer-function lookup) to
 /// premultiplied form, applying opacity correction for step size:
-/// alpha' = 1 - (1 - alpha)^(step / base_step).
-inline Rgba premultiply_corrected(Vec4 straight, float opacity_correction) {
-  const float a = 1.0f - std::pow(1.0f - clampf(straight.w, 0.0f, 1.0f),
-                                  opacity_correction);
+/// alpha' = 1 - (1 - alpha)^n, where n = step / base_step is an integer
+/// (decimation × LOD stride, RaycastSettings::opacity_correction).
+constexpr Rgba premultiply_corrected(Vec4 straight, int opacity_correction) {
+  const float a = 1.0f - pow_int(1.0f - clampf(straight.w, 0.0f, 1.0f), opacity_correction);
   return {straight.x * a, straight.y * a, straight.z * a, a};
 }
 

@@ -45,11 +45,13 @@ struct NoSkip {
 /// `sample(p)` returns the scalar at world position p; `transfer(s)`
 /// the straight-alpha RGBA for scalar s. `decimation` strides the
 /// functional loop while charging every logical step (DESIGN.md §2).
-/// `skip(p)` may return true only when every scalar sample(p) can
-/// return maps to alpha exactly 0 (see file comment).
+/// `opacity_correction` is the integer exponent each sample's alpha is
+/// corrected by (RaycastSettings::opacity_correction), raised exactly
+/// by pow_int. `skip(p)` may return true only when every scalar
+/// sample(p) can return maps to alpha exactly 0 (see file comment).
 template <typename SampleFn, typename TransferFn, typename SkipFn = NoSkip>
 inline MarchResult march_ray(const Ray& ray, float t_anchor, float t_enter, float t_exit,
-                             float dt, int decimation, float opacity_correction,
+                             float dt, int decimation, int opacity_correction,
                              float ert_threshold, SampleFn&& sample,
                              TransferFn&& transfer, SkipFn&& skip = {}) {
   MarchResult result;

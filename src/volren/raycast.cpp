@@ -130,7 +130,7 @@ BrickCastOutput cast_brick(gpusim::Device& device, const Volume& volume,
   const float dt = frame.cast.step_size(volume);
   const int decimation = frame.cast.decimation;
   const float inv_m = 1.0f / static_cast<float>(decimation);
-  const float correction = frame.cast.opacity_correction();
+  const int correction = frame.cast.opacity_correction();
   const float ert = frame.cast.ert_threshold;
   const Vec3 padded_origin_f = to_vec3(brick.padded_origin);
   const int image_width = camera.width();

@@ -13,7 +13,8 @@
 //   * fixed-increment, non-adaptive trilinear sampling;
 //   * early ray termination;
 //   * front-to-back compositing against a 1-D transfer-function
-//     texture with opacity correction;
+//     texture with opacity correction by an exact integer power
+//     (pow_int, util/color.hpp);
 //   * every thread emits exactly one key-value pair — a RayFragment or
 //     a later-discarded placeholder (§3.1.1);
 //   * optional empty-space skipping (RaycastSettings::skip_empty, off
@@ -57,8 +58,8 @@ struct RaycastSettings {
   float ert_threshold = kOpaqueAlpha;
   /// Functional step stride: the kernel *takes* every decimation-th
   /// step but *charges* every step to the simulated GPU, and the brick
-  /// texture stores a correspondingly decimated grid. 1 = exact
-  /// (always used by tests); >1 only for paper-scale bench volumes
+  /// texture stores a correspondingly decimated grid. 1 = exact (most
+  /// tests); >1 for the benches' and the suite's large volumes
   /// (DESIGN.md §2).
   int decimation = 1;
   /// LOD pyramid stride (2^level) of the volume being marched. Coarse
@@ -84,10 +85,10 @@ struct RaycastSettings {
   }
 
   /// Opacity-correction exponent relative to the transfer function's
-  /// per-voxel-step alpha definition.
-  float opacity_correction() const {
-    return static_cast<float>(decimation * lod_stride);
-  }
+  /// per-voxel-step alpha definition: a functional step spans
+  /// decimation × lod_stride base voxel steps, an integer, so the
+  /// correction is an exact integer power (pow_int, DESIGN.md §2).
+  int opacity_correction() const { return decimation * lod_stride; }
 };
 
 /// One brick of one volume, as a MapReduce chunk. Holds references —

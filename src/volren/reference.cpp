@@ -35,7 +35,7 @@ ReferenceResult render_reference(const Volume& volume, const FrameSetup& frame,
   const float dt = frame.cast.step_size(volume);
   const int decimation = frame.cast.decimation;
   const float inv_m = 1.0f / static_cast<float>(decimation);
-  const float correction = frame.cast.opacity_correction();
+  const int correction = frame.cast.opacity_correction();
   const float ert = frame.cast.ert_threshold;
 
   ReferenceResult result;

@@ -10,7 +10,7 @@ namespace vrmr::volren {
 
 Camera make_camera(const Volume& volume, const RenderOptions& options) {
   return Camera::orbit(volume.world_box(), options.azimuth, options.elevation,
-                       options.distance, options.fovy, options.image_width,
+                       options.distance, kFovy, options.image_width,
                        options.image_height);
 }
 

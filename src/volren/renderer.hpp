@@ -29,12 +29,16 @@ struct CompressionPlan;
 
 namespace vrmr::volren {
 
+/// Vertical field of view of every orbit camera the renderer builds
+/// (radians, ~40°).
+inline constexpr float kFovy = 0.7f;
+
 struct RenderOptions {
   // --- image & camera -----------------------------------------------------
   int image_width = 512;   // the paper evaluates at 512² (§5)
   int image_height = 512;
-  float fovy = 0.7f;       // ~40°
-  /// Orbit camera placement (Camera::orbit around the volume's box).
+  /// Orbit camera placement (Camera::orbit around the volume's box,
+  /// field of view kFovy).
   float azimuth = 0.65f;
   float elevation = 0.30f;
   float distance = 1.8f;   // multiples of the volume diagonal

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/color.hpp"
@@ -87,27 +89,78 @@ TEST(Premultiply, ClampsAlpha) {
 
 TEST(PremultiplyCorrected, ExponentOneMatchesPlain) {
   const Vec4 s{0.4f, 0.5f, 0.6f, 0.3f};
-  const Rgba a = premultiply_corrected(s, 1.0f);
+  const Rgba a = premultiply_corrected(s, 1);
   const Rgba b = premultiply(s);
   EXPECT_NEAR(a.a, b.a, 1e-6f);
   EXPECT_NEAR(a.r, b.r, 1e-6f);
 }
 
-// Opacity correction: two half-steps must compose to one full step.
-// alpha' for exponent 0.5 applied twice == alpha (within tolerance).
-TEST(PremultiplyCorrected, HalfStepsComposeToFullStep) {
-  for (float alpha : {0.1f, 0.3f, 0.5f, 0.8f, 0.95f}) {
-    const Vec4 s{1.0f, 1.0f, 1.0f, alpha};
-    const Rgba half = premultiply_corrected(s, 0.5f);
-    const Rgba two = composite_over(half, half);
-    EXPECT_NEAR(two.a, alpha, 1e-5f) << "alpha=" << alpha;
+// Opacity correction: n unit steps must compose to one n-step.
+// n composites of the exponent-1 sample == the exponent-n sample
+// (within tolerance).
+TEST(PremultiplyCorrected, UnitStepsComposeToLongerStep) {
+  for (int n : {2, 4, 8}) {
+    for (float alpha : {0.1f, 0.3f, 0.5f, 0.8f, 0.95f}) {
+      const Vec4 s{1.0f, 1.0f, 1.0f, alpha};
+      const Rgba unit = premultiply_corrected(s, 1);
+      Rgba steps = Rgba::transparent();
+      for (int i = 0; i < n; ++i) steps = composite_over(steps, unit);
+      EXPECT_NEAR(steps.a, premultiply_corrected(s, n).a, 1e-5f)
+          << "n=" << n << " alpha=" << alpha;
+    }
   }
 }
 
 TEST(PremultiplyCorrected, LargerExponentIncreasesOpacity) {
   const Vec4 s{1.0f, 1.0f, 1.0f, 0.3f};
-  EXPECT_GT(premultiply_corrected(s, 2.0f).a, premultiply_corrected(s, 1.0f).a);
-  EXPECT_LT(premultiply_corrected(s, 0.5f).a, premultiply_corrected(s, 1.0f).a);
+  EXPECT_GT(premultiply_corrected(s, 2).a, premultiply_corrected(s, 1).a);
+  EXPECT_GT(premultiply_corrected(s, 4).a, premultiply_corrected(s, 2).a);
+}
+
+// x^n by square-and-multiply in long double (a 64-bit mantissa on
+// x86-64), rounded to float once: the reference that pow_int must match.
+float pow_long_double(float x, int n) {
+  long double base = x;
+  long double result = 1.0L;
+  for (; n > 0; n >>= 1) {
+    if (n & 1) result *= base;
+    base *= base;
+  }
+  return static_cast<float>(result);
+}
+
+TEST(PowInt, MatchesLongDoubleOnAStrideThroughTheUnitInterval) {
+  const std::uint32_t one = std::bit_cast<std::uint32_t>(1.0f);
+  for (int n : {1, 2, 3, 4, 5, 8, 16, 21, 32, 64}) {
+    int mismatches = 0;
+    for (std::uint32_t bits = 0; bits <= one; bits += 5323) {
+      const float x = std::bit_cast<float>(bits);
+      if (pow_int(x, n) != pow_long_double(x, n) && ++mismatches <= 5) {
+        ADD_FAILURE() << "n=" << n << " x=" << std::hexfloat << x << ": " << pow_int(x, n)
+                      << " != " << pow_long_double(x, n);
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "n=" << n;
+  }
+}
+
+TEST(PowInt, EdgeValues) {
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  for (int n : {1, 2, 8, 64}) {
+    EXPECT_EQ(pow_int(0.0f, n), 0.0f) << "n=" << n;
+    EXPECT_EQ(pow_int(1.0f, n), 1.0f) << "n=" << n;
+  }
+  EXPECT_EQ(pow_int(tiny, 1), tiny);
+  EXPECT_EQ(pow_int(tiny, 2), 0.0f);
+  // At n = 1 the power is the input, bit for bit, as powf's is.
+  for (float x : {0.3f, 0.7f, 0.999f, tiny}) EXPECT_EQ(pow_int(x, 1), x);
+}
+
+// Two inputs on which glibc's powf returns the float one ulp above the
+// correctly rounded x^8 (0x1.014252p-24 and 0x1.01fae6p-24).
+TEST(PowInt, CorrectlyRoundedWhereGlibcPowfIsNot) {
+  EXPECT_EQ(pow_int(0x1.002834p-3f, 8), 0x1.01425p-24f);
+  EXPECT_EQ(pow_int(0x1.003f26p-3f, 8), 0x1.01fae4p-24f);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "util/rng.hpp"
 #include "volren/marching.hpp"
 
@@ -17,8 +20,8 @@ Vec4 scene_transfer(float s) { return {s, s * 0.5f, 0.1f, s * 0.4f}; }
 
 MarchResult march(const Ray& ray, float t0, float t1, float anchor, float dt,
                   int decimation = 1, float ert = 2.0f) {
-  return march_ray(ray, anchor, t0, t1, dt, decimation, static_cast<float>(decimation),
-                   ert, scene_sample, scene_transfer);
+  return march_ray(ray, anchor, t0, t1, dt, decimation, decimation, ert, scene_sample,
+                   scene_transfer);
 }
 
 TEST(MarchRay, EmptySegmentProducesNothing) {
@@ -102,6 +105,37 @@ TEST(MarchRay, DecimationChargesLogicalSamples) {
   EXPECT_NEAR(dec4.color.a, exact.color.a, 0.05f);
 }
 
+// One functional step at decimation d spans d base steps, so its alpha
+// is corrected by the exact integer power: 1 - (1 - w)^d, computed by
+// pow_int bit for bit. Against the long-double value of the same
+// expression it is off by at most one float ulp of the larger of the
+// power and the alpha: the power rounds once, and 1 - power rounds only
+// when the power is below 1/2.
+TEST(MarchRay, DecimatedStepCorrectsOpacityByAnExactPower) {
+  const Ray ray{{0, 0, 0}, {1, 0, 0}};
+  const float dt = 0.01f;
+  const auto ulp = [](float v) { return std::nextafter(v, 2.0f) - v; };
+  for (const int d : {2, 8}) {
+    for (const float w : {0.05f, 0.3f, 0.7f}) {
+      const auto constant = [](Vec3) { return 0.5f; };
+      const auto transfer = [w](float) { return Vec4{1.0f, 1.0f, 1.0f, w}; };
+      // [0, d·dt) holds exactly one functional step, k = 0.
+      const MarchResult r = march_ray(ray, 0.0f, 0.0f, static_cast<float>(d) * dt, dt, d, d,
+                                      2.0f, constant, transfer);
+      ASSERT_EQ(r.samples, static_cast<std::uint64_t>(d));
+      const float transmit = 1.0f - w;
+      EXPECT_EQ(r.color.a, 1.0f - pow_int(transmit, d)) << "d=" << d << " w=" << w;
+
+      long double power = 1.0L;
+      for (int i = 0; i < d; ++i) power *= transmit;
+      const long double exact = 1.0L - power;
+      EXPECT_LE(std::fabs(static_cast<long double>(r.color.a) - exact),
+                std::max(ulp(r.color.a), ulp(pow_int(transmit, d))))
+          << "d=" << d << " w=" << w;
+    }
+  }
+}
+
 TEST(MarchRay, EarlyRayTerminationStopsSampling) {
   // Opaque medium: alpha 0.4 per step => ERT at 0.95 fires within ~6 steps.
   const Ray ray{{0, 0, 0}, {1, 0, 0}};
@@ -123,9 +157,9 @@ TEST(MarchRay, SkippingElidesEmptyRunsBitIdentically) {
   const Ray ray{{0, 0, 0}, {1, 0, 0}};
   const float dt = 0.01f;
   for (const int decimation : {1, 3}) {
-    const MarchResult off = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1.0f, 2.0f,
+    const MarchResult off = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1, 2.0f,
                                       sample, transfer);
-    const MarchResult on = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1.0f, 2.0f,
+    const MarchResult on = march_ray(ray, 0.0f, 0.0f, 1.0f, dt, decimation, 1, 2.0f,
                                      sample, transfer, air);
     EXPECT_EQ(on.color.r, off.color.r) << "m=" << decimation;
     EXPECT_EQ(on.color.g, off.color.g) << "m=" << decimation;
@@ -159,9 +193,9 @@ TEST(MarchRay, SkippingKeepsTheEarlyTerminationStep) {
   const auto air = [&](Vec3 p) { return sample(p) == 0.0f; };
   const Ray ray{{0, 0, 0}, {1, 0, 0}};
   const MarchResult off =
-      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1.0f, 0.95f, sample, transfer);
+      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1, 0.95f, sample, transfer);
   const MarchResult on =
-      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1.0f, 0.95f, sample, transfer, air);
+      march_ray(ray, 0.0f, 0.0f, 1.0f, 0.01f, 1, 1, 0.95f, sample, transfer, air);
   ASSERT_TRUE(off.terminated_early);
   EXPECT_TRUE(on.terminated_early);
   EXPECT_EQ(on.color.a, off.color.a);
