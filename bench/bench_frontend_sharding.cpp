@@ -6,7 +6,8 @@
 //
 // Shards are whole independent clusters, so this measures how close the
 // frontend's placement gets to linear scaling: the acceptance bar is
-// >= 1.7x aggregate fps at 2 shards vs 1 on the same workload.
+// >= 1.7x aggregate fps at 2 shards vs 1 on the same workload (the exit
+// code gates Release CI; the triple goes to BENCH_sharding.json).
 //
 // CSV rows carry a leading "shards" column (bench::shards_row) so
 // VRMR_CSV_PATH output stays machine-parseable next to the
@@ -130,10 +131,14 @@ int main() {
   bench::maybe_print_csv("frontend_sharding_sweep", sweep);
 
   const double speedup = fps_2shard_8sessions / fps_1shard_8sessions;
+  const bool gate_met = speedup >= 1.7;
   std::cout << "mixed load, 8 sessions: " << Table::num(fps_1shard_8sessions, 2)
             << " fps on 1 shard -> " << Table::num(fps_2shard_8sessions, 2)
             << " fps on 2 shards (speedup " << Table::num(speedup, 2) << "x; "
-            << (speedup >= 1.7 ? "PASS" : "FAIL")
+            << (gate_met ? "PASS" : "FAIL")
             << " the >=1.7x acceptance bar)\n";
-  return speedup >= 1.7 ? 0 : 1;
+  bench::write_gate_summary("sharding", speedup, 1.7, gate_met,
+                            {{"fps_1shard_8sessions", fps_1shard_8sessions},
+                             {"fps_2shard_8sessions", fps_2shard_8sessions}});
+  return gate_met ? 0 : 1;
 }

@@ -77,7 +77,8 @@ ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
     // farm SLOT (max_farm_shards_, so shards added later join the same
     // interconnect): hydration INTO shard `index` advances only its
     // timeline (see the Shard::fabric comment). The fabric exists even
-    // when hydration is off — migration and failover pushes ride it.
+    // when hydration is off — migration and failover pushes ride it, so
+    // every shard of a farm that can migrate has one.
     shard.fabric = std::make_unique<net::Fabric>(
         *shard.engine, net::FabricModel{}, max_farm_shards_);
     if (config_.handoff.peer_hydration) {
@@ -234,7 +235,6 @@ bool ServiceFrontend::hydrate(int shard_index, int gpu,
       warm = cache->resident(g, sibling_key);
     if (!warm) continue;
     shard.bytes_hydrated_from_peers += stored_bytes;
-    shard.bytes_disk_avoided += stored_bytes;
     ++shard.bricks_hydrated;
     obs::TraceRecorder* trace = trace_;
     std::uint64_t arrow = 0;
@@ -447,8 +447,6 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
   const char* repin_name = crash ? "failover.repin" : "migrate.repin";
   const char* push_name = crash ? "failover.push" : "migrate.push";
   const char* category = crash ? "failover" : "migrate";
-  const bool prepush_enabled = crash ? config_.handoff.failover_prepush
-                                     : config_.handoff.migration_prepush;
   VRMR_CHECK_MSG(plan.from_shard >= 0 && plan.from_shard < num_shards(),
                  "migration plan from_shard " << plan.from_shard
                                               << " out of range");
@@ -503,12 +501,15 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     // (volume, layout) pair. ready_s floors the re-issued frames'
     // arrivals at a serialization-sum estimate of the handoff window —
     // a slight overestimate (per-message latency overlaps in truth), so
-    // by then every pushed brick has landed and the frames render warm.
+    // without fabric faults every pushed brick has landed by then and
+    // the frames render warm. The estimate ignores retransmits: a
+    // dropped push lands after the floor, and a frame that needs that
+    // brick first reads it from disk. A migration needs two shards, so
+    // `dest` has a fabric.
     double session_ready_s = crash
                                  ? dest.engine->now()
                                  : std::max(dest.engine->now(), plan.decision_s);
-    if (prepush_enabled && dest.fabric != nullptr &&
-        source.service->cache() != nullptr) {
+    if (source.service->cache() != nullptr) {
       std::set<std::pair<const volren::Volume*, std::uint64_t>> pushed;
       for (const RenderService::UnservedFrame& frame : plan.frames) {
         if (frame.session != move.source_inner) continue;
@@ -977,14 +978,12 @@ FrontendStats ServiceFrontend::stats() const {
     detail.active_from_s = shard.active_from_s;
     detail.active_to_s = shard.active_to_s;
     detail.bytes_hydrated_from_peers = shard.bytes_hydrated_from_peers;
-    detail.bytes_disk_avoided = shard.bytes_disk_avoided;
     detail.bricks_hydrated = shard.bricks_hydrated;
     detail.service = shard.service->stats();
     out.frames_total += detail.service.frames_total;
     out.makespan_s = std::max(out.makespan_s, detail.service.makespan_s);
     out.bytes_h2d_saved += detail.service.bytes_h2d_saved;
     out.bytes_hydrated_from_peers += detail.bytes_hydrated_from_peers;
-    out.bytes_disk_avoided += detail.bytes_disk_avoided;
     out.bricks_hydrated += detail.bricks_hydrated;
     hits += detail.service.cache.hits;
     misses += detail.service.cache.misses;

@@ -32,9 +32,9 @@
 // rebalancer (voluntary), and drain_shard() (elastic scale-down).
 // Every trigger re-opens the session on the target, re-installs the
 // RETAINED client callbacks, pre-pushes the source cache's warm bricks
-// over the inter-shard fabric (HandoffConfig), and re-issues the moved
-// frames in frame_id order with arrivals floored past the handoff
-// window, so the first post-move frame renders warm.
+// over the inter-shard fabric, and re-issues the moved frames in
+// frame_id order with arrivals floored past the handoff window, so the
+// first post-move frame renders warm.
 //
 // Shards simulate independent timelines: drain() drains them back to
 // back on the host, but the simulated farm runs them in parallel, so
@@ -63,30 +63,17 @@
 
 namespace vrmr::service {
 
-/// Shard-to-shard byte movement: peer hydration of cache misses and
-/// the warm-brick handoff that rides every migration trigger.
+/// Shard-to-shard byte movement beyond the warm-brick handoff that
+/// every migration trigger performs.
 struct HandoffConfig {
   /// A shard missing a brick asks its siblings' caches BEFORE reading
   /// disk, and a warm sibling ships the stored (compressed) payload
   /// over the inter-shard fabric — a cold shard warms from the farm
-  /// instead of re-reading every brick. Off by default: hydration
-  /// reroutes misses, which shifts timings and telemetry that replay
-  /// baselines compare against. Pays off for out-of-core serving
-  /// (RenderOptions::include_disk_io); for in-core frames it only
-  /// inserts a fabric hop before the H2D copy.
+  /// instead of re-reading every brick. Pays off for out-of-core
+  /// serving (RenderOptions::include_disk_io); for in-core frames it
+  /// only inserts a fabric hop before the H2D copy. DESIGN.md §8 says
+  /// why it is still an option.
   bool peer_hydration = false;
-  /// Warm handoff on CRASH failover: pre-push the dead shard's
-  /// resident bricks for the orphaned volumes to the failover target
-  /// (send_reliable, so injected drops retransmit) and floor the
-  /// re-issued frames' arrivals past the handoff window — they render
-  /// warm instead of re-reading disk. Off: failover re-issues cold
-  /// (the A/B baseline bench_fault_tolerance gates against).
-  bool failover_prepush = true;
-  /// Warm handoff on VOLUNTARY moves (migrate_session, the rebalancer,
-  /// drain_shard): same pre-push, sourced from the still-live origin
-  /// shard's cache. Off: migrated frames re-read disk on the target
-  /// (the A/B baseline bench_elastic_farm gates against).
-  bool migration_prepush = true;
 };
 
 /// Steady-state rebalancer: a periodic control pass (inside drain())
@@ -154,8 +141,8 @@ int default_placement(const PlacementQuery& query);
 /// migrate_session() / the rebalancer (voluntary — the live queue is
 /// extracted), and drain_shard() (voluntary, every session of the
 /// shard). execute_migration() re-opens each session on its target,
-/// re-installs the retained client callbacks, pre-pushes warm bricks
-/// (HandoffConfig), and re-issues `frames` in frame_id order.
+/// re-installs the retained client callbacks, pre-pushes warm bricks,
+/// and re-issues `frames` in frame_id order.
 struct MigrationPlan {
   enum class Trigger { Failover, Voluntary };
   Trigger trigger = Trigger::Voluntary;
@@ -203,12 +190,8 @@ struct ShardStats {
   double active_from_s = 0.0;
   double active_to_s = std::numeric_limits<double>::infinity();
   /// Peer hydration (HandoffConfig::peer_hydration): stored bytes this
-  /// shard received from warm siblings instead of reading disk, and the
-  /// disk bytes those hydrations avoided (equal today — both paths move
-  /// the stored payload; kept separate so a future wire format can
-  /// diverge).
+  /// shard received from warm siblings instead of reading disk.
   std::uint64_t bytes_hydrated_from_peers = 0;
-  std::uint64_t bytes_disk_avoided = 0;
   std::uint64_t bricks_hydrated = 0;
   ServiceStats service;
 };
@@ -224,7 +207,6 @@ struct FrontendStats {
   std::uint64_t bytes_h2d_saved = 0;
   /// Farm-wide peer hydration (sums of the per-shard counters).
   std::uint64_t bytes_hydrated_from_peers = 0;
-  std::uint64_t bytes_disk_avoided = 0;
   std::uint64_t bricks_hydrated = 0;
   /// Failover: crashed shards failed over, orphaned sessions re-pinned
   /// to siblings, undelivered frames re-issued there.
@@ -310,12 +292,12 @@ class ServiceFrontend final : public SessionBackend {
   /// re-opens on `target_shard` (-1 lets default_placement choose
   /// among the other accepting shards), retained client callbacks are
   /// re-installed, the source cache's warm bricks for the moved
-  /// frames' volumes are pre-pushed (HandoffConfig::migration_prepush)
-  /// and the frames re-issue in order with arrivals floored past the
-  /// handoff window. A frame of the session already in flight on the
-  /// source finishes and delivers THERE (its callbacks remain
-  /// installed); queued refinements also stay and serve on the source.
-  /// Frame ids are not stable across the move; submission order is.
+  /// frames' volumes are pre-pushed, and the frames re-issue in order
+  /// with arrivals floored past the handoff window. A frame of the
+  /// session already in flight on the source finishes and delivers
+  /// THERE (its callbacks remain installed); queued refinements also
+  /// stay and serve on the source. Frame ids are not stable across the
+  /// move; submission order is.
   void migrate_session(const Session& session, int target_shard = -1);
 
   /// Grow the farm: construct shard N (engine, cluster, service,
@@ -343,12 +325,14 @@ class ServiceFrontend final : public SessionBackend {
   void install_fault_plan(const fault::FaultPlan& plan);
   /// Fail over a crashed shard: re-pin its sessions onto surviving
   /// siblings (least outstanding cost, ties to the lowest index),
-  /// pre-push the crashed cache's warm bricks for the orphaned volumes
-  /// (HandoffConfig::failover_prepush), and re-issue the crash
-  /// snapshot (RenderService::unserved_frames) in global submission
-  /// order — all through the same execute_migration() primitive the
-  /// voluntary paths use. drain() calls this automatically when it
-  /// meets a crashed shard; idempotent.
+  /// pre-push the crashed cache's warm bricks for the orphaned volumes,
+  /// and re-issue the crash snapshot (RenderService::unserved_frames)
+  /// in global submission order — all through the same
+  /// execute_migration() primitive the voluntary paths use. A push that
+  /// an injected FabricDrop swallows retransmits after the re-issued
+  /// arrivals' floor, so the first frame to need that brick reads it
+  /// from disk (ROADMAP item 5). drain() calls this automatically when
+  /// it meets a crashed shard; idempotent.
   void failover(int crashed_shard);
   /// Pin an UNPLACED session to a shard ahead of its first submit
   /// (sets SessionProfile::pin_shard; default_placement honors it).
@@ -382,7 +366,6 @@ class ServiceFrontend final : public SessionBackend {
     std::unique_ptr<net::Fabric> fabric;
     int sessions_placed = 0;
     std::uint64_t bytes_hydrated_from_peers = 0;
-    std::uint64_t bytes_disk_avoided = 0;
     std::uint64_t bricks_hydrated = 0;
     /// Set once failover() has evacuated this crashed shard.
     bool failed_over = false;

@@ -171,7 +171,6 @@ TEST(CompressionService, PeerHydrationServesColdShardFromWarmSibling) {
   // Every one of the cold shard's misses hydrated from shard 0.
   EXPECT_GT(stats.bricks_hydrated, 0u);
   EXPECT_GT(stats.bytes_hydrated_from_peers, 0u);
-  EXPECT_EQ(stats.bytes_hydrated_from_peers, stats.bytes_disk_avoided);
   ASSERT_EQ(stats.shards.size(), 2u);
   EXPECT_EQ(stats.shards[0].bricks_hydrated, 0u);  // the warm side probes no one
   EXPECT_GT(stats.shards[1].bricks_hydrated, 0u);

@@ -20,6 +20,7 @@
 #include "util/check.hpp"
 #include "volren/datasets.hpp"
 #include "volren/image.hpp"
+#include "volren/renderer.hpp"
 
 namespace vrmr::service {
 namespace {
@@ -280,20 +281,18 @@ TEST(FaultTolerance, FrontendFailoverDeliversEveryFrameBitIdentically) {
   config.service.keep_images = true;
 
   // Fault-free reference: same pinned placement, no plan.
-  std::vector<volren::Image> clean_images;
+  std::vector<FrameRecord> clean;  // delivery order
   double clean_makespan = 0.0;
   {
     ServiceFrontend frontend(config);
     Session s = frontend.open_session("victim");
     frontend.pin_shard(s, 0);
-    s.on_frame([&clean_images](const FrameRecord& f) {
-      clean_images.push_back(f.image);
-    });
+    s.on_frame([&clean](const FrameRecord& f) { clean.push_back(f); });
     s.submit_orbit(volume, tiny_options(), kFrames, 0.0, 0.0);
     frontend.drain();
     clean_makespan = frontend.stats().makespan_s;
   }
-  ASSERT_EQ(clean_images.size(), static_cast<std::size_t>(kFrames));
+  ASSERT_EQ(clean.size(), static_cast<std::size_t>(kFrames));
 
   // Faulted run: shard 0 crashes mid-drain; the frontend re-pins the
   // session onto shard 1, pre-pushes shard 0's warm bricks, and
@@ -306,28 +305,105 @@ TEST(FaultTolerance, FrontendFailoverDeliversEveryFrameBitIdentically) {
   frontend.install_fault_plan(plan);
   Session s = frontend.open_session("victim");
   frontend.pin_shard(s, 0);
-  std::vector<volren::Image> images;
-  s.on_frame([&images](const FrameRecord& f) { images.push_back(f.image); });
+  std::vector<FrameRecord> records;  // delivery order
+  s.on_frame([&records](const FrameRecord& f) { records.push_back(f); });
   s.submit_orbit(volume, tiny_options(), kFrames, 0.0, 0.0);
   frontend.drain();
 
-  ASSERT_EQ(images.size(), static_cast<std::size_t>(kFrames));  // zero lost
-  for (int f = 0; f < kFrames; ++f) {
-    const volren::ImageDiff diff =
-        volren::compare_images(images[static_cast<std::size_t>(f)],
-                               clean_images[static_cast<std::size_t>(f)]);
-    EXPECT_EQ(diff.max_abs, 0.0) << "frame " << f << " diverged";
-  }
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kFrames));  // zero lost
+  expect_identical_images(clean, records);
   const FrontendStats stats = frontend.stats();
   EXPECT_TRUE(frontend.shard(0).crashed());
   EXPECT_EQ(stats.failovers, 1u);
   EXPECT_EQ(stats.sessions_repinned, 1u);
-  EXPECT_GT(stats.frames_reissued, 0u);
+  ASSERT_GT(stats.frames_reissued, 0u);
+  ASSERT_LT(stats.frames_reissued, static_cast<std::uint64_t>(kFrames));
   EXPECT_EQ(frontend.shard_of(s), 1);
   // Warm handoff: the crash landed after at least one frame rendered,
-  // so the crashed cache had residents to push.
+  // so the crashed cache had residents to push, and the re-issued
+  // frames (the delivery tail) render against them: each misses only
+  // what the fault-free frame at its delivery index missed (a steal's
+  // lookup on the thief's lane), never a pushed brick.
   EXPECT_GT(stats.bricks_prepushed, 0u);
   EXPECT_GT(stats.bytes_prepushed, 0u);
+  for (std::size_t f = records.size() - stats.frames_reissued;
+       f < records.size(); ++f)
+    EXPECT_EQ(records[f].cache_misses, clean[f].cache_misses)
+        << "re-issued frame " << f;
+}
+
+TEST(FaultTolerance, DroppedFailoverPushIsReadFromDiskOnce) {
+  // A known gap (ROADMAP item 5), pinned so that closing it shows: the
+  // re-issued frames' arrival floor sums each push's ideal transfer
+  // time and ignores retransmits, so a push that a FabricDrop swallows
+  // lands after the floor, and the first re-issued frame reads that
+  // brick from disk.
+  const volren::Volume volume = volren::datasets::skull({24, 24, 24});
+  const int kFrames = 4;
+  FrontendConfig config;
+  config.shards = 2;
+  config.gpus_per_shard = 2;
+  config.service.keep_images = true;
+  volren::RenderOptions options = tiny_options();
+  options.target_bricks = 4 * config.gpus_per_shard;
+  options.include_disk_io = true;  // a missed brick costs a disk read
+
+  struct Run {
+    std::vector<FrameRecord> records;  // delivery order
+    FrontendStats stats;
+  };
+  const auto run = [&](const fault::FaultPlan* plan) {
+    ServiceFrontend frontend(config);
+    if (plan != nullptr) frontend.install_fault_plan(*plan);
+    Session s = frontend.open_session("victim");
+    frontend.pin_shard(s, 0);
+    Run out;
+    s.on_frame([&out](const FrameRecord& f) { out.records.push_back(f); });
+    s.submit_orbit(volume, options, kFrames, 0.0, 0.0);
+    frontend.drain();
+    out.stats = frontend.stats();
+    return out;
+  };
+
+  const Run clean = run(nullptr);
+  ASSERT_EQ(clean.records.size(), static_cast<std::size_t>(kFrames));
+  const double crash_s = 0.5 * (clean.records[kFrames / 2 - 1].finish_s +
+                                clean.records[kFrames / 2].finish_s);
+  fault::FaultPlan crash_only(3);
+  crash_only.add({fault::FaultKind::ShardCrash, crash_s, 0, -1});
+  fault::FaultPlan crash_and_drop = crash_only;
+  crash_and_drop.add({fault::FaultKind::FabricDrop, 0.0, 1, -1});
+
+  // Every brick has the same stored size, so "one brick's bytes" is
+  // unambiguous.
+  const volren::BrickLayout layout =
+      volren::choose_layout(volume, options, config.gpus_per_shard);
+  const std::uint64_t brick_bytes = layout.bricks().front().device_bytes();
+  for (const volren::BrickInfo& brick : layout.bricks())
+    ASSERT_EQ(brick.device_bytes(), brick_bytes);
+
+  // The crash lands between the middle frames' deliveries, so the
+  // second half of the orbit re-issues.
+  const auto first_reissued = [&](const Run& faulted) -> const FrameRecord& {
+    EXPECT_EQ(faulted.stats.failovers, 1u);
+    EXPECT_EQ(faulted.stats.frames_reissued,
+              static_cast<std::uint64_t>(kFrames / 2));
+    EXPECT_GT(faulted.stats.bricks_prepushed, 0u);
+    expect_identical_images(clean.records, faulted.records);
+    return faulted.records[kFrames / 2];
+  };
+
+  const Run undropped = run(&crash_only);
+  ASSERT_EQ(undropped.records.size(), static_cast<std::size_t>(kFrames));
+  const FrameRecord& warm = first_reissued(undropped);
+  EXPECT_EQ(warm.cache_misses, 0u);
+  EXPECT_EQ(warm.stats.bytes_disk, 0u);
+
+  const Run dropped = run(&crash_and_drop);
+  ASSERT_EQ(dropped.records.size(), static_cast<std::size_t>(kFrames));
+  const FrameRecord& late = first_reissued(dropped);
+  EXPECT_EQ(late.cache_misses, 1u);
+  EXPECT_EQ(late.stats.bytes_disk, brick_bytes);
 }
 
 TEST(FaultTolerance, FailoverReplayIsDeterministic) {
