@@ -1,11 +1,12 @@
 // Elastic shard farm A/B: a deliberately skewed workload — every orbit
 // session pinned to shard 0, shard 1 idle — served once with static
-// placement and once with the steady-state rebalancer migrating
-// sessions at horizon frame boundaries. Live migration must be free of
-// the classic costs: zero frames lost, every migrated session's pixels
-// bit-identical to the unmigrated run, and the farm's aggregate fps at
-// least 1.4x the static pinning (an idle sibling is capacity the
-// control plane must be able to reach).
+// placement and once with the steady-state rebalancer, a control pass
+// on the farm's one clock every period that migrates sessions at their
+// frame boundaries. Live migration must be free of the classic costs:
+// zero frames lost, every migrated session's pixels bit-identical to
+// the unmigrated run, and the farm's aggregate fps at least 1.4x the
+// static pinning (an idle sibling is capacity the control plane must be
+// able to reach).
 //
 // Two side scenarios ride along. (1) Warm handoff: a session whose
 // bricks are resident on the source migrates mid-stream; the source
@@ -292,7 +293,7 @@ int main() {
                    std::to_string(run.stats.bricks_prepushed)});
   };
   row("static pinning (hot shard 0)", pinned);
-  row("rebalanced (horizon rounds)", balanced);
+  row("rebalanced (control passes)", balanced);
   row("autoscale 1->2->1 shards", elastic);
   std::cout << table.to_string() << "\n"
             << "aggregate fps " << Table::num(pinned.stats.fps, 1) << " -> "

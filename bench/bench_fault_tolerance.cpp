@@ -11,12 +11,12 @@
 // the orbit is already delivered, half is the crash snapshot (the first
 // frame absorbs the cold disk reads, so a makespan fraction would land
 // inside it; the retry and the stall shift every delivery, so
-// fault-free times would misplace it). drain() meets the dead shard and
-// fails it over: the session re-pins to shard 1, the crashed cache's
-// warm bricks are pre-pushed over the inter-shard fabric (the
-// FabricDrop swallows the first push, which retransmits), and the
-// snapshot re-issues there in order, arrivals floored past the handoff
-// window. The orbit is served out-of-core, so a brick that is not
+// fault-free times would misplace it). The frontend fails the dead
+// shard over at the crash instant on the farm's one clock: the session
+// re-pins to shard 1, the crashed cache's warm bricks are pre-pushed
+// over the inter-shard fabric (the FabricDrop swallows the first push,
+// which retransmits), and the snapshot re-issues there in order,
+// arrivals floored at the crash plus the handoff window. The orbit is served out-of-core, so a brick that is not
 // resident when a re-issued frame needs it costs a positioned disk read.
 //
 // The gate is a promise the faulted run checks against the fault-free

@@ -38,9 +38,10 @@ const char* to_string(FaultKind kind);
 
 struct FaultEvent {
   FaultKind kind = FaultKind::DiskReadError;
-  /// Simulated time on the target shard's engine at/after which the
-  /// fault fires (exact for scheduled faults; "next matching operation
-  /// at or after" for operation-attached faults like DiskReadError).
+  /// Simulated time at/after which the fault fires, on the engine the
+  /// target shard runs on (a ServiceFrontend's one farm clock): exact
+  /// for scheduled faults, "next matching operation at or after" for
+  /// operation-attached faults like DiskReadError.
   double time_s = 0.0;
   int shard = 0;    // owning shard (0 when driving a bare RenderService)
   int target = -1;  // gpu or node index within the shard; -1 = any

@@ -58,8 +58,11 @@ struct FramePlan::GpuState {
 
 struct FramePlan::ReducerState {
   std::unique_ptr<Reducer> reducer;
-  KvBuffer inbox;
-  SortedGroups groups;
+  /// The message parts that landed here, in arrival order, each sized
+  /// to exactly its pairs: the sort reads them as one sequence, so no
+  /// part is copied into a growing buffer.
+  std::vector<KvBuffer> inbox;
+  std::uint64_t inbox_pairs = 0;
   /// Message parts flushed toward this reducer that have not landed
   /// yet (combine + fabric transit). With final_pairs == num GPUs, a
   /// zero here means the inbox is complete — the PerReducer readiness.
@@ -243,7 +246,6 @@ void FramePlan::start() {
     auto state = std::make_unique<ReducerState>();
     state->reducer = reducer_factory_(r);
     VRMR_CHECK(state->reducer != nullptr);
-    state->inbox = KvBuffer(config_.value_size);
     reducers_.push_back(std::move(state));
   }
   tile_finish_s_.assign(static_cast<std::size_t>(num_gpus), 0.0);
@@ -755,12 +757,20 @@ void FramePlan::run_map(int g, int q) {
                        << outcome.threads << " threads");
   }
 
+  // The kernel, D2H and partition are charged on every emitted pair,
+  // but the readback keeps only the fragments in host memory while the
+  // quantum's timeline plays out.
+  const std::uint64_t emitted = out->size();
   const double duration =
       cluster_.gpu(g).props().kernel_time(outcome.samples, out->bytes());
+  const auto fragments = std::make_shared<KvBuffer>(out->without_placeholders());
+  out.reset();
   auto& pg = stats_.per_gpu[static_cast<std::size_t>(g)];
   pg.samples += outcome.samples;
   pg.threads += outcome.threads;
-  pg.pairs += out->size();
+  pg.pairs += emitted;
+  pg.placeholders += emitted - fragments->size();
+  stats_.placeholders += emitted - fragments->size();
   pg.kernel_s += duration;
   stats_.total_samples += outcome.samples;
   stats_.samples_skipped += outcome.samples_skipped;
@@ -773,31 +783,32 @@ void FramePlan::run_map(int g, int q) {
   stats_.gpu_busy_s += duration;
 
   cluster_.gpu_stream(g).acquire(
-      duration, [this, g, q, out](sim::SimTime, sim::SimTime end) {
+      duration, [this, g, q, emitted, fragments](sim::SimTime, sim::SimTime end) {
         stats_.t_map_done = std::max(stats_.t_map_done, end - t0_);
-        after_kernel(g, q, out);
+        after_kernel(g, q, emitted, fragments);
       });
 }
 
-void FramePlan::after_kernel(int g, int q, std::shared_ptr<KvBuffer> out) {
+void FramePlan::after_kernel(int g, int q, std::uint64_t emitted,
+                             std::shared_ptr<KvBuffer> out) {
   // D2H of the emitted pairs (fragments + placeholders — placeholders
   // are still resident on the device at this point, §3.1.1).
   const int node = cluster_.node_of_gpu(g);
-  const std::uint64_t bytes = out->bytes();
+  const std::uint64_t bytes = emitted * (sizeof(std::uint32_t) + config_.value_size);
   stats_.bytes_d2h += bytes;
   const double duration = cluster_.config().hw.pcie.transfer_time(bytes);
   stats_.pcie_busy_s += duration;
   stats_.gpu_busy_s += duration;
   const std::array<sim::Resource*, 2> rs = {&cluster_.pcie(node), &cluster_.gpu_stream(g)};
   sim::Resource::acquire_multi(
-      rs, duration, [this, g, node, q, out](sim::SimTime, sim::SimTime) {
+      rs, duration, [this, g, node, q, emitted, out](sim::SimTime, sim::SimTime) {
         // GPU is free again: the quantum ends here (the paper's overlap
         // of communication with further ray casting) while the CPU
         // partitions this quantum's output in parallel.
         ++partitions_in_flight_;
         ++gpus_[static_cast<std::size_t>(g)]->pending_partitions;
         const double partition_time =
-            static_cast<double>(out->size()) /
+            static_cast<double>(emitted) /
             cluster_.config().hw.cpu.partition_rate_pairs_per_s;
         stats_.cpu_busy_s += partition_time;
         cluster_.cpu(node).acquire(partition_time,
@@ -824,26 +835,29 @@ void FramePlan::lane_freed(int g) {
 void FramePlan::partition_and_send(int g, int q, std::shared_ptr<KvBuffer> out) {
   auto& gs = *gpus_[static_cast<std::size_t>(g)];
   const int num_reducers = static_cast<int>(reducers_.size());
-  auto& pg = stats_.per_gpu[static_cast<std::size_t>(g)];
   const auto& mask = quanta_[static_cast<std::size_t>(q)].mask;
 
+  // Two passes, so each outbox grows once, to exactly what it holds:
+  // count the fragments per owner, reserve, then append in order.
+  std::vector<std::uint32_t> owners(out->size());
+  std::vector<std::size_t> counts(static_cast<std::size_t>(num_reducers), 0);
   for (std::size_t i = 0; i < out->size(); ++i) {
     const std::uint32_t key = out->key(i);
-    if (key == kPlaceholderKey) {
-      ++pg.placeholders;
-      ++stats_.placeholders;
-      continue;
-    }
     VRMR_CHECK_MSG(key < config_.domain.num_keys,
                    "emitted key " << key << " outside dense domain [0, "
                                   << config_.domain.num_keys << ")");
-    ++stats_.fragments;
     const int owner = partitioner_->owner(key);
     // Footprint conservativeness: every emitted key must belong to a
     // reducer the quantum's declared footprint admits.
     VRMR_DCHECK(mask[static_cast<std::size_t>(owner)] != 0);
-    gs.outbox[static_cast<std::size_t>(owner)].append(key, out->value(i));
+    owners[i] = static_cast<std::uint32_t>(owner);
+    ++counts[static_cast<std::size_t>(owner)];
   }
+  stats_.fragments += out->size();
+  for (std::size_t r = 0; r < counts.size(); ++r)
+    if (counts[r] > 0) gs.outbox[r].reserve(gs.outbox[r].size() + counts[r]);
+  for (std::size_t i = 0; i < out->size(); ++i)
+    gs.outbox[owners[i]].append(out->key(i), out->value(i));
 
   // Buffered streaming sends (§3.1.2): flush any slot this mapper feeds
   // whose buffered parts reached the threshold.
@@ -918,19 +932,25 @@ void FramePlan::flush_outbox(int s) {
   const Slot& slot = slots_[static_cast<std::size_t>(s)];
   auto message = std::make_shared<Message>();
   std::uint64_t pairs = 0;
+  const auto box_of = [this](int m, int r) -> KvBuffer& {
+    return gpus_[static_cast<std::size_t>(m)]->outbox[static_cast<std::size_t>(r)];
+  };
   for (const int r : slot.reducers) {
+    std::size_t held = 0;
+    for (const int m : slot.mappers) held += box_of(m, r).size();
+    if (held == 0) continue;
     Part part{r, KvBuffer(config_.value_size)};
     for (const int m : slot.mappers) {
-      auto& box = gpus_[static_cast<std::size_t>(m)]->outbox[static_cast<std::size_t>(r)];
+      KvBuffer& box = box_of(m, r);
       if (box.empty()) continue;
-      if (part.pairs.empty()) {
-        part.pairs = std::move(box);
+      if (box.size() == held) {
+        part.pairs = std::move(box);  // the one contributor: no copy
       } else {
+        part.pairs.reserve(held);
         part.pairs.append_buffer(box);
       }
       box = KvBuffer(config_.value_size);
     }
-    if (part.pairs.empty()) continue;
     pairs += part.pairs.size();
     message->push_back(std::move(part));
     // Reducer r's inbox stays open for this part specifically.
@@ -1022,11 +1042,12 @@ void FramePlan::send_payload(int src_node, std::shared_ptr<Message> message,
   });
 }
 
-void FramePlan::deliver(const Message& message, std::uint64_t send_trace_id) {
+void FramePlan::deliver(Message& message, std::uint64_t send_trace_id) {
   // Split the message into its reducers' inboxes.
-  for (const Part& part : message) {
+  for (Part& part : message) {
     auto& rs = *reducers_[static_cast<std::size_t>(part.reducer)];
-    rs.inbox.append_buffer(part.pairs);
+    rs.inbox_pairs += part.pairs.size();
+    rs.inbox.push_back(std::move(part.pairs));
     --rs.sends_pending;
   }
   --sends_in_flight_;
@@ -1125,7 +1146,7 @@ void FramePlan::mark_reducer_ready(int r) {
   if (auto* tr = config_.trace.recorder) {
     tr->instant(rs.ready_s, config_.trace.pid, config_.trace.reducer_tid_base + r,
                 "reducer_ready", "barrier",
-                {{"pairs", std::to_string(rs.inbox.size())},
+                {{"pairs", std::to_string(rs.inbox_pairs)},
                  {"frame", std::to_string(config_.trace.frame_id)}});
   }
   if (reducer_ready_cb_) reducer_ready_cb_(r);
@@ -1167,30 +1188,23 @@ void FramePlan::issue_sort_quantum(int r) {
   if (auto* tr = config_.trace.recorder) {
     tr->begin(rs.sort_issue_s, config_.trace.pid,
               config_.trace.reducer_tid_base + r, "sort", "sort",
-              {{"pairs", std::to_string(rs.inbox.size())},
+              {{"pairs", std::to_string(rs.inbox_pairs)},
                {"frame", std::to_string(config_.trace.frame_id)}});
   }
 
   const auto& hw = cluster_.config().hw;
-  const std::uint64_t pairs = rs.inbox.size();
-  const std::uint64_t bytes = rs.inbox.bytes();
+  const std::uint64_t pairs = rs.inbox_pairs;
+  const std::uint64_t bytes = pairs * (sizeof(std::uint32_t) + config_.value_size);
   stats_.per_reducer[static_cast<std::size_t>(r)].pairs_in = pairs;
 
   if (pairs == 0) {
-    rs.groups = SortedGroups{};
-    rs.groups.sorted = KvBuffer(config_.value_size);
     sort_done(r);
     return;
   }
 
-  // Functional sort (the same on either side) over the keys r owns.
-  // The sort has read the inbox: release it (the charges below use its
-  // size).
-  const KeyLattice keys = partitioner_->owned_keys(r);
-  rs.groups = counting_sort(rs.inbox, keys.first, keys.end, keys.stride);
-  rs.inbox = KvBuffer(config_.value_size);
-  stats_.per_reducer[static_cast<std::size_t>(r)].groups = rs.groups.num_groups();
-
+  // The charge depends only on the pair count: the functional sort runs
+  // with the reduce (issue_reduce_quantum), so the inbox is held until
+  // then instead of a sorted copy of it.
   const bool on_gpu = pairs > kGpuSortThresholdPairs;
   stats_.per_reducer[static_cast<std::size_t>(r)].sorted_on_gpu = on_gpu;
 
@@ -1278,7 +1292,7 @@ void FramePlan::issue_reduce_quantum(int r) {
   rs.reduce_issued = true;
 
   const auto& hw = cluster_.config().hw;
-  const std::uint64_t pairs = rs.groups.sorted.size();
+  const std::uint64_t pairs = rs.inbox_pairs;
   if (auto* tr = config_.trace.recorder) {
     tr->begin(cluster_.engine().now(), config_.trace.pid,
               config_.trace.reducer_tid_base + r, "reduce", "reduce",
@@ -1286,9 +1300,17 @@ void FramePlan::issue_reduce_quantum(int r) {
                {"frame", std::to_string(config_.trace.frame_id)}});
   }
 
-  // Functional reduce.
-  rs.reducer->begin(r);
-  const auto& groups = rs.groups;
+  // Functional sort (over the keys r owns) and reduce. Both release
+  // what they read: the inbox once sorted, the sorted pairs once
+  // reduced. The reduce's charge depends only on the pair count.
+  SortedGroups groups;
+  if (pairs > 0) {
+    const KeyLattice keys = partitioner_->owned_keys(r);
+    groups = counting_sort(rs.inbox, keys.first, keys.end, keys.stride);
+    rs.inbox = {};
+  }
+  stats_.per_reducer[static_cast<std::size_t>(r)].groups = groups.num_groups();
+  rs.reducer->begin(r, groups.num_groups());
   for (std::size_t gidx = 0; gidx < groups.num_groups(); ++gidx) {
     const std::uint32_t key = groups.group_keys[gidx];
     const std::uint32_t lo = groups.group_offsets[gidx];
@@ -1296,9 +1318,6 @@ void FramePlan::issue_reduce_quantum(int r) {
     rs.reducer->reduce(key, groups.sorted.value(lo), hi - lo);
   }
   rs.reducer->end();
-  // The reduce has read the sorted pairs: release them. Its charge
-  // depends only on the pair count.
-  rs.groups = SortedGroups{};
 
   if (pairs == 0) {
     reduce_done(r);

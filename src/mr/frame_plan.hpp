@@ -402,7 +402,10 @@ class FramePlan {
   void after_disk(int gpu, int q);
   void after_h2d(int gpu, int q);
   void run_map(int gpu, int q);
-  void after_kernel(int gpu, int q, std::shared_ptr<KvBuffer> out);
+  /// `emitted` counts the kernel's pairs, placeholders included; `out`
+  /// holds only its fragments.
+  void after_kernel(int gpu, int q, std::uint64_t emitted,
+                    std::shared_ptr<KvBuffer> out);
   void lane_freed(int gpu);
   /// Move unissued quantum `q` (already taken off `from`'s queue) onto
   /// `to`'s queue with its per-(mapper, reducer) contributions,
@@ -432,7 +435,7 @@ class FramePlan {
   void send_payload(int node, std::shared_ptr<Message> message,
                     std::uint64_t send_trace_id);
   /// A message landed: split it into its reducers' inboxes.
-  void deliver(const Message& message, std::uint64_t send_trace_id);
+  void deliver(Message& message, std::uint64_t send_trace_id);
   void maybe_final_flush(int gpu);
   void maybe_finish_routing();
   /// The (gpu, reducer) pair went final: gpu partitioned the last

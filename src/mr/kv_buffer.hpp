@@ -9,8 +9,9 @@
 //     computes a useless key-value pair, the kernel emits a
 //     later-discarded place holder" — placeholders are real entries
 //     with key == kPlaceholderKey; they occupy GPU memory and PCIe
-//     bandwidth (and are charged as such) until the partition phase
-//     drops them.
+//     bandwidth, and are charged as such through the partition phase,
+//     but the host drops them as it reads the kernel's output back
+//     (without_placeholders).
 //
 // Storage is struct-of-arrays (keys | packed values), which is both the
 // GPU-friendly layout the paper describes and what lets the counting
@@ -104,6 +105,23 @@ class KvBuffer {
 
   std::span<const std::uint32_t> keys() const { return keys_; }
   std::span<const std::byte> values() const { return values_; }
+
+  /// The pairs that are not placeholders, in order, in a buffer sized
+  /// to exactly them.
+  KvBuffer without_placeholders() const {
+    const std::size_t kept = size() - placeholder_count();
+    std::vector<std::uint32_t> keys;
+    keys.reserve(kept);
+    std::vector<std::byte> values(kept * value_size_);
+    std::byte* next = values.data();
+    for (std::size_t i = 0; i < size(); ++i) {
+      if (keys_[i] == kPlaceholderKey) continue;
+      keys.push_back(keys_[i]);
+      std::memcpy(next, value(i), value_size_);
+      next += value_size_;
+    }
+    return KvBuffer(value_size_, std::move(keys), std::move(values));
+  }
 
   /// Number of placeholder entries currently held.
   std::size_t placeholder_count() const {

@@ -17,8 +17,12 @@ class Reducer {
  public:
   virtual ~Reducer() = default;
 
-  /// Called once before the first reduce() on this reducer process.
-  virtual void begin(int reducer_index) { (void)reducer_index; }
+  /// Called once before the first reduce() on this reducer process,
+  /// with the number of key groups it will reduce.
+  virtual void begin(int reducer_index, std::size_t groups) {
+    (void)reducer_index;
+    (void)groups;
+  }
 
   /// Reduce one key group: `count` homogeneous values of the job's
   /// value_size, laid out contiguously starting at `values`.

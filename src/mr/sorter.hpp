@@ -12,6 +12,7 @@
 // reordering allowed (keeps the pipeline deterministic).
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "mr/kv_buffer.hpp"
@@ -37,13 +38,20 @@ struct SortedGroups {
   std::size_t num_groups() const { return group_keys.size(); }
 };
 
-/// Stable counting sort of `input` whose keys all lie on the lattice
-/// key_lo, key_lo + stride, ... below key_hi — a reducer's
-/// Partitioner::owned_keys, so each reducer histograms only the keys it
-/// can own. Placeholder keys are not allowed here — the partition phase
-/// must have dropped them. With k = ceil((key_hi - key_lo) / stride)
-/// lattice points: θ(n + k) time, θ(n + k) space.
-SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
+/// Stable counting sort of `inputs`, read in order as one sequence of
+/// pairs, whose keys all lie on the lattice key_lo, key_lo + stride,
+/// ... below key_hi — a reducer's Partitioner::owned_keys, so each
+/// reducer histograms only the keys it can own. Placeholder keys are
+/// not allowed here — the host drops them when it reads a kernel's
+/// output back. With k = ceil((key_hi - key_lo) / stride) lattice
+/// points: θ(n + k) time, θ(n + k) space.
+SortedGroups counting_sort(std::span<const KvBuffer> inputs, std::uint32_t key_lo,
                            std::uint32_t key_hi, std::uint32_t stride = 1);
+
+/// The same over one buffer.
+inline SortedGroups counting_sort(const KvBuffer& input, std::uint32_t key_lo,
+                                  std::uint32_t key_hi, std::uint32_t stride = 1) {
+  return counting_sort(std::span<const KvBuffer>(&input, 1), key_lo, key_hi, stride);
+}
 
 }  // namespace vrmr::mr

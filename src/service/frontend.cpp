@@ -67,20 +67,17 @@ ServiceFrontend::~ServiceFrontend() = default;
 
 ServiceFrontend::Shard ServiceFrontend::make_shard(int index) {
   Shard shard;
-  shard.engine = std::make_unique<sim::Engine>();
   shard.cluster = std::make_unique<cluster::Cluster>(
-      *shard.engine,
-      cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard));
+      engine_, cluster::ClusterConfig::with_total_gpus(config_.gpus_per_shard));
   shard.service = std::make_unique<RenderService>(*shard.cluster, config_.service);
   if (max_farm_shards_ > 1) {
-    // One fabric per shard, on that shard's engine, with one "node" per
-    // farm SLOT (max_farm_shards_, so shards added later join the same
-    // interconnect): hydration INTO shard `index` advances only its
-    // timeline (see the Shard::fabric comment). The fabric exists even
-    // when hydration is off — migration and failover pushes ride it, so
-    // every shard of a farm that can migrate has one.
-    shard.fabric = std::make_unique<net::Fabric>(
-        *shard.engine, net::FabricModel{}, max_farm_shards_);
+    // One inbound fabric per shard, with one "node" per farm SLOT
+    // (max_farm_shards_, so shards added later join the same
+    // interconnect). The fabric exists even when hydration is off —
+    // migration and failover pushes ride it, so every shard of a farm
+    // that can migrate has one.
+    shard.fabric = std::make_unique<net::Fabric>(engine_, net::FabricModel{},
+                                                 max_farm_shards_);
     if (config_.handoff.peer_hydration) {
       shard.service->set_hydration_source(
           [this, index](int gpu, const volren::Volume* volume,
@@ -240,7 +237,7 @@ bool ServiceFrontend::hydrate(int shard_index, int gpu,
     std::uint64_t arrow = 0;
     if (trace != nullptr) {
       arrow = trace->next_async_id();
-      trace->async_begin(shard.engine->now(), trace_pid_base_ + s, arrow,
+      trace->async_begin(engine_.now(), trace_pid_base_ + s, arrow,
                          "hydrate", "hydration",
                          {{"brick", std::to_string(key.brick_id)},
                           {"bytes", std::to_string(stored_bytes)},
@@ -252,8 +249,8 @@ bool ServiceFrontend::hydrate(int shard_index, int gpu,
     // plan forever on a done() that never fires.
     shard.fabric->send_reliable(
         s, shard_index, stored_bytes,
-        [trace, arrow, pid = trace_pid_base_ + shard_index,
-         engine = shard.engine.get(), done = std::move(done)] {
+        [trace, arrow, pid = trace_pid_base_ + shard_index, engine = &engine_,
+         done = std::move(done)] {
           if (trace != nullptr) {
             trace->async_end(engine->now(), pid, arrow, "hydrate", "hydration");
           }
@@ -399,6 +396,12 @@ void ServiceFrontend::install_fault_plan(const fault::FaultPlan& plan) {
       continue;
     }
     shards_[static_cast<std::size_t>(event.shard)].service->inject_fault(event);
+    if (event.kind == fault::FaultKind::ShardCrash) {
+      // Fail over at the crash instant: scheduled after the crash event
+      // at the same time, so it fires right behind it.
+      engine_.schedule_at(std::max(event.time_s, engine_.now()),
+                          [this, shard = event.shard] { failover(shard); });
+    }
   }
   for (int s = 0; s < num_shards(); ++s) {
     auto& pending = fabric_faults[static_cast<std::size_t>(s)];
@@ -414,8 +417,7 @@ void ServiceFrontend::install_fault_plan(const fault::FaultPlan& plan) {
     shard.fabric->set_fault_injector(
         [state = std::make_shared<std::vector<PendingFabricFault>>(
              std::move(pending)),
-         engine = shard.engine.get()](int, int, std::uint64_t,
-                                      std::uint64_t msg_seq) {
+         engine = &engine_](int, int, std::uint64_t, std::uint64_t msg_seq) {
           net::FaultDecision decision;
           for (PendingFabricFault& fault : *state) {
             if (fault.consumed) continue;
@@ -438,11 +440,9 @@ void ServiceFrontend::install_fault_plan(const fault::FaultPlan& plan) {
 void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
   // The one repoint-plus-handoff primitive behind every control-plane
   // trigger. The two triggers differ only in provenance: a crash's
-  // frames come from the dead service's snapshot and re-issue against
-  // the target's own clock; a voluntary move extracts the live queue
-  // and floors arrivals at the decision time (the farm horizon), so
-  // moved work cannot time-travel onto an idle target's younger
-  // timeline.
+  // frames come from the dead service's snapshot, a voluntary move
+  // extracts the live queue. Both run at the decision instant on the
+  // farm clock.
   const bool crash = plan.trigger == MigrationPlan::Trigger::Failover;
   const char* repin_name = crash ? "failover.repin" : "migrate.repin";
   const char* push_name = crash ? "failover.push" : "migrate.push";
@@ -489,7 +489,7 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
       state.inner.on_tile(
           translate_tile(move.session, state.client_tile_callback));
     if (trace_ != nullptr) {
-      trace_->instant(dest.engine->now(), trace_pid_base_ + move.target,
+      trace_->instant(engine_.now(), trace_pid_base_ + move.target,
                       obs::kServiceTid, repin_name, category,
                       {{"session", std::to_string(move.session)},
                        {"from_shard", std::to_string(plan.from_shard)},
@@ -499,16 +499,14 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     // Warm handoff: push the source cache's resident bricks for this
     // session's moved volumes to the target over its fabric, once per
     // (volume, layout) pair. ready_s floors the re-issued frames'
-    // arrivals at a serialization-sum estimate of the handoff window —
-    // a slight overestimate (per-message latency overlaps in truth), so
-    // without fabric faults every pushed brick has landed by then and
-    // the frames render warm. The estimate ignores retransmits: a
-    // dropped push lands after the floor, and a frame that needs that
+    // arrivals at now plus a serialization-sum estimate of the handoff
+    // window — a slight overestimate (per-message latency overlaps in
+    // truth), so without fabric faults every pushed brick has landed by
+    // then and the frames render warm. The estimate ignores retransmits:
+    // a dropped push lands after the floor, and a frame that needs that
     // brick first reads it from disk. A migration needs two shards, so
     // `dest` has a fabric.
-    double session_ready_s = crash
-                                 ? dest.engine->now()
-                                 : std::max(dest.engine->now(), plan.decision_s);
+    double session_ready_s = engine_.now();
     if (source.service->cache() != nullptr) {
       std::set<std::pair<const volren::Volume*, std::uint64_t>> pushed;
       for (const RenderService::UnservedFrame& frame : plan.frames) {
@@ -531,7 +529,7 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
           std::uint64_t arrow = 0;
           if (trace != nullptr) {
             arrow = trace->next_async_id();
-            trace->async_begin(dest.engine->now(),
+            trace->async_begin(engine_.now(),
                                trace_pid_base_ + plan.from_shard, arrow,
                                push_name, category,
                                {{"brick", std::to_string(brick.key.brick_id)},
@@ -546,8 +544,8 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
                brick_id = brick.key.brick_id, layout_sig = frame.layout_sig,
                gpu, stored = brick.stored_bytes,
                logical = brick.logical_bytes, trace, arrow,
-               pid = trace_pid_base_ + move.target,
-               engine = dest.engine.get(), push_name, category] {
+               pid = trace_pid_base_ + move.target, engine = &engine_,
+               push_name, category] {
                 if (trace != nullptr) {
                   trace->async_end(engine->now(), pid, arrow, push_name,
                                    category);
@@ -592,7 +590,6 @@ void ServiceFrontend::failover(int crashed_shard) {
   MigrationPlan plan;
   plan.trigger = MigrationPlan::Trigger::Failover;
   plan.from_shard = crashed_shard;
-  plan.decision_s = crashed.engine->now();
   plan.frames = crashed.service->unserved_frames();
   VRMR_WARN("frontend") << "shard " << crashed_shard << " crashed with "
                         << plan.frames.size()
@@ -613,8 +610,7 @@ void ServiceFrontend::failover(int crashed_shard) {
   execute_migration(plan);
 }
 
-MigrationPlan ServiceFrontend::plan_voluntary(int session, int target_shard,
-                                              double decision_s) {
+MigrationPlan ServiceFrontend::plan_voluntary(int session, int target_shard) {
   FrontendSession& state = *sessions_[static_cast<std::size_t>(session)];
   const int source = state.shard;
   VRMR_CHECK_MSG(source >= 0, "cannot migrate an unplaced session");
@@ -644,7 +640,6 @@ MigrationPlan ServiceFrontend::plan_voluntary(int session, int target_shard,
   MigrationPlan plan;
   plan.trigger = MigrationPlan::Trigger::Voluntary;
   plan.from_shard = source;
-  plan.decision_s = decision_s;
   // Frame-boundary extraction: queued frames move; the in-flight frame
   // (if any) and queued refinements stay and deliver on the source.
   plan.frames = src.service->extract_session_frames(state.inner.index_);
@@ -671,7 +666,7 @@ void ServiceFrontend::migrate_session(const Session& session,
       !shards_[static_cast<std::size_t>(state.shard)].service->crashed(),
       "session '" << state.profile.name << "' is on crashed shard "
                   << state.shard << "; failover() relocates crash orphans");
-  MigrationPlan plan = plan_voluntary(session.index_, target_shard, farm_now());
+  MigrationPlan plan = plan_voluntary(session.index_, target_shard);
   execute_migration(plan);
   VRMR_DEBUG("frontend") << "session '" << state.profile.name
                          << "' migrated from shard " << plan.from_shard
@@ -687,15 +682,8 @@ int ServiceFrontend::add_shard() {
           << " (the fabric was wired for max(shards, autoscale.max_shards) "
              "nodes at construction; retired slots are not reused)");
   const int index = num_shards();
-  const double join_s = farm_now();
+  const double join_s = engine_.now();
   Shard shard = make_shard(index);
-  if (join_s > 0.0) {
-    // Align the new shard's timeline with the farm: its engine joins at
-    // the current farm time, not at 0, so frames placed here cannot
-    // render in the farm's past.
-    shard.engine->schedule_at(join_s, [] {});
-    shard.engine->run();
-  }
   shard.active_from_s = join_s;
   shards_.push_back(std::move(shard));
   Shard& added = shards_.back();
@@ -706,6 +694,7 @@ int ServiceFrontend::add_shard() {
                     {{"shard", std::to_string(index)},
                      {"farm_shards", std::to_string(num_shards())}});
   }
+  if (serving_) added.service->start_serving();
   ++shards_added_;
   VRMR_INFO("frontend") << "scale up: shard " << index << " joined at t="
                         << join_s;
@@ -721,6 +710,9 @@ void ServiceFrontend::drain_shard(int index) {
                  "drain_shard(" << index
                                 << ") on a crashed shard; failover() handles "
                                    "crashes");
+  VRMR_CHECK_MSG(!serving_ || shard.service->idle(),
+                 "drain_shard(" << index
+                                << ") while the farm serves needs an idle shard");
   bool any_other = false;
   for (int s = 0; s < num_shards() && !any_other; ++s) {
     const Shard& sibling = shards_[static_cast<std::size_t>(s)];
@@ -730,26 +722,28 @@ void ServiceFrontend::drain_shard(int index) {
   VRMR_CHECK_MSG(any_other, "drain_shard(" << index
                                            << "): no other accepting shard to "
                                               "migrate its sessions onto");
-  const double decision_s = farm_now();
   shard.accepting = false;  // placement and migration stop targeting it
   int migrated = 0;
   for (int session = 0; session < num_sessions(); ++session) {
     if (sessions_[static_cast<std::size_t>(session)]->shard != index) continue;
     // One plan per session: each consults placement against
     // post-previous-move signals, so a big drain spreads over the farm.
-    execute_migration(plan_voluntary(session, -1, decision_s));
+    execute_migration(plan_voluntary(session, -1));
     ++migrated;
   }
   // Serve what stayed behind (queued refinements of already-delivered
   // previews and their cascades): the shard retires with zero orphaned
-  // frames.
-  shard.service->drain();
+  // frames. A shard drained while the farm serves is idle already.
+  if (serving_)
+    shard.service->stop_serving();
+  else if (shard.service->queued_frames() > 0)
+    shard.service->drain();
   shard.retired = true;
-  shard.active_to_s = std::max(decision_s, shard.engine->now());
+  shard.active_to_s = engine_.now();
   ++shards_drained_;
   if (trace_ != nullptr) {
-    trace_->instant(shard.engine->now(), trace_pid_base_ + index,
-                    obs::kServiceTid, "scale.down", "scale",
+    trace_->instant(engine_.now(), trace_pid_base_ + index, obs::kServiceTid,
+                    "scale.down", "scale",
                     {{"shard", std::to_string(index)},
                      {"sessions_migrated", std::to_string(migrated)}});
   }
@@ -758,10 +752,9 @@ void ServiceFrontend::drain_shard(int index) {
                         << " session(s) migrated off)";
 }
 
-int ServiceFrontend::rebalance_pass(double now_s) {
+void ServiceFrontend::rebalance_pass() {
   const RebalanceConfig& rb = config_.rebalance;
-  if (!rb.enabled) return 0;
-  int moved = 0;
+  if (!rb.enabled) return;
   for (int pass = 0; pass < std::max(1, rb.max_moves_per_pass); ++pass) {
     // Hottest / coldest accepting shard by outstanding predicted cost.
     int hot = -1, cold = -1;
@@ -788,7 +781,9 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     if (hot_cost <= rb.skew_ratio * std::max(cold_cost, 1e-12)) break;
     // Candidate: the hot shard's session whose move best balances the
     // pair — minimize |gap - 2*cost| — skipping ones whose move would
-    // only swap the skew (cost >= gap). Ties to the lowest session
+    // only swap the skew (cost >= gap). A session with a frame in
+    // flight stays: its queued frames must not overtake that frame, so
+    // moves happen at its frame boundaries. Ties to the lowest session
     // index (determinism).
     const Shard& hot_shard = shards_[static_cast<std::size_t>(hot)];
     int best_session = -1;
@@ -797,6 +792,7 @@ int ServiceFrontend::rebalance_pass(double now_s) {
       const FrontendSession& state =
           *sessions_[static_cast<std::size_t>(session)];
       if (state.shard != hot) continue;
+      if (hot_shard.service->in_flight(state.inner.index_)) continue;
       const double cost =
           hot_shard.service->outstanding_cost_for_session(state.inner.index_);
       if (cost <= 0.0 || cost >= gap) continue;
@@ -809,11 +805,9 @@ int ServiceFrontend::rebalance_pass(double now_s) {
     if (best_session < 0) break;
     // Target through placement (warm affinity may beat the literal
     // coldest shard) — the hot source is excluded in the query.
-    execute_migration(plan_voluntary(best_session, -1, now_s));
+    execute_migration(plan_voluntary(best_session, -1));
     ++rebalance_migrations_;
-    ++moved;
   }
-  return moved;
 }
 
 void ServiceFrontend::autoscale_pass() {
@@ -834,122 +828,53 @@ void ServiceFrontend::autoscale_pass() {
     return;
   }
   if (per_shard <= 0.0 && active > 1) {
-    // Retire the least-loaded accepting shard; ties to the HIGHEST
-    // index (newest-first elasticity — added shards leave first).
-    int victim = -1;
-    double victim_cost = kInf;
-    for (int s = 0; s < num_shards(); ++s) {
+    // Retire an idle accepting shard, the highest index first
+    // (newest-first elasticity — added shards leave first).
+    for (int s = num_shards() - 1; s >= 0; --s) {
       const Shard& shard = shards_[static_cast<std::size_t>(s)];
       if (shard.retired || !shard.accepting || shard.service->crashed())
         continue;
-      const double cost = shard.service->outstanding_cost_s();
-      if (cost <= victim_cost) {
-        victim = s;
-        victim_cost = cost;
-      }
+      if (!shard.service->idle()) continue;
+      drain_shard(s);
+      return;
     }
-    if (victim >= 0) drain_shard(victim);
   }
 }
 
-double ServiceFrontend::farm_now() const {
-  double now = 0.0;
-  for (const Shard& shard : shards_)
-    now = std::max(now, shard.engine->now());
-  return now;
-}
-
-int ServiceFrontend::accepting_shards() const {
-  int count = 0;
+bool ServiceFrontend::farm_busy() const {
   for (const Shard& shard : shards_) {
-    if (!shard.retired && shard.accepting && !shard.service->crashed())
-      ++count;
+    if (shard.retired || shard.service->crashed()) continue;
+    if (!shard.service->idle()) return true;
   }
-  return count;
+  return false;
+}
+
+void ServiceFrontend::arm_control_tick() {
+  if (!config_.rebalance.enabled && !config_.autoscale.enabled) return;
+  if (control_armed_) return;
+  control_armed_ = true;
+  engine_.schedule_after(config_.rebalance.period_s, [this] {
+    control_armed_ = false;
+    autoscale_pass();  // capacity first; the rebalancer fills it
+    rebalance_pass();
+    if (farm_busy()) arm_control_tick();
+  });
 }
 
 void ServiceFrontend::drain() {
-  if (!config_.rebalance.enabled && !config_.autoscale.enabled) {
-    // Full sweeps: a callback running on one shard may submit frames
-    // that place onto an already-drained shard (brick affinity), so
-    // loop until every live shard's queue is empty. A shard that
-    // crashed mid-drain fails over on the next sweep: its sessions
-    // re-pin and its unserved frames re-issue onto survivors, which the
-    // loop then drains.
-    bool again = true;
-    while (again) {
-      again = false;
-      for (int s = 0; s < num_shards(); ++s) {
-        Shard& shard = shards_[static_cast<std::size_t>(s)];
-        if (shard.retired) continue;
-        if (shard.service->crashed()) {
-          if (!shard.failed_over) {
-            failover(s);
-            again = true;
-          }
-          continue;
-        }
-        if (shard.service->queued_frames() == 0) continue;
-        shard.service->drain();
-        again = true;
-      }
-    }
-    return;
-  }
-  const double period = config_.rebalance.period_s;
-
-  // Horizon rounds: advance every live shard to a shared farm-time
-  // horizon (RenderService::drain_until stops admitting at the horizon
-  // and lets the event cascade die at a frame boundary; in-flight
-  // frames complete past it), then run the control passes at that
-  // boundary, then move the horizon forward. The next horizon is
-  // floored at the farm clock (completions may legitimately end past
-  // the horizon) and jumped over arrival gaps (an idle farm does not
-  // spin rounds waiting for a far-future submit).
-  double horizon = farm_now() + period;
-  while (true) {
-    bool served = true;
-    while (served) {
-      served = false;
-      for (int s = 0; s < num_shards(); ++s) {
-        Shard& shard = shards_[static_cast<std::size_t>(s)];
-        if (shard.retired) continue;
-        if (shard.service->crashed()) {
-          if (!shard.failed_over) {
-            failover(s);
-            served = true;
-          }
-          continue;
-        }
-        const int before = shard.service->queued_frames();
-        if (before == 0) continue;
-        const double clock_before = shard.engine->now();
-        shard.service->drain_until(horizon);
-        if (shard.service->queued_frames() < before ||
-            shard.engine->now() > clock_before)
-          served = true;
-      }
-    }
-    autoscale_pass();  // capacity first; the rebalancer fills it
-    const int moves = rebalance_pass(horizon);
-    int queued = 0;
-    double min_arrival = kInf;
-    for (const Shard& shard : shards_) {
-      if (shard.retired || shard.service->crashed()) continue;
-      const int q = shard.service->queued_frames();
-      queued += q;
-      if (q > 0)
-        min_arrival = std::min(min_arrival, shard.service->next_arrival_s());
-    }
-    if (queued == 0 && moves == 0) break;
-    double next = std::max(horizon + period, farm_now());
-    // Arrival-gap jump. Strictly above min_arrival: the admission gate
-    // blocks arrivals AT the horizon, so a horizon equal to the next
-    // arrival would spin.
-    if (min_arrival < kInf && min_arrival >= next)
-      next = min_arrival + period;
-    horizon = next;
-  }
+  // Reentrant drain (a callback forcing completion) is a no-op: the
+  // outer drain already serves everything queued.
+  if (serving_) return;
+  serving_ = true;
+  for (Shard& shard : shards_)
+    if (!shard.retired) shard.service->start_serving();
+  if (farm_busy()) arm_control_tick();
+  // One clock: every shard's quanta, every fabric transfer, every
+  // fault, failover and control pass is an event on the one engine.
+  engine_.run();
+  serving_ = false;
+  for (Shard& shard : shards_)
+    if (!shard.retired) shard.service->stop_serving();
 }
 
 void ServiceFrontend::invalidate_volume(const volren::Volume* volume) {
@@ -969,6 +894,8 @@ FrontendStats ServiceFrontend::stats() const {
   FrontendStats out;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  double first_arrival = kInf;
+  double last_finish = 0.0;
   for (int s = 0; s < num_shards(); ++s) {
     const Shard& shard = shards_[static_cast<std::size_t>(s)];
     ShardStats detail;
@@ -981,7 +908,10 @@ FrontendStats ServiceFrontend::stats() const {
     detail.bricks_hydrated = shard.bricks_hydrated;
     detail.service = shard.service->stats();
     out.frames_total += detail.service.frames_total;
-    out.makespan_s = std::max(out.makespan_s, detail.service.makespan_s);
+    for (const FrameRecord& frame : detail.service.frames) {
+      first_arrival = std::min(first_arrival, frame.arrival_s);
+      last_finish = std::max(last_finish, frame.finish_s);
+    }
     out.bytes_h2d_saved += detail.service.bytes_h2d_saved;
     out.bytes_hydrated_from_peers += detail.bytes_hydrated_from_peers;
     out.bricks_hydrated += detail.bricks_hydrated;
@@ -999,15 +929,15 @@ FrontendStats ServiceFrontend::stats() const {
   out.rebalance_migrations = rebalance_migrations_;
   out.shards_added = shards_added_;
   out.shards_drained = shards_drained_;
+  if (out.frames_total > 0) out.makespan_s = last_finish - first_arrival;
   out.fps = out.makespan_s > 0.0 ? out.frames_total / out.makespan_s : 0.0;
   out.cache_hit_rate =
       hits + misses > 0
           ? static_cast<double>(hits) / static_cast<double>(hits + misses)
           : 0.0;
 
-  // Time-aligned farm windows: shards share bin boundaries (same
-  // stats_window_s on parallel simulated timelines), so merging keys on
-  // the bin index — llround is exact for start_s values the shards
+  // Farm windows: shards share bin boundaries (same stats_window_s on
+  // the one farm clock), so merging keys on the bin index — llround is exact for start_s values the shards
   // themselves computed as bin * width. Counters sum (each farm bin
   // partitions exactly into the shard bins it merged); utilization is
   // re-derived over the farm's TIME-VARYING capacity: each bin

@@ -1,12 +1,12 @@
 #pragma once
 
-// ServiceFrontend: a sharded serving tier over N independent clusters.
+// ServiceFrontend: a sharded serving tier over N clusters on one clock.
 //
 // The paper dedicates one cluster to one frame; RenderService
 // multiplexes sessions onto one cluster; this frontend owns N
-// (engine, cluster, RenderService) shards and places each session onto
-// one of them, behind the same Session-handle API — clients cannot tell
-// a sharded deployment from a single backend.
+// (cluster, RenderService) shards on ONE sim::Engine and places each
+// session onto one of them, behind the same Session-handle API —
+// clients cannot tell a sharded deployment from a single backend.
 //
 // Placement happens lazily on the session's FIRST submit (only then is
 // the volume known), through default_placement:
@@ -36,15 +36,15 @@
 // frame_id order with arrivals floored past the handoff window, so the
 // first post-move frame renders warm.
 //
-// Shards simulate independent timelines: drain() drains them back to
-// back on the host, but the simulated farm runs them in parallel, so
-// aggregate makespan is the max over shards and aggregate fps is
-// frames / that max. When the rebalancer or autoscaler is enabled,
-// drain() proceeds in HORIZON ROUNDS — every shard drains to a shared
-// farm-time horizon (RenderService::drain_until), then the control
-// passes run at that frame boundary. Placement, migration and
-// per-shard scheduling are all deterministic, so identical workloads
-// replay byte-identical schedules.
+// One farm clock: every shard's cluster and inbound fabric run on the
+// frontend's one engine, so a hydration probe reads a sibling's cache
+// as of the requester's own time, a crash fails over at its own
+// instant, and the farm's makespan is one window on one clock. drain()
+// starts every shard serving and runs the engine dry; the control
+// passes (rebalance, autoscale) are engine events every
+// RebalanceConfig::period_s while the farm has work. Placement,
+// migration and per-shard scheduling are all deterministic, so
+// identical workloads replay byte-identical schedules.
 
 #include <cstdint>
 #include <functional>
@@ -85,10 +85,11 @@ struct HandoffConfig {
 /// cadence of the autoscale pass.
 struct RebalanceConfig {
   bool enabled = false;
-  /// Farm-time cadence of the control passes: drain() advances every
-  /// shard to a shared horizon (RenderService::drain_until), runs the
-  /// passes at that frame boundary, and repeats. Must be > 0 when the
-  /// rebalancer or the autoscaler is enabled.
+  /// Cadence of the control passes on the farm clock: while the farm
+  /// has queued or in-flight work, an engine event every period_s runs
+  /// the autoscale pass, then the rebalancer. A session with a frame in
+  /// flight does not move, so moves land at its frame boundaries. Must
+  /// be > 0 when the rebalancer or the autoscaler is enabled.
   double period_s = 0.0;
   /// Trigger: hottest outstanding cost > skew_ratio x coldest, so a
   /// uniformly loaded or uniformly idle farm never churns.
@@ -102,8 +103,8 @@ struct RebalanceConfig {
 /// The pass scales up when the mean outstanding cost per accepting
 /// shard exceeds half a period (each shard holds more than half a
 /// control period of queued work), and scales down — draining the
-/// least-loaded shard — when that cost is 0. Scale-down never drains
-/// the last accepting shard.
+/// highest-index idle shard (nothing queued, nothing in flight) — when
+/// that cost is 0. Scale-down never drains the last accepting shard.
 struct AutoscaleConfig {
   bool enabled = false;
   /// Farm capacity: the fabric is wired for max(shards, max_shards)
@@ -137,12 +138,13 @@ struct PlacementQuery {
 int default_placement(const PlacementQuery& query);
 
 /// One computed relocation, shared by every control-plane trigger:
-/// failover() (crash — frames come from the crash snapshot),
+/// failover (crash — frames come from the crash snapshot),
 /// migrate_session() / the rebalancer (voluntary — the live queue is
 /// extracted), and drain_shard() (voluntary, every session of the
 /// shard). execute_migration() re-opens each session on its target,
 /// re-installs the retained client callbacks, pre-pushes warm bricks,
-/// and re-issues `frames` in frame_id order.
+/// and re-issues `frames` in frame_id order, arrivals floored at the
+/// decision instant plus the pushes' ideal transfer times.
 struct MigrationPlan {
   enum class Trigger { Failover, Voluntary };
   Trigger trigger = Trigger::Voluntary;
@@ -157,10 +159,6 @@ struct MigrationPlan {
   /// Frames to re-issue, frame_id ascending (global submission order);
   /// UnservedFrame::session is the SOURCE-local inner index.
   std::vector<RenderService::UnservedFrame> frames;
-  /// Farm time of the decision: re-issued arrivals are floored at
-  /// max(decision_s, target clock) plus the handoff window, so moved
-  /// work cannot time-travel onto an idle target's younger timeline.
-  double decision_s = 0.0;
 };
 
 struct FrontendConfig {
@@ -182,9 +180,9 @@ struct FrontendConfig {
 struct ShardStats {
   int shard = 0;
   int sessions = 0;  // sessions placed on this shard (lifetime)
-  /// Elastic lifecycle: the farm-time interval this shard has been
+  /// Elastic lifecycle: the farm-clock interval this shard has been
   /// serving capacity. Initial shards activate at 0; added shards at
-  /// their add_shard() farm time; a drained shard's active_to_s is its
+  /// their add_shard() time; a drained shard's active_to_s is its
   /// retirement time (+inf while active).
   bool retired = false;
   double active_from_s = 0.0;
@@ -199,8 +197,8 @@ struct ShardStats {
 /// Cross-shard aggregate; per-shard detail in `shards`.
 struct FrontendStats {
   int frames_total = 0;
-  /// Shards run in parallel in the simulated farm: the farm's makespan
-  /// is the slowest shard's serving window.
+  /// The farm's serving window on the one clock: first arrival served
+  /// to last completion, across every shard.
   double makespan_s = 0.0;
   double fps = 0.0;  // frames_total / makespan
   double cache_hit_rate = 0.0;  // hits / (hits+misses) across shards
@@ -226,11 +224,11 @@ struct FrontendStats {
   /// Elastic shard count: shards added / drained since construction.
   std::uint64_t shards_added = 0;
   std::uint64_t shards_drained = 0;
-  /// Time-aligned farm windows: every shard's ServiceStats::windows
-  /// merged by bin (shards share bin boundaries — same stats_window_s,
-  /// parallel simulated timelines), counters summed, utilization over
-  /// the farm's TIME-VARYING capacity: each bin's capacity integrates
-  /// the shards actually active during it (ShardStats::active_from_s /
+  /// Farm windows: every shard's ServiceStats::windows merged by bin
+  /// (shards share bin boundaries — same stats_window_s, one clock),
+  /// counters summed, utilization over the farm's TIME-VARYING
+  /// capacity: each bin's capacity integrates the shards actually
+  /// active during it (ShardStats::active_from_s /
   /// active_to_s x gpus_per_shard), so a farm that scaled mid-run
   /// reports utilization against what it actually had, not against a
   /// constant shard count. A bin's counters partition exactly into the
@@ -256,10 +254,9 @@ class ServiceFrontend final : public SessionBackend {
     return open_session(std::move(profile));
   }
 
-  /// Drain every shard's queue (each on its own simulated timeline).
-  /// With the rebalancer or autoscaler enabled, drains in horizon
-  /// rounds and runs the control passes between them (see the header
-  /// comment).
+  /// Serve every shard's queue: start every live shard serving, run
+  /// the farm's one engine dry (control passes, crashes and failovers
+  /// included), stop serving. Reusable, like RenderService::drain().
   void drain();
 
   /// Attach one flight recorder to every shard: shard i records as
@@ -300,9 +297,9 @@ class ServiceFrontend final : public SessionBackend {
   /// move; submission order is.
   void migrate_session(const Session& session, int target_shard = -1);
 
-  /// Grow the farm: construct shard N (engine, cluster, service,
-  /// fabric node N), aligned to the current farm time, and open it for
-  /// placement. Requires growth capacity (AutoscaleConfig::max_shards
+  /// Grow the farm: construct shard N (cluster, service, fabric node
+  /// N) on the farm's engine and open it for placement; while the farm
+  /// serves, the new shard starts serving at once. Requires growth capacity (AutoscaleConfig::max_shards
   /// — the fabric was wired for that many nodes at construction).
   /// Returns the new shard's index. Emits a `scale.up` trace instant.
   int add_shard();
@@ -312,7 +309,9 @@ class ServiceFrontend final : public SessionBackend {
   /// remaining internal work, then retire the shard — it serves
   /// nothing afterwards and its windows capacity contribution ends at
   /// the retirement time. Its serving history stays in stats(). Emits
-  /// a `scale.down` trace instant. Requires another accepting shard.
+  /// a `scale.down` trace instant. Requires another accepting shard,
+  /// and, while the farm serves, an idle shard (nothing queued or in
+  /// flight).
   void drain_shard(int index);
 
   // --- fault injection & failover ----------------------------------------
@@ -321,19 +320,9 @@ class ServiceFrontend final : public SessionBackend {
   /// FabricDrop/FabricDelay, which install one deterministic injector
   /// on the target shard's inter-shard fabric — the drop/delay applies
   /// to that shard's inbound hydration and handoff-push messages,
-  /// seeded from the plan so replays are bit-identical.
+  /// seeded from the plan so replays are bit-identical. A ShardCrash
+  /// fails its shard over at the crash instant (failover()).
   void install_fault_plan(const fault::FaultPlan& plan);
-  /// Fail over a crashed shard: re-pin its sessions onto surviving
-  /// siblings (least outstanding cost, ties to the lowest index),
-  /// pre-push the crashed cache's warm bricks for the orphaned volumes,
-  /// and re-issue the crash snapshot (RenderService::unserved_frames)
-  /// in global submission order — all through the same
-  /// execute_migration() primitive the voluntary paths use. A push that
-  /// an injected FabricDrop swallows retransmits after the re-issued
-  /// arrivals' floor, so the first frame to need that brick reads it
-  /// from disk (ROADMAP item 5). drain() calls this automatically when
-  /// it meets a crashed shard; idempotent.
-  void failover(int crashed_shard);
   /// Pin an UNPLACED session to a shard ahead of its first submit
   /// (sets SessionProfile::pin_shard; default_placement honors it).
   /// Range-validated; idempotent — re-pinning to the same shard (or
@@ -355,14 +344,11 @@ class ServiceFrontend final : public SessionBackend {
 
  private:
   struct Shard {
-    std::unique_ptr<sim::Engine> engine;
     std::unique_ptr<cluster::Cluster> cluster;
     std::unique_ptr<RenderService> service;
-    /// Hydration transfers INTO this shard run on its own engine (a
-    /// sibling's residency probe is pure bookkeeping; only the
-    /// requesting shard's timeline advances — the bulk-synchronous
-    /// approximation the frontend's parallel-timelines model already
-    /// makes for placement).
+    /// Transfers INTO this shard: hydration payloads and handoff pushes
+    /// (a sibling's residency probe is pure bookkeeping, read at the
+    /// requester's time on the one clock).
     std::unique_ptr<net::Fabric> fabric;
     int sessions_placed = 0;
     std::uint64_t bytes_hydrated_from_peers = 0;
@@ -407,17 +393,28 @@ class ServiceFrontend final : public SessionBackend {
   int least_loaded_target(int exclude_shard) const;
   /// Compute a voluntary plan for one session: extract its live queue
   /// from the source shard and pick the target (placement when < 0).
-  MigrationPlan plan_voluntary(int session, int target_shard,
-                               double decision_s);
+  MigrationPlan plan_voluntary(int session, int target_shard);
   /// The shared repoint-plus-handoff core (see MigrationPlan).
   void execute_migration(const MigrationPlan& plan);
-  /// Steady-state control passes, run at horizon frame boundaries.
-  /// rebalance_pass returns the number of sessions it moved.
-  int rebalance_pass(double now_s);
+  /// Fail over a crashed shard at its crash instant: re-pin its
+  /// sessions onto surviving siblings (least outstanding cost, ties to
+  /// the lowest index), pre-push the crashed cache's warm bricks for
+  /// the orphaned volumes, and re-issue the crash snapshot
+  /// (RenderService::unserved_frames) in global submission order —
+  /// all through execute_migration(). A push that an injected
+  /// FabricDrop swallows retransmits after the re-issued arrivals'
+  /// floor, so the first frame to need that brick reads it from disk
+  /// (ROADMAP item 5). Idempotent.
+  void failover(int crashed_shard);
+  /// Steady-state control passes, run by the control tick.
+  void rebalance_pass();
   void autoscale_pass();
-  /// Max simulated time over live shards — the farm clock.
-  double farm_now() const;
-  int accepting_shards() const;
+  /// Some live shard has a frame queued or in flight.
+  bool farm_busy() const;
+  /// Arm the next control tick (autoscale then rebalance) period_s
+  /// from now, unless one is armed or neither pass is enabled. A tick
+  /// re-arms while the farm is busy.
+  void arm_control_tick();
   /// The HydrationSource installed on every shard: probe siblings for a
   /// warm copy of (volume -> their id, key.brick_id, key.layout_id) and
   /// ship it over the requesting shard's fabric. Returns false (disk
@@ -434,7 +431,11 @@ class ServiceFrontend final : public SessionBackend {
   /// Farm capacity: max(config.shards, autoscale.max_shards) — the
   /// node count every fabric was wired with.
   int max_farm_shards_ = 0;
+  /// The farm clock. Declared before shards_, so it outlives them.
+  sim::Engine engine_;
   std::vector<Shard> shards_;
+  bool serving_ = false;        // inside drain()
+  bool control_armed_ = false;  // a control tick is scheduled
   std::vector<std::unique_ptr<FrontendSession>> sessions_;
   /// Kept for hydrate()'s shard-to-shard arrows (set_trace already
   /// forwards the recorder to every shard for their own spans).

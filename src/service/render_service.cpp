@@ -292,15 +292,6 @@ bool RenderService::volume_warm(const volren::Volume* volume) const {
   return cache_->resident_bytes_for_volume(it->second.id) > 0;
 }
 
-double RenderService::earliest_head_arrival() const {
-  double earliest = kInf;
-  for (const auto& session : sessions_) {
-    if (session->queue.empty()) continue;
-    earliest = std::min(earliest, session->queue.front().effective_arrival_s());
-  }
-  return earliest;
-}
-
 int RenderService::pick_next(double now, double* predicted_cost_s,
                              bool interactive_only) const {
   // Priority admission: when any Interactive head has arrived, Batch
@@ -1013,10 +1004,6 @@ void RenderService::admit(int session_index, double predicted_cost_s) {
 }
 
 void RenderService::try_admit() {
-  // Horizon gate (drain_until): at/after the horizon nothing new is
-  // admitted — in-flight frames finish, then the drain stops at that
-  // frame boundary with the rest of the queue intact.
-  if (cluster_.engine().now() >= admission_horizon_s_) return;
   while (true) {
     bool interactive_active = false;
     bool batch_active = false;
@@ -1182,10 +1169,6 @@ void RenderService::reap() {
 }
 
 void RenderService::schedule_wake(double t) {
-  // Arrivals at/after the admission horizon are a later round's
-  // problem (drain_until): arming their wake would drag the clock past
-  // the horizon chasing work this round will not admit.
-  if (t >= admission_horizon_s_) return;
   const double now = cluster_.engine().now();
   if (next_wake_s_ > now && next_wake_s_ <= t) return;  // already armed
   next_wake_s_ = t;
@@ -1193,34 +1176,6 @@ void RenderService::schedule_wake(double t) {
     if (next_wake_s_ == t) next_wake_s_ = 0.0;
     if (draining_) pump();
   });
-}
-
-void RenderService::drain_quantum() {
-  auto& engine = cluster_.engine();
-  while (!crashed_) {
-    pump();
-    if (engine.empty()) {
-      reap();
-      if (queued_frames() == 0) break;
-      // pump() arms a wake for future arrivals, so an empty engine with
-      // queued work means every head is in the future and nothing is in
-      // flight — jump the clock to the next arrival.
-      const double earliest = earliest_head_arrival();
-      // Horizon stop (drain_until): nothing is in flight (the engine is
-      // empty) and every remaining head is gated or beyond the horizon
-      // — a frame boundary; the queue carries over to the next round.
-      if (engine.now() >= admission_horizon_s_ ||
-          earliest >= admission_horizon_s_)
-        break;
-      VRMR_CHECK_MSG(earliest > engine.now(),
-                     "quantum scheduler stalled with arrived work queued");
-      engine.schedule_at(earliest, [] {});
-    }
-    engine.run();
-  }
-  if (crashed_) return;  // undelivered work is snapshotted for failover
-  reap();
-  VRMR_CHECK_MSG(active_.empty(), "drain ended with frames in flight");
 }
 
 void RenderService::install_fault_plan(const fault::FaultPlan& plan, int shard) {
@@ -1466,14 +1421,11 @@ std::vector<RenderService::UnservedFrame> RenderService::extract_session_frames(
   SessionState& state = *sessions_[static_cast<std::size_t>(session)];
   VRMR_CHECK_MSG(state.delegate < 0,
                  "extract_session_frames on an internal refinement session");
-  // Frame boundary: a frame in flight belongs to THIS shard's timeline
-  // (its tiles are streaming here); the caller migrates between pump
-  // rounds, when nothing of the session is in flight.
-  for (const auto& active : active_) {
-    VRMR_CHECK_MSG(active->done || active->session != session,
-                   "extract_session_frames at a non-frame-boundary: session "
-                       << session << " has a frame in flight");
-  }
+  // Frame boundary: a frame in flight belongs to THIS shard (its tiles
+  // are streaming here), and the queued frames must not overtake it.
+  VRMR_CHECK_MSG(!in_flight(session),
+                 "extract_session_frames at a non-frame-boundary: session "
+                     << session << " has a frame in flight");
   std::vector<UnservedFrame> out;
   out.reserve(state.queue.size());
   std::deque<Pending> keep;  // refinements queue on the internal session,
@@ -1495,37 +1447,54 @@ std::vector<RenderService::UnservedFrame> RenderService::extract_session_frames(
   return out;
 }
 
-void RenderService::drain() { (void)drain_to(kInf); }
-
-bool RenderService::drain_until(double horizon_s) {
-  VRMR_CHECK_MSG(std::isfinite(horizon_s) || horizon_s == kInf,
-                 "drain_until horizon must be finite or +inf");
-  return drain_to(horizon_s);
+void RenderService::drain() {
+  // A crashed shard serves nothing: the frontend re-points its sessions
+  // and re-issues the snapshotted work on a sibling. A reentrant drain
+  // (a callback forcing synchronous completion) is a no-op: the outer
+  // drain is already serving everything queued, and nesting would
+  // reallocate completed_ under the caller's record.
+  if (crashed_ || draining_) return;
+  try {
+    start_serving();
+    cluster_.engine().run();
+  } catch (...) {
+    draining_ = false;
+    throw;
+  }
+  stop_serving();
 }
 
-bool RenderService::drain_to(double horizon_s) {
-  // A crashed shard serves nothing: the frontend re-points its sessions
-  // and re-issues the snapshotted work on a sibling.
-  if (crashed_) return false;
-  // Reentrant drain (a callback forcing synchronous completion) is a
-  // no-op: the outer drain loop is already serving everything queued,
-  // and nesting would reallocate completed_ under the caller's record.
-  if (draining_) return queued_frames() == 0;
+void RenderService::start_serving() {
   draining_ = true;
-  struct DrainGuard {  // also resets when a serve throws
-    bool* flag;
-    double* horizon;
-    ~DrainGuard() {
-      *flag = false;
-      *horizon = std::numeric_limits<double>::infinity();
-    }
-  } guard{&draining_, &admission_horizon_s_};
-  admission_horizon_s_ = horizon_s;
   // Serving floor: arrivals backdated before the clock at drain start
   // (reused timeline) are treated as arriving now.
   drain_floor_s_ = cluster_.engine().now();
-  drain_quantum();
-  return !crashed_ && queued_frames() == 0;
+  // Every later scheduling decision rides an engine event: each pump
+  // arms a wake at the earliest future arrival, so the engine runs dry
+  // only once every queued frame has been served.
+  pump();
+}
+
+void RenderService::stop_serving() {
+  draining_ = false;
+  if (crashed_) return;  // undelivered work is snapshotted for failover
+  reap();
+  VRMR_CHECK_MSG(queued_frames() == 0 && active_.empty(),
+                 "serving stopped with " << queued_frames() << " frame(s) queued and "
+                                         << active_.size() << " in flight");
+}
+
+bool RenderService::in_flight(int session) const {
+  for (const auto& active : active_)
+    if (!active->done && active->session == session) return true;
+  return false;
+}
+
+bool RenderService::idle() const {
+  if (queued_frames() > 0) return false;
+  for (const auto& active : active_)
+    if (!active->done) return false;
+  return true;
 }
 
 SessionStats RenderService::stats_for(int session_index) const {

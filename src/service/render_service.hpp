@@ -303,22 +303,12 @@ class RenderService final : public SessionBackend {
   /// change.
   void invalidate_volume(const volren::Volume* volume);
 
-  /// Pump the DES clock until every queued frame (including frames
-  /// submitted from inside on_frame/on_tile callbacks) has been
-  /// served. Reusable: submit more frames afterwards and drain() again
-  /// — brick residency persists and statistics keep accumulating.
+  /// Serve until every queued frame (including frames submitted from
+  /// inside on_frame/on_tile callbacks) has been served: start serving,
+  /// run the cluster's engine dry, stop serving. Reusable: submit more
+  /// frames afterwards and drain() again — brick residency persists
+  /// and statistics keep accumulating.
   void drain();
-
-  /// drain() with a simulated-time horizon: pump until every queued
-  /// frame is served OR the clock reaches `horizon_s`, then stop at
-  /// the next FRAME BOUNDARY — no frame is admitted at/after the
-  /// horizon, in-flight frames complete and deliver normally (they may
-  /// finish past the horizon), and everything still queued stays
-  /// queued for the next call. The frontend's periodic control plane
-  /// (rebalance / autoscale passes) drains the farm in rounds with
-  /// this, migrating sessions between rounds. Returns true when the
-  /// queue fully drained (nothing left for a later round).
-  bool drain_until(double horizon_s);
 
   /// Statistics over everything completed since construction. Copies
   /// the frame history (including images under keep_images) into
@@ -458,10 +448,6 @@ class RenderService final : public SessionBackend {
   /// of ITS queued frames — the rebalancer's probe for choosing which
   /// session to migrate off an overloaded shard.
   double outstanding_cost_for_session(int session) const;
-  /// Earliest effective arrival among queued session heads; +inf when
-  /// every queue is empty. The frontend's horizon-round drain uses it
-  /// to jump a control horizon over an idle gap.
-  double next_arrival_s() const { return earliest_head_arrival(); }
   /// True when the volume is registered and has at least one brick
   /// resident on some GPU (the frontend's brick-affinity signal).
   bool volume_warm(const volren::Volume* volume) const;
@@ -480,6 +466,23 @@ class RenderService final : public SessionBackend {
   std::uint64_t registration_generation() const { return generation_; }
 
  private:
+  /// The frontend serves every shard on one engine: it starts each
+  /// shard serving, runs the engine dry itself, and stops them, and it
+  /// asks which shards and sessions have work in flight.
+  friend class ServiceFrontend;
+
+  /// drain()'s two ends. start_serving sets the arrival floor and pumps
+  /// once; from then on every engine event that can change a
+  /// scheduling decision pumps. stop_serving CHECKs that nothing is
+  /// queued or in flight (a crashed service is exempt).
+  void start_serving();
+  void stop_serving();
+  /// `session` (this service's index) has a frame admitted and not yet
+  /// finished.
+  bool in_flight(int session) const;
+  /// Nothing queued and nothing in flight.
+  bool idle() const;
+
   struct Pending {
     RenderRequest request;
     std::uint64_t frame_id = 0;
@@ -570,7 +573,6 @@ class RenderService final : public SessionBackend {
   /// leaves it negative otherwise.
   int pick_next(double now, double* predicted_cost_s,
                 bool interactive_only) const;
-  double earliest_head_arrival() const;  // +inf when all queues empty
   /// A-priori cost model (unscaled); scaled_cost applies the session's
   /// online calibration. `lod` > 0 estimates serving the frame from
   /// that pyramid level: samples shrink ~2^lod (longer steps), staged
@@ -670,13 +672,7 @@ class RenderService final : public SessionBackend {
   /// bins materialize for the gap).
   void sample_gpu_busy();
 
-  /// Shared body of drain() (horizon = +inf) and drain_until(): sets
-  /// the admission horizon for the duration of the call, returns true
-  /// when the queue fully drained.
-  bool drain_to(double horizon_s);
-
   // --- scheduler -----------------------------------------------------------
-  void drain_quantum();
   /// The scheduler heartbeat: reap finished frames, admit what the
   /// admission rule allows, fill free lanes (interactive quanta first,
   /// then batch, then band steals; an issue that only starts a transfer
@@ -754,11 +750,6 @@ class RenderService final : public SessionBackend {
   // Scheduler state.
   std::vector<std::unique_ptr<ActiveFrame>> active_;  // <=1 per priority class
   double drain_floor_s_ = 0.0;   // arrival clamp for the current drain
-  /// Admission gate for drain_until(): no frame is admitted (and no
-  /// arrival wake armed) at/after this clock value. +inf for a full
-  /// drain(). In-flight frames are never gated — they complete past
-  /// the horizon, which is what makes the stop a frame boundary.
-  double admission_horizon_s_ = std::numeric_limits<double>::infinity();
   double next_wake_s_ = 0.0;     // armed arrival wake-up (dedupe); 0 = none
   bool reap_scheduled_ = false;
 

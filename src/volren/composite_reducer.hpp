@@ -33,9 +33,10 @@ class CompositeReducer final : public mr::Reducer {
   CompositeReducer(float ert_threshold, Vec3 background, std::vector<FinishedPixel>* out)
       : ert_threshold_(ert_threshold), background_(background), out_(out) {}
 
-  void begin(int reducer_index) override {
+  void begin(int reducer_index, std::size_t groups) override {
     (void)reducer_index;
     scratch_.clear();
+    out_->reserve(out_->size() + groups);  // one finished pixel per group
   }
 
   void reduce(std::uint32_t key, const std::byte* values, std::size_t count) override {

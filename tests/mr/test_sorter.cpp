@@ -53,6 +53,28 @@ TEST(CountingSort, SingleKeyGroupsEverything) {
   }
 }
 
+TEST(CountingSort, PartsSortAsTheirConcatenation) {
+  // A reducer's inbox is the message parts in arrival order; sorting
+  // them in place of one concatenated buffer must give the same pairs,
+  // groups and within-group order.
+  const KvBuffer whole = random_buffer(3000, 64, 11);
+  std::vector<KvBuffer> parts(3, KvBuffer(sizeof(TaggedValue)));
+  for (std::size_t i = 0; i < whole.size(); ++i)
+    parts[i < 1000 ? 0 : (i < 1200 ? 1 : 2)].append(whole.key(i), whole.value(i));
+  const SortedGroups expected = counting_sort(whole, 0, 64);
+  const SortedGroups out = counting_sort(parts, 0, 64);
+  EXPECT_EQ(out.group_keys, expected.group_keys);
+  EXPECT_EQ(out.group_offsets, expected.group_offsets);
+  ASSERT_EQ(out.sorted.size(), expected.sorted.size());
+  for (std::size_t i = 0; i < out.sorted.size(); ++i) {
+    EXPECT_EQ(out.sorted.key(i), expected.sorted.key(i));
+    EXPECT_EQ(std::memcmp(out.sorted.value(i), expected.sorted.value(i), sizeof(TaggedValue)), 0);
+  }
+  // Parts must agree on the value size.
+  parts.emplace_back(4);
+  EXPECT_THROW((void)counting_sort(parts, 0, 64), vrmr::CheckError);
+}
+
 TEST(CountingSort, GroupIndexIsConsistent) {
   const KvBuffer buf = random_buffer(5000, 64, 7);
   const SortedGroups out = counting_sort(buf, 0, 64);
