@@ -111,16 +111,21 @@ double probe_latency_s(const volren::Volume& volume, int lod, int gpus) {
   service::RenderService service(cluster, base_config());
   service::Session session =
       service.open_session("probe", service::Priority::Interactive);
+  int served_lod = -1;
+  double latency_s = 0.0;
+  session.on_frame([&](const service::FrameRecord& record) {
+    served_lod = record.lod;
+    latency_s = record.latency_s();
+  });
   service::RenderRequest request;
   request.volume = &volume;
   request.options = live_options();
   request.options.max_lod = lod;
   session.submit(request);
   service.drain();
-  const service::FrameRecord& record = service.frames().front();
-  VRMR_CHECK_MSG(record.lod == lod, "probe expected to serve level "
-                                        << lod << ", got " << record.lod);
-  return record.latency_s();
+  VRMR_CHECK_MSG(served_lod == lod, "probe expected to serve level "
+                                        << lod << ", got " << served_lod);
+  return latency_s;
 }
 
 struct RunResult {
@@ -154,10 +159,22 @@ RunResult run(bool controller_on, double slo_s, double warmup_spacing_s,
   service::Session batch =
       service.open_session("export", service::Priority::Batch);
 
+  RunResult result;
+  std::set<std::uint64_t> measured;
+  std::vector<double> latencies;
+  live.on_frame([&](const service::FrameRecord& frame) {
+    // Measured interactive previews only: refinements deliver on the
+    // client session but link back via refines_frame_id.
+    if (frame.refines_frame_id >= 0) return;
+    if (measured.find(frame.frame_id) == measured.end()) return;
+    latencies.push_back(frame.latency_s());
+    result.preview_bytes_h2d += frame.stats.bytes_h2d;
+    if (frame.lod > 0) ++result.previews_degraded;
+  });
+
   const int total_live = warmup_frames() + live_frames();
   const double measure_start_s =
       warmup_spacing_s * static_cast<double>(warmup_frames());
-  std::set<std::uint64_t> measured;
   for (int f = 0; f < total_live; ++f) {
     service::RenderRequest request;
     request.volume = &live_volume;
@@ -185,20 +202,9 @@ RunResult run(bool controller_on, double slo_s, double warmup_spacing_s,
   service.drain();
 
   const service::ServiceStats stats = service.stats();
-  RunResult result;
   result.frames_degraded = stats.frames_degraded;
   result.refinements_served = stats.refinements_served;
   result.makespan_s = stats.makespan_s;
-  std::vector<double> latencies;
-  for (const service::FrameRecord& frame : service.frames()) {
-    // Measured interactive previews only: refinements deliver on the
-    // client session but link back via refines_frame_id.
-    if (frame.session != 0 || frame.refines_frame_id >= 0) continue;
-    if (measured.find(frame.frame_id) == measured.end()) continue;
-    latencies.push_back(frame.latency_s());
-    result.preview_bytes_h2d += frame.stats.bytes_h2d;
-    if (frame.lod > 0) ++result.previews_degraded;
-  }
   VRMR_CHECK_MSG(static_cast<int>(latencies.size()) == live_frames(),
                  "expected " << live_frames() << " measured previews, got "
                              << latencies.size());

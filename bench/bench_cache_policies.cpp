@@ -113,7 +113,6 @@ RunResult run(service::CachePolicy policy, int gpus) {
   config.policy = service::SchedulingPolicy::Fifo;
   config.cache_policy = policy;
   config.cache_capacity_override = capacity;
-  config.keep_images = true;
   service::RenderService service(cluster, config);
   // VRMR_TRACE: each policy run is its own trace process (independent
   // simulated timelines).
@@ -143,10 +142,20 @@ RunResult run(service::CachePolicy policy, int gpus) {
     live.submit(request);
   };
 
+  RunResult result;
+  std::vector<double> live_latencies;
+  std::uint64_t live_hits = 0, live_misses = 0;
+  double batch_first_arrival = std::numeric_limits<double>::infinity();
+  double batch_last_finish = 0.0;
+
   // Warmup completes -> the export arrives; each export frame
   // completes -> the scientist asks for the next orbit view, against a
   // cache the scan just churned through.
   live.on_frame([&](const service::FrameRecord& frame) {
+    result.images[{frame.session, frame.frame_id}] = frame.image;
+    live_hits += frame.cache_hits;
+    live_misses += frame.cache_misses;
+    live_latencies.push_back(frame.latency_s());
     if (frame.frame_id != 1) return;  // second warmup frame only
     for (volren::Volume& volume : scan_volumes) {
       service::RenderRequest request;
@@ -156,7 +165,10 @@ RunResult run(service::CachePolicy policy, int gpus) {
       batch.submit(request);
     }
   });
-  batch.on_frame([&](const service::FrameRecord&) {
+  batch.on_frame([&](const service::FrameRecord& frame) {
+    result.images[{frame.session, frame.frame_id}] = frame.image;
+    batch_first_arrival = std::min(batch_first_arrival, frame.arrival_s);
+    batch_last_finish = std::max(batch_last_finish, frame.finish_s);
     if (live_submitted < total_interactive) submit_live();
   });
 
@@ -165,27 +177,8 @@ RunResult run(service::CachePolicy policy, int gpus) {
   service.drain();
 
   const service::ServiceStats stats = service.stats();
-  RunResult result;
   result.makespan_s = stats.makespan_s;
   result.cache = stats.cache;
-
-  std::vector<double> live_latencies;
-  std::uint64_t live_hits = 0, live_misses = 0;
-  double batch_first_arrival = std::numeric_limits<double>::infinity();
-  double batch_last_finish = 0.0;
-  // frames() is the zero-copy view — stats() would duplicate every
-  // kept image a second time just to walk the records.
-  for (const service::FrameRecord& frame : service.frames()) {
-    result.images[{frame.session, frame.frame_id}] = frame.image;
-    if (frame.session == 0) {
-      live_hits += frame.cache_hits;
-      live_misses += frame.cache_misses;
-      live_latencies.push_back(frame.latency_s());
-    } else {
-      batch_first_arrival = std::min(batch_first_arrival, frame.arrival_s);
-      batch_last_finish = std::max(batch_last_finish, frame.finish_s);
-    }
-  }
   VRMR_CHECK_MSG(live_submitted == total_interactive,
                  "expected every scan completion to trigger an orbit frame");
   result.interactive_hit_rate =

@@ -99,7 +99,6 @@ OrbitResult run_orbit(const volren::Volume& volume, compress::Codec codec,
   service::ServiceConfig config;
   config.compression = codec;
   config.cache_capacity_override = capacity;
-  config.keep_images = true;
   service::RenderService service(cluster, config);
   // VRMR_TRACE: each codec run is its own trace process (independent
   // simulated timelines).
@@ -112,6 +111,15 @@ OrbitResult run_orbit(const volren::Volume& volume, compress::Codec codec,
   }
 
   service::Session session = service.open_session("orbit");
+  OrbitResult result;
+  std::uint64_t hits = 0, misses = 0;
+  session.on_frame([&](const service::FrameRecord& frame) {
+    result.images[frame.frame_id] = frame.image;
+    result.bytes_disk_saved += frame.stats.bytes_disk_saved;
+    if (frame.frame_id == 0) return;  // cold frame warms any cache
+    hits += frame.cache_hits;
+    misses += frame.cache_misses;
+  });
   volren::RenderOptions options = orbit_options(gpus);
   for (int f = 0; f < orbit_frames(); ++f) {
     options.azimuth =
@@ -124,18 +132,9 @@ OrbitResult run_orbit(const volren::Volume& volume, compress::Codec codec,
   service.drain();
 
   const service::ServiceStats stats = service.stats();
-  OrbitResult result;
   result.makespan_s = stats.makespan_s;
   result.decompress_s_total = stats.decompress_s_total;
   result.bytes_h2d_saved = stats.bytes_h2d_saved;
-  std::uint64_t hits = 0, misses = 0;
-  for (const service::FrameRecord& frame : service.frames()) {
-    result.images[frame.frame_id] = frame.image;
-    result.bytes_disk_saved += frame.stats.bytes_disk_saved;
-    if (frame.frame_id == 0) continue;  // cold frame warms any cache
-    hits += frame.cache_hits;
-    misses += frame.cache_misses;
-  }
   result.demand_hit_rate =
       static_cast<double>(hits) / static_cast<double>(hits + misses);
   if (stats.cache.stored_bytes_admitted > 0) {

@@ -71,7 +71,6 @@ FarmRun run_skewed(const volren::Volume& volume, bool rebalance,
   service::FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   config.rebalance.enabled = rebalance;
   config.rebalance.period_s = period_s;
   config.rebalance.skew_ratio = 1.5;
@@ -118,7 +117,6 @@ HandoffRun run_handoff(const volren::Volume& volume, bool migrate,
   service::FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   service::ServiceFrontend frontend(config);
   obs::TraceRecorder* recorder =
       trace_pid_base >= 0 ? bench::trace_recorder() : nullptr;
@@ -163,7 +161,6 @@ FarmRun run_autoscale(const volren::Volume& volume, double period_s,
   service::FrontendConfig config;
   config.shards = 1;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   config.rebalance.enabled = true;  // fills the capacity autoscale adds
   config.rebalance.period_s = period_s;
   config.rebalance.skew_ratio = 1.5;

@@ -80,7 +80,6 @@ FarmRun run_farm(const volren::Volume& volume, const fault::FaultPlan* plan,
   service::FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = kGpusPerShard;
-  config.service.keep_images = true;
   service::ServiceFrontend frontend(config);
   if (attach_trace) {
     if (obs::TraceRecorder* recorder = bench::trace_recorder()) {

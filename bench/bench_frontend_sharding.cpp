@@ -64,12 +64,18 @@ SweepResult run_mixed(int shards, int sessions) {
   service::ServiceFrontend frontend(config);
 
   const volren::RenderOptions options = sharding_options(dims);
+  std::vector<double> latencies;  // interactive frames, every shard
   for (int s = 0; s < sessions; ++s) {
     const bool is_interactive = s % 2 == 0;
     service::Session session = frontend.open_session(
         (is_interactive ? "live" : "batch") + std::to_string(s),
         is_interactive ? service::Priority::Interactive
                        : service::Priority::Batch);
+    if (is_interactive) {
+      session.on_frame([&latencies](const service::FrameRecord& frame) {
+        latencies.push_back(frame.latency_s());
+      });
+    }
     session.submit_orbit(volumes[static_cast<std::size_t>(s)], options,
                          frames_per_session(), 0.0,
                          is_interactive ? 0.02 : 0.0);
@@ -78,15 +84,6 @@ SweepResult run_mixed(int shards, int sessions) {
   SweepResult result;
   frontend.drain();
   result.stats = frontend.stats();
-  std::vector<double> latencies;
-  for (int s = 0; s < frontend.num_shards(); ++s) {
-    service::RenderService& backend = frontend.shard(s);
-    for (const service::FrameRecord& frame : backend.frames()) {
-      if (backend.session_profile(frame.session).priority ==
-          service::Priority::Interactive)
-        latencies.push_back(frame.latency_s());
-    }
-  }
   result.p95_interactive = percentile(latencies, 95.0);
   return result;
 }

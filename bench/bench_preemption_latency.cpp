@@ -83,6 +83,22 @@ RunResult run(int backlog, int gpus) {
   service::Session live =
       service.open_session("live", service::Priority::Interactive);
 
+  RunResult result;
+  result.min_batch_frame_s = std::numeric_limits<double>::infinity();
+  batch.on_frame([&result](const service::FrameRecord& frame) {
+    result.min_batch_frame_s = std::min(result.min_batch_frame_s, frame.service_s());
+  });
+  // One session's frames are served, and delivered, in submission order.
+  std::vector<double> batch_waits;
+  double previous_finish_s = 0.0;
+  live.on_frame([&](const service::FrameRecord& frame) {
+    result.mean_first_tile_gap += frame.finish_s - frame.first_tile_s;
+    const double ready_s = std::max(frame.arrival_s, previous_finish_s);
+    batch_waits.push_back(frame.start_s - ready_s);
+    result.batch_wait_max_s = std::max(result.batch_wait_max_s, batch_waits.back());
+    previous_finish_s = frame.finish_s;
+  });
+
   volren::RenderOptions batch_options = options_for(batch_dims());
   batch_options.transfer = volren::TransferFunction::fire();
   batch_options.target_bricks = 8 * gpus;  // fine quanta
@@ -104,30 +120,6 @@ RunResult run(int backlog, int gpus) {
   service.drain();
 
   const service::ServiceStats stats = service.stats();
-  RunResult result;
-  result.min_batch_frame_s = std::numeric_limits<double>::infinity();
-  std::vector<service::FrameRecord> live_frames;
-  for (const service::FrameRecord& frame : stats.frames) {
-    if (frame.session == 0) {
-      result.min_batch_frame_s = std::min(result.min_batch_frame_s, frame.service_s());
-    } else {
-      live_frames.push_back(frame);
-    }
-  }
-  // One session's frames are served in submission order.
-  std::sort(live_frames.begin(), live_frames.end(),
-            [](const service::FrameRecord& a, const service::FrameRecord& b) {
-              return a.frame_id < b.frame_id;
-            });
-  std::vector<double> batch_waits;
-  double previous_finish_s = 0.0;
-  for (const service::FrameRecord& frame : live_frames) {
-    result.mean_first_tile_gap += frame.finish_s - frame.first_tile_s;
-    const double ready_s = std::max(frame.arrival_s, previous_finish_s);
-    batch_waits.push_back(frame.start_s - ready_s);
-    result.batch_wait_max_s = std::max(result.batch_wait_max_s, batch_waits.back());
-    previous_finish_s = frame.finish_s;
-  }
   result.batch_wait_p50_s = percentile(batch_waits, 50.0);
   result.batch_wait_p95_s = percentile(batch_waits, 95.0);
   result.mean_first_tile_gap /= static_cast<double>(batch_waits.size());

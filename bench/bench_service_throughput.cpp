@@ -10,6 +10,7 @@
 //   3. scheduling-policy comparison on a mixed interactive+batch load,
 //      with per-session p50/p95/p99 latency.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -24,6 +25,7 @@ namespace {
 struct WorkloadResult {
   service::ServiceStats stats;
   double p50 = 0.0, p95 = 0.0, p99 = 0.0;  // across all frames
+  std::uint64_t bytes_disk = 0;             // read by all frames
 };
 
 int frames_per_session() { return bench::fast_mode() ? 6 : 8; }
@@ -66,18 +68,20 @@ WorkloadResult run_saturated(int gpus, int sessions, bool cache, bool disk_io,
 
   volren::RenderOptions options = service_options(dims);
   options.include_disk_io = disk_io;
+  WorkloadResult result;
+  std::vector<double> latencies;
   for (int s = 0; s < sessions; ++s) {
     service::Session session = svc.open_session("orbit" + std::to_string(s));
+    session.on_frame([&](const service::FrameRecord& f) {
+      latencies.push_back(f.latency_s());
+      result.bytes_disk += f.stats.bytes_disk;
+    });
     session.submit_orbit(volumes[static_cast<std::size_t>(s)], options,
                          frames_per_session(), 0.0, 0.0);
   }
 
-  WorkloadResult result;
   svc.drain();
   result.stats = svc.stats();
-  std::vector<double> latencies;
-  for (const service::FrameRecord& f : result.stats.frames)
-    latencies.push_back(f.latency_s());
   result.p50 = percentile(latencies, 50.0);
   result.p95 = percentile(latencies, 95.0);
   result.p99 = percentile(latencies, 99.0);
@@ -129,11 +133,8 @@ int main() {
   Table ooc({"gpus", "sessions", "cache", "fps", "p95", "disk read", "hit%"});
   for (bool cache : {false, true}) {
     const WorkloadResult r = run_saturated(4, 4, cache, true);
-    std::uint64_t disk_bytes = 0;
-    for (const service::FrameRecord& f : r.stats.frames)
-      disk_bytes += f.stats.bytes_disk;
     ooc.add_row({"4", "4", cache ? "on" : "off", Table::num(r.stats.fps, 2),
-                 format_seconds(r.p95), format_bytes(disk_bytes),
+                 format_seconds(r.p95), format_bytes(r.bytes_disk),
                  pct(r.stats.cache_hit_rate)});
   }
   std::cout << "out-of-core serving (volumes staged from disk):\n"
@@ -178,9 +179,9 @@ int main() {
     for (const service::SessionStats& session : stats.sessions) {
       policies.add_row({service::to_string(policy), session.name,
                         std::to_string(session.frames),
-                        format_seconds(session.p50_latency_s),
-                        format_seconds(session.p95_latency_s),
-                        format_seconds(session.p99_latency_s),
+                        format_seconds(session.latency_s.quantile(0.50)),
+                        format_seconds(session.latency_s.quantile(0.95)),
+                        format_seconds(session.latency_s.quantile(0.99)),
                         Table::num(session.fps, 2)});
     }
   }

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     placements.add_row({stats.name, service::to_string(stats.priority),
                         std::to_string(frontend.shard_of(s)),
                         std::to_string(stats.frames),
-                        format_seconds(stats.p95_latency_s),
+                        format_seconds(stats.latency_s.quantile(0.95)),
                         Table::num(stats.fps, 2),
                         Table::num(100.0 * stats.cache_hit_rate(), 1)});
   }

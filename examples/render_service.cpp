@@ -73,10 +73,10 @@ int main(int argc, char** argv) {
   for (const service::SessionStats& s : stats.sessions) {
     sessions.add_row({s.name, service::to_string(s.priority),
                       std::to_string(s.frames),
-                      format_seconds(s.p50_latency_s),
-                      format_seconds(s.p95_latency_s),
-                      format_seconds(s.p99_latency_s),
-                      format_seconds(s.mean_latency_s), Table::num(s.fps, 2),
+                      format_seconds(s.latency_s.quantile(0.50)),
+                      format_seconds(s.latency_s.quantile(0.95)),
+                      format_seconds(s.latency_s.quantile(0.99)),
+                      format_seconds(s.latency_s.mean()), Table::num(s.fps, 2),
                       Table::num(100.0 * s.cache_hit_rate(), 1)});
   }
 

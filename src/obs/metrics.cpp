@@ -41,16 +41,37 @@ double LogHistogram::quantile(double q) const {
   // Rank of the q-th sample (1-based, ceil — the "nearest rank" method).
   const auto rank = static_cast<std::uint64_t>(
       std::max<double>(1.0, std::ceil(q * static_cast<double>(count_))));
-  if (rank <= underflow_) return min_value_;
+  // The exact sample lies in its bucket and in [min, max], so clamping
+  // the midpoint into the observed range never moves it further away.
+  if (rank <= underflow_) return std::clamp(min_value_, min_seen_, max_seen_);
   std::uint64_t seen = underflow_;
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
     seen += buckets_[i];
     if (seen >= rank) {
       // Geometric midpoint of bucket i: min * g^(i + 0.5).
-      return min_value_ * std::pow(growth_, static_cast<double>(i) + 0.5);
+      return std::clamp(min_value_ * std::pow(growth_, static_cast<double>(i) + 0.5),
+                        min_seen_, max_seen_);
     }
   }
   return max_seen_;
+}
+
+void LogHistogram::merge(const LogHistogram& other) {
+  VRMR_CHECK_MSG(min_value_ == other.min_value_ && growth_ == other.growth_,
+                 "merging histograms with different buckets");
+  if (other.count_ == 0) return;
+  if (count_ == 0) {
+    min_seen_ = other.min_seen_;
+    max_seen_ = other.max_seen_;
+  } else {
+    min_seen_ = std::min(min_seen_, other.min_seen_);
+    max_seen_ = std::max(max_seen_, other.max_seen_);
+  }
+  count_ += other.count_;
+  underflow_ += other.underflow_;
+  sum_ += other.sum_;
+  if (other.buckets_.size() > buckets_.size()) buckets_.resize(other.buckets_.size(), 0);
+  for (std::size_t i = 0; i < other.buckets_.size(); ++i) buckets_[i] += other.buckets_[i];
 }
 
 LogHistogram::Summary LogHistogram::summary() const {

@@ -8,8 +8,10 @@
 // by at most one bucket width: est / exact ∈ [1/growth, growth]. That
 // bound is what tests/obs/test_metrics.cpp pins down. Memory is O(log
 // of the dynamic range) — a handful of buckets per decade — which is
-// why the serving layer can keep per-priority-class latency histograms
-// alive for the whole run (per-class SLO measurement).
+// why the serving layer can keep per-priority-class and per-session
+// latency histograms alive for the whole run, and merge() is exact, so
+// histograms kept apart (shards, migration epochs) combine without
+// losing the bound.
 
 #include <cstdint>
 #include <map>
@@ -52,8 +54,15 @@ class LogHistogram {
   double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
 
   /// Quantile estimate for q in [0, 1]: the geometric midpoint of the
-  /// bucket containing the q-th sample. Relative error <= growth - 1.
+  /// bucket containing the q-th sample, clamped into [min(), max()].
+  /// Relative error <= growth - 1.
   double quantile(double q) const;
+
+  /// Fold `other` in: afterwards this histogram is the one that would
+  /// have observed both sample sets (counts, buckets and extremes
+  /// exactly; the sum up to floating-point association). Both must
+  /// share min_value and growth (CHECKed).
+  void merge(const LogHistogram& other);
 
   /// Max relative error of quantile(): one bucket width.
   double relative_error() const { return growth_ - 1.0; }

@@ -282,27 +282,18 @@ std::uint64_t ServiceFrontend::session_submit(int session, RenderRequest request
     state.shard = resolve_placement(state.profile, request.volume, -1);
     Shard& shard = shards_[static_cast<std::size_t>(state.shard)];
     state.inner = shard.service->open_session(state.profile);
+    // Shard-local indices collide across shards: the shard stamps the
+    // frontend-wide index into the records it delivers.
+    shard.service->set_record_index(state.inner.index_, session);
     ++shard.sessions_placed;
     // Install COPIES of the retained client callbacks: every migration
     // trigger re-installs the originals on the target shard's session.
-    if (state.client_callback)
-      state.inner.on_frame(translate(session, state.client_callback));
-    if (state.client_tile_callback)
-      state.inner.on_tile(translate_tile(session, state.client_tile_callback));
+    if (state.client_callback) state.inner.on_frame(state.client_callback);
+    if (state.client_tile_callback) state.inner.on_tile(state.client_tile_callback);
     VRMR_DEBUG("frontend") << "session '" << state.profile.name
                            << "' placed on shard " << state.shard;
   }
   return state.inner.submit(std::move(request));
-}
-
-FrameCallback ServiceFrontend::translate(int session, FrameCallback callback) {
-  // Shard-local session indices collide across shards; deliver records
-  // carrying the frontend-wide session index instead.
-  return [session, callback = std::move(callback)](const FrameRecord& frame) {
-    FrameRecord translated = frame;
-    translated.session = session;
-    callback(translated);
-  };
 }
 
 void ServiceFrontend::session_on_frame(int session, FrameCallback callback) {
@@ -310,16 +301,7 @@ void ServiceFrontend::session_on_frame(int session, FrameCallback callback) {
                  "unknown session " << session);
   FrontendSession& state = *sessions_[static_cast<std::size_t>(session)];
   state.client_callback = std::move(callback);
-  if (state.shard >= 0)
-    state.inner.on_frame(translate(session, state.client_callback));
-}
-
-TileCallback ServiceFrontend::translate_tile(int session, TileCallback callback) {
-  return [session, callback = std::move(callback)](const TileRecord& tile) {
-    TileRecord translated = tile;
-    translated.session = session;
-    callback(translated);
-  };
+  if (state.shard >= 0) state.inner.on_frame(state.client_callback);
 }
 
 void ServiceFrontend::session_on_tile(int session, TileCallback callback) {
@@ -327,8 +309,7 @@ void ServiceFrontend::session_on_tile(int session, TileCallback callback) {
                  "unknown session " << session);
   FrontendSession& state = *sessions_[static_cast<std::size_t>(session)];
   state.client_tile_callback = std::move(callback);
-  if (state.shard >= 0)
-    state.inner.on_tile(translate_tile(session, state.client_tile_callback));
+  if (state.shard >= 0) state.inner.on_tile(state.client_tile_callback);
 }
 
 SessionStats ServiceFrontend::session_stats(int session) const {
@@ -342,28 +323,18 @@ SessionStats ServiceFrontend::session_stats(int session) const {
     return empty;
   }
   SessionStats agg = state.inner.stats();
-  if (state.past.empty()) return agg;
-  // Epoch merge across migrations: counters sum over every shard the
-  // session has lived on, and the latency summary covers every epoch's
-  // completed frames. fps, cost_scale and queued_frames reflect the
-  // current epoch: moved frames re-queued on the target and count
-  // there.
-  std::vector<double> latencies;
-  const auto collect = [this, &latencies](int shard, const Session& inner) {
-    for (const FrameRecord& f :
-         shards_[static_cast<std::size_t>(shard)].service->frames()) {
-      if (f.session == inner.index_) latencies.push_back(f.latency_s());
-    }
-  };
-  for (const FrontendSession::Epoch& past : state.past) {
-    const SessionStats p = past.inner.stats();
+  // Epoch merge across migrations: counters sum and latency histograms
+  // merge over every shard the session has lived on. fps, cost_scale
+  // and queued_frames reflect the current epoch: moved frames
+  // re-queued on the target and count there.
+  for (const Session& past : state.past) {
+    const SessionStats p = past.stats();
+    agg.frames += p.frames;
     agg.cache_hits += p.cache_hits;
     agg.cache_misses += p.cache_misses;
     agg.tiles_delivered += p.tiles_delivered;
-    collect(past.shard, past.inner);
+    agg.latency_s.merge(p.latency_s);
   }
-  collect(state.shard, state.inner);
-  summarize_latencies(std::move(latencies), agg);
   return agg;
 }
 
@@ -474,20 +445,18 @@ void ServiceFrontend::execute_migration(const MigrationPlan& plan) {
     if (!crash) state.profile.pin_shard.reset();
     // The previous epoch's session stays open on the source (its
     // in-flight frame and queued refinements deliver there through the
-    // callback copies); session_stats merges its history.
-    state.past.push_back({state.shard, state.inner});
+    // callback copies); session_stats merges its statistics.
+    state.past.push_back(state.inner);
     state.shard = move.target;
     state.inner = dest.service->open_session(std::move(profile));
+    dest.service->set_record_index(state.inner.index_, move.session);
     ++dest.sessions_placed;
     if (crash)
       ++sessions_repinned_;
     else
       ++migrations_;
-    if (state.client_callback)
-      state.inner.on_frame(translate(move.session, state.client_callback));
-    if (state.client_tile_callback)
-      state.inner.on_tile(
-          translate_tile(move.session, state.client_tile_callback));
+    if (state.client_callback) state.inner.on_frame(state.client_callback);
+    if (state.client_tile_callback) state.inner.on_tile(state.client_tile_callback);
     if (trace_ != nullptr) {
       trace_->instant(engine_.now(), trace_pid_base_ + move.target,
                       obs::kServiceTid, repin_name, category,
@@ -908,9 +877,9 @@ FrontendStats ServiceFrontend::stats() const {
     detail.bricks_hydrated = shard.bricks_hydrated;
     detail.service = shard.service->stats();
     out.frames_total += detail.service.frames_total;
-    for (const FrameRecord& frame : detail.service.frames) {
-      first_arrival = std::min(first_arrival, frame.arrival_s);
-      last_finish = std::max(last_finish, frame.finish_s);
+    if (detail.service.frames_total > 0) {
+      first_arrival = std::min(first_arrival, detail.service.first_arrival_s);
+      last_finish = std::max(last_finish, detail.service.last_finish_s);
     }
     out.bytes_h2d_saved += detail.service.bytes_h2d_saved;
     out.bytes_hydrated_from_peers += detail.bytes_hydrated_from_peers;

@@ -197,8 +197,10 @@ struct ShardStats {
 /// Cross-shard aggregate; per-shard detail in `shards`.
 struct FrontendStats {
   int frames_total = 0;
-  /// The farm's serving window on the one clock: first arrival served
-  /// to last completion, across every shard.
+  /// The farm's serving window on the one clock: the earliest arrival
+  /// of a completed frame to the last completion, across every shard
+  /// (ServiceStats::first_arrival_s / last_finish_s), so a crashed
+  /// shard's admitted-but-lost frames do not count.
   double makespan_s = 0.0;
   double fps = 0.0;  // frames_total / makespan
   double cache_hit_rate = 0.0;  // hits / (hits+misses) across shards
@@ -335,10 +337,10 @@ class ServiceFrontend final : public SessionBackend {
   void session_on_frame(int session, FrameCallback callback) override;
   void session_on_tile(int session, TileCallback callback) override;
   /// Migration-aware: counters (frames, cache hits/misses, tiles) sum
-  /// over every shard the session has lived on, and the latency mean,
-  /// max and percentiles summarize every one of those shards' completed
-  /// frames (summarize_latencies, as for one shard). fps, cost_scale
-  /// and queued_frames are the current epoch's.
+  /// over every shard the session has lived on, and latency_s merges
+  /// their histograms (obs::LogHistogram::merge, exact: the histogram
+  /// one shard would have kept). fps, cost_scale and queued_frames are
+  /// the current epoch's.
   SessionStats session_stats(int session) const override;
   const SessionProfile& session_profile(int session) const override;
 
@@ -372,14 +374,9 @@ class ServiceFrontend final : public SessionBackend {
     TileCallback client_tile_callback;
     int shard = -1;
     Session inner;  // valid once placed
-    /// An earlier placement (failover and voluntary moves): the shard
-    /// and its inner session. session_stats merges their served
-    /// history.
-    struct Epoch {
-      int shard = -1;
-      Session inner;
-    };
-    std::vector<Epoch> past;
+    /// The inner sessions of earlier placements (failover and voluntary
+    /// moves). session_stats merges their running statistics.
+    std::vector<Session> past;
   };
 
   /// Build one shard (used by the constructor and add_shard).
@@ -422,11 +419,6 @@ class ServiceFrontend final : public SessionBackend {
   bool hydrate(int shard_index, int gpu, const volren::Volume* volume,
                const BrickKey& key, std::uint64_t stored_bytes,
                std::function<void()> done);
-  /// Wrap a client callback so delivered records carry the
-  /// frontend-wide session index, not the shard-local one.
-  static FrameCallback translate(int session, FrameCallback callback);
-  static TileCallback translate_tile(int session, TileCallback callback);
-
   FrontendConfig config_;
   /// Farm capacity: max(config.shards, autoscale.max_shards) — the
   /// node count every fabric was wired with.

@@ -8,7 +8,6 @@
 #include "mr/analysis.hpp"
 #include "mr/frame_plan.hpp"
 #include "util/log.hpp"
-#include "util/stats.hpp"
 #include "volren/fragment.hpp"
 #include "volren/raycast.hpp"
 
@@ -72,36 +71,7 @@ void spread_busy(std::map<std::int64_t, ServiceWindow>& bins, double width,
   }
 }
 
-/// Quantile summary of a registry histogram (zero-filled when absent
-/// or empty — the class completed no frames yet).
-LatencyQuantiles quantiles_from(const obs::LogHistogram* histogram) {
-  LatencyQuantiles q;
-  if (histogram == nullptr || histogram->count() == 0) return q;
-  q.count = histogram->count();
-  q.mean_s = histogram->mean();
-  q.p50_s = histogram->quantile(0.50);
-  q.p95_s = histogram->quantile(0.95);
-  q.p99_s = histogram->quantile(0.99);
-  q.p999_s = histogram->quantile(0.999);
-  return q;
-}
-
 }  // namespace
-
-void summarize_latencies(std::vector<double> latencies_s, SessionStats& stats) {
-  stats.frames = static_cast<int>(latencies_s.size());
-  stats.mean_latency_s = stats.max_latency_s = 0.0;
-  stats.p50_latency_s = stats.p95_latency_s = stats.p99_latency_s = 0.0;
-  if (latencies_s.empty()) return;
-  for (const double latency : latencies_s) {
-    stats.mean_latency_s += latency;
-    stats.max_latency_s = std::max(stats.max_latency_s, latency);
-  }
-  stats.mean_latency_s /= stats.frames;
-  stats.p50_latency_s = percentile(latencies_s, 50.0);
-  stats.p95_latency_s = percentile(latencies_s, 95.0);
-  stats.p99_latency_s = percentile(std::move(latencies_s), 99.0);
-}
 
 const char* to_string(SchedulingPolicy policy) {
   switch (policy) {
@@ -131,8 +101,15 @@ RenderService::~RenderService() = default;
 Session RenderService::open_session(SessionProfile profile) {
   auto state = std::make_unique<SessionState>();
   state->profile = std::move(profile);
+  state->record_index = num_sessions();
   sessions_.push_back(std::move(state));
   return Session(this, num_sessions() - 1);
+}
+
+void RenderService::set_record_index(int session, int record_index) {
+  VRMR_CHECK_MSG(session >= 0 && session < num_sessions(),
+                 "unknown session " << session);
+  sessions_[static_cast<std::size_t>(session)]->record_index = record_index;
 }
 
 void RenderService::set_trace(obs::TraceRecorder* recorder, int pid) {
@@ -601,6 +578,22 @@ void RenderService::observe_completion(ActiveFrame& active) {
   record.critical_path = obs::analyze_plan(
       active.frame->plan(), record.arrival_s, record.start_s, record.finish_s);
 
+  ++frames_total_;
+  first_arrival_s_ = std::min(first_arrival_s_, record.arrival_s);
+  last_finish_s_ = std::max(last_finish_s_, record.finish_s);
+  bytes_h2d_saved_ += record.stats.bytes_h2d_saved;
+  chunks_decompressed_ += record.stats.chunks_decompressed;
+  decompress_s_total_ += record.stats.decompress_s_total;
+  chunks_hydrated_ += record.stats.chunks_hydrated;
+  bytes_hydrated_ += record.stats.bytes_hydrated;
+  // A refinement counts toward the client session it delivers as.
+  SessionState& session = *sessions_[static_cast<std::size_t>(active.client_session)];
+  session.cache_hits += record.cache_hits;
+  session.cache_misses += record.cache_misses;
+  session.first_arrival_s = std::min(session.first_arrival_s, record.arrival_s);
+  session.last_finish_s = std::max(session.last_finish_s, record.finish_s);
+  session.latency_s.observe(record.latency_s());
+
   const std::string cls =
       active.priority == Priority::Interactive ? "interactive" : "batch";
   metrics_.histogram(cls + ".queue_wait_s").observe(record.queue_wait_s());
@@ -634,7 +627,7 @@ void RenderService::deliver_tile(ActiveFrame& active, int reducer) {
   window_at(now).tiles += 1;
   if (session.tile_callback) {
     TileRecord tile;
-    tile.session = active.client_session;
+    tile.session = session.record_index;
     tile.frame_id = active.record.frame_id;
     tile.reducer = reducer;
     tile.tiles_in_frame = active.frame->num_tiles();
@@ -887,7 +880,7 @@ std::unique_ptr<RenderService::ActiveFrame> RenderService::make_active_frame(
   }
 
   FrameRecord& record = active->record;
-  record.session = active->client_session;
+  record.session = sessions_[static_cast<std::size_t>(active->client_session)]->record_index;
   record.frame_id = active->pending.frame_id;
   record.refines_frame_id = active->pending.refines;
   record.arrival_s = std::max(active->pending.effective_arrival_s(), arrival_floor_s);
@@ -1129,8 +1122,8 @@ void RenderService::frame_finished(ActiveFrame* active) {
   record.cache_misses = result.stats.stagings - record.cache_hits;
   record.finish_s = cluster_.engine().now();
   record.stats = std::move(result.stats);
+  record.image = std::move(result.image);
   if (active->pending.is_refinement) ++refinements_served_;
-  if (config_.keep_images) record.image = std::move(result.image);
   window_at(record.finish_s).frames_finished += 1;
   sample_gpu_busy();
   observe_completion(*active);
@@ -1143,8 +1136,7 @@ void RenderService::frame_finished(ActiveFrame* active) {
                         << " tiles=" << record.tiles;
 
   calibrate(active->session, record, active->pending.submit_cost_s);
-  completed_.push_back(std::move(record));
-  deliver_frame(active->client_session, completed_.back());
+  deliver_frame(active->client_session, record);
   // Strictly after the preview's delivery: the refinement's own
   // on_frame can then never precede it (src/service/README.md).
   maybe_enqueue_refinement(*active);
@@ -1451,8 +1443,7 @@ void RenderService::drain() {
   // A crashed shard serves nothing: the frontend re-points its sessions
   // and re-issues the snapshotted work on a sibling. A reentrant drain
   // (a callback forcing synchronous completion) is a no-op: the outer
-  // drain is already serving everything queued, and nesting would
-  // reallocate completed_ under the caller's record.
+  // drain is already serving everything queued.
   if (crashed_ || draining_) return;
   try {
     start_serving();
@@ -1505,28 +1496,19 @@ SessionStats RenderService::stats_for(int session_index) const {
   out.queued_frames = static_cast<int>(state.queue.size());
   out.tiles_delivered = state.tiles_delivered;
   out.cost_scale = state.cost_scale;
-
-  std::vector<double> latencies;
-  double first_arrival = kInf;
-  double last_finish = 0.0;
-  for (const FrameRecord& f : completed_) {
-    if (f.session != session_index) continue;
-    latencies.push_back(f.latency_s());
-    out.cache_hits += f.cache_hits;
-    out.cache_misses += f.cache_misses;
-    first_arrival = std::min(first_arrival, f.arrival_s);
-    last_finish = std::max(last_finish, f.finish_s);
-  }
-  summarize_latencies(std::move(latencies), out);
+  out.frames = static_cast<int>(state.latency_s.count());
+  out.cache_hits = state.cache_hits;
+  out.cache_misses = state.cache_misses;
+  out.latency_s = state.latency_s;
   if (out.frames == 0) return out;
-  const double span = last_finish - first_arrival;
+  const double span = state.last_finish_s - state.first_arrival_s;
   out.fps = span > 0.0 ? out.frames / span : 0.0;
   return out;
 }
 
 ServiceStats RenderService::stats() const {
   ServiceStats out;
-  out.frames_total = static_cast<int>(completed_.size());
+  out.frames_total = frames_total_;
   if (cache_) out.cache = cache_->stats();
   out.cache_hit_rate = out.cache.hit_rate();
   out.tiles_total = tiles_total_;
@@ -1562,39 +1544,26 @@ ServiceStats RenderService::stats() const {
     }
   }
 
-  const auto fill_class = [this](const std::string& cls, PriorityLatencies* out) {
-    out->queue_wait = quantiles_from(metrics_.find_histogram(cls + ".queue_wait_s"));
-    out->first_pixel =
-        quantiles_from(metrics_.find_histogram(cls + ".first_pixel_s"));
-    out->service = quantiles_from(metrics_.find_histogram(cls + ".service_s"));
-  };
-  fill_class("interactive", &out.interactive);
-  fill_class("batch", &out.batch);
-
   for (int s = 0; s < num_sessions(); ++s) {
     SessionStats summary = stats_for(s);
     if (summary.frames == 0) continue;  // nothing completed yet
     out.sessions.push_back(std::move(summary));
   }
 
-  if (completed_.empty()) return out;
+  if (frames_total_ == 0) return out;
 
-  double last_finish = 0.0;
-  for (const FrameRecord& f : completed_) {
-    last_finish = std::max(last_finish, f.finish_s);
-    out.bytes_h2d_saved += f.stats.bytes_h2d_saved;
-    out.chunks_decompressed += f.stats.chunks_decompressed;
-    out.decompress_s_total += f.stats.decompress_s_total;
-    out.chunks_hydrated += f.stats.chunks_hydrated;
-    out.bytes_hydrated += f.stats.bytes_hydrated;
-  }
-  out.makespan_s = last_finish - window_start_s_;
+  out.first_arrival_s = first_arrival_s_;
+  out.last_finish_s = last_finish_s_;
+  out.bytes_h2d_saved = bytes_h2d_saved_;
+  out.chunks_decompressed = chunks_decompressed_;
+  out.decompress_s_total = decompress_s_total_;
+  out.chunks_hydrated = chunks_hydrated_;
+  out.bytes_hydrated = bytes_hydrated_;
+  out.makespan_s = last_finish_s_ - window_start_s_;
   out.fps = out.makespan_s > 0.0 ? out.frames_total / out.makespan_s : 0.0;
   const double gpu_busy = cluster_.total_gpu_busy() - gpu_busy_at_window_open_;
   const double capacity = out.makespan_s * cluster_.total_gpus();
   out.cluster_utilization = capacity > 0.0 ? gpu_busy / capacity : 0.0;
-
-  out.frames = completed_;
   return out;
 }
 

@@ -139,10 +139,6 @@ struct ServiceConfig {
   /// Non-zero overrides the DeviceProps-derived cache budget (tests).
   std::uint64_t cache_capacity_override = 0;
 
-  /// Keep rendered images in the FrameRecords (memory-proportional;
-  /// off for throughput benches).
-  bool keep_images = false;
-
   /// EWMA smoothing factor for the online cost-model calibration:
   /// scale <- (1-a)*scale + a*(observed/predicted) per completed
   /// frame. 0 disables calibration (pure a-priori model).
@@ -199,37 +195,17 @@ struct ServiceWindow {
   double utilization = 0.0;
 };
 
-/// Quantile summary of one latency histogram (obs::LogHistogram, so
-/// each quantile is within one ~9% log bucket of the exact sample).
-struct LatencyQuantiles {
-  std::uint64_t count = 0;
-  double mean_s = 0.0;
-  double p50_s = 0.0;
-  double p95_s = 0.0;
-  double p99_s = 0.0;
-  double p999_s = 0.0;
-};
-
-/// Per-priority-class latency decomposition: queue wait, time to first
-/// pixel (effective arrival -> first streamed tile) and service time —
-/// the per-class SLO view the lifetime aggregates average away.
-struct PriorityLatencies {
-  LatencyQuantiles queue_wait;
-  LatencyQuantiles first_pixel;
-  LatencyQuantiles service;
-};
-
-/// Fill `stats`' latency summary — frames, mean, max and p50/p95/p99 —
-/// from one latency (finish - arrival) per completed frame. A service
-/// summarizes one session's frames with it; the frontend summarizes a
-/// migrated session's frames from every shard it lived on.
-void summarize_latencies(std::vector<double> latencies_s, SessionStats& stats);
-
 /// Service-wide statistics over every frame completed so far.
 struct ServiceStats {
   int frames_total = 0;
   /// Serving window: first effective arrival served .. last completion.
   double makespan_s = 0.0;
+  /// Completed frames' extremes: the earliest effective arrival and the
+  /// last finish among them (both 0 before the first completion). A
+  /// frame admitted but never completed (a crash swallowed it) counts
+  /// in neither.
+  double first_arrival_s = 0.0;
+  double last_finish_s = 0.0;
   double fps = 0.0;         // frames_total / makespan
   /// GPU busy share of makespan x GPU count (how hot the cluster ran).
   double cluster_utilization = 0.0;
@@ -270,13 +246,7 @@ struct ServiceStats {
   /// interference and the chaining win away; these expose them over
   /// simulated time.
   std::vector<ServiceWindow> windows;
-  /// Per-class latency quantiles from the service's metrics registry
-  /// (histograms "interactive.queue_wait_s" etc.; zero-count when the
-  /// class completed nothing).
-  PriorityLatencies interactive;
-  PriorityLatencies batch;
   std::vector<SessionStats> sessions;  // open order, completed-only
-  std::vector<FrameRecord> frames;     // completion order
 };
 
 class RenderService final : public SessionBackend {
@@ -310,14 +280,11 @@ class RenderService final : public SessionBackend {
   /// and statistics keep accumulating.
   void drain();
 
-  /// Statistics over everything completed since construction. Copies
-  /// the frame history (including images under keep_images) into
-  /// ServiceStats::frames — for frequent polling prefer frames() /
-  /// session_stats, which do not copy records.
+  /// Statistics over everything completed since construction: copies
+  /// of running counters, window bins and per-session histograms, each
+  /// updated once as a frame completes. The service keeps no frame
+  /// history: a FrameRecord lives only until its on_frame returns.
   ServiceStats stats() const;
-
-  /// Zero-copy view of every completed frame, completion order.
-  const std::vector<FrameRecord>& frames() const { return completed_; }
 
   // --- SessionBackend (prefer the Session handle) ------------------------
   std::uint64_t session_submit(int session, RenderRequest request) override;
@@ -334,8 +301,8 @@ class RenderService final : public SessionBackend {
   void set_trace(obs::TraceRecorder* recorder, int pid = 0);
   obs::TraceRecorder* trace() const { return trace_; }
   /// Unified metrics registry: per-class latency histograms
-  /// ("interactive.queue_wait_s", "batch.service_s", ...), populated as
-  /// frames complete.
+  /// ("interactive.queue_wait_s", "batch.first_pixel_s",
+  /// "batch.service_s", ...), populated as frames complete.
   const obs::Registry& metrics() const { return metrics_; }
 
   // --- peer hydration (frontend-installed) -------------------------------
@@ -471,6 +438,11 @@ class RenderService final : public SessionBackend {
   /// asks which shards and sessions have work in flight.
   friend class ServiceFrontend;
 
+  /// Stamp `record_index` into every FrameRecord and TileRecord that
+  /// `session` delivers (its refinements' included): the frontend sets
+  /// its own session index, so clients see one index across shards.
+  void set_record_index(int session, int record_index);
+
   /// drain()'s two ends. start_serving sets the arrival floor and pumps
   /// once; from then on every engine event that can change a
   /// scheduling decision pumps. stop_serving CHECKs that nothing is
@@ -527,6 +499,17 @@ class RenderService final : public SessionBackend {
     /// Client side of the link: the lazily-opened "<name>#refine"
     /// session refinements of this session are queued on.
     int refine_session = -1;
+    /// The index delivered records carry (FrameRecord/TileRecord::
+    /// session): this session's own, unless the frontend set its own.
+    int record_index = -1;
+    /// Running aggregates over the frames delivered as this session
+    /// (its refinements' included), updated once per completion; the
+    /// histogram's count is the session's frame count.
+    std::uint64_t cache_hits = 0;
+    std::uint64_t cache_misses = 0;
+    double first_arrival_s = std::numeric_limits<double>::infinity();
+    double last_finish_s = 0.0;
+    obs::LogHistogram latency_s;
   };
   struct VolumeRegistration {
     std::uint64_t id = 0;          // cache key; never reused
@@ -538,7 +521,7 @@ class RenderService final : public SessionBackend {
   struct ActiveFrame {
     int session = -1;  // queue-owning session (internal for refinements)
     /// Delivery target: the session whose callbacks receive tiles and
-    /// the frame, and the index stamped into records. Equals `session`
+    /// the frame, and whose record_index records carry. Equals `session`
     /// except for refinement frames (delegate resolved at admission).
     int client_session = -1;
     Priority priority = Priority::Batch;
@@ -607,8 +590,9 @@ class RenderService final : public SessionBackend {
   /// EWMA update from a completed frame's observed service time.
   void calibrate(int session_index, const FrameRecord& record, double raw_cost_s);
   /// Completion-time observability: critical path from the finished
-  /// plan, per-class latency histograms, and the frame's async trace
-  /// span end. Requires record stamps to be final.
+  /// plan, the service's and the client session's running aggregates,
+  /// per-class latency histograms, and the frame's async trace span
+  /// end. Requires record stamps to be final.
   void observe_completion(ActiveFrame& active);
   /// Async-span id of a frame's end-to-end trace arrow: stable across
   /// shards because the shard index (pid) is baked in.
@@ -738,7 +722,15 @@ class RenderService final : public SessionBackend {
   /// Last Batch admission (any path): the aged-head override fires at
   /// most once per batch_aging_s measured from here.
   double last_batch_admission_s_ = std::numeric_limits<double>::lowest();
-  std::vector<FrameRecord> completed_;  // completion order, lifetime
+  // Completion aggregates, updated once per finished frame.
+  int frames_total_ = 0;
+  double first_arrival_s_ = std::numeric_limits<double>::infinity();
+  double last_finish_s_ = 0.0;
+  std::uint64_t bytes_h2d_saved_ = 0;
+  std::uint64_t chunks_decompressed_ = 0;
+  double decompress_s_total_ = 0.0;
+  std::uint64_t chunks_hydrated_ = 0;
+  std::uint64_t bytes_hydrated_ = 0;
   double window_start_s_ = 0.0;  // first effective arrival served
   bool window_open_ = false;
   /// GPU busy when the serving window opened: utilization must not

@@ -30,6 +30,7 @@
 
 #include "mr/stats.hpp"
 #include "obs/critical_path.hpp"
+#include "obs/metrics.hpp"
 #include "util/check.hpp"
 #include "volren/composite_reducer.hpp"
 #include "volren/image.hpp"
@@ -114,7 +115,10 @@ struct FrameRecord {
   /// refinement's on_frame callback never precedes its preview's — see
   /// src/service/README.md for the ordering guarantees.
   std::int64_t refines_frame_id = -1;
-  volren::Image image;  // only populated when ServiceConfig::keep_images
+  /// The frame's pixels. A record lives only until its on_frame
+  /// callback returns and the backend keeps no copy: a client that
+  /// keeps pixels copies them inside the callback.
+  volren::Image image;
 
   double latency_s() const { return finish_s - arrival_s; }
   double queue_wait_s() const { return start_s - arrival_s; }
@@ -139,17 +143,18 @@ struct TileRecord {
 };
 
 /// Per-session statistics over every frame completed so far; queryable
-/// at any time (including from inside an on_frame callback).
+/// at any time (including from inside an on_frame callback). Running
+/// aggregates updated once per completion: their size does not grow
+/// with the frames served.
 struct SessionStats {
   std::string name;
   Priority priority = Priority::Batch;
   int frames = 0;         // completed
   int queued_frames = 0;  // submitted, not yet served
-  double p50_latency_s = 0.0;
-  double p95_latency_s = 0.0;
-  double p99_latency_s = 0.0;
-  double mean_latency_s = 0.0;
-  double max_latency_s = 0.0;
+  /// Latency (finish - arrival) of every completed frame. Count, mean
+  /// and max are exact; quantile() is within one ~9% log bucket of the
+  /// exact sample.
+  obs::LogHistogram latency_s;
   double fps = 0.0;  // frames / (last finish - first arrival)
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

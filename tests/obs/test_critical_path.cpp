@@ -96,6 +96,8 @@ TEST(CriticalPath, PartitionsServedFrameLatencyOnEverySeedScene) {
         engine, cluster::ClusterConfig::with_total_gpus(scene.gpus));
     service::RenderService service(cluster);
     service::Session session = service.open_session("scene");
+    std::vector<service::FrameRecord> frames;
+    session.on_frame([&frames](const service::FrameRecord& f) { frames.push_back(f); });
     service::RenderRequest request;
     request.volume = &volume;
     request.options = options_for(scene);
@@ -103,8 +105,8 @@ TEST(CriticalPath, PartitionsServedFrameLatencyOnEverySeedScene) {
     session.submit(request);
     service.drain();
 
-    ASSERT_EQ(service.frames().size(), 1u) << label;
-    const service::FrameRecord& record = service.frames().front();
+    ASSERT_EQ(frames.size(), 1u) << label;
+    const service::FrameRecord& record = frames.front();
     expect_sound(record.critical_path, record.arrival_s, record.finish_s,
                  record.tiles, label);
   }
@@ -120,6 +122,8 @@ TEST(CriticalPath, QueueWaitSegmentCapturesSchedulingDelay) {
   cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
   service::RenderService service(cluster);
   service::Session session = service.open_session("queued");
+  std::vector<service::FrameRecord> frames;
+  session.on_frame([&frames](const service::FrameRecord& f) { frames.push_back(f); });
   volren::RenderOptions options;
   options.image_width = 32;
   options.image_height = 32;
@@ -132,8 +136,8 @@ TEST(CriticalPath, QueueWaitSegmentCapturesSchedulingDelay) {
   }
   service.drain();
 
-  ASSERT_EQ(service.frames().size(), 2u);
-  const service::FrameRecord& second = service.frames().back();
+  ASSERT_EQ(frames.size(), 2u);
+  const service::FrameRecord& second = frames.back();
   EXPECT_GT(second.queue_wait_s(), 0.0) << "second frame should have queued";
   const CriticalPath& path = second.critical_path;
   ASSERT_TRUE(path.valid);
@@ -193,6 +197,8 @@ TEST(CriticalPath, CompressedServingKeepsThePartitionExact) {
     config.compression = compress::Codec::Rle;
     service::RenderService service(cluster, config);
     service::Session session = service.open_session("scene");
+    std::vector<service::FrameRecord> frames;
+    session.on_frame([&frames](const service::FrameRecord& f) { frames.push_back(f); });
     service::RenderRequest request;
     request.volume = &volume;
     request.options = options_for(scene);
@@ -200,10 +206,10 @@ TEST(CriticalPath, CompressedServingKeepsThePartitionExact) {
     session.submit(request);
     service.drain();
 
-    ASSERT_EQ(service.frames().size(), 1u) << label;
+    ASSERT_EQ(frames.size(), 1u) << label;
     EXPECT_GT(service.stats().chunks_decompressed, 0u) << label;
     EXPECT_GT(service.stats().decompress_s_total, 0.0) << label;
-    const service::FrameRecord& record = service.frames().front();
+    const service::FrameRecord& record = frames.front();
     expect_sound(record.critical_path, record.arrival_s, record.finish_s,
                  record.tiles, label);
   }

@@ -1,7 +1,7 @@
 // Metrics-registry tests: LogHistogram quantiles against exact sample
 // quantiles (the documented one-bucket error bound), underflow
-// handling, and the Registry's name-keyed accessors with reference
-// stability.
+// handling, exact merging, and the Registry's name-keyed accessors with
+// reference stability.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 using vrmr::Pcg32;
@@ -100,6 +101,69 @@ TEST(LogHistogram, EmptyHistogramIsInert) {
   EXPECT_DOUBLE_EQ(hist.quantile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(hist.mean(), 0.0);
   EXPECT_EQ(hist.summary().count, 0u);
+}
+
+TEST(LogHistogram, OneSampleReportsItsSample) {
+  // Every quantile's bucket midpoint clamps into [min, max], which one
+  // sample pins to the sample itself.
+  LogHistogram hist;
+  hist.observe(0.0123);
+  for (const double q : {0.0, 0.5, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(hist.quantile(q), 0.0123) << "q=" << q;
+  }
+}
+
+TEST(LogHistogram, MergedHalvesEqualOneHistogramOfTheUnion) {
+  Pcg32 rng(7);
+  LogHistogram whole;
+  LogHistogram first;
+  LogHistogram second;
+  for (int i = 0; i < 4000; ++i) {
+    // Six decades plus a few underflow samples, each a multiple of
+    // 2^-30, so both summation orders are exact and the sums compare
+    // independently of association.
+    const double v = i % 97 == 0
+                         ? std::ldexp(1.0, -30)
+                         : std::ldexp(std::round(std::pow(10.0, 6.0 * rng.next_double())), -20);
+    whole.observe(v);
+    (i % 3 == 0 ? first : second).observe(v);
+  }
+  first.merge(second);
+  EXPECT_EQ(first.count(), whole.count());
+  EXPECT_EQ(first.min(), whole.min());
+  EXPECT_EQ(first.max(), whole.max());
+  EXPECT_DOUBLE_EQ(first.sum(), whole.sum());
+  for (int k = 0; k <= 1000; ++k) {
+    const double q = k / 1000.0;
+    EXPECT_EQ(first.quantile(q), whole.quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(LogHistogram, MergingAnEmptyHistogramChangesNothing) {
+  LogHistogram hist;
+  for (const double v : {0.002, 0.03, 0.4}) hist.observe(v);
+  const LogHistogram before = hist;
+  hist.merge(LogHistogram());
+  EXPECT_EQ(hist.count(), before.count());
+  EXPECT_EQ(hist.sum(), before.sum());
+  EXPECT_EQ(hist.min(), before.min());
+  EXPECT_EQ(hist.max(), before.max());
+  for (const double q : {0.0, 0.5, 0.95, 1.0}) {
+    EXPECT_EQ(hist.quantile(q), before.quantile(q)) << "q=" << q;
+  }
+  // ...and an empty histogram that merges a full one becomes it.
+  LogHistogram empty;
+  empty.merge(before);
+  EXPECT_EQ(empty.count(), before.count());
+  EXPECT_EQ(empty.min(), before.min());
+  EXPECT_EQ(empty.max(), before.max());
+  EXPECT_EQ(empty.quantile(0.5), before.quantile(0.5));
+}
+
+TEST(LogHistogram, MergeRejectsDifferentBuckets) {
+  LogHistogram hist;
+  EXPECT_THROW(hist.merge(LogHistogram(1e-6, 2.0)), CheckError);
+  EXPECT_THROW(hist.merge(LogHistogram(1e-3)), CheckError);
 }
 
 TEST(Registry, AccessorsCreateOnceAndStayReferenceStable) {

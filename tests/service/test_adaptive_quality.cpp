@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "frame_log.hpp"
 #include "lod/pyramid.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
@@ -150,12 +151,15 @@ TEST(AdaptiveQuality, RequestMaxLodThreadsThroughAdmission) {
     cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
     RenderService service(cluster);
     Session s = service.open_session("r");
+    FrameLog log;
+    log.attach(s);
     RenderRequest request;
     request.volume = &volume;
     request.options = opt;
     s.submit(request);
     service.drain();
-    return service.frames().back();
+    EXPECT_EQ(log.delivered.size(), 1u);
+    return log.delivered.back();
   };
 
   // RenderOptions::max_lod serves the whole frame coarse and the record
@@ -183,18 +187,20 @@ TEST(AdaptiveQuality, SloDegradesPreviewsAndRefinesThemInOrder) {
   {
     sim::Engine engine;
     cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
-    ServiceConfig config;
-    config.keep_images = true;
-    RenderService service(cluster, config);
+    RenderService service(cluster);
     Session live = service.open_session("live", Priority::Interactive);
     Session batch = service.open_session("batch", Priority::Batch);
+    FrameLog log;
+    log.attach(live);
+    log.attach(batch);
     live.submit_orbit(live_volume, options, kLive, 0.0, 0.001);
     batch.submit_orbit(batch_volume, options, kBatch, 0.0, 0.0);
     service.drain();
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.frames_degraded, 0u);
     EXPECT_EQ(stats.refinements_enqueued, 0u);
-    for (const FrameRecord& f : service.frames()) {
+    EXPECT_EQ(log.delivered.size(), static_cast<std::size_t>(kLive + kBatch));
+    for (const FrameRecord& f : log.delivered) {
       if (f.session == 0) full_images.emplace(f.frame_id, f.image);
       EXPECT_EQ(f.lod, 0);
       EXPECT_EQ(f.refines_frame_id, -1);
@@ -206,7 +212,6 @@ TEST(AdaptiveQuality, SloDegradesPreviewsAndRefinesThemInOrder) {
   cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(2));
   ServiceConfig config;
   config.interactive_slo_s = 1e-6;
-  config.keep_images = true;
   RenderService service(cluster, config);
   Session live = service.open_session("live", Priority::Interactive);
   Session batch = service.open_session("batch", Priority::Batch);

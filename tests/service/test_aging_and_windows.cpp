@@ -10,9 +10,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "frame_log.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
 #include "volren/datasets.hpp"
@@ -61,33 +63,40 @@ TEST(BatchAging, BoundsBatchLatencyUnderSustainedInteractiveBurst) {
   constexpr int kBurst = 40;
   constexpr double kAging = 0.0008;
 
+  struct Served {
+    int frames_total = 0;
+    std::vector<FrameRecord> frames;  // completion order
+  };
   auto run = [&](double aging_s) {
     ServiceConfig config;
     config.batch_aging_s = aging_s;
     Harness h(2, config);
     Session live = h.service->open_session("live", Priority::Interactive);
     Session batch = h.service->open_session("batch", Priority::Batch);
+    FrameLog log;
+    log.attach(live);
+    log.attach(batch);
     live.submit_orbit(live_volume, tiny_options(), kBurst, 0.0, 0.0);
     volren::RenderOptions batch_options = tiny_options();
     batch_options.target_bricks = 8;
     batch.submit(request_for(batch_volume, 0.0, batch_options));
     h.service->drain();
-    return h.service->stats();
+    return Served{h.service->stats().frames_total, std::move(log.delivered)};
   };
 
-  const ServiceStats strict = run(0.0);
-  const ServiceStats aged = run(kAging);
+  const Served strict = run(0.0);
+  const Served aged = run(kAging);
 
-  auto batch_record = [](const ServiceStats& stats) -> const FrameRecord& {
-    for (const FrameRecord& f : stats.frames) {
+  auto batch_record = [](const Served& served) -> const FrameRecord& {
+    for (const FrameRecord& f : served.frames) {
       if (f.session == 1) return f;
     }
     ADD_FAILURE() << "batch frame not served";
-    return stats.frames.front();
+    return served.frames.front();
   };
-  auto last_interactive_finish = [](const ServiceStats& stats) {
+  auto last_interactive_finish = [](const Served& served) {
     double last = 0.0;
-    for (const FrameRecord& f : stats.frames) {
+    for (const FrameRecord& f : served.frames) {
       if (f.session == 0) last = std::max(last, f.finish_s);
     }
     return last;
@@ -117,6 +126,9 @@ TEST(WindowedStats, WindowsPartitionTheLifetimeAggregates) {
   Harness h(2, config);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  FrameLog log;
+  log.attach(batch);
+  log.attach(live);
   volren::RenderOptions batch_options = tiny_options();
   batch_options.target_bricks = 16;
   for (int f = 0; f < 6; ++f)
@@ -150,7 +162,7 @@ TEST(WindowedStats, WindowsPartitionTheLifetimeAggregates) {
   // Every map quantum the scheduler ran (a brick, or one ray band of
   // it) is a counted quantum.
   std::uint64_t map_quanta = 0;
-  for (const FrameRecord& f : stats.frames) map_quanta += f.stats.map_quanta;
+  for (const FrameRecord& f : log.delivered) map_quanta += f.stats.map_quanta;
   EXPECT_EQ(quanta, map_quanta);
   // Attributed busy matches the run's GPU busy (same integral, just
   // binned), which also anchors per-window utilization.
@@ -187,6 +199,9 @@ TEST(BatchAging, DeepPreAgedBacklogCannotInvertPriority) {
   Harness h(2, config);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  FrameLog log;
+  log.attach(batch);
+  log.attach(live);
   for (int f = 0; f < kBacklog; ++f)
     batch.submit(request_for(batch_volume, 0.0));
   live.submit_orbit(live_volume, tiny_options(), kBurst, 0.0, 0.0);
@@ -195,7 +210,7 @@ TEST(BatchAging, DeepPreAgedBacklogCannotInvertPriority) {
   const ServiceStats stats = h.service->stats();
   double last_live_finish = 0.0;
   std::vector<double> batch_finishes;
-  for (const FrameRecord& f : stats.frames) {
+  for (const FrameRecord& f : log.delivered) {
     if (f.session == 1) {
       last_live_finish = std::max(last_live_finish, f.finish_s);
     } else {
@@ -230,13 +245,17 @@ TEST(WindowedStats, IdleGapsBetweenBurstsStayEmpty) {
   config.stats_window_s = 0.005;
   Harness h(2, config);
   Session s = h.service->open_session("bursty");
+  FrameLog log;
+  log.attach(s);
   s.submit(request_for(volume, 0.0));
   h.service->drain();
-  const double first_finish = h.service->frames().back().finish_s;
+  ASSERT_EQ(log.delivered.size(), 1u);
+  const double first_finish = log.delivered.back().finish_s;
   const double gap_end = first_finish + 0.5;  // ~100 windows of idle
   s.submit(request_for(volume, gap_end));
   h.service->drain();
-  const double second_start = h.service->frames().back().start_s;
+  ASSERT_EQ(log.delivered.size(), 2u);
+  const double second_start = log.delivered.back().start_s;
   ASSERT_GE(second_start, gap_end);
 
   const ServiceStats stats = h.service->stats();

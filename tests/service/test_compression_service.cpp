@@ -9,10 +9,12 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "compress/brick_codec.hpp"
+#include "frame_log.hpp"
 #include "service/brick_cache.hpp"
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
@@ -43,24 +45,29 @@ struct Harness {
   }
 };
 
-ServiceStats run_orbit(const volren::Volume& volume, compress::Codec codec,
-                       int frames = 3) {
+struct OrbitRun {
+  ServiceStats stats;
+  std::vector<FrameRecord> frames;  // completion order
+};
+
+OrbitRun run_orbit(const volren::Volume& volume, compress::Codec codec, int frames = 3) {
   ServiceConfig config;
   config.compression = codec;
-  config.keep_images = true;
   Harness h(2, config);
   Session s = h.service->open_session("orbit");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), frames, 0.0, 0.0);
   h.service->drain();
-  return h.service->stats();
+  return {h.service->stats(), std::move(log.delivered)};
 }
 
 TEST(CompressionService, PixelsBitIdenticalWithCompressionOnOrOff) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
-  const ServiceStats off = run_orbit(volume, compress::Codec::None);
+  const OrbitRun off = run_orbit(volume, compress::Codec::None);
   for (const compress::Codec codec :
        {compress::Codec::Rle, compress::Codec::ZfpStyle}) {
-    const ServiceStats on = run_orbit(volume, codec);
+    const OrbitRun on = run_orbit(volume, codec);
     ASSERT_EQ(off.frames.size(), on.frames.size()) << to_string(codec);
     for (std::size_t f = 0; f < off.frames.size(); ++f) {
       const volren::ImageDiff diff =
@@ -78,11 +85,12 @@ TEST(CompressionService, HitsPayTheDecompressQuantumEveryFrame) {
   // column-and-background structure gives real RLE runs (the skull and
   // supernova proxies are continuous fields that fall back to raw).
   const volren::Volume volume = volren::datasets::plume({24, 24, 24});
-  const ServiceStats stats = run_orbit(volume, compress::Codec::Rle, 3);
-  ASSERT_EQ(stats.frames.size(), 3u);
-  const std::uint64_t bricks = stats.frames[0].cache_misses;
+  const OrbitRun run = run_orbit(volume, compress::Codec::Rle, 3);
+  const ServiceStats& stats = run.stats;
+  ASSERT_EQ(run.frames.size(), 3u);
+  const std::uint64_t bricks = run.frames[0].cache_misses;
   ASSERT_GT(bricks, 0u);
-  for (const FrameRecord& frame : stats.frames) {
+  for (const FrameRecord& frame : run.frames) {
     // Every brick this frame touched — resident or freshly staged —
     // expanded exactly once.
     EXPECT_EQ(frame.stats.chunks_decompressed,
@@ -90,8 +98,8 @@ TEST(CompressionService, HitsPayTheDecompressQuantumEveryFrame) {
     EXPECT_GT(frame.stats.decompress_s_total, 0.0);
   }
   // Warm frames hit everything; the skipped H2D is the stored size.
-  EXPECT_EQ(stats.frames[1].cache_hits, bricks);
-  EXPECT_GT(stats.frames[1].stats.bytes_h2d_saved, 0u);
+  EXPECT_EQ(run.frames[1].cache_hits, bricks);
+  EXPECT_GT(run.frames[1].stats.bytes_h2d_saved, 0u);
   // The plume's flat regions really compress: the cache admitted more
   // logical bytes than stored bytes (the residency multiplier).
   EXPECT_GT(stats.cache.logical_bytes_admitted,

@@ -22,6 +22,7 @@
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_plan.hpp"
+#include "frame_log.hpp"
 #include "obs/trace.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
@@ -47,15 +48,14 @@ volren::RenderOptions disk_options(int bricks) {
 struct Harness {
   sim::Engine engine;
   std::unique_ptr<cluster::Cluster> cluster;
+  FrameLog log;
   std::unique_ptr<RenderService> service;
   obs::TraceRecorder trace;
 
   explicit Harness(int gpus) {
     cluster = std::make_unique<cluster::Cluster>(
         engine, cluster::ClusterConfig::with_total_gpus(gpus));
-    ServiceConfig config;
-    config.keep_images = true;
-    service = std::make_unique<RenderService>(*cluster, config);
+    service = std::make_unique<RenderService>(*cluster);
     service->set_trace(&trace);
   }
   const io::DiskModel& disk() { return cluster->disk(0).model(); }
@@ -175,10 +175,9 @@ volren::Image unserved_image(int gpus, const volren::Volume& volume,
   return volren::render_mapreduce(cluster, volume, options).image;
 }
 
-FrameRecord only_frame(const RenderService& service) {
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.frames.size(), 1u);
-  return stats.frames.empty() ? FrameRecord{} : stats.frames.front();
+FrameRecord only_frame(const FrameLog& log) {
+  EXPECT_EQ(log.delivered.size(), 1u);
+  return log.delivered.empty() ? FrameRecord{} : log.delivered.front();
 }
 
 TEST(DiskSweeps, FrameOnOneNodePaysOneSeek) {
@@ -186,6 +185,7 @@ TEST(DiskSweeps, FrameOnOneNodePaysOneSeek) {
   const volren::RenderOptions options = disk_options(16);
   Harness served(4);
   Session session = served.service->open_session("scan", Priority::Batch);
+  served.log.attach(session);
   session.submit(request_for(volume, 0.0, options));
   served.service->drain();
   // The paper's greedy schedule of what the service rendered (it skips
@@ -199,7 +199,7 @@ TEST(DiskSweeps, FrameOnOneNodePaysOneSeek) {
   const volren::RenderResult whole =
       volren::render_mapreduce(cluster, volume, greedy_options);
   const mr::JobStats& m = whole.stats;
-  const FrameRecord f = only_frame(*served.service);
+  const FrameRecord f = only_frame(served.log);
   const int n = f.stats.num_chunks;
   ASSERT_EQ(n, 16);
   ASSERT_EQ(f.stats.bytes_disk, m.bytes_disk);
@@ -235,17 +235,19 @@ TEST(DiskSweeps, AnotherFramesReadQueuedInBetweenBreaksTheSweep) {
   const volren::Volume live = volren::datasets::supernova({32, 32, 32});
   Harness h(4);
   Session batch = h.service->open_session("scan", Priority::Batch);
+  h.log.attach(batch);
   Session view = h.service->open_session("view", Priority::Interactive);
+  h.log.attach(view);
   batch.submit(request_for(scan, 0.0, disk_options(16)));
   // Arrives while the batch frame's first four reads are queued: its own
   // four reads queue behind them.
   view.submit(request_for(live, 1e-3, disk_options(4)));
   h.service->drain();
 
-  const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), 2u);
-  const FrameRecord& b = stats.frames[0].session == 0 ? stats.frames[0] : stats.frames[1];
-  const FrameRecord& l = stats.frames[0].session == 0 ? stats.frames[1] : stats.frames[0];
+  const std::vector<FrameRecord>& frames = h.log.delivered;
+  ASSERT_EQ(frames.size(), 2u);
+  const FrameRecord& b = frames[0].session == 0 ? frames[0] : frames[1];
+  const FrameRecord& l = frames[0].session == 0 ? frames[1] : frames[0];
   const std::string batch_id = std::to_string(b.frame_id);
   const std::string live_id = std::to_string(l.frame_id);
   const std::vector<Read> reads = disk_reads(h.trace);
@@ -288,10 +290,11 @@ TEST(DiskSweeps, CacheHitInMidOrderBreaksTheSweep) {
   const std::uint64_t bytes = layout.brick(6).device_bytes();
   h.service->admit_pushed_brick(&volume, 6, layout.signature(), 6 % 4, bytes, bytes);
   Session session = h.service->open_session("scan", Priority::Batch);
+  h.log.attach(session);
   session.submit(request_for(volume, 0.0, options));
   h.service->drain();
 
-  const FrameRecord f = only_frame(*h.service);
+  const FrameRecord f = only_frame(h.log);
   const std::string id = std::to_string(f.frame_id);
   EXPECT_EQ(f.stats.chunks_resident, 1u);
   const std::vector<Read> reads = disk_reads(h.trace);
@@ -318,10 +321,11 @@ TEST(DiskSweeps, PeerFetchedBrickBreaksTheSweep) {
     return true;
   });
   Session session = h.service->open_session("scan", Priority::Batch);
+  h.log.attach(session);
   session.submit(request_for(volume, 0.0, disk_options(16)));
   h.service->drain();
 
-  const FrameRecord f = only_frame(*h.service);
+  const FrameRecord f = only_frame(h.log);
   const std::string id = std::to_string(f.frame_id);
   EXPECT_EQ(f.stats.chunks_hydrated, 1u);
   const std::vector<Read> reads = disk_reads(h.trace);
@@ -347,10 +351,11 @@ TEST(DiskSweeps, RetriedQuantumReadsWithASeek) {
   error.param_s = 1e-5;
   h.service->inject_fault(error);
   Session session = h.service->open_session("scan", Priority::Batch);
+  h.log.attach(session);
   session.submit(request_for(volume, 0.0, options));
   h.service->drain();
 
-  const FrameRecord f = only_frame(*h.service);
+  const FrameRecord f = only_frame(h.log);
   const std::string id = std::to_string(f.frame_id);
   EXPECT_EQ(f.stats.quanta_failed, 1u);
   const std::vector<Read> reads = disk_reads(h.trace);
@@ -373,11 +378,12 @@ TEST(DiskSweeps, FileGapOnATwoNodeShardPaysASeek) {
   Harness h(8);
   ASSERT_EQ(h.cluster->num_nodes(), 2);
   Session session = h.service->open_session("scan", Priority::Batch);
+  h.log.attach(session);
   session.submit(request_for(volume, 0.0, options));
   h.service->drain();
 
   // Node 0 reads bricks 0-3, then 8-11; node 1 reads 4-7, then 12-15.
-  const FrameRecord f = only_frame(*h.service);
+  const FrameRecord f = only_frame(h.log);
   const std::string id = std::to_string(f.frame_id);
   const std::vector<Read> reads = disk_reads(h.trace);
   ASSERT_EQ(reads.size(), 16u);
@@ -414,7 +420,9 @@ TEST(DiskSweeps, FrameDiskTimeReconcilesWithTheDisks) {
   viewer.priority = Priority::Interactive;
   viewer.orbit = OrbitHint{4, 7e-3};
   Session batch = h.service->open_session(scan);
+  h.log.attach(batch);
   Session view = h.service->open_session(viewer);
+  h.log.attach(view);
   int submitted = 0;
   for (const volren::Volume* v : {&a, &b, &c, &a}) {
     batch.submit(request_for(*v, 0.0, disk_options(16)));
@@ -428,11 +436,10 @@ TEST(DiskSweeps, FrameDiskTimeReconcilesWithTheDisks) {
   }
   h.service->drain();
 
-  const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), static_cast<std::size_t>(submitted));
+  ASSERT_EQ(h.log.delivered.size(), static_cast<std::size_t>(submitted));
   double frames_s = 0.0;
   std::uint64_t bytes = 0;
-  for (const FrameRecord& f : stats.frames) {
+  for (const FrameRecord& f : h.log.delivered) {
     frames_s += f.stats.disk_busy_s;
     bytes += f.stats.bytes_disk;
   }

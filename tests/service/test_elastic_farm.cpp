@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
 #include "util/check.hpp"
@@ -44,7 +45,6 @@ FrontendConfig two_shard_config() {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   return config;
 }
 
@@ -149,22 +149,25 @@ TEST(ElasticFarm, MigratedSessionStatsSummarizeEveryEpochsFrames) {
   frontend.drain();
   ASSERT_EQ(latencies.size(), 12u);
 
-  // The summary is the one over all twelve frames, not a merge of the
-  // epochs' own summaries.
+  // The epochs' merged histogram is the one a single shard would have
+  // kept over all twelve frames.
+  obs::LogHistogram all;
+  for (const double latency : latencies) all.observe(latency);
   const SessionStats stats = s.stats();
   EXPECT_EQ(stats.frames, 12);
-  EXPECT_DOUBLE_EQ(stats.p50_latency_s, percentile(latencies, 50.0));
-  EXPECT_DOUBLE_EQ(stats.p95_latency_s, percentile(latencies, 95.0));
-  EXPECT_DOUBLE_EQ(stats.p99_latency_s, percentile(latencies, 99.0));
-  EXPECT_DOUBLE_EQ(stats.max_latency_s,
-                   *std::max_element(latencies.begin(), latencies.end()));
-  double sum = 0.0;
-  for (const double latency : latencies) sum += latency;
-  EXPECT_DOUBLE_EQ(stats.mean_latency_s, sum / 12.0);
+  EXPECT_EQ(stats.latency_s.count(), all.count());
+  EXPECT_EQ(stats.latency_s.min(), all.min());
+  EXPECT_EQ(stats.latency_s.max(), all.max());
+  EXPECT_EQ(stats.latency_s.max(), *std::max_element(latencies.begin(), latencies.end()));
+  EXPECT_DOUBLE_EQ(stats.latency_s.mean(), all.mean());
+  for (int k = 0; k <= 100; ++k) {
+    const double q = k / 100.0;
+    EXPECT_EQ(stats.latency_s.quantile(q), all.quantile(q)) << "q=" << q;
+  }
   // The epochs differ enough that the slower epoch's median is not the
   // session's.
   const std::vector<double> first_epoch(latencies.begin(), latencies.begin() + 4);
-  EXPECT_GT(percentile(first_epoch, 50.0), stats.p50_latency_s);
+  EXPECT_GT(percentile(first_epoch, 50.0), stats.latency_s.quantile(0.50));
 }
 
 TEST(ElasticFarm, ControlPassesNeedAPeriod) {
@@ -354,7 +357,6 @@ TEST(ElasticFarm, AutoscaleGrowsUnderBacklogAndShrinksWhenIdle) {
   FrontendConfig config;
   config.shards = 1;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   config.rebalance.enabled = true;  // fills the capacity autoscale adds
   config.rebalance.period_s = 2e-4;
   config.rebalance.skew_ratio = 1.5;

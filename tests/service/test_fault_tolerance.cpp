@@ -10,10 +10,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_plan.hpp"
+#include "frame_log.hpp"
 #include "service/frontend.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
@@ -52,20 +54,16 @@ struct Harness {
   }
 };
 
-ServiceConfig image_keeping_config() {
-  ServiceConfig config;
-  config.keep_images = true;
-  return config;
-}
-
 /// Renders `frames` orbit frames fault-free and returns the records.
 std::vector<FrameRecord> clean_run(const volren::Volume& volume, int frames,
                                    int gpus = 2) {
-  Harness h(gpus, image_keeping_config());
+  Harness h(gpus);
   Session s = h.service->open_session("clean");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), frames, 0.0, 0.0);
   h.service->drain();
-  return h.service->stats().frames;
+  return log.delivered;
 }
 
 void expect_identical_images(const std::vector<FrameRecord>& a,
@@ -82,12 +80,14 @@ TEST(FaultTolerance, DiskReadErrorRetriesAndMatchesCleanPixels) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   const std::vector<FrameRecord> clean = clean_run(volume, 2);
 
-  Harness h(2, image_keeping_config());
+  Harness h(2);
   fault::FaultEvent fault;
   fault.kind = fault::FaultKind::DiskReadError;
   fault.time_s = 0.0;  // the first staged quantum fails
   h.service->inject_fault(fault);
   Session s = h.service->open_session("faulted");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 2, 0.0, 0.0);
   h.service->drain();
 
@@ -95,15 +95,15 @@ TEST(FaultTolerance, DiskReadErrorRetriesAndMatchesCleanPixels) {
   EXPECT_EQ(stats.frames_total, 2);
   EXPECT_EQ(stats.faults_injected, 1u);
   EXPECT_GE(stats.quanta_retried, 1u);
-  expect_identical_images(stats.frames, clean);
+  expect_identical_images(log.delivered, clean);
   // The detection timeout and retry are in the schedule: the faulted
   // run cannot be faster than the clean one.
-  EXPECT_GE(stats.frames.back().finish_s, clean.back().finish_s);
+  EXPECT_GE(log.delivered.back().finish_s, clean.back().finish_s);
 }
 
 TEST(FaultTolerance, RepeatedDiskErrorsBackOffExponentially) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
-  Harness h(2, image_keeping_config());
+  Harness h(2);
   // Three consecutive failures of the same lane's quanta: each retry
   // waits 200 us x 2^(attempt-1) before the lane refills.
   for (int i = 0; i < 3; ++i) {
@@ -113,20 +113,22 @@ TEST(FaultTolerance, RepeatedDiskErrorsBackOffExponentially) {
     h.service->inject_fault(fault);
   }
   Session s = h.service->open_session("stubborn");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 1, 0.0, 0.0);
   h.service->drain();
   const ServiceStats stats = h.service->stats();
   EXPECT_EQ(stats.frames_total, 1);
   EXPECT_EQ(stats.faults_injected, 3u);
   EXPECT_GE(stats.quanta_retried, 3u);
-  expect_identical_images(stats.frames, clean_run(volume, 1));
+  expect_identical_images(log.delivered, clean_run(volume, 1));
 }
 
 TEST(FaultTolerance, LaneStallDelaysButLosesNothing) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   const std::vector<FrameRecord> clean = clean_run(volume, 2);
 
-  Harness h(2, image_keeping_config());
+  Harness h(2);
   fault::FaultEvent stall;
   stall.kind = fault::FaultKind::LaneStall;
   stall.time_s = 0.0;
@@ -134,6 +136,8 @@ TEST(FaultTolerance, LaneStallDelaysButLosesNothing) {
   stall.param_s = 0.05;  // well above the tiny frames' service time
   h.service->inject_fault(stall);
   Session s = h.service->open_session("stalled");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 2, 0.0, 0.0);
   h.service->drain();
 
@@ -141,7 +145,7 @@ TEST(FaultTolerance, LaneStallDelaysButLosesNothing) {
   EXPECT_EQ(stats.frames_total, 2);
   EXPECT_EQ(stats.lane_stalls, 1u);
   EXPECT_EQ(stats.lanes_dead, 0u);
-  expect_identical_images(stats.frames, clean);
+  expect_identical_images(log.delivered, clean);
   EXPECT_GT(stats.makespan_s, clean.back().finish_s - clean.front().arrival_s);
 }
 
@@ -150,13 +154,15 @@ TEST(FaultTolerance, LaneDeathRedistributesAndMatchesCleanPixels) {
   const std::vector<FrameRecord> clean = clean_run(volume, 3, 4);
   const double mid = clean.back().finish_s * 0.4;  // mid-drain
 
-  Harness h(4, image_keeping_config());
+  Harness h(4);
   fault::FaultEvent death;
   death.kind = fault::FaultKind::LaneDeath;
   death.time_s = mid;
   death.target = 1;
   h.service->inject_fault(death);
   Session s = h.service->open_session("survivor");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
   h.service->drain();
 
@@ -166,24 +172,26 @@ TEST(FaultTolerance, LaneDeathRedistributesAndMatchesCleanPixels) {
   EXPECT_EQ(stats.lanes_dead, 1u);
   // Reduced parallelism, identical pixels (placement-independent
   // reduction): the blacklisted lane's quanta ran elsewhere.
-  expect_identical_images(stats.frames, clean);
+  expect_identical_images(log.delivered, clean);
 }
 
 TEST(FaultTolerance, LaneDeathBeforeAdmissionServesOnSurvivors) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
-  Harness h(2, image_keeping_config());
+  Harness h(2);
   fault::FaultEvent death;
   death.kind = fault::FaultKind::LaneDeath;
   death.time_s = 0.0;
   death.target = 0;
   h.service->inject_fault(death);
   Session s = h.service->open_session("half");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 2, 0.0, 0.0);
   h.service->drain();
   const ServiceStats stats = h.service->stats();
   EXPECT_EQ(stats.frames_total, 2);
   EXPECT_EQ(h.service->dead_lanes(), 1);
-  expect_identical_images(stats.frames, clean_run(volume, 2));
+  expect_identical_images(log.delivered, clean_run(volume, 2));
 }
 
 TEST(FaultTolerance, PreemptedFramesRecoverFaultsWithUnchangedPixels) {
@@ -192,8 +200,12 @@ TEST(FaultTolerance, PreemptedFramesRecoverFaultsWithUnchangedPixels) {
   // recovered, and the pixels are the fault-free run's.
   const volren::Volume batch_volume = volren::datasets::supernova({24, 24, 24});
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
-  auto run = [&](bool faulted, int* delivered) {
-    Harness h(2, image_keeping_config());
+  struct Run {
+    ServiceStats stats;
+    std::vector<FrameRecord> frames;  // delivery order
+  };
+  auto run = [&](bool faulted) {
+    Harness h(2);
     if (faulted) {
       fault::FaultEvent disk;
       disk.kind = fault::FaultKind::DiskReadError;
@@ -208,13 +220,13 @@ TEST(FaultTolerance, PreemptedFramesRecoverFaultsWithUnchangedPixels) {
     }
     Session batch = h.service->open_session("batch");
     Session live = h.service->open_session("live", Priority::Interactive);
-    const auto count = [delivered](const FrameRecord&) { ++*delivered; };
-    batch.on_frame(count);
-    live.on_frame(count);
+    FrameLog log;
+    log.attach(batch);
+    log.attach(live);
     batch.submit_orbit(batch_volume, tiny_options(), 3, 0.0, 0.0);
     live.submit_orbit(live_volume, tiny_options(), 3, 0.0005, 0.001);
     h.service->drain();
-    return h.service->stats();
+    return Run{h.service->stats(), std::move(log.delivered)};
   };
   const auto by_frame_id = [](std::vector<FrameRecord> frames) {
     std::sort(frames.begin(), frames.end(),
@@ -224,18 +236,17 @@ TEST(FaultTolerance, PreemptedFramesRecoverFaultsWithUnchangedPixels) {
     return frames;
   };
 
-  int clean_delivered = 0;
-  int delivered = 0;
-  const ServiceStats clean = run(false, &clean_delivered);
-  const ServiceStats stats = run(true, &delivered);
-  EXPECT_EQ(clean_delivered, 6);
-  EXPECT_EQ(delivered, 6);
+  const Run clean = run(false);
+  const Run faulted = run(true);
+  const ServiceStats& stats = faulted.stats;
+  EXPECT_EQ(clean.frames.size(), 6u);
+  EXPECT_EQ(faulted.frames.size(), 6u);
   EXPECT_EQ(stats.frames_total, 6);
   EXPECT_GE(stats.quanta_retried, 1u);
   EXPECT_EQ(stats.lane_stalls, 1u);
   EXPECT_GT(stats.preemptions, 0u);
   // Faults change the completion order, never the pixels.
-  expect_identical_images(by_frame_id(stats.frames), by_frame_id(clean.frames));
+  expect_identical_images(by_frame_id(faulted.frames), by_frame_id(clean.frames));
 }
 
 TEST(FaultTolerance, ShardCrashSnapshotsUndeliveredWork) {
@@ -243,7 +254,7 @@ TEST(FaultTolerance, ShardCrashSnapshotsUndeliveredWork) {
   const std::vector<FrameRecord> clean = clean_run(volume, 4);
   const double mid = clean.back().finish_s * 0.5;
 
-  Harness h(2, image_keeping_config());
+  Harness h(2);
   fault::FaultEvent crash;
   crash.kind = fault::FaultKind::ShardCrash;
   crash.time_s = mid;
@@ -278,7 +289,6 @@ TEST(FaultTolerance, FrontendFailoverDeliversEveryFrameBitIdentically) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
 
   // Fault-free reference: same pinned placement, no plan.
   std::vector<FrameRecord> clean;  // delivery order
@@ -343,7 +353,6 @@ TEST(FaultTolerance, DroppedFailoverPushIsReadFromDiskOnce) {
   FrontendConfig config;
   config.shards = 2;
   config.gpus_per_shard = 2;
-  config.service.keep_images = true;
   volren::RenderOptions options = tiny_options();
   options.target_bricks = 4 * config.gpus_per_shard;
   options.include_disk_io = true;  // a missed brick costs a disk read
@@ -412,8 +421,7 @@ TEST(FaultTolerance, FailoverReplayIsDeterministic) {
     FrontendConfig config;
     config.shards = 2;
     config.gpus_per_shard = 2;
-    config.service.keep_images = true;
-    ServiceFrontend frontend(config);
+      ServiceFrontend frontend(config);
     fault::FaultPlan plan(7);
     plan.add({fault::FaultKind::ShardCrash, 0.002, 0, -1})
         .add({fault::FaultKind::DiskReadError, 0.0, 1, -1});

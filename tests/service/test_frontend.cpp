@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "volren/datasets.hpp"
@@ -138,11 +139,48 @@ TEST(ServiceFrontend, CallbacksDeliverThroughTheShard) {
     EXPECT_EQ(f.session, 1);
     EXPECT_GE(f.finish_s, f.start_s);
   });
+  int tiles = 0;
+  s.on_tile([&](const TileRecord& t) {
+    ++tiles;
+    EXPECT_EQ(t.session, 1);
+  });
   s.submit(request_for(vb, 0.0));
   s.submit(request_for(vb, 0.0));
   ASSERT_EQ(frontend.shard_of(s), 1);
   frontend.drain();
   EXPECT_EQ(delivered, 2);
+  EXPECT_GT(tiles, 0);
+}
+
+TEST(ServiceFrontend, RefinementsDeliverUnderTheFrontendIndex) {
+  // A refinement renders on the shard's internal "#refine" session but
+  // delivers through its client's callbacks: it carries the client's
+  // frontend-wide index too.
+  const volren::Volume va = volren::datasets::skull({16, 16, 16});
+  const volren::Volume vb = volren::datasets::skull({32, 32, 32});
+  FrontendConfig config = small_frontend(2);
+  config.service.interactive_slo_s = 1e-6;  // degrades every interactive frame
+  ServiceFrontend frontend(config);
+  Session first = frontend.open_session("first");
+  first.submit(request_for(va, 0.0));
+  Session s = frontend.open_session("live", Priority::Interactive);
+  int previews = 0;
+  int refinements = 0;
+  s.on_frame([&](const FrameRecord& f) {
+    ++(f.refines_frame_id >= 0 ? refinements : previews);
+    EXPECT_EQ(f.session, 1);
+  });
+  s.on_tile([&](const TileRecord& t) { EXPECT_EQ(t.session, 1); });
+  volren::RenderOptions options = tiny_options();
+  options.brick_size = 16;
+  RenderRequest request = request_for(vb, 0.0);
+  request.options = options;
+  s.submit(request);
+  s.submit(request);
+  ASSERT_EQ(frontend.shard_of(s), 1);
+  frontend.drain();
+  EXPECT_EQ(previews, 2);
+  EXPECT_EQ(refinements, 2);
 }
 
 TEST(ServiceFrontend, AggregatesAcrossShards) {
@@ -235,6 +273,10 @@ TEST(ServiceFrontend, ReshapedVolumeRejectedEvenWhenItsShardWentCold) {
 TEST(ServiceFrontend, DeterministicReplay) {
   // Two identical frontend runs produce byte-identical frame schedules
   // (placement, per-shard ordering and DES timing all replay).
+  struct Run {
+    FrontendStats stats;
+    std::vector<std::pair<int, FrameRecord>> delivered;  // (shard, record)
+  };
   auto run_once = [] {
     const volren::Volume va = volren::datasets::skull({24, 24, 24});
     const volren::Volume vb = volren::datasets::supernova({24, 24, 24});
@@ -245,30 +287,41 @@ TEST(ServiceFrontend, DeterministicReplay) {
     Session a = frontend.open_session("a", Priority::Interactive);
     Session b = frontend.open_session("b");
     Session c = frontend.open_session("c");
+    Run run;
+    for (Session* session : {&a, &b, &c}) {
+      session->on_frame([&run, &frontend, session](const FrameRecord& f) {
+        run.delivered.emplace_back(frontend.shard_of(*session), f);
+      });
+    }
     a.submit_orbit(va, tiny_options(), 4, 0.0, 0.02);
     b.submit_orbit(vb, tiny_options(), 4, 0.0, 0.0);
     c.submit_orbit(vc, tiny_options(), 4, 0.01, 0.03);
     frontend.drain();
-    return frontend.stats();
+    run.stats = frontend.stats();
+    return run;
   };
-  const FrontendStats first = run_once();
-  const FrontendStats second = run_once();
-  ASSERT_EQ(first.shards.size(), second.shards.size());
-  for (std::size_t s = 0; s < first.shards.size(); ++s) {
-    const ServiceStats& fs = first.shards[s].service;
-    const ServiceStats& ss = second.shards[s].service;
-    EXPECT_EQ(first.shards[s].sessions, second.shards[s].sessions);
-    ASSERT_EQ(fs.frames.size(), ss.frames.size());
-    for (std::size_t i = 0; i < fs.frames.size(); ++i) {
-      EXPECT_EQ(fs.frames[i].session, ss.frames[i].session);
-      EXPECT_EQ(fs.frames[i].frame_id, ss.frames[i].frame_id);
-      EXPECT_EQ(fs.frames[i].start_s, ss.frames[i].start_s);    // bitwise
-      EXPECT_EQ(fs.frames[i].finish_s, ss.frames[i].finish_s);  // bitwise
-      EXPECT_EQ(fs.frames[i].cache_hits, ss.frames[i].cache_hits);
-    }
+  const Run first = run_once();
+  const Run second = run_once();
+  ASSERT_EQ(first.stats.shards.size(), second.stats.shards.size());
+  for (std::size_t s = 0; s < first.stats.shards.size(); ++s) {
+    EXPECT_EQ(first.stats.shards[s].sessions, second.stats.shards[s].sessions);
   }
-  EXPECT_EQ(first.makespan_s, second.makespan_s);
-  EXPECT_EQ(first.fps, second.fps);
+  // Every shard shares the farm's one clock, so the farm-wide delivery
+  // order interleaves the shards' schedules deterministically.
+  ASSERT_EQ(first.delivered.size(), 12u);
+  ASSERT_EQ(first.delivered.size(), second.delivered.size());
+  for (std::size_t i = 0; i < first.delivered.size(); ++i) {
+    const auto& [fshard, f] = first.delivered[i];
+    const auto& [sshard, s] = second.delivered[i];
+    EXPECT_EQ(fshard, sshard);
+    EXPECT_EQ(f.session, s.session);
+    EXPECT_EQ(f.frame_id, s.frame_id);
+    EXPECT_EQ(f.start_s, s.start_s);    // bitwise
+    EXPECT_EQ(f.finish_s, s.finish_s);  // bitwise
+    EXPECT_EQ(f.cache_hits, s.cache_hits);
+  }
+  EXPECT_EQ(first.stats.makespan_s, second.stats.makespan_s);
+  EXPECT_EQ(first.stats.fps, second.stats.fps);
 }
 
 TEST(ServiceFrontend, TwoShardsNearlyDoubleAggregateThroughput) {

@@ -17,6 +17,7 @@
 
 #include "cluster/cluster.hpp"
 #include "fault/fault_plan.hpp"
+#include "frame_log.hpp"
 #include "obs/trace.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
@@ -44,6 +45,7 @@ volren::RenderOptions out_of_core_options(int bricks) {
 struct Harness {
   sim::Engine engine;
   std::unique_ptr<cluster::Cluster> cluster;
+  FrameLog log;
   std::unique_ptr<RenderService> service;
   obs::TraceRecorder trace;
 
@@ -51,9 +53,7 @@ struct Harness {
     // with_total_gpus puts up to four GPUs on one node: one shared disk.
     cluster = std::make_unique<cluster::Cluster>(
         engine, cluster::ClusterConfig::with_total_gpus(gpus));
-    ServiceConfig config;
-    config.keep_images = true;
-    service = std::make_unique<RenderService>(*cluster, config);
+    service = std::make_unique<RenderService>(*cluster);
     service->set_trace(&trace);
   }
 };
@@ -122,8 +122,8 @@ Timeline timeline_of(const obs::TraceRecorder& trace, int lanes) {
   return out;
 }
 
-const FrameRecord& record_of(const ServiceStats& stats, int session) {
-  for (const FrameRecord& f : stats.frames) {
+const FrameRecord& record_of(const FrameLog& log, int session) {
+  for (const FrameRecord& f : log.delivered) {
     if (f.session == session) return f;
   }
   throw std::runtime_error("no frame for session " + std::to_string(session));
@@ -134,7 +134,9 @@ TEST(OutOfCoreLanes, InteractiveFrameMapsWhileBatchReadsQueueOnTheDisk) {
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
   Harness h(4);
   Session batch = h.service->open_session("batch", Priority::Batch);
+  h.log.attach(batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  h.log.attach(live);
   batch.submit(request_for(batch_volume, 0.0, out_of_core_options(16)));
   const double live_arrival_s = 1e-3;  // the batch's four reads are queued
   live.submit(request_for(live_volume, live_arrival_s, tiny_options()));
@@ -142,8 +144,8 @@ TEST(OutOfCoreLanes, InteractiveFrameMapsWhileBatchReadsQueueOnTheDisk) {
 
   const ServiceStats stats = h.service->stats();
   ASSERT_EQ(stats.frames_total, 2);
-  const FrameRecord& b = record_of(stats, 0);
-  const FrameRecord& l = record_of(stats, 1);
+  const FrameRecord& b = record_of(h.log, 0);
+  const FrameRecord& l = record_of(h.log, 1);
   const std::string batch_id = std::to_string(b.frame_id);
   const std::string live_id = std::to_string(l.frame_id);
   const Timeline timeline = timeline_of(h.trace, 4);
@@ -181,7 +183,7 @@ TEST(OutOfCoreLanes, InteractiveFrameMapsWhileBatchReadsQueueOnTheDisk) {
   std::uint64_t issued = 0;
   for (const ServiceWindow& w : stats.windows) issued += w.quanta_issued;
   std::uint64_t chunks = 0;
-  for (const FrameRecord& f : stats.frames) {
+  for (const FrameRecord& f : h.log.delivered) {
     chunks += static_cast<std::uint64_t>(f.stats.num_chunks) - f.stats.chunks_culled;
   }
   EXPECT_EQ(issued, chunks);
@@ -204,15 +206,17 @@ TEST(OutOfCoreLanes, SecondFrameStagesABrickStillInTransit) {
   const volren::RenderOptions options = out_of_core_options(4);
   Harness h(1);
   Session batch = h.service->open_session("batch", Priority::Batch);
+  h.log.attach(batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  h.log.attach(live);
   batch.submit(request_for(volume, 0.0, options));
   live.submit(request_for(volume, 1e-3, options));
   h.service->drain();
 
   const ServiceStats stats = h.service->stats();
   ASSERT_EQ(stats.frames_total, 2);
-  const FrameRecord& b = record_of(stats, 0);
-  const FrameRecord& l = record_of(stats, 1);
+  const FrameRecord& b = record_of(h.log, 0);
+  const FrameRecord& l = record_of(h.log, 1);
   EXPECT_EQ(l.stats.chunks_resident, 0u);  // nothing skipped staging
   EXPECT_EQ(l.cache_hits, 0u);
   EXPECT_GE(l.stats.chunks_hydrated, 1u);  // took the batch frame's read
@@ -260,6 +264,7 @@ TEST(OutOfCoreLanes, LaneDeathMidTransferCompletesOnSurvivors) {
   const volren::RenderOptions options = out_of_core_options(8);
   Harness h(2);
   Session session = h.service->open_session("batch", Priority::Batch);
+  h.log.attach(session);
   session.submit(request_for(volume, 0.0, options));
   // At 1 ms both lanes' first reads are queued on the disk.
   fault::FaultEvent death;
@@ -272,7 +277,8 @@ TEST(OutOfCoreLanes, LaneDeathMidTransferCompletesOnSurvivors) {
   const ServiceStats stats = h.service->stats();
   ASSERT_EQ(stats.frames_total, 1);
   EXPECT_EQ(stats.lanes_dead, 1u);
-  const FrameRecord& f = stats.frames.front();
+  ASSERT_EQ(h.log.delivered.size(), 1u);
+  const FrameRecord& f = h.log.delivered.front();
   EXPECT_EQ(f.stats.per_gpu[1].chunks, 0);  // the landed chunk moved
   EXPECT_EQ(f.stats.per_gpu[0].chunks,
             f.stats.num_chunks - static_cast<int>(f.stats.chunks_culled));

@@ -11,9 +11,11 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "frame_log.hpp"
 #include "service/render_service.hpp"
 #include "sim/engine.hpp"
 #include "volren/datasets.hpp"
@@ -54,6 +56,7 @@ RenderRequest request_for(const volren::Volume& volume, double arrival,
 /// frames trickle in while batch frames are mid-render.
 struct MixedRun {
   ServiceStats stats;
+  std::vector<FrameRecord> frames;  // completion order
   std::vector<double> interactive_waits;
   double min_batch_service_s = 0.0;
   double max_batch_service_s = 0.0;
@@ -65,6 +68,9 @@ MixedRun run_mixed(int backlog_frames) {
   Harness h(2);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  FrameLog log;
+  log.attach(batch);
+  log.attach(live);
   // Fine bricks (8 per GPU) give the quantum scheduler short quanta —
   // the paper's brick-size knob repurposed as a preemption-granularity
   // knob.
@@ -77,8 +83,9 @@ MixedRun run_mixed(int backlog_frames) {
 
   MixedRun out;
   out.stats = h.service->stats();
+  out.frames = std::move(log.delivered);
   out.min_batch_service_s = std::numeric_limits<double>::infinity();
-  for (const FrameRecord& f : out.stats.frames) {
+  for (const FrameRecord& f : out.frames) {
     if (f.session == 0) {
       out.min_batch_service_s = std::min(out.min_batch_service_s, f.service_s());
       out.max_batch_service_s = std::max(out.max_batch_service_s, f.service_s());
@@ -108,15 +115,14 @@ TEST(Preemption, PreemptiveScheduleReplaysDeterministically) {
   auto run_once = [] { return run_mixed(12); };
   const MixedRun first = run_once();
   const MixedRun second = run_once();
-  ASSERT_EQ(first.stats.frames.size(), second.stats.frames.size());
-  for (std::size_t i = 0; i < first.stats.frames.size(); ++i) {
-    EXPECT_EQ(first.stats.frames[i].session, second.stats.frames[i].session);
-    EXPECT_EQ(first.stats.frames[i].frame_id, second.stats.frames[i].frame_id);
-    EXPECT_EQ(first.stats.frames[i].start_s, second.stats.frames[i].start_s);
-    EXPECT_EQ(first.stats.frames[i].finish_s, second.stats.frames[i].finish_s);
-    EXPECT_EQ(first.stats.frames[i].tiles, second.stats.frames[i].tiles);
-    EXPECT_EQ(first.stats.frames[i].first_tile_s,
-              second.stats.frames[i].first_tile_s);
+  ASSERT_EQ(first.frames.size(), second.frames.size());
+  for (std::size_t i = 0; i < first.frames.size(); ++i) {
+    EXPECT_EQ(first.frames[i].session, second.frames[i].session);
+    EXPECT_EQ(first.frames[i].frame_id, second.frames[i].frame_id);
+    EXPECT_EQ(first.frames[i].start_s, second.frames[i].start_s);
+    EXPECT_EQ(first.frames[i].finish_s, second.frames[i].finish_s);
+    EXPECT_EQ(first.frames[i].tiles, second.frames[i].tiles);
+    EXPECT_EQ(first.frames[i].first_tile_s, second.frames[i].first_tile_s);
   }
   EXPECT_EQ(first.stats.preemptions, second.stats.preemptions);
   EXPECT_EQ(first.stats.tiles_total, second.stats.tiles_total);
@@ -133,6 +139,9 @@ TEST(Preemption, SubmitFromTileCallbackPreemptsDuringReduceTail) {
   Harness h(2);
   Session batch = h.service->open_session("batch", Priority::Batch);
   Session live = h.service->open_session("live", Priority::Interactive);
+  FrameLog log;
+  log.attach(batch);
+  log.attach(live);
   double submit_clock = -1.0;
   batch.on_tile([&](const TileRecord&) {
     if (submit_clock >= 0.0) return;  // first tile only
@@ -144,11 +153,10 @@ TEST(Preemption, SubmitFromTileCallbackPreemptsDuringReduceTail) {
   batch.submit(request_for(batch_volume, 0.0, batch_options));
   h.service->drain();
 
-  const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), 2u);
+  ASSERT_EQ(log.delivered.size(), 2u);
   const FrameRecord* batch_frame = nullptr;
   const FrameRecord* live_frame = nullptr;
-  for (const FrameRecord& f : stats.frames)
+  for (const FrameRecord& f : log.delivered)
     (f.session == 0 ? batch_frame : live_frame) = &f;
   ASSERT_NE(batch_frame, nullptr);
   ASSERT_NE(live_frame, nullptr);
@@ -167,10 +175,10 @@ TEST(Preemption, PreemptedBatchFrameStillRendersCorrectPixels) {
   const volren::Volume batch_volume = volren::datasets::supernova({24, 24, 24});
   const volren::Volume live_volume = volren::datasets::skull({16, 16, 16});
   auto render_batch_frame = [&](bool with_interruption) {
-    ServiceConfig config;
-    config.keep_images = true;
-    Harness h(2, config);
+    Harness h(2);
     Session batch = h.service->open_session("batch", Priority::Batch);
+    FrameLog log;
+    log.attach(batch);
     volren::RenderOptions options = tiny_options();
     options.target_bricks = 8;
     batch.submit(request_for(batch_volume, 0.0, options));
@@ -179,10 +187,7 @@ TEST(Preemption, PreemptedBatchFrameStillRendersCorrectPixels) {
       live.submit(request_for(live_volume, 1e-5));
     }
     h.service->drain();
-    const ServiceStats stats = h.service->stats();
-    for (const FrameRecord& f : stats.frames) {
-      if (f.session == 0) return f.image;
-    }
+    if (log.delivered.size() == 1) return log.delivered[0].image;
     ADD_FAILURE() << "batch frame not served";
     return volren::Image{};
   };
@@ -205,6 +210,7 @@ TEST(TileStreaming, TilesPrecedeTheirFrameAndCoverIt) {
     std::size_t pixels = 0;
   };
   std::vector<Delivery> deliveries;
+  std::vector<FrameRecord> frames;
   s.on_tile([&](const TileRecord& tile) {
     EXPECT_DOUBLE_EQ(tile.finish_s, h.engine.now());
     EXPECT_EQ(tile.tiles_in_frame, 4);
@@ -213,6 +219,7 @@ TEST(TileStreaming, TilesPrecedeTheirFrameAndCoverIt) {
   });
   s.on_frame([&](const FrameRecord& frame) {
     deliveries.push_back({false, frame.frame_id, -1, frame.finish_s, 0});
+    frames.push_back(frame);
   });
   constexpr int kFrames = 3;
   for (int f = 0; f < kFrames; ++f) s.submit(request_for(volume, 0.0));
@@ -243,7 +250,7 @@ TEST(TileStreaming, TilesPrecedeTheirFrameAndCoverIt) {
   for (const Delivery& d : deliveries)
     if (d.is_tile) covered_pixels += d.pixels;
   EXPECT_GT(covered_pixels, 0u);
-  for (const FrameRecord& f : stats.frames) {
+  for (const FrameRecord& f : frames) {
     EXPECT_EQ(f.tiles, 4);
     EXPECT_GT(f.first_tile_s, f.start_s);
     EXPECT_LE(f.first_tile_s, f.finish_s);
@@ -269,14 +276,16 @@ TEST(Scheduler, ArrivalTiesBreakBySubmissionOrderNotOpenOrder) {
     Harness h(2, config);
     Session a = h.service->open_session("a");
     Session b = h.service->open_session("b");
+    FrameLog log;
+    log.attach(a);
+    log.attach(b);
     b.submit(request_for(volume, 0.0));  // frame_id 0
     a.submit(request_for(volume, 0.0));  // frame_id 1
     h.service->drain();
-    const ServiceStats stats = h.service->stats();
-    ASSERT_EQ(stats.frames.size(), 2u);
-    EXPECT_EQ(stats.frames[0].session, 1) << to_string(policy);
-    EXPECT_EQ(stats.frames[0].frame_id, 0u) << to_string(policy);
-    EXPECT_EQ(stats.frames[1].session, 0) << to_string(policy);
+    ASSERT_EQ(log.delivered.size(), 2u);
+    EXPECT_EQ(log.delivered[0].session, 1) << to_string(policy);
+    EXPECT_EQ(log.delivered[0].frame_id, 0u) << to_string(policy);
+    EXPECT_EQ(log.delivered[1].session, 0) << to_string(policy);
   }
 }
 
@@ -286,6 +295,8 @@ TEST(Calibration, CostModelConvergesTowardObservedServiceTimes) {
   config.policy = SchedulingPolicy::ShortestJobFirst;  // records predictions
   Harness h(2, config);
   Session s = h.service->open_session("steady");
+  FrameLog log;
+  log.attach(s);
   constexpr int kFrames = 8;
   // Served frames skip TF-empty space, so under bone each orbit view
   // costs what its empty space leaves. fire has no zero-alpha entry:
@@ -296,7 +307,7 @@ TEST(Calibration, CostModelConvergesTowardObservedServiceTimes) {
   h.service->drain();
 
   const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), static_cast<std::size_t>(kFrames));
+  ASSERT_EQ(log.delivered.size(), static_cast<std::size_t>(kFrames));
   // The EWMA moved off its prior after observing real service times.
   ASSERT_EQ(stats.sessions.size(), 1u);
   EXPECT_NE(stats.sessions[0].cost_scale, 1.0);
@@ -308,8 +319,8 @@ TEST(Calibration, CostModelConvergesTowardObservedServiceTimes) {
   auto rel_err = [](const FrameRecord& f) {
     return std::abs(f.predicted_cost_s - f.service_s()) / f.service_s();
   };
-  const double first_warm_err = rel_err(stats.frames[1]);
-  const double last_err = rel_err(stats.frames[kFrames - 1]);
+  const double first_warm_err = rel_err(log.delivered[1]);
+  const double last_err = rel_err(log.delivered[kFrames - 1]);
   EXPECT_LE(last_err, first_warm_err + 1e-12);
 
   // Calibration off: predictions stay at the a-priori model.

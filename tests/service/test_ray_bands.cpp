@@ -34,9 +34,7 @@ Served serve_one(int gpus, const volren::Volume& volume,
                  const volren::RenderOptions& options) {
   sim::Engine engine;
   cluster::Cluster cluster(engine, cluster::ClusterConfig::with_total_gpus(gpus));
-  ServiceConfig config;
-  config.keep_images = true;
-  RenderService service(cluster, config);
+  RenderService service(cluster);
   obs::TraceRecorder trace;
   service.set_trace(&trace);
   Session session = service.open_session("view", Priority::Interactive);
@@ -45,14 +43,17 @@ Served serve_one(int gpus, const volren::Volume& volume,
   session.on_tile([&served](const TileRecord& tile) {
     served.tile_s[static_cast<std::size_t>(tile.reducer)] = tile.finish_s;
   });
+  int frames = 0;
+  session.on_frame([&](const FrameRecord& frame) {
+    ++frames;
+    served.record = frame;
+  });
   RenderRequest request;
   request.volume = &volume;
   request.options = options;
   session.submit(request);
   service.drain();
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.frames.size(), 1u);
-  served.record = stats.frames.front();
+  EXPECT_EQ(frames, 1);
   for (const obs::TraceEvent& e : trace.events()) {
     if (e.name == "steal") served.steals.push_back(e);
   }

@@ -2,7 +2,8 @@
 // vs SJF), priority-class admission, deterministic replay on the DES
 // clock, brick-cache effect on staging traffic and runtime, layout
 // memoization, volume (address, generation) registration, empty-space
-// skipping on served frames, and the serving telemetry.
+// skipping on served frames, and the serving telemetry (running
+// counters, per-session and per-class latency histograms).
 
 #include "service/render_service.hpp"
 
@@ -11,9 +12,11 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "frame_log.hpp"
 #include "sim/engine.hpp"
 #include "util/stats.hpp"
 #include "volren/datasets.hpp"
@@ -42,10 +45,10 @@ struct Harness {
   }
 };
 
-/// Session indices of the completed frames, in completion order.
-std::vector<int> completion_order(const ServiceStats& stats) {
+/// Session indices of the delivered frames, in completion order.
+std::vector<int> completion_order(const FrameLog& log) {
   std::vector<int> order;
-  for (const FrameRecord& f : stats.frames) order.push_back(f.session);
+  for (const FrameRecord& f : log.delivered) order.push_back(f.session);
   return order;
 }
 
@@ -65,14 +68,16 @@ TEST(RenderService, FifoServesInArrivalOrderAcrossSessions) {
   Harness h(2, config);
   Session a = h.service->open_session("a");
   Session b = h.service->open_session("b");
+  FrameLog log;
+  log.attach(a);
+  log.attach(b);
   // B's frames arrive strictly earlier than A's even though A submitted
   // first; FIFO must serve by arrival, not submission.
   for (int f = 0; f < 2; ++f) a.submit(request_for(volume, 10.0 + f));
   for (int f = 0; f < 2; ++f) b.submit(request_for(volume, 0.001 * f));
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
-  EXPECT_EQ(completion_order(stats), (std::vector<int>{1, 1, 0, 0}));
-  EXPECT_EQ(stats.frames_total, 4);
+  EXPECT_EQ(completion_order(log), (std::vector<int>{1, 1, 0, 0}));
+  EXPECT_EQ(h.service->stats().frames_total, 4);
 }
 
 TEST(RenderService, FifoBreaksArrivalTiesBySubmissionOrder) {
@@ -82,11 +87,13 @@ TEST(RenderService, FifoBreaksArrivalTiesBySubmissionOrder) {
   Harness h(2, config);
   Session a = h.service->open_session("a");
   Session b = h.service->open_session("b");
+  FrameLog log;
+  log.attach(a);
+  log.attach(b);
   for (int f = 0; f < 3; ++f) a.submit(request_for(volume, 0.0));
   for (int f = 0; f < 3; ++f) b.submit(request_for(volume, 0.0));
   h.service->drain();
-  EXPECT_EQ(completion_order(h.service->stats()),
-            (std::vector<int>{0, 0, 0, 1, 1, 1}));
+  EXPECT_EQ(completion_order(log), (std::vector<int>{0, 0, 0, 1, 1, 1}));
 }
 
 TEST(RenderService, RoundRobinAlternatesSessions) {
@@ -96,12 +103,14 @@ TEST(RenderService, RoundRobinAlternatesSessions) {
   Harness h(2, config);
   Session a = h.service->open_session("a");
   Session b = h.service->open_session("b");
+  FrameLog log;
+  log.attach(a);
+  log.attach(b);
   // Identical workload to the FIFO tie test — but fairness interleaves.
   for (int f = 0; f < 3; ++f) a.submit(request_for(volume, 0.0));
   for (int f = 0; f < 3; ++f) b.submit(request_for(volume, 0.0));
   h.service->drain();
-  EXPECT_EQ(completion_order(h.service->stats()),
-            (std::vector<int>{0, 1, 0, 1, 0, 1}));
+  EXPECT_EQ(completion_order(log), (std::vector<int>{0, 1, 0, 1, 0, 1}));
 }
 
 TEST(RenderService, ShortestJobFirstPrefersCheaperFrames) {
@@ -114,13 +123,15 @@ TEST(RenderService, ShortestJobFirstPrefersCheaperFrames) {
   // session's frames ahead of it.
   Session heavy = h.service->open_session("heavy");
   Session light = h.service->open_session("light");
+  FrameLog log;
+  log.attach(heavy);
+  log.attach(light);
   for (int f = 0; f < 2; ++f) heavy.submit(request_for(big, 0.0));
   for (int f = 0; f < 2; ++f) light.submit(request_for(small, 0.0));
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
-  EXPECT_EQ(completion_order(stats), (std::vector<int>{1, 1, 0, 0}));
+  EXPECT_EQ(completion_order(log), (std::vector<int>{1, 1, 0, 0}));
   // The model's prediction must agree with the ordering it induced.
-  EXPECT_LT(stats.frames[0].predicted_cost_s, stats.frames[2].predicted_cost_s);
+  EXPECT_LT(log.delivered[0].predicted_cost_s, log.delivered[2].predicted_cost_s);
 }
 
 TEST(RenderService, InteractiveClassAdmitsBeforeBatch) {
@@ -136,13 +147,15 @@ TEST(RenderService, InteractiveClassAdmitsBeforeBatch) {
     Harness h(2, config);
     Session batch = h.service->open_session("batch", Priority::Batch);
     Session live = h.service->open_session("live", Priority::Interactive);
+    FrameLog log;
+    log.attach(batch);
+    log.attach(live);
     for (int f = 0; f < 3; ++f) batch.submit(request_for(volume, 0.0));
     for (int f = 0; f < 2; ++f) live.submit(request_for(volume, 0.0));
     h.service->drain();
     // Both interactive frames complete before the 2nd batch frame: the
     // first pick happens at t=0 where both classes have arrived work.
-    EXPECT_EQ(completion_order(h.service->stats()),
-              (std::vector<int>{1, 1, 0, 0, 0}))
+    EXPECT_EQ(completion_order(log), (std::vector<int>{1, 1, 0, 0, 0}))
         << to_string(policy);
   }
 }
@@ -162,6 +175,9 @@ TEST(RenderService, InteractiveP95WaitBoundedBehindBatchBacklog) {
     Harness h(2, config);
     Session batch = h.service->open_session("batch", Priority::Batch);
     Session live = h.service->open_session("live", Priority::Interactive);
+    FrameLog log;
+    log.attach(batch);
+    log.attach(live);
     for (int f = 0; f < 50; ++f) batch.submit(request_for(batch_volume, 0.0));
     // Interactive frames trickle in while the backlog is queued.
     live.submit_orbit(live_volume, tiny_options(), 8, 0.0005, 0.001);
@@ -174,7 +190,7 @@ TEST(RenderService, InteractiveP95WaitBoundedBehindBatchBacklog) {
 
     double batch_service_s = 0.0;
     std::vector<double> live_waits;
-    for (const FrameRecord& f : h.service->stats().frames) {
+    for (const FrameRecord& f : log.delivered) {
       if (f.session == 0)
         batch_service_s = std::max(batch_service_s, f.service_s());
       else
@@ -205,6 +221,10 @@ TEST(RenderService, LayoutBuiltOncePerSubmittedFrame) {
 }
 
 TEST(RenderService, DeterministicReplayOnTheDesClock) {
+  struct Run {
+    std::vector<FrameRecord> frames;
+    double makespan_s = 0.0;
+  };
   auto run_once = [] {
     const volren::Volume volume = volren::datasets::supernova({24, 24, 24});
     ServiceConfig config;
@@ -212,13 +232,16 @@ TEST(RenderService, DeterministicReplayOnTheDesClock) {
     Harness h(4, config);
     Session a = h.service->open_session("a");
     Session b = h.service->open_session("b");
+    FrameLog log;
+    log.attach(a);
+    log.attach(b);
     a.submit_orbit(volume, tiny_options(), 4, 0.0, 0.05);
     b.submit_orbit(volume, tiny_options(), 4, 0.02, 0.05);
     h.service->drain();
-    return h.service->stats();
+    return Run{log.delivered, h.service->stats().makespan_s};
   };
-  const ServiceStats first = run_once();
-  const ServiceStats second = run_once();
+  const Run first = run_once();
+  const Run second = run_once();
   ASSERT_EQ(first.frames.size(), second.frames.size());
   for (std::size_t i = 0; i < first.frames.size(); ++i) {
     EXPECT_EQ(first.frames[i].session, second.frames[i].session);
@@ -233,30 +256,35 @@ TEST(RenderService, DeterministicReplayOnTheDesClock) {
 
 TEST(RenderService, BrickCacheSkipsRestagingWithinASession) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
-  auto run_with_cache = [&volume](bool enabled) {
+  auto run_with_cache = [&volume](bool enabled, FrameLog& log) {
     ServiceConfig config;
     config.enable_brick_cache = enabled;
     Harness h(2, config);
     Session s = h.service->open_session("orbit");
+    log.attach(s);
     s.submit_orbit(volume, tiny_options(), 4, 0.0, 0.0);
     h.service->drain();
     return h.service->stats();
   };
 
-  const ServiceStats cold = run_with_cache(false);
-  const ServiceStats warm = run_with_cache(true);
+  FrameLog cold_log;
+  FrameLog warm_log;
+  const ServiceStats cold = run_with_cache(false, cold_log);
+  const ServiceStats warm = run_with_cache(true, warm_log);
+  const std::vector<FrameRecord>& frames = warm_log.delivered;
 
   // Frame 0 stages everything; frames 1..3 hit every brick on the lane
   // it is dealt to. An idle lane that takes a ray band of another
   // lane's brick looks it up in its own cache: only such lookups may
   // miss, and only they pay an H2D.
-  const auto bricks = static_cast<std::uint64_t>(warm.frames[0].stats.num_chunks) -
-                      warm.frames[0].stats.chunks_culled;
+  ASSERT_EQ(frames.size(), 4u);
+  const auto bricks = static_cast<std::uint64_t>(frames[0].stats.num_chunks) -
+                      frames[0].stats.chunks_culled;
   EXPECT_GT(bricks, 0u);
-  EXPECT_EQ(warm.frames[0].cache_hits, 0u);
+  EXPECT_EQ(frames[0].cache_hits, 0u);
   std::uint64_t hits = 0, lookups = 0;
-  for (std::size_t f = 0; f < warm.frames.size(); ++f) {
-    const FrameRecord& frame = warm.frames[f];
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const FrameRecord& frame = frames[f];
     EXPECT_EQ(frame.cache_hits + frame.cache_misses, frame.stats.stagings);
     hits += frame.cache_hits;
     lookups += frame.stats.stagings;
@@ -282,19 +310,19 @@ TEST(RenderService, CacheDoesNotChangeRenderedPixels) {
   auto frames_with_cache = [&volume](bool enabled) {
     ServiceConfig config;
     config.enable_brick_cache = enabled;
-    config.keep_images = true;
     Harness h(2, config);
     Session s = h.service->open_session("orbit");
+    FrameLog log;
+    log.attach(s);
     s.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
     h.service->drain();
-    return h.service->stats();
+    return log.delivered;
   };
-  const ServiceStats cold = frames_with_cache(false);
-  const ServiceStats warm = frames_with_cache(true);
-  ASSERT_EQ(cold.frames.size(), warm.frames.size());
-  for (std::size_t f = 0; f < cold.frames.size(); ++f) {
-    const volren::ImageDiff diff =
-        volren::compare_images(cold.frames[f].image, warm.frames[f].image);
+  const std::vector<FrameRecord> cold = frames_with_cache(false);
+  const std::vector<FrameRecord> warm = frames_with_cache(true);
+  ASSERT_EQ(cold.size(), warm.size());
+  for (std::size_t f = 0; f < cold.size(); ++f) {
+    const volren::ImageDiff diff = volren::compare_images(cold[f].image, warm[f].image);
     EXPECT_EQ(diff.max_abs, 0.0) << "frame " << f;
   }
 }
@@ -311,13 +339,14 @@ TEST(RenderService, ServedFramesSkipEmptySpaceWithUnchangedPixels) {
   const volren::RenderResult unserved = volren::render_mapreduce(cluster, volume, options);
   EXPECT_EQ(unserved.stats.samples_skipped, 0u);
 
-  ServiceConfig config;
-  config.keep_images = true;
-  Harness h(2, config);
+  Harness h(2);
   Session s = h.service->open_session("viewer");
+  FrameLog log;
+  log.attach(s);
   s.submit(request_for(volume, 0.0, options));
   h.service->drain();
-  const FrameRecord frame = h.service->stats().frames.at(0);
+  ASSERT_EQ(log.delivered.size(), 1u);
+  const FrameRecord& frame = log.delivered[0];
   EXPECT_GT(frame.stats.samples_skipped, 0u);
   EXPECT_EQ(frame.stats.total_samples,
             unserved.stats.total_samples - frame.stats.samples_skipped + frame.stats.skip_leaps);
@@ -332,20 +361,23 @@ TEST(RenderService, DistinctVolumesDoNotShareResidency) {
   Harness h(2, config);
   Session a = h.service->open_session("a");
   Session b = h.service->open_session("b");
+  FrameLog log;
+  log.attach(a);
+  log.attach(b);
   a.submit_orbit(va, tiny_options(), 2, 0.0, 0.0);
   b.submit_orbit(vb, tiny_options(), 2, 0.0, 0.0);
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
+  const std::vector<FrameRecord>& frames = log.delivered;
   // Order: a0 b0 a1 b1 — each session's first frame misses everything
   // (the other session's bricks are a different volume), second frame
   // hits everything (both working sets fit the default budget).
-  ASSERT_EQ(stats.frames.size(), 4u);
-  EXPECT_EQ(stats.frames[0].cache_hits, 0u);
-  EXPECT_EQ(stats.frames[1].cache_hits, 0u);
-  EXPECT_GT(stats.frames[2].cache_hits, 0u);
-  EXPECT_EQ(stats.frames[2].cache_misses, 0u);
-  EXPECT_GT(stats.frames[3].cache_hits, 0u);
-  EXPECT_EQ(stats.frames[3].cache_misses, 0u);
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0].cache_hits, 0u);
+  EXPECT_EQ(frames[1].cache_hits, 0u);
+  EXPECT_GT(frames[2].cache_hits, 0u);
+  EXPECT_EQ(frames[2].cache_misses, 0u);
+  EXPECT_GT(frames[3].cache_hits, 0u);
+  EXPECT_EQ(frames[3].cache_misses, 0u);
 }
 
 TEST(RenderService, TinyCacheBudgetNeverServesStaleHits) {
@@ -356,26 +388,31 @@ TEST(RenderService, TinyCacheBudgetNeverServesStaleHits) {
   config.cache_capacity_override = 1;  // 1 byte
   Harness h(2, config);
   Session s = h.service->open_session("orbit");
+  FrameLog log;
+  log.attach(s);
   s.submit_orbit(volume, tiny_options(), 3, 0.0, 0.0);
   h.service->drain();
   const ServiceStats stats = h.service->stats();
   EXPECT_EQ(stats.cache.hits, 0u);
   EXPECT_GT(stats.cache.rejected_oversized, 0u);
-  for (const FrameRecord& f : stats.frames) EXPECT_GT(f.stats.bytes_h2d, 0u);
+  ASSERT_EQ(log.delivered.size(), 3u);
+  for (const FrameRecord& f : log.delivered) EXPECT_GT(f.stats.bytes_h2d, 0u);
 }
 
 TEST(RenderService, QueueWaitAndIdleGapsAccounted) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   Harness h(2);
   Session s = h.service->open_session("sparse");
+  FrameLog log;
+  log.attach(s);
   s.submit(request_for(volume, 0.0));
   s.submit(request_for(volume, 1000.0));  // long idle gap
   h.service->drain();
   const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), 2u);
+  ASSERT_EQ(log.delivered.size(), 2u);
   // The second frame starts exactly at its arrival (idle cluster).
-  EXPECT_DOUBLE_EQ(stats.frames[1].start_s, 1000.0);
-  EXPECT_DOUBLE_EQ(stats.frames[1].queue_wait_s(), 0.0);
+  EXPECT_DOUBLE_EQ(log.delivered[1].start_s, 1000.0);
+  EXPECT_DOUBLE_EQ(log.delivered[1].queue_wait_s(), 0.0);
   EXPECT_GT(stats.makespan_s, 1000.0);
   // Utilization reflects the idle gap.
   EXPECT_LT(stats.cluster_utilization, 0.01);
@@ -402,12 +439,46 @@ TEST(RenderService, TelemetryIsConsistent) {
   EXPECT_EQ(stats.sessions[1].priority, Priority::Batch);
   for (const SessionStats& session : stats.sessions) {
     EXPECT_EQ(session.frames, 5);
+    EXPECT_EQ(session.latency_s.count(), 5u);
     EXPECT_EQ(session.queued_frames, 0);
     EXPECT_GT(session.fps, 0.0);
-    EXPECT_LE(session.p50_latency_s, session.p95_latency_s);
-    EXPECT_LE(session.p95_latency_s, session.p99_latency_s);
-    EXPECT_LE(session.p99_latency_s, session.max_latency_s + 1e-12);
-    EXPECT_GT(session.mean_latency_s, 0.0);
+    EXPECT_LE(session.latency_s.quantile(0.50), session.latency_s.quantile(0.95));
+    EXPECT_LE(session.latency_s.quantile(0.95), session.latency_s.quantile(0.99));
+    EXPECT_LE(session.latency_s.quantile(0.99), session.latency_s.max());
+    EXPECT_GT(session.latency_s.mean(), 0.0);
+  }
+}
+
+TEST(RenderService, RegistryKeepsOneLatencyHistogramPerClassAndKind) {
+  // The per-class histograms behind metrics(): one Interactive and one
+  // Batch frame each land once in their class's queue wait, service
+  // and first-pixel histograms, and queue wait plus service time is the
+  // frame's latency.
+  const volren::Volume volume = volren::datasets::skull({16, 16, 16});
+  Harness h(2);
+  Session live = h.service->open_session("live", Priority::Interactive);
+  Session batch = h.service->open_session("batch", Priority::Batch);
+  FrameLog log;
+  log.attach(live);
+  log.attach(batch);
+  batch.submit(request_for(volume, 0.0));
+  live.submit(request_for(volume, 0.0));
+  h.service->drain();
+  ASSERT_EQ(log.delivered.size(), 2u);
+  for (const FrameRecord& frame : log.delivered) {
+    const std::string cls = frame.session == 0 ? "interactive" : "batch";
+    const obs::Registry& metrics = h.service->metrics();
+    const obs::LogHistogram* wait = metrics.find_histogram(cls + ".queue_wait_s");
+    const obs::LogHistogram* service = metrics.find_histogram(cls + ".service_s");
+    const obs::LogHistogram* first_pixel = metrics.find_histogram(cls + ".first_pixel_s");
+    ASSERT_NE(wait, nullptr) << cls;
+    ASSERT_NE(service, nullptr) << cls;
+    ASSERT_NE(first_pixel, nullptr) << cls;
+    EXPECT_EQ(wait->count(), 1u) << cls;
+    EXPECT_EQ(service->count(), 1u) << cls;
+    EXPECT_EQ(first_pixel->count(), 1u) << cls;
+    EXPECT_DOUBLE_EQ(wait->sum() + service->sum(), frame.latency_s()) << cls;
+    EXPECT_DOUBLE_EQ(first_pixel->sum(), frame.first_tile_s - frame.arrival_s) << cls;
   }
 }
 
@@ -438,6 +509,8 @@ TEST(RenderService, RebrickedVolumeDoesNotAliasWarmBricks) {
   const volren::Volume volume = volren::datasets::skull({32, 32, 32});
   Harness h(2);
   Session s = h.service->open_session("rebrick");
+  FrameLog log;
+  log.attach(s);
   volren::RenderOptions coarse = tiny_options();
   coarse.brick_size = 16;  // 2x2x2 bricks
   s.submit(request_for(volume, 0.0, coarse));
@@ -445,17 +518,18 @@ TEST(RenderService, RebrickedVolumeDoesNotAliasWarmBricks) {
   fine.brick_size = 8;  // 4x4x4 bricks, ids overlap 0..7
   s.submit(request_for(volume, 0.0, fine));
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), 2u);
-  EXPECT_EQ(stats.frames[1].cache_hits, 0u);
-  EXPECT_GT(stats.frames[1].cache_misses, 0u);
-  EXPECT_GT(stats.frames[1].stats.bytes_h2d, 0u);  // really restaged
+  ASSERT_EQ(log.delivered.size(), 2u);
+  EXPECT_EQ(log.delivered[1].cache_hits, 0u);
+  EXPECT_GT(log.delivered[1].cache_misses, 0u);
+  EXPECT_GT(log.delivered[1].stats.bytes_h2d, 0u);  // really restaged
 }
 
 TEST(RenderService, InvalidateVolumeRestagesCold) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
   Harness h(2);
   Session s = h.service->open_session("orbit");
+  FrameLog log;
+  log.attach(s);
   s.submit(request_for(volume, 0.0));
   s.submit(request_for(volume, 0.0));
   h.service->drain();
@@ -466,8 +540,8 @@ TEST(RenderService, InvalidateVolumeRestagesCold) {
   h.service->invalidate_volume(&volume);
   s.submit(request_for(volume, 0.0));
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
-  const FrameRecord& third = stats.frames.back();
+  ASSERT_EQ(log.delivered.size(), 3u);
+  const FrameRecord& third = log.delivered.back();
   EXPECT_EQ(third.cache_hits, 0u);
   EXPECT_GT(third.cache_misses, 0u);
 }
@@ -479,6 +553,8 @@ TEST(RenderService, ChangedDimsWithoutInvalidationRejected) {
   // submit CHECKs them.
   Harness h(2);
   Session s = h.service->open_session("reuse");
+  FrameLog log;
+  log.attach(s);
   std::optional<volren::Volume> slot;  // one address, two volume lifetimes
   slot.emplace(volren::datasets::skull({24, 24, 24}));
   s.submit(request_for(*slot, 0.0));
@@ -495,11 +571,8 @@ TEST(RenderService, ChangedDimsWithoutInvalidationRejected) {
   EXPECT_EQ(h.service->registration_generation(), before + 1);
   s.submit(request_for(*slot, 0.0));
   h.service->drain();
-  // frames() is the zero-copy view — stats() returns by value, and a
-  // reference into that temporary would dangle past the full expression
-  // (caught by the ASan CI job).
-  const FrameRecord& fresh = h.service->frames().back();
-  EXPECT_EQ(fresh.cache_hits, 0u);
+  ASSERT_EQ(log.delivered.size(), 2u);
+  EXPECT_EQ(log.delivered.back().cache_hits, 0u);
 
   // A frame QUEUED before the reshape carries a layout built from the
   // old dims; serving it against the new volume is rejected even though
@@ -514,6 +587,8 @@ TEST(RenderService, DrainIsReusableAndResidencyPersists) {
   const volren::Volume volume = volren::datasets::skull({24, 24, 24});
   Harness h(2);
   Session s = h.service->open_session("orbit");
+  FrameLog log;
+  log.attach(s);
   s.submit(request_for(volume, 0.0));
   h.service->drain();
   const ServiceStats first = h.service->stats();
@@ -531,8 +606,9 @@ TEST(RenderService, DrainIsReusableAndResidencyPersists) {
   EXPECT_EQ(second.frames_total, 2);
   EXPECT_GT(second.cache.hits, 0u);
   EXPECT_EQ(second.cache.misses, first.cache.misses);  // no new misses
-  EXPECT_DOUBLE_EQ(second.frames[1].arrival_s, clock_before_second_drain);
-  EXPECT_LT(second.frames[1].latency_s(), second.frames[0].latency_s());
+  ASSERT_EQ(log.delivered.size(), 2u);
+  EXPECT_DOUBLE_EQ(log.delivered[1].arrival_s, clock_before_second_drain);
+  EXPECT_LT(log.delivered[1].latency_s(), log.delivered[0].latency_s());
 }
 
 TEST(RenderService, UtilizationIgnoresForeignClusterActivity) {

@@ -106,22 +106,21 @@ TEST(Session, StreamingSubmitFromInsideACallback) {
   const volren::Volume volume = volren::datasets::skull({16, 16, 16});
   Harness h(2);
   Session s = h.service->open_session("stream");
-  int delivered = 0;
-  s.on_frame([&](const FrameRecord&) {
-    ++delivered;
-    if (delivered < 4) s.submit(request_for(volume, 0.0));
+  std::vector<FrameRecord> delivered;
+  s.on_frame([&](const FrameRecord& frame) {
+    delivered.push_back(frame);
+    if (delivered.size() < 4) s.submit(request_for(volume, 0.0));
   });
   s.submit(request_for(volume, 0.0));
   h.service->drain();
-  EXPECT_EQ(delivered, 4);
-  const ServiceStats stats = h.service->stats();
-  EXPECT_EQ(stats.frames_total, 4);
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(h.service->stats().frames_total, 4);
   // A streamed frame's effective arrival is its submit clock (the
   // previous frame's finish), not the backdated 0.0 — its latency must
   // not absorb serving time from before it existed.
-  for (std::size_t f = 1; f < stats.frames.size(); ++f) {
-    EXPECT_DOUBLE_EQ(stats.frames[f].arrival_s, stats.frames[f - 1].finish_s);
-    EXPECT_DOUBLE_EQ(stats.frames[f].queue_wait_s(), 0.0);
+  for (std::size_t f = 1; f < delivered.size(); ++f) {
+    EXPECT_DOUBLE_EQ(delivered[f].arrival_s, delivered[f - 1].finish_s);
+    EXPECT_DOUBLE_EQ(delivered[f].queue_wait_s(), 0.0);
   }
 }
 
@@ -137,20 +136,22 @@ TEST(Session, StreamedBackdatedFrameDoesNotJumpTheFifoQueue) {
   Harness h(2, config);
   Session a = h.service->open_session("a");
   Session b = h.service->open_session("b");
+  std::vector<FrameRecord> delivered;
+  a.on_frame([&](const FrameRecord& f) { delivered.push_back(f); });
   b.on_frame([&](const FrameRecord& f) {
+    delivered.push_back(f);
     if (f.frame_id == 0) b.submit(request_for(vb, 0.0));  // backdated
   });
   b.submit(request_for(vb, 0.0));
   a.submit(request_for(va, 1e-6));  // arrives during b's first frame
   h.service->drain();
-  const ServiceStats stats = h.service->stats();
-  ASSERT_EQ(stats.frames.size(), 3u);
+  ASSERT_EQ(delivered.size(), 3u);
   // b0 (arrival 0) first; a's frame beats b's streamed frame, whose
   // effective arrival is b0's finish time.
-  EXPECT_EQ(stats.frames[0].session, 1);
-  EXPECT_EQ(stats.frames[1].session, 0);
-  EXPECT_EQ(stats.frames[2].session, 1);
-  EXPECT_DOUBLE_EQ(stats.frames[2].arrival_s, stats.frames[0].finish_s);
+  EXPECT_EQ(delivered[0].session, 1);
+  EXPECT_EQ(delivered[1].session, 0);
+  EXPECT_EQ(delivered[2].session, 1);
+  EXPECT_DOUBLE_EQ(delivered[2].arrival_s, delivered[0].finish_s);
 }
 
 TEST(Session, ReentrantDrainFromACallbackIsANoOp) {
